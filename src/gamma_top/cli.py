@@ -6,8 +6,9 @@
     gamma-top audit --example {3.2,3.5,3.16,3.17}
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
-2 input error.  GAMMA_TOP_THREADS caps worker processes for the
-enumeration commands (default 1).
+2 input error, 3 out of memory, 130 interrupted.  GAMMA_TOP_THREADS sets
+the worker processes for the enumeration commands (default 1), capped at
+the CPU count and at the number of jobs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .theoremlab import (
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+EXIT_MEMORY = 3
+EXIT_INTERRUPTED = 130
 
 
 def _threads() -> int:
@@ -51,7 +54,7 @@ def _threads() -> int:
         value = int(raw)
     except ValueError:
         raise FinSpaceError(f"GAMMA_TOP_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _emit(payload: dict, text: str, fmt: str):
@@ -339,6 +342,12 @@ def main(argv=None) -> int:
             UnknownClaim, UnknownExample, UnknownPredicate, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

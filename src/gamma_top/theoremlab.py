@@ -12,9 +12,10 @@ example spaces and diff their published families against recomputation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import documents
-from .finspace import PointSet, SizeTooLarge, bits_of, enumerate_topologies, validate_topology
+from .finspace import PointSet, SizeTooLarge, bits_of, enumerate_topologies, submasks, validate_topology
 from .gamma_core import (
     GammaOperation,
     Space,
@@ -41,14 +42,9 @@ from .gamma_sets import (
 from .convergence import (
     _fb_accumulates,
     _fb_converges,
-    enumerate_filterbases,
     enumerate_nets,
-    filterbase_to_net,
     gamma_closed_space_conditions,
-    is_universal_net,
-    net_r_accumulates,
-    net_r_converges,
-    net_to_filterbase,
+    net_tail_range,
 )
 
 
@@ -520,77 +516,115 @@ def _net_witness(sp: Space, net, x: int, part: str) -> dict:
     }
 
 
+def _bridge_classes(sp: Space) -> dict:
+    """Per (tail, range) class ``(T, R)`` with ``0 != T <= R``, one entry per
+    pairing: the first point ``(x, part)`` at which the filterbase verdicts
+    (kernel T) and the net verdicts (tail T, range R) disagree, or None.
+    By the convergence module's lemma this decides every net and every
+    filterbase of the class at once."""
+    memo = sp._memo
+    if "bridge_classes" in memo:
+        return memo["bridge_classes"]
+    points = range(sp.ground.n)
+    # the verdicts of {M}, hence of every filterbase with kernel M
+    principal = {
+        (m, x): {
+            fam: (_fb_converges(sp, (m,), x, fam), _fb_accumulates(sp, (m,), x, fam))
+            for fam in ("regular_open", "gamma_open_cl")
+        }
+        for m in range(1, sp.ground.full_mask + 1)
+        for x in points
+    }
+    pairings = [p.split("+") for p in PAIRINGS]
+    classes = {}
+    for r in range(1, sp.ground.full_mask + 1):
+        for t in submasks(r):
+            if not t:
+                continue
+            found = [None] * len(PAIRINGS)
+            for x in points:
+                fb = principal[t, x]
+                net_conv, net_standard = fb["gamma_open_cl"]
+                # every index lands in each closure iff {R} converges
+                net_acc = {"standard": net_standard, "literal": principal[r, x]["gamma_open_cl"][0]}
+                for i, (fam, reading) in enumerate(pairings):
+                    if found[i] is not None:
+                        continue
+                    if fb[fam][0] != net_conv:
+                        found[i] = (x, "convergence")
+                    elif fb[fam][1] != net_acc[reading]:
+                        found[i] = (x, "accumulation")
+            classes[t, r] = tuple(found)
+    memo["bridge_classes"] = classes
+    return classes
+
+
+@lru_cache(maxsize=16)
+def _net_rows(ground: PointSet, max_dir_size: int) -> tuple:
+    """``(net, T, R)`` for every net of ``enumerate_nets``, in its order."""
+    return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, max_dir_size))
+
+
+def _filterbase_witness(sp: Space, classes: dict, pairing: int) -> dict | None:
+    """The first failing filterbase of ``enumerate_filterbases`` order, in
+    closed form.  Bases come kernel-first, and for one kernel K the base
+    {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
+    in ascending order (class (K, U)); larger bases only repeat those
+    classes.  ``filterbase_to_net`` maps a base to the class (kernel, union)."""
+    full = sp.ground.full_mask
+    for k in range(1, full + 1):
+        members = (k,)
+        hit = classes[k, k][pairing]
+        if hit is None:
+            for u in range(k + 1, full + 1):
+                if u & k == k and classes[k, u][pairing] is not None:
+                    members = (k, u)
+                    hit = classes[k, u][pairing]
+                    break
+        if hit is not None:
+            x, part = hit
+            return {
+                "part": part,
+                "filterbase": [_labels(sp, m) for m in members],
+                "point": sp.ground.labels[x],
+            }
+    return None
+
+
 def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
-    filterbase/constructed-net bridge."""
+    filterbase/constructed-net bridge.  Verdicts are decided per (tail,
+    range) class; witnesses are the first failing net of ``enumerate_nets``
+    and the first failing filterbase of ``enumerate_filterbases``."""
     memo = sp._memo
     key = ("bridge", max_dir_size)
     if key in memo:
         return memo[key]
+    classes = _bridge_classes(sp)
     result = {p: {"C-P4.10": None, "C-P4.11": None} for p in PAIRINGS}
 
-    for net in enumerate_nets(sp.ground, max_dir_size):
-        members = net_to_filterbase(net).members_sorted
-        for x in range(sp.ground.n):
-            label = sp.ground.labels[x]
-            net_conv = net_r_converges(sp, net, label)
-            net_acc = {
-                "standard": net_r_accumulates(sp, net, label),
-                "literal": net_r_accumulates(sp, net, label, literal=True),
-            }
-            fb_conv = {
-                fam: _fb_converges(sp, members, x, fam)
-                for fam in ("regular_open", "gamma_open_cl")
-            }
-            fb_acc = {
-                fam: _fb_accumulates(sp, members, x, fam)
-                for fam in ("regular_open", "gamma_open_cl")
-            }
-            for pairing in PAIRINGS:
-                if result[pairing]["C-P4.10"] is not None:
-                    continue
-                fam, reading = pairing.split("+")
-                if fb_conv[fam] != net_conv:
-                    result[pairing]["C-P4.10"] = _net_witness(sp, net, x, "convergence")
-                elif fb_acc[fam] != net_acc[reading]:
-                    result[pairing]["C-P4.10"] = _net_witness(sp, net, x, "accumulation")
+    # nets on at most max_dir_size indices realise the classes with |R| <= max_dir_size
+    pending = [
+        i for i in range(len(PAIRINGS))
+        if any(
+            found[i] is not None
+            for (_, r), found in classes.items()
+            if r.bit_count() <= max_dir_size
+        )
+    ]
+    if pending:
+        for net, t, r in _net_rows(sp.ground, max_dir_size):
+            found = classes[t, r]
+            for i in [i for i in pending if found[i] is not None]:
+                x, part = found[i]
+                result[PAIRINGS[i]]["C-P4.10"] = _net_witness(sp, net, x, part)
+                pending.remove(i)
+            if not pending:
+                break
 
-    for fb in enumerate_filterbases(sp.ground):
-        net = filterbase_to_net(fb)
-        members = fb.members_sorted
-        for x in range(sp.ground.n):
-            label = sp.ground.labels[x]
-            net_conv = net_r_converges(sp, net, label)
-            net_acc = {
-                "standard": net_r_accumulates(sp, net, label),
-                "literal": net_r_accumulates(sp, net, label, literal=True),
-            }
-            fb_conv = {
-                fam: _fb_converges(sp, members, x, fam)
-                for fam in ("regular_open", "gamma_open_cl")
-            }
-            fb_acc = {
-                fam: _fb_accumulates(sp, members, x, fam)
-                for fam in ("regular_open", "gamma_open_cl")
-            }
-            for pairing in PAIRINGS:
-                if result[pairing]["C-P4.11"] is not None:
-                    continue
-                fam, reading = pairing.split("+")
-                witness = None
-                if fb_conv[fam] != net_conv:
-                    witness = {"part": "convergence"}
-                elif fb_acc[fam] != net_acc[reading]:
-                    witness = {"part": "accumulation"}
-                if witness is not None:
-                    witness.update(
-                        {
-                            "filterbase": [_labels(sp, m) for m in members],
-                            "point": label,
-                        }
-                    )
-                    result[pairing]["C-P4.11"] = witness
+    for i, pairing in enumerate(PAIRINGS):
+        result[pairing]["C-P4.11"] = _filterbase_witness(sp, classes, i)
 
     memo[key] = result
     return result
@@ -627,23 +661,17 @@ def _check_p411(sp: Space):
 def _check_t413(sp: Space):
     notes = {"restriction": NET_RESTRICTION_NOTE}
     covers = gamma_closed_space_conditions(sp, "dual").gamma_open_covers
-    nets_accumulate = True
-    acc_witness = None
-    universal_converge = True
-    uni_witness = None
-    for net in enumerate_nets(sp.ground, NET_SIZE_CAP):
-        labels = sp.ground.labels
-        if nets_accumulate and not any(
-            net_r_accumulates(sp, net, labels[x]) for x in range(sp.ground.n)
-        ):
-            nets_accumulate = False
-            acc_witness = _net_witness(sp, net, 0, "no_accumulation_point")
-        if universal_converge and is_universal_net(sp.ground, net):
-            if not any(net_r_converges(sp, net, labels[x]) for x in range(sp.ground.n)):
-                universal_converge = False
-                uni_witness = _net_witness(sp, net, 0, "universal_net_does_not_converge")
-        if not nets_accumulate and not universal_converge:
-            break
+
+    # by the convergence module's lemma a net accumulates at x iff its tail
+    # T does as a kernel, and nets within the cap realise every |T| <= cap
+    def accumulates_nowhere(t):
+        return not any(_fb_accumulates(sp, (t,), x, "gamma_open_cl") for x in range(sp.ground.n))
+
+    tails = [t for t in range(1, sp.ground.full_mask + 1) if t.bit_count() <= NET_SIZE_CAP]
+    nets_accumulate = not any(accumulates_nowhere(t) for t in tails)
+    # a universal net has a one-point tail, which is inside a test set
+    # exactly when it meets it: converging nowhere is accumulating nowhere
+    universal_converge = not any(accumulates_nowhere(t) for t in tails if t & (t - 1) == 0)
     if covers == nets_accumulate == universal_converge:
         return "holds", None, notes
     witness = {
@@ -651,10 +679,9 @@ def _check_t413(sp: Space):
         "every_net_accumulates": nets_accumulate,
         "every_universal_net_converges": universal_converge,
     }
-    for extra in (acc_witness, uni_witness):
-        if extra is not None:
-            witness["net"] = extra
-            break
+    if not nets_accumulate:
+        net = next(net for net, t, _ in _net_rows(sp.ground, NET_SIZE_CAP) if accumulates_nowhere(t))
+        witness["net"] = _net_witness(sp, net, 0, "no_accumulation_point")
     return "fails", witness, notes
 
 

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 
 from gamma_top.convergence import (
@@ -23,6 +26,7 @@ from gamma_top.convergence import (
     is_universal_net,
     net_r_accumulates,
     net_r_converges,
+    net_tail_range,
     net_to_filterbase,
     validate_filterbase,
 )
@@ -162,6 +166,22 @@ def test_filterbase_to_net_shapes():
     assert three.dirset.size == 3
     # tails of the constructed net recover exactly the original members
     assert net_to_filterbase(three).members == {m("ab"), m("b")}
+
+
+def test_net_tail_range_is_top_class_and_range():
+    assert net_tail_range(Net(chain(3), (1, 0, 2))) == (m("c"), m("abc"))
+    tied_top = DirectedSet(2, frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
+    assert tied_top.top_mask == 0b11
+    assert net_tail_range(Net(tied_top, (0, 1))) == (m("ab"), m("ab"))
+    # the constructed net of a filterbase has tail = kernel, range = union
+    assert net_tail_range(filterbase_to_net(fb("abc", "ab", "b"))) == (m("b"), m("abc"))
+    # the tail filterbase of a net has kernel = tail, union = range
+    for net in enumerate_nets(ABC, 3):
+        tail, rng = net_tail_range(net)
+        tails = net_to_filterbase(net)
+        assert tails.kernel == tail
+        assert rng == sum({1 << v for v in net.values})
+        assert rng == functools.reduce(operator.or_, tails.members)
 
 
 def test_universal_nets():

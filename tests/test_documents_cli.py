@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import gamma_top
 from gamma_top import cli, documents
 from gamma_top.finspace import PointSet, validate_topology
 from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space
@@ -217,3 +224,74 @@ def test_cli_threaded_run_matches_sequential(capsys, monkeypatch):
     monkeypatch.setenv("GAMMA_TOP_THREADS", "2")
     _, threaded, _ = run_cli(capsys, *args)
     assert threaded == sequential
+
+
+def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_analyze", out_of_memory)
+    code, _, err = run_cli(capsys, "analyze", doc_path("example3_2"))
+    assert code == cli.EXIT_MEMORY == 3
+    assert "out of memory" in err
+    monkeypatch.setattr(cli, "cmd_analyze", interrupted)
+    code, _, err = run_cli(capsys, "analyze", doc_path("example3_2"))
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert code != cli.EXIT_COUNTEREXAMPLE
+
+
+def test_threads_capped_at_cpu_count(capsys, monkeypatch):
+    monkeypatch.setenv("GAMMA_TOP_THREADS", "64")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._threads() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._threads() == 1
+    monkeypatch.setenv("GAMMA_TOP_THREADS", "0")
+    assert cli._threads() == 1
+
+    # on one CPU a large setting runs serially: no pool is ever created
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
+    monkeypatch.setenv("GAMMA_TOP_THREADS", "64")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    args = ("verify", "--enumerate", "2", "--ops", "builtins,pivots", "--format", "machine")
+    code, capped, _ = run_cli(capsys, *args)
+    monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
+    assert run_cli(capsys, *args) == (code, capped, "")
+
+
+def _limit_address_space():
+    one_gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (one_gib, one_gib))
+
+
+def test_verify_five_point_chain_bridge_claims(tmp_path):
+    # every filterbase on 5 points (165,211 of them) no longer has to be
+    # built: the bridge claims finish quickly and in little memory
+    points = ["a", "b", "c", "d", "e"]
+    doc = {
+        "points": points,
+        "opens": [points[:k] for k in range(len(points) + 1)],
+        "gamma": {"kind": "closure"},
+    }
+    path = tmp_path / "chain5.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamma_top.cli", "verify", str(path),
+         "--claims", "C-P4.10,C-P4.11,C-T4.13", "--format", "machine"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 30
+    verdicts = json.loads(proc.stdout)["verdicts"]
+    assert [v["claim"] for v in verdicts] == ["C-P4.10", "C-P4.11", "C-T4.13"]
+    assert all(v["status"] in ("holds", "fails") for v in verdicts)
