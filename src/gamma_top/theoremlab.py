@@ -576,8 +576,8 @@ def _filterbase_witness(sp: Space, classes: dict, pairing: int) -> dict | None:
         members = (k,)
         hit = classes[k, k][pairing]
         if hit is None:
-            for u in range(k + 1, full + 1):
-                if u & k == k and classes[k, u][pairing] is not None:
+            for u in sorted(k | s for s in submasks(full ^ k) if s):
+                if classes[k, u][pairing] is not None:
                     members = (k, u)
                     hit = classes[k, u][pairing]
                     break
