@@ -6,7 +6,8 @@
     gamma-top audit --example {3.2,3.5,3.16,3.17}
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
-2 input error, 3 out of memory, 130 interrupted.  GAMMA_TOP_THREADS sets
+2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early
+(broken pipe, as a shell reports SIGPIPE).  GAMMA_TOP_THREADS sets
 the worker processes for the enumeration commands (default 1), capped at
 the CPU count and at the number of jobs.
 """
@@ -14,6 +15,7 @@ the CPU count and at the number of jobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -22,30 +24,15 @@ import sys
 from . import documents, theoremlab
 from .finspace import FinSpaceError
 from .gamma_core import GammaError
-from .gamma_sets import (
-    FLAG_NAMES,
-    classify_subset,
-    gamma_open_family,
-    is_extremally_disconnected,
-    regular_open_family,
-    theta_families,
-)
-from .gamma_core import is_open_operation, is_regular_operation
-from .theoremlab import (
-    CLAIM_IDS,
-    CLAIMS,
-    CONDITIONED_CLAIMS,
-    SAFE_CLAIMS,
-    UnknownClaim,
-    UnknownExample,
-    UnknownPredicate,
-)
+from .gamma_sets import FLAG_NAMES, classify_subset, gamma_open_family, regular_open_family, theta_families
+from .theoremlab import SAFE_CLAIMS, SweepReport, UnknownClaim, UnknownExample, UnknownPredicate
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_MEMORY = 3
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 
 def _threads() -> int:
@@ -80,11 +67,7 @@ def _analyze_payload(sp) -> dict:
     table = [classify_subset(sp, m) for m in sp.ground.subsets()]
     return {
         "space": documents.space_to_document(sp),
-        "flags": {
-            "extremally_disconnected": is_extremally_disconnected(sp),
-            "regular_operation": is_regular_operation(sp),
-            "open_operation": is_open_operation(sp),
-        },
+        "flags": theoremlab.space_flags(sp),
         "families": {
             "opens": [list(sp.ground.labels_of(m)) for m in sp.top.opens_sorted],
             "gamma_open": [list(sp.ground.labels_of(m)) for m in gamma_open_family(sp)],
@@ -135,51 +118,32 @@ def cmd_analyze(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _parse_claims(raw: str | None, enumerating: bool) -> tuple:
-    if raw is None:
-        return SAFE_CLAIMS if enumerating else CLAIM_IDS
-    keywords = {"safe": SAFE_CLAIMS, "conditioned": CONDITIONED_CLAIMS, "all": CLAIM_IDS}
-    if raw in keywords:
-        return keywords[raw]
-    ids = tuple(part.strip() for part in raw.split(",") if part.strip())
-    for cid in ids:
-        if cid not in CLAIMS:
-            raise UnknownClaim(f"unknown claim {cid!r}")
-    return ids
+def _over_topologies(job, n: int, *args) -> list:
+    """``job(n, *args, (lo, hi))`` over consecutive ranges of the n-point
+    topology enumeration, one range per worker, results in range order.
+    With one worker the single range runs in this process."""
+    total = sum(1 for _ in theoremlab.enumerate_topologies(n))
+    span = -(-total // min(_threads(), total))
+    jobs = [(n, *args, (lo, min(lo + span, total))) for lo in range(0, total, span)]
+    if len(jobs) == 1:
+        return [job(*jobs[0])]
+    with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
+        return pool.starmap(job, jobs)
 
 
-def _sweep_worker(args):
-    n, modes, claims, lo, hi = args
-    claim_report, _ = theoremlab.full_sweep(n, modes, claims, invariants=False,
-                                            topo_range=(lo, hi))
-    return claim_report
+def _sweep_job(n, modes, claims, topo_range) -> SweepReport:
+    return theoremlab.full_sweep(n, modes, claims, invariants=False, topo_range=topo_range)[0]
 
 
-def _chunk_ranges(total: int, workers: int):
-    span = (total + workers - 1) // workers
-    return [(lo, min(lo + span, total)) for lo in range(0, total, span)]
+def _mine_job(n, modes, predicate, topo_range) -> list:
+    return [w.to_dict() for w in theoremlab.mine(n, modes, predicate, topo_range)]
 
 
 def _verify_enumeration(args, claims) -> tuple[dict, str, int]:
     n = args.enumerate
     modes = theoremlab.parse_modes(args.ops)
-    threads = _threads()
-    total = sum(1 for _ in theoremlab.enumerate_topologies(n))
-    if threads > 1 and total > 1:
-        jobs = [(n, modes, claims, lo, hi) for lo, hi in _chunk_ranges(total, threads)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(threads, len(jobs))) as pool:
-            parts = pool.map(_sweep_worker, jobs)
-        report = parts[0]
-        for part in parts[1:]:
-            report.spaces += part.spaces
-            report.topologies += part.topologies
-            report.failures.extend(part.failures)
-            for cid in claims:
-                for k in report.tallies[cid]:
-                    report.tallies[cid][k] += part.tallies[cid][k]
-    else:
-        report, _ = theoremlab.full_sweep(n, modes, claims, invariants=False)
+    parts = _over_topologies(_sweep_job, n, modes, claims)
+    report = functools.reduce(SweepReport.merge, parts)
     payload = report.to_dict()
     lines = [f"enumeration: n={n} modes={','.join(modes)} "
              f"topologies={report.topologies} spaces={report.spaces}"]
@@ -218,7 +182,8 @@ def _verify_file(args, claims) -> tuple[dict, str, int]:
 def cmd_verify(args) -> int:
     if (args.file is None) == (args.enumerate is None):
         raise FinSpaceError("verify needs a space file or --enumerate N, not both")
-    claims = _parse_claims(args.claims, enumerating=args.enumerate is not None)
+    default = "safe" if args.enumerate is not None else "all"
+    claims = theoremlab.parse_claims(default if args.claims is None else args.claims)
     if args.enumerate is not None:
         if args.ops is None:
             raise FinSpaceError("--enumerate requires --ops")
@@ -231,23 +196,10 @@ def cmd_verify(args) -> int:
 
 # -- mine ----------------------------------------------------------------------
 
-def _mine_worker(args):
-    n, modes, predicate, lo, hi = args
-    return [w.to_dict() for w in theoremlab.mine(n, modes, predicate, topo_range=(lo, hi))]
-
-
 def cmd_mine(args) -> int:
     modes = theoremlab.parse_modes(args.ops)
-    threads = _threads()
-    if threads > 1:
-        total = sum(1 for _ in theoremlab.enumerate_topologies(args.n))
-        jobs = [(args.n, modes, args.predicate, lo, hi)
-                for lo, hi in _chunk_ranges(total, threads)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(threads, len(jobs))) as pool:
-            found = [w for part in pool.map(_mine_worker, jobs) for w in part]
-    else:
-        found = [w.to_dict() for w in theoremlab.mine(args.n, modes, args.predicate)]
+    parts = _over_topologies(_mine_job, args.n, modes, args.predicate)
+    found = [w for part in parts for w in part]
     payload = {
         "predicate": args.predicate,
         "n": args.n,
@@ -338,6 +290,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone; the flush at shutdown must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (documents.DocumentError, FinSpaceError, GammaError,
             UnknownClaim, UnknownExample, UnknownPredicate, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

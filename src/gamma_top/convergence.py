@@ -42,7 +42,7 @@ import itertools
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
-from .finspace import PointSet, bits_of
+from .finspace import PointSet, _directed_preorders, bits_of, submasks
 from .gamma_core import Space
 from .gamma_sets import _theta_env, gamma_interior, gamma_closure, gamma_open_family, regular_open_family
 
@@ -330,31 +330,11 @@ def enumerate_filterbases(ground: PointSet) -> tuple[Filterbase, ...]:
     full = ground.full_mask
     out = []
     for kernel in range(1, full + 1):
-        extra = full & ~kernel
-        proper_supersets = sorted(
-            kernel | s for s in range(1, extra + 1) if s & ~extra == 0
-        )
+        proper_supersets = sorted(kernel | s for s in submasks(full ^ kernel) if s)
         for r in range(len(proper_supersets) + 1):
             for combo in itertools.combinations(proper_supersets, r):
                 out.append(Filterbase(frozenset((kernel,) + combo)))
     return tuple(out)
-
-
-def _labeled_directed_preorders(k: int):
-    row_choices = [[m for m in range(1 << k) if m & (1 << i)] for i in range(k)]
-    for rows in itertools.product(*row_choices):
-        ok = True
-        for i in range(k):
-            for j in bits_of(rows[i]):
-                if rows[j] & ~rows[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all(rows[i] & rows[j] for i in range(k) for j in range(k)):
-            yield rows
 
 
 def _canonical_rows(rows, k: int):
@@ -379,7 +359,12 @@ def enumerate_directed_sets(max_size: int) -> tuple[DirectedSet, ...]:
     the index set, so class representatives suffice."""
     out = []
     for k in range(1, max_size + 1):
-        canon = sorted({_canonical_rows(rows, k) for rows in _labeled_directed_preorders(k)})
+        # directed: any two elements have a common upper bound
+        directed = (
+            rows for rows in _directed_preorders(k)
+            if all(rows[i] & rows[j] for i in range(k) for j in range(k))
+        )
+        canon = sorted({_canonical_rows(rows, k) for rows in directed})
         for rows in canon:
             pairs = frozenset((i, j) for i in range(k) for j in bits_of(rows[i]))
             out.append(DirectedSet(k, pairs))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .finspace import PointSet, Topology, bits_of, closure, interior
+from .finspace import PointSet, Topology, bits_of, closure, interior, submasks
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -233,18 +233,6 @@ def is_open_operation(sp: Space) -> bool:
     return memo["open_op"]
 
 
-def _supersets(v: int, full: int) -> list[int]:
-    extra = full & ~v
-    subs = []
-    s = extra
-    while True:
-        subs.append(v | s)
-        if s == 0:
-            break
-        s = (s - 1) & extra
-    return sorted(subs)
-
-
 def enumerate_gamma_operations(top: Topology, mode: str):
     """Stream candidate operations over *top* in a fixed order.
 
@@ -272,7 +260,7 @@ def enumerate_gamma_operations(top: Topology, mode: str):
             raise TableModeTooLarge("table enumeration is limited to 3-point ground sets")
         full = top.ground.full_mask
         opens = top.opens_sorted
-        per_open = [_supersets(v, full) for v in opens]
+        per_open = [sorted(v | s for s in submasks(full ^ v)) for v in opens]
         for values in itertools.product(*per_open):
             yield GammaOperation("table", table=tuple(zip(opens, values)))
         return

@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finspace import bits_of
-from .gamma_core import Space, gamma_closure, gamma_interior
-from .gamma_core import gamma_open_family as _core_gamma_open_family
+from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family
 
 FLAG_NAMES = (
     "open_tau",
@@ -20,11 +19,6 @@ FLAG_NAMES = (
     "theta_open",
     "theta_closed",
 )
-
-
-def gamma_open_family(sp: Space) -> tuple[int, ...]:
-    """The family of all gamma-open subsets, ascending."""
-    return _core_gamma_open_family(sp)
 
 
 def is_gamma_open(sp: Space, a: int) -> bool:

@@ -11,6 +11,7 @@ example spaces and diff their published families against recomputation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,63 +66,25 @@ class UnknownClaim(ValueError):
 @dataclass(frozen=True)
 class Claim:
     id: str
+    tier: str  # "safe" | "conditioned" | "other"
     hypotheses: tuple[str, ...]
     statement: str
+    check: Callable
 
 
-_CATALOG = (
-    Claim("C-RO-INCL", (), "regular-open sets are gamma-open; gamma-open sets are open"),
-    Claim("C-P3.4-FWD", (), "gamma-clopen implies gamma-regular-open"),
-    Claim("C-P3.4-CONV", ("extremally_disconnected",), "gamma-regular-open implies gamma-clopen"),
-    Claim("C-T3.6", (), "clopen implies cl.int-fixed implies complement regular-open"),
-    Claim("C-T3.7", ("extremally_disconnected",), "complement regular-open implies regular-open implies clopen"),
-    Claim("C-T3.8", ("extremally_disconnected",), "clopen, cl.int-fixed, complement regular-open and regular-open coincide"),
-    Claim("C-T3.9-FWD", ("open_operation",), "if cl_g(A) is regular-open then A is gamma-open"),
-    Claim("C-T3.9-CONV", ("open_operation", "extremally_disconnected"), "if A is gamma-open then cl_g(A) is regular-open"),
-    Claim("C-C3.10", ("extremally_disconnected",), "cl_g(int_g(A)) is regular-open for every A"),
-    Claim("C-P3.13-1", (), "the theta closure is monotone"),
-    Claim("C-P3.13-2", (), "intersections of theta-closed families are theta-closed"),
-    Claim("C-T3.14", ("open_operation", "extremally_disconnected"), "theta closure equals the meet of theta-closed supersets and of regular-open supersets"),
-    Claim("C-T3.15-A", ("open_operation", "extremally_disconnected"), "theta-closure membership tests against regular-open neighbourhoods"),
-    Claim("C-T3.15-B", ("open_operation", "extremally_disconnected"), "theta-open means every point has a regular-open neighbourhood inside"),
-    Claim("C-T3.15-C", ("open_operation", "extremally_disconnected"), "regular-open coincides with theta-clopen"),
-    Claim("C-CHAIN-RO-TO", (), "regular-open implies theta-open"),
-    Claim("C-CHAIN-TO-GO", (), "theta-open implies gamma-open"),
-    Claim("C-T4.3", (), "filterbase convergence implies accumulation"),
-    Claim("C-T4.4", (), "accumulation passes from a subordinate filterbase to the coarser one"),
-    Claim("C-T4.5", (), "for maximal filterbases accumulation and convergence coincide"),
-    Claim("C-P4.7-EQ", (), "the five cover/accumulation conditions all hold"),
-    Claim("C-P4.10", (), "net verdicts match tail-filterbase verdicts"),
-    Claim("C-P4.11", (), "filterbase verdicts match constructed-net verdicts"),
-    Claim("C-T4.13", (), "cover condition, net accumulation and universal-net convergence agree"),
-)
+# filled in definition order by ``_claim``, which is the catalog order
+CLAIMS: dict[str, Claim] = {}
 
-CLAIMS = {c.id: c for c in _CATALOG}
-CLAIM_IDS = tuple(c.id for c in _CATALOG)
 
-SAFE_CLAIMS = (
-    "C-RO-INCL",
-    "C-T3.6",
-    "C-P3.13-1",
-    "C-P3.13-2",
-    "C-T4.3",
-    "C-T4.4",
-    "C-T4.5",
-    "C-P4.7-EQ",
-)
+def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
+    """Register the decorated checker as claim *cid*."""
 
-CONDITIONED_CLAIMS = (
-    "C-P3.4-CONV",
-    "C-T3.7",
-    "C-T3.8",
-    "C-T3.9-FWD",
-    "C-T3.9-CONV",
-    "C-C3.10",
-    "C-T3.14",
-    "C-T3.15-A",
-    "C-T3.15-B",
-    "C-T3.15-C",
-)
+    def register(check):
+        CLAIMS[cid] = Claim(cid, tier, hypotheses, statement, check)
+        return check
+
+    return register
+
 
 NET_SIZE_CAP = 3
 NET_RESTRICTION_NOTE = (
@@ -210,8 +173,22 @@ def _labels(sp: Space, mask: int) -> list:
     return list(sp.ground.labels_of(mask))
 
 
+def _separating(sp: Space, has, lacks):
+    """The subsets with property *has* and without *lacks*, ascending."""
+    return (a for a in sp.ground.subsets() if has(sp, a) and not lacks(sp, a))
+
+
+def _implication(sp: Space, premise, conclusion):
+    """The verdict on "*premise* implies *conclusion*" for every subset: the
+    first subset with the premise and without the conclusion fails it."""
+    for a in _separating(sp, premise, conclusion):
+        return "fails", {"subset": _labels(sp, a)}, {}
+    return "holds", None, {}
+
+
 # -- claim checkers -------------------------------------------------------
 
+@_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")
 def _check_ro_incl(sp: Space):
     for a in regular_open_family(sp):
         if not is_gamma_open(sp, a):
@@ -222,20 +199,18 @@ def _check_ro_incl(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-P3.4-FWD", "other", (), "gamma-clopen implies gamma-regular-open")
 def _check_p34_fwd(sp: Space):
-    for a in sp.ground.subsets():
-        if is_gamma_clopen(sp, a) and not is_gamma_regular_open(sp, a):
-            return "fails", {"subset": _labels(sp, a)}, {}
-    return "holds", None, {}
+    return _implication(sp, is_gamma_clopen, is_gamma_regular_open)
 
 
+@_claim("C-P3.4-CONV", "conditioned", ("extremally_disconnected",),
+        "gamma-regular-open implies gamma-clopen")
 def _check_p34_conv(sp: Space):
-    for a in sp.ground.subsets():
-        if is_gamma_regular_open(sp, a) and not is_gamma_clopen(sp, a):
-            return "fails", {"subset": _labels(sp, a)}, {}
-    return "holds", None, {}
+    return _implication(sp, is_gamma_regular_open, is_gamma_clopen)
 
 
+@_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
 def _check_t36(sp: Space):
     full = sp.ground.full_mask
     for a in sp.ground.subsets():
@@ -247,6 +222,8 @@ def _check_t36(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.7", "conditioned", ("extremally_disconnected",),
+        "complement regular-open implies regular-open implies clopen")
 def _check_t37(sp: Space):
     full = sp.ground.full_mask
     for a in sp.ground.subsets():
@@ -257,6 +234,8 @@ def _check_t37(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.8", "conditioned", ("extremally_disconnected",),
+        "clopen, cl.int-fixed, complement regular-open and regular-open coincide")
 def _check_t38(sp: Space):
     full = sp.ground.full_mask
     for a in sp.ground.subsets():
@@ -285,6 +264,8 @@ def _cl_idempotence_notes(sp: Space) -> dict:
     return {"cl_gamma_idempotent": True}
 
 
+@_claim("C-T3.9-FWD", "conditioned", ("open_operation",),
+        "if cl_g(A) is regular-open then A is gamma-open")
 def _check_t39_fwd(sp: Space):
     notes = _cl_idempotence_notes(sp)
     for a in sp.ground.subsets():
@@ -293,6 +274,8 @@ def _check_t39_fwd(sp: Space):
     return "holds", None, notes
 
 
+@_claim("C-T3.9-CONV", "conditioned", ("open_operation", "extremally_disconnected"),
+        "if A is gamma-open then cl_g(A) is regular-open")
 def _check_t39_conv(sp: Space):
     notes = _cl_idempotence_notes(sp)
     for a in gamma_open_family(sp):
@@ -301,6 +284,8 @@ def _check_t39_conv(sp: Space):
     return "holds", None, notes
 
 
+@_claim("C-C3.10", "conditioned", ("extremally_disconnected",),
+        "cl_g(int_g(A)) is regular-open for every A")
 def _check_c310(sp: Space):
     for a in sp.ground.subsets():
         if not is_gamma_regular_open(sp, gamma_closure(sp, gamma_interior(sp, a))):
@@ -308,19 +293,17 @@ def _check_c310(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
 def _check_p313_1(sp: Space):
     for b in sp.ground.subsets():
         tb = gamma_theta_closure(sp, b)
-        a = b
-        while True:
+        for a in submasks(b):
             if gamma_theta_closure(sp, a) & ~tb:
                 return "fails", {"subset": _labels(sp, a), "superset": _labels(sp, b)}, {}
-            if a == 0:
-                break
-            a = (a - 1) & b
     return "holds", None, {}
 
 
+@_claim("C-P3.13-2", "safe", (), "intersections of theta-closed families are theta-closed")
 def _check_p313_2(sp: Space):
     closed, _ = theta_families(sp)
     full = sp.ground.full_mask
@@ -343,6 +326,8 @@ def _check_p313_2(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.14", "conditioned", ("open_operation", "extremally_disconnected"),
+        "theta closure equals the meet of theta-closed supersets and of regular-open supersets")
 def _check_t314(sp: Space):
     full = sp.ground.full_mask
     closed, _ = theta_families(sp)
@@ -374,6 +359,8 @@ def _check_t314(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.15-A", "conditioned", ("open_operation", "extremally_disconnected"),
+        "theta-closure membership tests against regular-open neighbourhoods")
 def _check_t315a(sp: Space):
     ro = regular_open_family(sp)
     for a in sp.ground.subsets():
@@ -386,6 +373,8 @@ def _check_t315a(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.15-B", "conditioned", ("open_operation", "extremally_disconnected"),
+        "theta-open means every point has a regular-open neighbourhood inside")
 def _check_t315b(sp: Space):
     ro = regular_open_family(sp)
     for a in sp.ground.subsets():
@@ -397,6 +386,8 @@ def _check_t315b(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T3.15-C", "conditioned", ("open_operation", "extremally_disconnected"),
+        "regular-open coincides with theta-clopen")
 def _check_t315c(sp: Space):
     for a in sp.ground.subsets():
         lhs = is_gamma_regular_open(sp, a)
@@ -406,21 +397,17 @@ def _check_t315c(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-CHAIN-RO-TO", "other", (), "regular-open implies theta-open")
 def _check_chain_ro_to(sp: Space):
-    for a in regular_open_family(sp):
-        if not is_theta_open(sp, a):
-            return "fails", {"subset": _labels(sp, a)}, {}
-    return "holds", None, {}
+    return _implication(sp, is_gamma_regular_open, is_theta_open)
 
 
+@_claim("C-CHAIN-TO-GO", "other", (), "theta-open implies gamma-open")
 def _check_chain_to_go(sp: Space):
-    _, opened = theta_families(sp)
-    for a in opened:
-        if not is_gamma_open(sp, a):
-            return "fails", {"subset": _labels(sp, a)}, {}
-    return "holds", None, {}
+    return _implication(sp, is_theta_open, is_gamma_open)
 
 
+@_claim("C-T4.3", "safe", (), "filterbase convergence implies accumulation")
 def _check_t43(sp: Space):
     # one representative filterbase per generated filter: verdicts factor
     # through the kernel, so this quantifies over all filterbases
@@ -436,27 +423,28 @@ def _check_t43(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-T4.4", "safe", (),
+        "accumulation passes from a subordinate filterbase to the coarser one")
 def _check_t44(sp: Space):
     full = sp.ground.full_mask
     for coarse in range(1, full + 1):
-        fine = coarse
-        while True:  # subordinate representatives have kernels inside coarse
-            if fine:
-                for x in range(sp.ground.n):
-                    if _fb_accumulates(sp, (fine,), x, "regular_open") and not _fb_accumulates(
-                        sp, (coarse,), x, "regular_open"
-                    ):
-                        return "fails", {
-                            "coarse": [_labels(sp, coarse)],
-                            "fine": [_labels(sp, fine)],
-                            "point": sp.ground.labels[x],
-                        }, {}
-            if fine == 0:
-                break
-            fine = (fine - 1) & coarse
+        # subordinate representatives have non-empty kernels inside coarse
+        for fine in submasks(coarse):
+            if not fine:
+                continue
+            for x in range(sp.ground.n):
+                if _fb_accumulates(sp, (fine,), x, "regular_open") and not _fb_accumulates(
+                    sp, (coarse,), x, "regular_open"
+                ):
+                    return "fails", {
+                        "coarse": [_labels(sp, coarse)],
+                        "fine": [_labels(sp, fine)],
+                        "point": sp.ground.labels[x],
+                    }, {}
     return "holds", None, {}
 
 
+@_claim("C-T4.5", "safe", (), "for maximal filterbases accumulation and convergence coincide")
 def _check_t45(sp: Space):
     for p in range(sp.ground.n):
         singleton = 1 << p
@@ -473,6 +461,7 @@ def _check_t45(sp: Space):
     return "holds", None, {}
 
 
+@_claim("C-P4.7-EQ", "safe", (), "the five cover/accumulation conditions all hold")
 def _check_p47(sp: Space):
     conds = gamma_closed_space_conditions(sp, "dual")
     notes = {"cl_mode_conditions": gamma_closed_space_conditions(sp, "cl").as_tuple()}
@@ -630,34 +619,33 @@ def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     return result
 
 
-def _pairing_notes(pairings: dict, prop: str) -> dict:
-    return {
+def _bridge_verdict(sp: Space, prop: str):
+    """The verdict on bridge proposition *prop* under the default pairing;
+    the notes give its verdict under every pairing."""
+    pairings = bridge_pairings(sp)
+    witness = pairings[DEFAULT_PAIRING][prop]
+    notes = {
         "default_pairing": DEFAULT_PAIRING,
         "pairings": {
             name: ("holds" if data[prop] is None else "fails")
             for name, data in pairings.items()
         },
     }
+    return ("holds" if witness is None else "fails"), witness, notes
 
 
+@_claim("C-P4.10", "other", (), "net verdicts match tail-filterbase verdicts")
 def _check_p410(sp: Space):
-    pairings = bridge_pairings(sp)
-    witness = pairings[DEFAULT_PAIRING]["C-P4.10"]
-    notes = _pairing_notes(pairings, "C-P4.10")
-    if witness is None:
-        return "holds", None, notes
-    return "fails", witness, notes
+    return _bridge_verdict(sp, "C-P4.10")
 
 
+@_claim("C-P4.11", "other", (), "filterbase verdicts match constructed-net verdicts")
 def _check_p411(sp: Space):
-    pairings = bridge_pairings(sp)
-    witness = pairings[DEFAULT_PAIRING]["C-P4.11"]
-    notes = _pairing_notes(pairings, "C-P4.11")
-    if witness is None:
-        return "holds", None, notes
-    return "fails", witness, notes
+    return _bridge_verdict(sp, "C-P4.11")
 
 
+@_claim("C-T4.13", "other", (),
+        "cover condition, net accumulation and universal-net convergence agree")
 def _check_t413(sp: Space):
     notes = {"restriction": NET_RESTRICTION_NOTE}
     covers = gamma_closed_space_conditions(sp, "dual").gamma_open_covers
@@ -685,37 +673,37 @@ def _check_t413(sp: Space):
     return "fails", witness, notes
 
 
-_CHECKERS = {
-    "C-RO-INCL": _check_ro_incl,
-    "C-P3.4-FWD": _check_p34_fwd,
-    "C-P3.4-CONV": _check_p34_conv,
-    "C-T3.6": _check_t36,
-    "C-T3.7": _check_t37,
-    "C-T3.8": _check_t38,
-    "C-T3.9-FWD": _check_t39_fwd,
-    "C-T3.9-CONV": _check_t39_conv,
-    "C-C3.10": _check_c310,
-    "C-P3.13-1": _check_p313_1,
-    "C-P3.13-2": _check_p313_2,
-    "C-T3.14": _check_t314,
-    "C-T3.15-A": _check_t315a,
-    "C-T3.15-B": _check_t315b,
-    "C-T3.15-C": _check_t315c,
-    "C-CHAIN-RO-TO": _check_chain_ro_to,
-    "C-CHAIN-TO-GO": _check_chain_to_go,
-    "C-T4.3": _check_t43,
-    "C-T4.4": _check_t44,
-    "C-T4.5": _check_t45,
-    "C-P4.7-EQ": _check_p47,
-    "C-P4.10": _check_p410,
-    "C-P4.11": _check_p411,
-    "C-T4.13": _check_t413,
-}
+CLAIM_IDS = tuple(CLAIMS)
+SAFE_CLAIMS = tuple(c.id for c in CLAIMS.values() if c.tier == "safe")
+CONDITIONED_CLAIMS = tuple(c.id for c in CLAIMS.values() if c.tier == "conditioned")
+_CLAIM_LISTS = {"safe": SAFE_CLAIMS, "conditioned": CONDITIONED_CLAIMS, "all": CLAIM_IDS}
+
+
+def parse_claims(claims) -> tuple[str, ...]:
+    """Claim ids from "safe", "conditioned", "all", a comma list or a
+    sequence of ids, in the order given; an unknown id raises UnknownClaim."""
+    if isinstance(claims, str):
+        claims = _CLAIM_LISTS[claims] if claims in _CLAIM_LISTS else claims.split(",")
+    ids = tuple(cid.strip() for cid in claims if cid.strip())
+    for cid in ids:
+        if cid not in CLAIMS:
+            raise UnknownClaim(f"unknown claim {cid!r}")
+    return ids
+
 
 _HYPOTHESIS_TESTS = {
     "open_operation": is_open_operation,
     "extremally_disconnected": is_extremally_disconnected,
 }
+
+
+def space_flags(sp: Space) -> dict:
+    """The space-level flags that ``analyze`` and the audits report."""
+    return {
+        "extremally_disconnected": is_extremally_disconnected(sp),
+        "regular_operation": is_regular_operation(sp),
+        "open_operation": is_open_operation(sp),
+    }
 
 
 def check_claim(sp: Space, claim_id: str) -> Verdict:
@@ -727,7 +715,7 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
     unmet = [h for h in claim.hypotheses if not _HYPOTHESIS_TESTS[h](sp)]
     if unmet:
         return Verdict(claim_id, key, "hypotheses_not_met", None, {"unmet": unmet})
-    status, witness, notes = _CHECKERS[claim_id](sp)
+    status, witness, notes = claim.check(sp)
     return Verdict(claim_id, key, status, witness, notes)
 
 
@@ -843,17 +831,13 @@ def check_invariants(sp: Space) -> list:
         if a & ~gamma_theta_closure(sp, a):
             hit("thetacl_extensive", subset=_labels(sp, a))
     for b in sp.ground.subsets():
-        a = b
-        while True:
+        for a in submasks(b):
             if gamma_interior(sp, a) & ~gamma_interior(sp, b):
                 hit("int_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
             if gamma_closure(sp, a) & ~gamma_closure(sp, b):
                 hit("cl_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
             if gamma_theta_closure(sp, a) & ~gamma_theta_closure(sp, b):
                 hit("thetacl_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
-            if a == 0:
-                break
-            a = (a - 1) & b
     gopen = set(gamma_open_family(sp))
     for a in regular_open_family(sp):
         if a not in gopen:
@@ -887,6 +871,16 @@ class SweepReport:
             "failures": [v.to_dict() for v in self.failures],
         }
 
+    def merge(self, other: SweepReport) -> SweepReport:
+        """Fold in the report on the next topology range of the same sweep."""
+        self.topologies += other.topologies
+        self.spaces += other.spaces
+        for cid, tally in self.tallies.items():
+            for status in tally:
+                tally[status] += other.tallies[cid][status]
+        self.failures.extend(other.failures)
+        return self
+
 
 @dataclass
 class InvariantReport:
@@ -910,10 +904,7 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     """One pass over the enumeration: claims plus, optionally, the
     structural invariants and the measured-only statistics."""
     modes = parse_modes(modes)
-    ids = tuple(claim_ids)
-    for cid in ids:
-        if cid not in CLAIMS:
-            raise UnknownClaim(f"unknown claim {cid!r}")
+    ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
     failures = []
     violations = []
@@ -1066,10 +1057,8 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
             if verdict.status == "fails":
                 out.append(MinedWitness(ti, oi, sp, verdict.witness))
             continue
-        has, lacks = SEPARATIONS[predicate]
-        for a in sp.ground.subsets():
-            if has(sp, a) and not lacks(sp, a):
-                out.append(MinedWitness(ti, oi, sp, {"subset": _labels(sp, a)}))
+        for a in _separating(sp, *SEPARATIONS[predicate]):
+            out.append(MinedWitness(ti, oi, sp, {"subset": _labels(sp, a)}))
     return out
 
 
@@ -1181,24 +1170,12 @@ def audit_example(which: str) -> ExampleAudit:
             )
         )
     sep_name, printed_witness = _QUALITATIVE[which]
-    has, lacks = SEPARATIONS[sep_name]
-    wmask = sp.ground.mask_of(printed_witness)
-    witness_valid = has(sp, wmask) and not lacks(sp, wmask)
-    recomputed_witnesses = [
-        _labels(sp, a)
-        for a in sp.ground.subsets()
-        if has(sp, a) and not lacks(sp, a)
-    ]
+    found = list(_separating(sp, *SEPARATIONS[sep_name]))
     qualitative = {
         "separation": sep_name,
         "printed_witness": list(printed_witness),
-        "printed_witness_valid": witness_valid,
-        "recomputed_witnesses": recomputed_witnesses,
-        "supported_in_space": bool(recomputed_witnesses),
+        "printed_witness_valid": sp.ground.mask_of(printed_witness) in found,
+        "recomputed_witnesses": [_labels(sp, a) for a in found],
+        "supported_in_space": bool(found),
     }
-    flags = {
-        "extremally_disconnected": is_extremally_disconnected(sp),
-        "regular_operation": is_regular_operation(sp),
-        "open_operation": is_open_operation(sp),
-    }
-    return ExampleAudit(which, space_key(sp), diffs, qualitative, flags)
+    return ExampleAudit(which, space_key(sp), diffs, qualitative, space_flags(sp))

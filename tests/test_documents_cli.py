@@ -218,12 +218,16 @@ def test_cli_bad_inputs(capsys):
 
 
 def test_cli_threaded_run_matches_sequential(capsys, monkeypatch):
-    args = ("verify", "--enumerate", "2", "--ops", "builtins,pivots", "--format", "machine")
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
-    _, sequential, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "2")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert threaded == sequential
+    for args in (
+        ("verify", "--enumerate", "2", "--ops", "builtins,pivots", "--format", "machine"),
+        ("mine", "--n", "2", "--ops", "all_tables", "--predicate", "regular_open_not_gamma_open",
+         "--format", "machine"),
+    ):
+        monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
+        _, sequential, _ = run_cli(capsys, *args)
+        monkeypatch.setenv("GAMMA_TOP_THREADS", "2")
+        _, threaded, _ = run_cli(capsys, *args)
+        assert threaded == sequential
 
 
 def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatch):
@@ -263,6 +267,21 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch):
     code, capped, _ = run_cli(capsys, *args)
     monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
     assert run_cli(capsys, *args) == (code, capped, "")
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # about 172 KB of output, more than a pipe holds: the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gamma_top.cli", "verify", "--enumerate", "3",
+         "--ops", "builtins,pivots", "--claims", "all", "--format", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _limit_address_space():

@@ -1,0 +1,68 @@
+"""The sha256 of stdout and the exit code of fast CLI commands, pinned.
+
+Refactors must leave the bytes of every command unchanged, with one worker
+and with two.  Regenerate a value only for an intended output change, and
+say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from gamma_top import cli, documents, theoremlab
+
+
+def _cases():
+    sweep = ("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all")
+    for threads in ("1", "2"):
+        yield f"sweep3-all-t{threads}", sweep + ("--format", "machine"), threads
+    for name in ("example3_2", "example3_5", "example3_16", "example3_17"):
+        for fmt in ("machine", "text"):
+            path = str(documents.bundled_path(name))
+            yield f"verify-{name}-{fmt}", ("verify", path, "--format", fmt), "1"
+    for example in ("3.2", "3.5", "3.16", "3.17"):
+        yield f"audit-{example}", ("audit", "--example", example, "--format", "machine"), "1"
+    for predicate in sorted(theoremlab.SEPARATIONS):
+        argv = ("mine", "--n", "3", "--ops", "builtins,pivots", "--predicate", predicate,
+                "--format", "machine")
+        for threads in ("1", "2"):
+            yield f"mine-{predicate}-t{threads}", argv, threads
+
+
+CASES = list(_cases())
+
+# case id -> (sha256 of stdout, exit code)
+GOLDEN = {
+    "sweep3-all-t1": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
+    "sweep3-all-t2": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
+    "verify-example3_2-machine": ("de685ca1a40fecbe85ba1fb7681f85397d3e39ca214d5259fcdaf9a5812b06c3", 0),
+    "verify-example3_2-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),
+    "verify-example3_5-machine": ("c5f4ca14e73289f273128bc98de032cedf5c744ee9f9db974a688da31692c999", 0),
+    "verify-example3_5-text": ("914e877d4d760b79bf7faf834e945dba455e3008d1c45836edc70637034a5828", 0),
+    "verify-example3_16-machine": ("de685ca1a40fecbe85ba1fb7681f85397d3e39ca214d5259fcdaf9a5812b06c3", 0),
+    "verify-example3_16-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),
+    "verify-example3_17-machine": ("25e291ad6d1f917df45b404fce955074545ad1b49efb21bc898fba7c651198e3", 0),
+    "verify-example3_17-text": ("06b9af3192e097d8d4eb58b6199e9fe10ecc9a9607514ad23ba6a72062562e05", 0),
+    "audit-3.2": ("719940290f36a6ab3109db78dba0eaf9718ce3aeea9903083d295617be51b210", 0),
+    "audit-3.5": ("64c2a48851ef513f8fd73a5f2b9f7b31b2fb130afcbcd078a0a8fc93cffc5bbf", 0),
+    "audit-3.16": ("9e198b0ec866db2065b0788041dca52c8daf183e5637aa7d544f7936f15a80c9", 0),
+    "audit-3.17": ("8edecd0815cab04e6079d23164beb3d1406492357a0b9b6b5a2aeb6a47b78a98", 0),
+    "mine-gamma_open_not_regular_open-t1": ("0ff1af1502b7ce4a2c40e26d13b81c0bed50daa1f9b0bacc57cfbcbc703d155d", 0),
+    "mine-gamma_open_not_regular_open-t2": ("0ff1af1502b7ce4a2c40e26d13b81c0bed50daa1f9b0bacc57cfbcbc703d155d", 0),
+    "mine-gamma_open_not_theta_open-t1": ("c5bdc67c3769400ccc922e28c0a23236330d6ab4df90c0611da87bf0e68becd6", 0),
+    "mine-gamma_open_not_theta_open-t2": ("c5bdc67c3769400ccc922e28c0a23236330d6ab4df90c0611da87bf0e68becd6", 0),
+    "mine-regular_open_not_clopen-t1": ("024d70b055434096c629d879a243c1aa3be79bf3c10d38a8405bacb3bd251744", 0),
+    "mine-regular_open_not_clopen-t2": ("024d70b055434096c629d879a243c1aa3be79bf3c10d38a8405bacb3bd251744", 0),
+    "mine-regular_open_not_gamma_open-t1": ("f532080edd77d7466cfa6877c80ab34a15bee23e11e377a9a4f800ed12da7498", 0),
+    "mine-regular_open_not_gamma_open-t2": ("f532080edd77d7466cfa6877c80ab34a15bee23e11e377a9a4f800ed12da7498", 0),
+    "mine-theta_open_not_regular_open-t1": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
+    "mine-theta_open_not_regular_open-t2": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
+}
+
+
+@pytest.mark.parametrize("case_id,argv,threads", CASES, ids=[c[0] for c in CASES])
+def test_output_bytes_and_exit_code(capsys, monkeypatch, case_id, argv, threads):
+    monkeypatch.setenv("GAMMA_TOP_THREADS", threads)
+    code = cli.main(list(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (digest, code) == GOLDEN[case_id]

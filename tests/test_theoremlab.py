@@ -19,6 +19,16 @@ def test_catalog_shape():
     assert not set(tl.SAFE_CLAIMS) & set(tl.CONDITIONED_CLAIMS)
     for cid in tl.CONDITIONED_CLAIMS:
         assert tl.CLAIMS[cid].hypotheses
+    # the order of these tuples is the order of the output of --claims safe|conditioned
+    assert tl.SAFE_CLAIMS == (
+        "C-RO-INCL", "C-T3.6", "C-P3.13-1", "C-P3.13-2", "C-T4.3", "C-T4.4", "C-T4.5", "C-P4.7-EQ",
+    )
+    assert tl.CONDITIONED_CLAIMS == (
+        "C-P3.4-CONV", "C-T3.7", "C-T3.8", "C-T3.9-FWD", "C-T3.9-CONV", "C-C3.10",
+        "C-T3.14", "C-T3.15-A", "C-T3.15-B", "C-T3.15-C",
+    )
+    for tier in (tl.SAFE_CLAIMS, tl.CONDITIONED_CLAIMS):
+        assert tuple(cid for cid in tl.CLAIM_IDS if cid in tier) == tier
 
 
 def test_unknown_claim(example3_2):
