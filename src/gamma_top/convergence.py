@@ -34,17 +34,22 @@ realised by a net on |R| indices (T as a tied top class, one index below
 it per point of R - T), so the nets on at most k indices realise exactly
 the classes with |R| <= k.  The claim layer decides the net/filterbase
 bridge per class through this lemma.
+
+Principal bases.  {M} converges at x iff M is inside K_x, the meet of x's
+test sets; it accumulates at x iff M meets each of them.  Both are read
+from one table per space and test family (``principal_verdicts``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 
-from .finspace import PointSet, _directed_preorders, bits_of, submasks
+from .finspace import PointSet, _directed_preorders, bits_of, meeting_table, submasks
 from .gamma_core import Space
-from .gamma_sets import _theta_env, gamma_interior, gamma_closure, gamma_open_family, regular_open_family
+from .gamma_sets import _theta_env, gamma_open_family, regular_open_family
 
 
 class FilterbaseError(ValueError):
@@ -123,24 +128,52 @@ def is_maximal_filterbase(ground: PointSet, fb: Filterbase) -> bool:
 
 # -- filterbase convergence -------------------------------------------------
 
-def _fb_test_sets(sp: Space, xi: int, family: str) -> tuple[int, ...]:
-    if family == "regular_open":
-        bit = 1 << xi
-        return tuple(a for a in regular_open_family(sp) if a & bit)
-    if family == "gamma_open_cl":
-        return _theta_env(sp, False)[xi]
-    raise ValueError(f"unknown test family {family!r}")
+@dataclass(frozen=True)
+class PrincipalVerdicts:
+    """The test sets of one family, and the verdicts of every one-member
+    filterbase {M} against them."""
+
+    tests: tuple  # per point x, its test sets
+    meets: tuple  # per point x, K_x: {M} converges at x iff M <= K_x
+    accumulates: tuple  # per subset M, the points at which {M} accumulates
+
+
+def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
+    """Built once per space and test family: regular-open neighbourhoods
+    (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``)."""
+    memo = sp._memo
+    key = ("principal", family)
+    if key not in memo:
+        n = sp.ground.n
+        if family == "regular_open":
+            ro = regular_open_family(sp)
+            tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
+        elif family == "gamma_open_cl":
+            tests = _theta_env(sp, False)
+        else:
+            raise ValueError(f"unknown test family {family!r}")
+        meets = tuple(reduce(and_, sets, sp.ground.full_mask) for sets in tests)
+        memo[key] = PrincipalVerdicts(tests, meets, meeting_table(n, tests))
+    return memo[key]
 
 
 def _fb_converges(sp: Space, members, xi: int, family: str) -> bool:
-    for a in _fb_test_sets(sp, xi, family):
+    table = principal_verdicts(sp, family)
+    if len(members) == 1:
+        (m,) = members
+        return m & ~table.meets[xi] == 0
+    for a in table.tests[xi]:
         if not any(f & ~a == 0 for f in members):
             return False
     return True
 
 
 def _fb_accumulates(sp: Space, members, xi: int, family: str) -> bool:
-    for a in _fb_test_sets(sp, xi, family):
+    table = principal_verdicts(sp, family)
+    if len(members) == 1:
+        (m,) = members
+        return bool(table.accumulates[m] >> xi & 1)
+    for a in table.tests[xi]:
         if any(f & a == 0 for f in members):
             return False
     return True
@@ -435,7 +468,7 @@ def _gamma_closed_family(sp: Space, closedness: str) -> tuple[int, ...]:
     if closedness == "dual":
         return tuple(sorted(full ^ g for g in gamma_open_family(sp)))
     if closedness == "cl":
-        return tuple(m for m in sp.ground.subsets() if gamma_closure(sp, m) & ~m == 0)
+        return tuple(m for m, c in enumerate(sp.cl_g) if c & ~m == 0)
     raise ValueError(f"unknown closedness mode {closedness!r}")
 
 
@@ -459,7 +492,7 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
     witnesses = {}
 
     fam = gamma_open_family(sp)
-    cl_of = [gamma_closure(sp, v) for v in fam]
+    cl_of = [sp.cl_g[v] for v in fam]
     seen, order = _reachable(
         list(zip(fam, cl_of)), (0, 0), lambda cur, it: (cur[0] | it[0], cur[1] | it[1])
     )
@@ -474,7 +507,7 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
             break
 
     closed = _gamma_closed_family(sp, closedness)
-    int_of = [gamma_interior(sp, a) for a in closed]
+    int_of = [sp.int_g[a] for a in closed]
     seen2, order2 = _reachable(
         list(zip(closed, int_of)),
         (full, full),
@@ -496,21 +529,17 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
                 "family": [ground.labels_of(closed[i]) for i in idxs]
             }
 
+    principal = principal_verdicts(sp, "regular_open")
     cond4 = True
     for kernel in range(1, full + 1):
-        if not any(
-            _fb_accumulates(sp, (kernel,), x, "regular_open") for x in range(ground.n)
-        ):
+        if not principal.accumulates[kernel]:
             cond4 = False
             witnesses["filterbases_accumulate"] = {"kernel": ground.labels_of(kernel)}
             break
 
     cond5 = True
     for p in range(ground.n):
-        singleton = 1 << p
-        if not any(
-            _fb_converges(sp, (singleton,), x, "regular_open") for x in range(ground.n)
-        ):
+        if not any(k >> p & 1 for k in principal.meets):
             cond5 = False
             witnesses["maximal_filterbases_converge"] = {"point": ground.labels[p]}
             break

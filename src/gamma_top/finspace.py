@@ -74,6 +74,53 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def inside_table(n: int, sets_at) -> tuple[int, ...]:
+    """Per subset A of an n-point ground set, the mask of the points x that
+    own a set of ``sets_at[x]`` inside A.
+
+    Each point is marked at its own sets, then every entry is ORed into its
+    supersets, one bit at a time: n * 2**n steps for the whole table."""
+    size = 1 << n
+    table = [0] * size
+    for x, sets in enumerate(sets_at):
+        bit = 1 << x
+        for s in sets:
+            table[s] |= bit
+    bit = 1
+    while bit < size:
+        for m in range(bit, size):
+            if m & bit:
+                table[m] |= table[m ^ bit]
+        bit <<= 1
+    return tuple(table)
+
+
+def meeting_table(n: int, sets_at) -> tuple[int, ...]:
+    """Per subset A of an n-point ground set, the mask of the points x all
+    of whose sets in ``sets_at[x]`` meet A.
+
+    x misses A exactly when one of its sets lies inside the complement of
+    A, so each point is marked at the complements of its sets, and every
+    entry is ORed into its subsets: n * 2**n steps for the whole table.
+    This pass is kept apart from ``inside_table`` so that the duality of
+    the two tables stays something to check, not a consequence of sharing
+    code."""
+    size = 1 << n
+    full = size - 1
+    miss = [0] * size
+    for x, sets in enumerate(sets_at):
+        bit = 1 << x
+        for s in sets:
+            miss[full ^ s] |= bit
+    bit = 1
+    while bit < size:
+        for m in range(size - bit):
+            if not m & bit:
+                miss[m] |= miss[m | bit]
+        bit <<= 1
+    return tuple(full ^ m for m in miss)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered ground set of distinctly labelled points."""

@@ -9,15 +9,21 @@ the one axiom).  From it we derive:
 * ``gamma_closure(A)``  -- points all of whose open neighbourhoods have
   values meeting A.
 
-Both are computed literally from their point-by-point definitions; the
-duality between them is a checked property, not an implementation shortcut.
+Every ``Space`` fills both operators once, as tables over all 2**n
+subsets, from the per-point neighbourhood values.  ``int_g``: each point
+is marked at each of its neighbourhood values, then every entry is ORed
+into its supersets.  ``cl_g`` comes from its own definition, not as the
+dual of ``int_g``: a point is missing from cl_g(A) iff one of its values is
+disjoint from A, so each point is marked at the complements of its values
+and every entry is ORed into its subsets.  The duality between the two
+operators is therefore a checked property, not an implementation shortcut.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .finspace import PointSet, Topology, bits_of, closure, interior, submasks
+from .finspace import PointSet, Topology, closure, inside_table, interior, meeting_table, submasks
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -101,7 +107,10 @@ class GammaOperation:
 
 @dataclass(frozen=True)
 class Space:
-    """Ground set, topology and operation: the context of every classifier."""
+    """Ground set, topology and operation: the context of every classifier.
+
+    ``int_g`` and ``cl_g`` hold the two operators, indexed by subset mask.
+    """
 
     ground: PointSet
     top: Topology
@@ -123,12 +132,14 @@ class Space:
             values[v] = value
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_memo", {})
-        # per-point neighbourhood tables drive the two operators
+        # per-point neighbourhood values drive the two operators
         nbds = []
         for i in range(self.ground.n):
             bit = 1 << i
             nbds.append(tuple(values[u] for u in self.top.opens_sorted if u & bit))
-        object.__setattr__(self, "_nbd_values", tuple(nbds))
+        # expansiveness puts each point inside its values, so int_g(A) <= A
+        object.__setattr__(self, "int_g", inside_table(self.ground.n, nbds))
+        object.__setattr__(self, "cl_g", meeting_table(self.ground.n, nbds))
 
     @property
     def extension(self) -> tuple[int, ...]:
@@ -148,43 +159,20 @@ def apply_gamma(sp: Space, v: int) -> int:
 def gamma_interior(sp: Space, a: int) -> int:
     """Points of *a* owning an open neighbourhood whose value lies inside *a*."""
     sp.ground.check_mask(a)
-    memo = sp._memo
-    key = ("gint", a)
-    if key not in memo:
-        result = 0
-        for i in bits_of(a):
-            for value in sp._nbd_values[i]:
-                if value & ~a == 0:
-                    result |= 1 << i
-                    break
-        memo[key] = result
-    return memo[key]
+    return sp.int_g[a]
 
 
 def gamma_closure(sp: Space, a: int) -> int:
     """Points all of whose open neighbourhoods have values meeting *a*."""
     sp.ground.check_mask(a)
-    memo = sp._memo
-    key = ("gcl", a)
-    if key not in memo:
-        result = 0
-        for i in range(sp.ground.n):
-            for value in sp._nbd_values[i]:
-                if value & a == 0:
-                    break
-            else:
-                result |= 1 << i
-        memo[key] = result
-    return memo[key]
+    return sp.cl_g[a]
 
 
 def gamma_open_family(sp: Space) -> tuple[int, ...]:
     """All fixed points of gamma_interior, ascending."""
     memo = sp._memo
     if "gopen" not in memo:
-        memo["gopen"] = tuple(
-            m for m in sp.ground.subsets() if gamma_interior(sp, m) == m
-        )
+        memo["gopen"] = tuple(m for m, gi in enumerate(sp.int_g) if gi == m)
     return memo["gopen"]
 
 

@@ -1,11 +1,15 @@
 """Subset classifiers: gamma-open/closed, regular-open/closed, clopen,
-extremal disconnectedness, and the theta closure with its families."""
+extremal disconnectedness, and the theta closure with its families.
+
+The theta closure is one table over all subsets per test family, built on
+first use the way ``gamma_core`` builds cl_g; the families are read off
+the operator tables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finspace import bits_of
+from .finspace import bits_of, interior, meeting_table
 from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family
 
 FLAG_NAMES = (
@@ -37,19 +41,18 @@ def is_gamma_closed_cl(sp: Space, a: int) -> bool:
 
 
 def is_gamma_regular_open(sp: Space, a: int) -> bool:
-    return gamma_interior(sp, gamma_closure(sp, a)) == a
+    return sp.int_g[gamma_closure(sp, a)] == a
 
 
 def is_gamma_regular_closed(sp: Space, a: int) -> bool:
-    return gamma_closure(sp, gamma_interior(sp, a)) == a
+    return sp.cl_g[gamma_interior(sp, a)] == a
 
 
 def regular_open_family(sp: Space) -> tuple[int, ...]:
     memo = sp._memo
     if "regopen" not in memo:
-        memo["regopen"] = tuple(
-            m for m in sp.ground.subsets() if is_gamma_regular_open(sp, m)
-        )
+        ig = sp.int_g
+        memo["regopen"] = tuple(m for m, c in enumerate(sp.cl_g) if ig[c] == m)
     return memo["regopen"]
 
 
@@ -62,9 +65,8 @@ def is_extremally_disconnected(sp: Space) -> bool:
     """True iff the gamma-closure of every gamma-open set is gamma-open."""
     memo = sp._memo
     if "extdisc" not in memo:
-        memo["extdisc"] = all(
-            is_gamma_open(sp, gamma_closure(sp, u)) for u in gamma_open_family(sp)
-        )
+        ig, cg = sp.int_g, sp.cl_g
+        memo["extdisc"] = all(ig[cg[u]] == cg[u] for u in gamma_open_family(sp))
     return memo["extdisc"]
 
 
@@ -74,11 +76,20 @@ def _theta_env(sp: Space, use_tau_opens: bool):
     key = ("theta_env", use_tau_opens)
     if key not in memo:
         family = sp.top.opens_sorted if use_tau_opens else gamma_open_family(sp)
-        env = []
-        for i in range(sp.ground.n):
-            bit = 1 << i
-            env.append(tuple(gamma_closure(sp, u) for u in family if u & bit))
-        memo[key] = tuple(env)
+        cg = sp.cl_g
+        memo[key] = tuple(
+            tuple(cg[u] for u in family if u >> i & 1) for i in range(sp.ground.n)
+        )
+    return memo[key]
+
+
+def theta_closure_table(sp: Space, use_tau_opens: bool = False) -> tuple[int, ...]:
+    """``gamma_theta_closure`` over every subset, indexed by mask; built on
+    first use, once per test family."""
+    memo = sp._memo
+    key = ("theta_table", use_tau_opens)
+    if key not in memo:
+        memo[key] = meeting_table(sp.ground.n, _theta_env(sp, use_tau_opens))
     return memo[key]
 
 
@@ -87,19 +98,7 @@ def gamma_theta_closure(sp: Space, a: int, *, use_tau_opens: bool = False) -> in
     meets *a*.  ``use_tau_opens`` swaps in plain opens as the test family,
     for discrepancy analysis only."""
     sp.ground.check_mask(a)
-    memo = sp._memo
-    key = ("thetacl", a, use_tau_opens)
-    if key not in memo:
-        env = _theta_env(sp, use_tau_opens)
-        result = 0
-        for i in range(sp.ground.n):
-            for clu in env[i]:
-                if clu & a == 0:
-                    break
-            else:
-                result |= 1 << i
-        memo[key] = result
-    return memo[key]
+    return theta_closure_table(sp, use_tau_opens)[a]
 
 
 def theta_families(sp: Space, *, use_tau_opens: bool = False):
@@ -109,12 +108,10 @@ def theta_families(sp: Space, *, use_tau_opens: bool = False):
     key = ("theta_families", use_tau_opens)
     if key not in memo:
         full = sp.ground.full_mask
-        closed = tuple(
-            m
-            for m in sp.ground.subsets()
-            if gamma_theta_closure(sp, m, use_tau_opens=use_tau_opens) == m
-        )
-        opened = tuple(sorted(full ^ m for m in closed))
+        table = theta_closure_table(sp, use_tau_opens)
+        closed = tuple(m for m, t in enumerate(table) if t == m)
+        # complements of an ascending family, ascending
+        opened = tuple(full ^ m for m in reversed(closed))
         memo[key] = (closed, opened)
     return memo[key]
 
@@ -159,10 +156,8 @@ def classify_subset(sp: Space, a: int) -> SubsetClassification:
         "theta_open": is_theta_open(sp, a),
         "theta_closed": is_theta_closed(sp, a),
     }
-    from .finspace import interior as tau_interior
-
     fail_masks = {
-        "open_tau": a ^ tau_interior(sp.top, a),
+        "open_tau": a ^ interior(sp.top, a),
         "gamma_open": a ^ gi,
         "gamma_closed_dual": comp ^ gamma_interior(sp, comp),
         "gamma_closed_cl": gc ^ a,

@@ -20,24 +20,19 @@ from .finspace import PointSet, SizeTooLarge, bits_of, enumerate_topologies, sub
 from .gamma_core import (
     GammaOperation,
     Space,
-    gamma_closure,
-    gamma_interior,
     is_open_operation,
     is_regular_operation,
     operations_for,
 )
 from .gamma_sets import (
     gamma_open_family,
-    gamma_theta_closure,
     is_gamma_clopen,
-    is_gamma_closed_cl,
-    is_gamma_closed_dual,
     is_gamma_open,
     is_gamma_regular_open,
     is_extremally_disconnected,
-    is_theta_closed,
     is_theta_open,
     regular_open_family,
+    theta_closure_table,
     theta_families,
 )
 from .convergence import (
@@ -46,6 +41,7 @@ from .convergence import (
     enumerate_nets,
     gamma_closed_space_conditions,
     net_tail_range,
+    principal_verdicts,
 )
 
 
@@ -117,12 +113,15 @@ class SpaceKey:
 
 
 def space_key(sp: Space) -> SpaceKey:
-    return SpaceKey(
-        points=sp.ground.labels,
-        opens=sp.top.opens_sorted,
-        gamma_kind=sp.gamma.kind,
-        gamma_values=sp.extension,
-    )
+    memo = sp._memo
+    if "space_key" not in memo:
+        memo["space_key"] = SpaceKey(
+            points=sp.ground.labels,
+            opens=sp.top.opens_sorted,
+            gamma_kind=sp.gamma.kind,
+            gamma_values=sp.extension,
+        )
+    return memo["space_key"]
 
 
 def rebuild_space(key: SpaceKey) -> Space:
@@ -190,8 +189,9 @@ def _implication(sp: Space, premise, conclusion):
 
 @_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")
 def _check_ro_incl(sp: Space):
+    ig = sp.int_g
     for a in regular_open_family(sp):
-        if not is_gamma_open(sp, a):
+        if ig[a] != a:
             return "fails", {"subset": _labels(sp, a), "part": "regular_open_not_gamma_open"}, {}
     for a in gamma_open_family(sp):
         if not sp.top.is_open(a):
@@ -213,11 +213,12 @@ def _check_p34_conv(sp: Space):
 @_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
 def _check_t36(sp: Space):
     full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
     for a in sp.ground.subsets():
-        fixed = gamma_closure(sp, gamma_interior(sp, a)) == a
-        if is_gamma_clopen(sp, a) and not fixed:
+        fixed = cg[ig[a]] == a
+        if ig[a] == a and cg[a] == a and not fixed:
             return "fails", {"subset": _labels(sp, a), "part": "clopen_to_fixed"}, {}
-        if fixed and not is_gamma_regular_open(sp, full ^ a):
+        if fixed and ig[cg[full ^ a]] != full ^ a:
             return "fails", {"subset": _labels(sp, a), "part": "fixed_to_complement_regular_open"}, {}
     return "holds", None, {}
 
@@ -226,10 +227,12 @@ def _check_t36(sp: Space):
         "complement regular-open implies regular-open implies clopen")
 def _check_t37(sp: Space):
     full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
     for a in sp.ground.subsets():
-        if is_gamma_regular_open(sp, full ^ a) and not is_gamma_regular_open(sp, a):
+        regular_open = ig[cg[a]] == a
+        if ig[cg[full ^ a]] == full ^ a and not regular_open:
             return "fails", {"subset": _labels(sp, a), "part": "complement_to_self"}, {}
-        if is_gamma_regular_open(sp, a) and not is_gamma_clopen(sp, a):
+        if regular_open and not (ig[a] == a and cg[a] == a):
             return "fails", {"subset": _labels(sp, a), "part": "regular_open_to_clopen"}, {}
     return "holds", None, {}
 
@@ -238,12 +241,13 @@ def _check_t37(sp: Space):
         "clopen, cl.int-fixed, complement regular-open and regular-open coincide")
 def _check_t38(sp: Space):
     full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
     for a in sp.ground.subsets():
         bools = (
-            is_gamma_clopen(sp, a),
-            gamma_closure(sp, gamma_interior(sp, a)) == a,
-            is_gamma_regular_open(sp, full ^ a),
-            is_gamma_regular_open(sp, a),
+            ig[a] == a and cg[a] == a,
+            cg[ig[a]] == a,
+            ig[cg[full ^ a]] == full ^ a,
+            ig[cg[a]] == a,
         )
         if len(set(bools)) > 1:
             return "fails", {
@@ -257,9 +261,9 @@ def _check_t38(sp: Space):
 
 
 def _cl_idempotence_notes(sp: Space) -> dict:
-    for a in sp.ground.subsets():
-        c = gamma_closure(sp, a)
-        if gamma_closure(sp, c) != c:
+    cg = sp.cl_g
+    for a, c in enumerate(cg):
+        if cg[c] != c:
             return {"cl_gamma_idempotent": False, "idempotence_witness": _labels(sp, a)}
     return {"cl_gamma_idempotent": True}
 
@@ -268,8 +272,9 @@ def _cl_idempotence_notes(sp: Space) -> dict:
         "if cl_g(A) is regular-open then A is gamma-open")
 def _check_t39_fwd(sp: Space):
     notes = _cl_idempotence_notes(sp)
-    for a in sp.ground.subsets():
-        if is_gamma_regular_open(sp, gamma_closure(sp, a)) and not is_gamma_open(sp, a):
+    ig, cg = sp.int_g, sp.cl_g
+    for a, c in enumerate(cg):
+        if ig[cg[c]] == c and ig[a] != a:
             return "fails", {"subset": _labels(sp, a)}, notes
     return "holds", None, notes
 
@@ -278,8 +283,9 @@ def _check_t39_fwd(sp: Space):
         "if A is gamma-open then cl_g(A) is regular-open")
 def _check_t39_conv(sp: Space):
     notes = _cl_idempotence_notes(sp)
+    ig, cg = sp.int_g, sp.cl_g
     for a in gamma_open_family(sp):
-        if not is_gamma_regular_open(sp, gamma_closure(sp, a)):
+        if ig[cg[cg[a]]] != cg[a]:
             return "fails", {"subset": _labels(sp, a)}, notes
     return "holds", None, notes
 
@@ -287,18 +293,20 @@ def _check_t39_conv(sp: Space):
 @_claim("C-C3.10", "conditioned", ("extremally_disconnected",),
         "cl_g(int_g(A)) is regular-open for every A")
 def _check_c310(sp: Space):
+    ig, cg = sp.int_g, sp.cl_g
     for a in sp.ground.subsets():
-        if not is_gamma_regular_open(sp, gamma_closure(sp, gamma_interior(sp, a))):
+        c = cg[ig[a]]
+        if ig[cg[c]] != c:
             return "fails", {"subset": _labels(sp, a)}, {}
     return "holds", None, {}
 
 
 @_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
 def _check_p313_1(sp: Space):
-    for b in sp.ground.subsets():
-        tb = gamma_theta_closure(sp, b)
+    theta = theta_closure_table(sp)
+    for b, tb in enumerate(theta):
         for a in submasks(b):
-            if gamma_theta_closure(sp, a) & ~tb:
+            if theta[a] & ~tb:
                 return "fails", {"subset": _labels(sp, a), "superset": _labels(sp, b)}, {}
     return "holds", None, {}
 
@@ -317,8 +325,9 @@ def _check_p313_2(sp: Space):
             if new not in seen:
                 seen[new] = seen[cur] + (idx,)
                 frontier.append(new)
+    theta = theta_closure_table(sp)
     for value in sorted(seen):
-        if gamma_theta_closure(sp, value) != value:
+        if theta[value] != value:
             return "fails", {
                 "intersection": _labels(sp, value),
                 "subfamily": [_labels(sp, closed[i]) for i in sorted(set(seen[value]))],
@@ -332,8 +341,7 @@ def _check_t314(sp: Space):
     full = sp.ground.full_mask
     closed, _ = theta_families(sp)
     ro = regular_open_family(sp)
-    for a in sp.ground.subsets():
-        t = gamma_theta_closure(sp, a)
+    for a, t in enumerate(theta_closure_table(sp)):
         meet_closed = full
         for v in closed:
             if a & ~v == 0:
@@ -363,8 +371,7 @@ def _check_t314(sp: Space):
         "theta-closure membership tests against regular-open neighbourhoods")
 def _check_t315a(sp: Space):
     ro = regular_open_family(sp)
-    for a in sp.ground.subsets():
-        t = gamma_theta_closure(sp, a)
+    for a, t in enumerate(theta_closure_table(sp)):
         for i in range(sp.ground.n):
             bit = 1 << i
             rhs = all(v & a for v in ro if v & bit)
@@ -376,12 +383,14 @@ def _check_t315a(sp: Space):
 @_claim("C-T3.15-B", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta-open means every point has a regular-open neighbourhood inside")
 def _check_t315b(sp: Space):
+    full = sp.ground.full_mask
+    theta = theta_closure_table(sp)
     ro = regular_open_family(sp)
     for a in sp.ground.subsets():
         rhs = all(
             any(v & (1 << i) and v & ~a == 0 for v in ro) for i in bits_of(a)
         )
-        if is_theta_open(sp, a) != rhs:
+        if (theta[full ^ a] == full ^ a) != rhs:
             return "fails", {"subset": _labels(sp, a)}, {}
     return "holds", None, {}
 
@@ -389,9 +398,12 @@ def _check_t315b(sp: Space):
 @_claim("C-T3.15-C", "conditioned", ("open_operation", "extremally_disconnected"),
         "regular-open coincides with theta-clopen")
 def _check_t315c(sp: Space):
+    full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    theta = theta_closure_table(sp)
     for a in sp.ground.subsets():
-        lhs = is_gamma_regular_open(sp, a)
-        rhs = is_theta_open(sp, a) and is_theta_closed(sp, a)
+        lhs = ig[cg[a]] == a
+        rhs = theta[full ^ a] == full ^ a and theta[a] == a
         if lhs != rhs:
             return "fails", {"subset": _labels(sp, a)}, {}
     return "holds", None, {}
@@ -411,11 +423,11 @@ def _check_chain_to_go(sp: Space):
 def _check_t43(sp: Space):
     # one representative filterbase per generated filter: verdicts factor
     # through the kernel, so this quantifies over all filterbases
+    principal = principal_verdicts(sp, "regular_open")
     for kernel in range(1, sp.ground.full_mask + 1):
         for x in range(sp.ground.n):
-            if _fb_converges(sp, (kernel,), x, "regular_open") and not _fb_accumulates(
-                sp, (kernel,), x, "regular_open"
-            ):
+            converges = kernel & ~principal.meets[x] == 0
+            if converges and not principal.accumulates[kernel] >> x & 1:
                 return "fails", {
                     "filterbase": [_labels(sp, kernel)],
                     "point": sp.ground.labels[x],
@@ -427,30 +439,32 @@ def _check_t43(sp: Space):
         "accumulation passes from a subordinate filterbase to the coarser one")
 def _check_t44(sp: Space):
     full = sp.ground.full_mask
+    acc = principal_verdicts(sp, "regular_open").accumulates
     for coarse in range(1, full + 1):
         # subordinate representatives have non-empty kernels inside coarse
         for fine in submasks(coarse):
             if not fine:
                 continue
-            for x in range(sp.ground.n):
-                if _fb_accumulates(sp, (fine,), x, "regular_open") and not _fb_accumulates(
-                    sp, (coarse,), x, "regular_open"
-                ):
-                    return "fails", {
-                        "coarse": [_labels(sp, coarse)],
-                        "fine": [_labels(sp, fine)],
-                        "point": sp.ground.labels[x],
-                    }, {}
+            # the points where the fine base accumulates and the coarse one does not
+            lost = acc[fine] & ~acc[coarse]
+            if lost:
+                x = (lost & -lost).bit_length() - 1
+                return "fails", {
+                    "coarse": [_labels(sp, coarse)],
+                    "fine": [_labels(sp, fine)],
+                    "point": sp.ground.labels[x],
+                }, {}
     return "holds", None, {}
 
 
 @_claim("C-T4.5", "safe", (), "for maximal filterbases accumulation and convergence coincide")
 def _check_t45(sp: Space):
+    principal = principal_verdicts(sp, "regular_open")
     for p in range(sp.ground.n):
         singleton = 1 << p
         for x in range(sp.ground.n):
-            acc = _fb_accumulates(sp, (singleton,), x, "regular_open")
-            conv = _fb_converges(sp, (singleton,), x, "regular_open")
+            acc = bool(principal.accumulates[singleton] >> x & 1)
+            conv = bool(principal.meets[x] >> p & 1)
             if acc != conv:
                 return "fails", {
                     "filterbase": [_labels(sp, singleton)],
@@ -652,8 +666,10 @@ def _check_t413(sp: Space):
 
     # by the convergence module's lemma a net accumulates at x iff its tail
     # T does as a kernel, and nets within the cap realise every |T| <= cap
+    acc = principal_verdicts(sp, "gamma_open_cl").accumulates
+
     def accumulates_nowhere(t):
-        return not any(_fb_accumulates(sp, (t,), x, "gamma_open_cl") for x in range(sp.ground.n))
+        return not acc[t]
 
     tails = [t for t in range(1, sp.ground.full_mask + 1) if t.bit_count() <= NET_SIZE_CAP]
     nets_accumulate = not any(accumulates_nowhere(t) for t in tails)
@@ -681,10 +697,13 @@ _CLAIM_LISTS = {"safe": SAFE_CLAIMS, "conditioned": CONDITIONED_CLAIMS, "all": C
 
 def parse_claims(claims) -> tuple[str, ...]:
     """Claim ids from "safe", "conditioned", "all", a comma list or a
-    sequence of ids, in the order given; an unknown id raises UnknownClaim."""
+    sequence of ids, in the order given; an unknown id or an empty list
+    raises UnknownClaim."""
     if isinstance(claims, str):
         claims = _CLAIM_LISTS[claims] if claims in _CLAIM_LISTS else claims.split(",")
     ids = tuple(cid.strip() for cid in claims if cid.strip())
+    if not ids:
+        raise UnknownClaim("the claim list is empty")
     for cid in ids:
         if cid not in CLAIMS:
             raise UnknownClaim(f"unknown claim {cid!r}")
@@ -724,10 +743,12 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
 def _space_discrepancies(sp: Space) -> list:
     out = []
     full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    # gamma-closed as the complement of a gamma-open set, and as cl_g-fixed
     disagree = [
         m
         for m in sp.ground.subsets()
-        if is_gamma_closed_dual(sp, m) != is_gamma_closed_cl(sp, m)
+        if (ig[full ^ m] == full ^ m) != (cg[m] & ~m == 0)
     ]
     out.append(
         {
@@ -745,11 +766,8 @@ def _space_discrepancies(sp: Space) -> list:
             "witness": idem.get("idempotence_witness"),
         }
     )
-    bad = [
-        m
-        for m in sp.ground.subsets()
-        if gamma_closure(sp, m) & ~gamma_theta_closure(sp, m)
-    ]
+    theta = theta_closure_table(sp)
+    bad = [m for m in sp.ground.subsets() if cg[m] & ~theta[m]]
     out.append(
         {
             "kind": "cl_gamma_within_theta_closure",
@@ -819,24 +837,26 @@ def check_invariants(sp: Space) -> list:
     def hit(name, **witness):
         bad.append({"invariant": name, "witness": witness})
 
+    ig, cg = sp.int_g, sp.cl_g
+    theta = theta_closure_table(sp)
     for a in sp.ground.subsets():
-        comp = full ^ a
-        gi, gc = gamma_interior(sp, a), gamma_closure(sp, a)
-        if gi != full ^ gamma_closure(sp, comp):
+        gi = ig[a]
+        if gi != full ^ cg[full ^ a]:
             hit("int_cl_duality", subset=_labels(sp, a))
         if gi & ~a:
             hit("int_gamma_contractive", subset=_labels(sp, a))
-        if a & ~gc:
+        if a & ~cg[a]:
             hit("cl_gamma_extensive", subset=_labels(sp, a))
-        if a & ~gamma_theta_closure(sp, a):
+        if a & ~theta[a]:
             hit("thetacl_extensive", subset=_labels(sp, a))
     for b in sp.ground.subsets():
+        ib, cb, tb = ig[b], cg[b], theta[b]
         for a in submasks(b):
-            if gamma_interior(sp, a) & ~gamma_interior(sp, b):
+            if ig[a] & ~ib:
                 hit("int_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
-            if gamma_closure(sp, a) & ~gamma_closure(sp, b):
+            if cg[a] & ~cb:
                 hit("cl_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
-            if gamma_theta_closure(sp, a) & ~gamma_theta_closure(sp, b):
+            if theta[a] & ~tb:
                 hit("thetacl_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
     gopen = set(gamma_open_family(sp))
     for a in regular_open_family(sp):

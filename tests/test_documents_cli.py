@@ -175,6 +175,16 @@ def test_cli_verify_argument_validation(capsys):
     assert code == 2 and "C-FAKE" in err
 
 
+def test_cli_empty_claim_list_is_an_input_error(capsys):
+    for argv in (
+        ("verify", "--enumerate", "3", "--ops", "all_tables", "--claims", ","),
+        ("verify", doc_path("example3_2"), "--claims", ""),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "empty" in err, argv
+
+
 def test_cli_mine(capsys):
     code, out, _ = run_cli(
         capsys,

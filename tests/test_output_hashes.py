@@ -6,6 +6,7 @@ say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -66,3 +67,18 @@ def test_output_bytes_and_exit_code(capsys, monkeypatch, case_id, argv, threads)
     code = cli.main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (digest, code) == GOLDEN[case_id]
+
+
+# sha256 of the claim and invariant reports of the session sweep fixtures,
+# as the benchmark writes them: invariant statistics included
+SWEEP_FIXTURE_GOLDEN = {
+    "sweep3": "158a5cd55c17cdd3c0eab4cd16c523259c68d19cba760485f0c32907edf17c4f",
+    "sweep4": "401a1b08960ee0e4933e4ea2347d5618fb63e9b296894b7dfa85bc87105ca8ac",
+}
+
+
+def test_sweep_fixture_bytes(sweep3, sweep4):
+    for name, (claims, invariants) in (("sweep3", sweep3), ("sweep4", sweep4)):
+        payload = {"claims": claims.to_dict(), "invariants": invariants.to_dict()}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_FIXTURE_GOLDEN[name], name
