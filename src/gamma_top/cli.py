@@ -5,6 +5,11 @@
     gamma-top mine --n N --ops MODES --predicate NAME
     gamma-top audit --example {3.2,3.5,3.16,3.17}
 
+With ``--format machine`` stdout is the payload as
+``json.dumps(payload, sort_keys=True, indent=2)`` writes it (keys sorted,
+two-space indent, ASCII escapes) plus one trailing newline, written by
+``jsonout.dumps``; tier-1 pins these bytes against ``json.dumps``.
+
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early
 (broken pipe, as a shell reports SIGPIPE).  GAMMA_TOP_THREADS sets
@@ -21,7 +26,7 @@ import multiprocessing
 import os
 import sys
 
-from . import documents, theoremlab
+from . import documents, jsonout, theoremlab
 from .finspace import FinSpaceError
 from .gamma_core import GammaError
 from .gamma_sets import FLAG_NAMES, classify_subset, gamma_open_family, regular_open_family, theta_families
@@ -46,7 +51,7 @@ def _threads() -> int:
 
 def _emit(payload: dict, text: str, fmt: str):
     if fmt == "machine":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(jsonout.dumps(payload))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -65,19 +70,20 @@ def _fam(sp, masks) -> str:
 def _analyze_payload(sp) -> dict:
     theta_closed, theta_open = theta_families(sp)
     table = [classify_subset(sp, m) for m in sp.ground.subsets()]
+    lists = sp.ground.label_list
     return {
         "space": documents.space_to_document(sp),
         "flags": theoremlab.space_flags(sp),
         "families": {
-            "opens": [list(sp.ground.labels_of(m)) for m in sp.top.opens_sorted],
-            "gamma_open": [list(sp.ground.labels_of(m)) for m in gamma_open_family(sp)],
-            "regular_open": [list(sp.ground.labels_of(m)) for m in regular_open_family(sp)],
-            "theta_open": [list(sp.ground.labels_of(m)) for m in theta_open],
-            "theta_closed": [list(sp.ground.labels_of(m)) for m in theta_closed],
+            "opens": [lists(m) for m in sp.top.opens_sorted],
+            "gamma_open": [lists(m) for m in gamma_open_family(sp)],
+            "regular_open": [lists(m) for m in regular_open_family(sp)],
+            "theta_open": [lists(m) for m in theta_open],
+            "theta_closed": [lists(m) for m in theta_closed],
         },
         "classification": [
             {
-                "subset": list(sp.ground.labels_of(c.subset)),
+                "subset": lists(c.subset),
                 "flags": c.flags,
                 "witnesses": c.witnesses,
             }

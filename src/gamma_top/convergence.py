@@ -486,7 +486,16 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
     Inner existentials over subfamilies collapse to the full subfamily by
     monotonicity, which is what the reachable-value scans exploit; outer
     universals range over all subfamilies via their folded values.
+    Decided once per space and closedness mode.
     """
+    memo = sp._memo
+    key = ("gamma_closed_conditions", closedness)
+    if key not in memo:
+        memo[key] = _decide_conditions(sp, closedness)
+    return memo[key]
+
+
+def _decide_conditions(sp: Space, closedness: str) -> GammaClosedConditions:
     full = sp.ground.full_mask
     ground = sp.ground
     witnesses = {}

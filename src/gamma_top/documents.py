@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from . import jsonout
 from .finspace import PointSet, TopologyError, UnknownPoint as _UnknownPoint, validate_topology
 from .gamma_core import BRANCHES, GammaOperation, GammaNotExpansive, Space
 
@@ -108,10 +109,10 @@ def parse_space(text: str) -> Space:
 
 
 def space_to_document(sp: Space) -> dict:
-    ground = sp.ground
+    lists = sp.ground.label_list
     doc = {
-        "points": list(ground.labels),
-        "opens": [list(ground.labels_of(m)) for m in sp.top.opens_sorted],
+        "points": lists(sp.ground.full_mask),
+        "opens": [lists(m) for m in sp.top.opens_sorted],
     }
     g = sp.gamma
     if g.kind == "pivot":
@@ -120,7 +121,7 @@ def space_to_document(sp: Space) -> dict:
         doc["gamma"] = {
             "kind": "table",
             "table": [
-                {"open": list(ground.labels_of(m)), "value": list(ground.labels_of(v))}
+                {"open": lists(m), "value": lists(v)}
                 for m, v in g.table
             ],
         }
@@ -130,7 +131,7 @@ def space_to_document(sp: Space) -> dict:
 
 
 def serialize_space(sp: Space) -> str:
-    return json.dumps(space_to_document(sp), sort_keys=True, indent=2) + "\n"
+    return jsonout.dumps(space_to_document(sp)) + "\n"
 
 
 def load_bundled(name: str) -> Space:

@@ -14,8 +14,10 @@ from functools import cached_property
 
 MAX_POINTS = 16
 
-# Exhaustive enumeration is only supported on very small ground sets.
+# Exhaustive enumeration is only supported on very small ground sets, and
+# enumerating every expansive operation table on even smaller ones.
 MAX_ENUMERATION_POINTS = 4
+MAX_TABLE_POINTS = 3
 
 DEFAULT_LABELS = ("a", "b", "c", "d")
 
@@ -164,6 +166,19 @@ class PointSet:
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits_of(mask))
+
+    @cached_property
+    def _label_lists(self) -> dict:
+        return {}
+
+    def label_list(self, mask: int) -> list[str]:
+        """The labels of *mask* as a list, built on first use per mask and
+        then shared by every caller: output payloads only, never mutated."""
+        lists = self._label_lists
+        found = lists.get(mask)
+        if found is None:
+            found = lists[mask] = [self.labels[i] for i in bits_of(mask)]
+        return found
 
     def format(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"

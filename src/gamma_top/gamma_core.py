@@ -23,7 +23,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .finspace import PointSet, Topology, closure, inside_table, interior, meeting_table, submasks
+from .finspace import (
+    MAX_TABLE_POINTS,
+    PointSet,
+    Topology,
+    closure,
+    inside_table,
+    interior,
+    meeting_table,
+    submasks,
+)
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -244,8 +253,10 @@ def enumerate_gamma_operations(top: Topology, mode: str):
                     yield op
         return
     if mode == "all_tables":
-        if top.ground.n > 3:
-            raise TableModeTooLarge("table enumeration is limited to 3-point ground sets")
+        if top.ground.n > MAX_TABLE_POINTS:
+            raise TableModeTooLarge(
+                f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
+            )
         full = top.ground.full_mask
         opens = top.opens_sorted
         per_open = [sorted(v | s for s in submasks(full ^ v)) for v in opens]

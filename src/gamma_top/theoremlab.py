@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import documents
-from .finspace import PointSet, SizeTooLarge, bits_of, enumerate_topologies, submasks, validate_topology
+from .finspace import (
+    MAX_ENUMERATION_POINTS,
+    MAX_TABLE_POINTS,
+    PointSet,
+    SizeTooLarge,
+    bits_of,
+    enumerate_topologies,
+    submasks,
+    validate_topology,
+)
 from .gamma_core import (
     GammaOperation,
     Space,
@@ -101,15 +110,25 @@ class SpaceKey:
     gamma_values: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        ground = PointSet(self.points)
+        """The space as JSON values.  Its label lists are shared with every
+        other payload over the same points (``PointSet.label_list``): no
+        caller mutates a result, and none may."""
+        ground = _ground(self.points)
+        lists = ground.label_list
         return {
-            "points": list(self.points),
-            "opens": [list(ground.labels_of(m)) for m in self.opens],
+            "points": lists(ground.full_mask),
+            "opens": [lists(m) for m in self.opens],
             "gamma": {
                 "kind": self.gamma_kind,
-                "values": [list(ground.labels_of(m)) for m in self.gamma_values],
+                "values": [lists(m) for m in self.gamma_values],
             },
         }
+
+
+@lru_cache(maxsize=64)
+def _ground(points: tuple[str, ...]) -> PointSet:
+    """One validated ground set, and so one label-list cache, per label tuple."""
+    return PointSet(points)
 
 
 def space_key(sp: Space) -> SpaceKey:
@@ -169,7 +188,8 @@ class VerificationReport:
 
 
 def _labels(sp: Space, mask: int) -> list:
-    return list(sp.ground.labels_of(mask))
+    """A shared, read-only label list (``PointSet.label_list``)."""
+    return sp.ground.label_list(mask)
 
 
 def _separating(sp: Space, has, lacks):
@@ -1057,10 +1077,10 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     or for failures of one claim.  An empty result certifies absence over
     the whole enumeration."""
     modes = parse_modes(op_mode)
-    if not 1 <= n <= 4:
-        raise SizeTooLarge("mining supports ground sets of 1..4 points")
-    if "all_tables" in modes and n > 3:
-        raise SizeTooLarge("table enumeration is limited to 3-point ground sets")
+    if not 1 <= n <= MAX_ENUMERATION_POINTS:
+        raise SizeTooLarge(f"mining supports ground sets of 1..{MAX_ENUMERATION_POINTS} points")
+    if "all_tables" in modes and n > MAX_TABLE_POINTS:
+        raise SizeTooLarge(f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets")
     claim_id = None
     if predicate.startswith("fails:"):
         claim_id = predicate[len("fails:"):]

@@ -3,6 +3,7 @@ import operator
 
 import pytest
 
+from gamma_top import convergence, documents, theoremlab
 from gamma_top.convergence import (
     DirectedSet,
     EmptyMember,
@@ -211,6 +212,27 @@ def test_space_conditions_all_hold(example3_2, example3_5):
         conds = gamma_closed_space_conditions(sp)
         assert conds.all_hold(), conds
         assert gamma_closed_space_conditions(sp, "cl").as_tuple() == conds.as_tuple()
+
+
+def test_space_conditions_decided_once_per_mode(monkeypatch):
+    folds = []
+    reachable = convergence._reachable
+
+    def counting(*args):
+        folds.append(args)
+        return reachable(*args)
+
+    monkeypatch.setattr(convergence, "_reachable", counting)
+    sp = documents.load_bundled("example3_2")  # a fresh memo
+    first = gamma_closed_space_conditions(sp)
+    assert len(folds) == 2  # the cover fold and the closed-family fold
+    again = gamma_closed_space_conditions(sp)
+    assert len(folds) == 2
+    assert again == first and again.witnesses == first.witnesses
+    # C-P4.7-EQ adds the cl mode; C-T4.13 reads the dual result it left
+    theoremlab.check_claim(sp, "C-P4.7-EQ")
+    theoremlab.check_claim(sp, "C-T4.13")
+    assert len(folds) == 4
 
 
 def test_space_conditions_unknown_mode(example3_2):

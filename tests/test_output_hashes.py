@@ -17,10 +17,11 @@ def _cases():
     sweep = ("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all")
     for threads in ("1", "2"):
         yield f"sweep3-all-t{threads}", sweep + ("--format", "machine"), threads
-    for name in ("example3_2", "example3_5", "example3_16", "example3_17"):
-        for fmt in ("machine", "text"):
-            path = str(documents.bundled_path(name))
-            yield f"verify-{name}-{fmt}", ("verify", path, "--format", fmt), "1"
+    for command in ("verify", "analyze"):
+        for name in ("example3_2", "example3_5", "example3_16", "example3_17"):
+            for fmt in ("machine", "text"):
+                path = str(documents.bundled_path(name))
+                yield f"{command}-{name}-{fmt}", (command, path, "--format", fmt), "1"
     for example in ("3.2", "3.5", "3.16", "3.17"):
         yield f"audit-{example}", ("audit", "--example", example, "--format", "machine"), "1"
     for predicate in sorted(theoremlab.SEPARATIONS):
@@ -44,6 +45,14 @@ GOLDEN = {
     "verify-example3_16-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),
     "verify-example3_17-machine": ("25e291ad6d1f917df45b404fce955074545ad1b49efb21bc898fba7c651198e3", 0),
     "verify-example3_17-text": ("06b9af3192e097d8d4eb58b6199e9fe10ecc9a9607514ad23ba6a72062562e05", 0),
+    "analyze-example3_2-machine": ("fa9b49e869ae073fdb2deae359c09c2f1663bde4c31b57c3e110b210ddadbcfd", 0),
+    "analyze-example3_2-text": ("43bdef1e9eca492e3b4e82a0dc6baa100110c1d559e55fb3cc54564af023d484", 0),
+    "analyze-example3_5-machine": ("85bd22889a73c67a7f2e109c13304acfc7e2a0be468c3bdcd8391f90e0afedc4", 0),
+    "analyze-example3_5-text": ("67c9603091dabb0f41d9e9111b8eceb0f6d370526afee9d5d3e8fc74772e7d8b", 0),
+    "analyze-example3_16-machine": ("fa9b49e869ae073fdb2deae359c09c2f1663bde4c31b57c3e110b210ddadbcfd", 0),
+    "analyze-example3_16-text": ("43bdef1e9eca492e3b4e82a0dc6baa100110c1d559e55fb3cc54564af023d484", 0),
+    "analyze-example3_17-machine": ("c189ab0ac476a3ec4fdea4001cee396c14c35407f07866f8b54fe3eaf4f23e2f", 0),
+    "analyze-example3_17-text": ("7b58847ef2637aa59f5b714bdd8e305904acea0b19828d086ef0a32e6d668036", 0),
     "audit-3.2": ("719940290f36a6ab3109db78dba0eaf9718ce3aeea9903083d295617be51b210", 0),
     "audit-3.5": ("64c2a48851ef513f8fd73a5f2b9f7b31b2fb130afcbcd078a0a8fc93cffc5bbf", 0),
     "audit-3.16": ("9e198b0ec866db2065b0788041dca52c8daf183e5637aa7d544f7936f15a80c9", 0),
