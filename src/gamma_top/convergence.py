@@ -36,8 +36,22 @@ the classes with |R| <= k.  The claim layer decides the net/filterbase
 bridge per class through this lemma.
 
 Principal bases.  {M} converges at x iff M is inside K_x, the meet of x's
-test sets; it accumulates at x iff M meets each of them.  Both are read
-from one table per space and test family (``principal_verdicts``).
+test sets; it accumulates at x iff M meets each of them.  Per space and
+test family, two tables indexed by M hold the point masks of both
+verdicts (``principal_verdicts``).  M <= K_x iff the complement of K_x
+lies inside the complement of M, so ``converges`` is one ``inside_table``
+pass over the complements of the K_x, read backwards.
+
+So each bridge verdict is a mask expression over these tables.  With F
+the test family and G the gamma-closures, a class (T, R) disagrees at
+F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
+G.accumulates[T] under the cofinal reading and G.converges[R] under the
+literal one; the first failing point is the lowest set bit.  Only the
+literal reading depends on R.  G.converges[R] is the meet of
+G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
+one-point extension does: n * 2**n steps decide every T.  Net classes
+are filterbase classes (the class of the base {T, R}), so when no
+filterbase disagrees, no net does either.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_
 
-from .finspace import PointSet, _directed_preorders, bits_of, meeting_table, submasks
+from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
 from .gamma_core import Space
 from .gamma_sets import _theta_env, gamma_open_family, regular_open_family
 
@@ -134,7 +148,7 @@ class PrincipalVerdicts:
     filterbase {M} against them."""
 
     tests: tuple  # per point x, its test sets
-    meets: tuple  # per point x, K_x: {M} converges at x iff M <= K_x
+    converges: tuple  # per subset M, the points x with M <= K_x
     accumulates: tuple  # per subset M, the points at which {M} accumulates
 
 
@@ -152,8 +166,11 @@ def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
             tests = _theta_env(sp, False)
         else:
             raise ValueError(f"unknown test family {family!r}")
-        meets = tuple(reduce(and_, sets, sp.ground.full_mask) for sets in tests)
-        memo[key] = PrincipalVerdicts(tests, meets, meeting_table(n, tests))
+        full = sp.ground.full_mask
+        # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
+        outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
+        converges = inside_table(n, outside)[::-1]
+        memo[key] = PrincipalVerdicts(tests, converges, meeting_table(n, tests))
     return memo[key]
 
 
@@ -161,7 +178,7 @@ def _fb_converges(sp: Space, members, xi: int, family: str) -> bool:
     table = principal_verdicts(sp, family)
     if len(members) == 1:
         (m,) = members
-        return m & ~table.meets[xi] == 0
+        return bool(table.converges[m] >> xi & 1)
     for a in table.tests[xi]:
         if not any(f & ~a == 0 for f in members):
             return False
@@ -548,7 +565,7 @@ def _decide_conditions(sp: Space, closedness: str) -> GammaClosedConditions:
 
     cond5 = True
     for p in range(ground.n):
-        if not any(k >> p & 1 for k in principal.meets):
+        if not principal.converges[1 << p]:
             cond5 = False
             witnesses["maximal_filterbases_converge"] = {"point": ground.labels[p]}
             break

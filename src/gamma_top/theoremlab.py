@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import documents
 from .finspace import (
@@ -45,8 +45,8 @@ from .gamma_sets import (
     theta_families,
 )
 from .convergence import (
-    _fb_accumulates,
-    _fb_converges,
+    _reachable,
+    _rebuild_subfamily,
     enumerate_nets,
     gamma_closed_space_conditions,
     net_tail_range,
@@ -192,6 +192,11 @@ def _labels(sp: Space, mask: int) -> list:
     return sp.ground.label_list(mask)
 
 
+def _lowest_point(mask: int) -> int:
+    """The position of the lowest point in a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _separating(sp: Space, has, lacks):
     """The subsets with property *has* and without *lacks*, ascending."""
     return (a for a in sp.ground.subsets() if has(sp, a) and not lacks(sp, a))
@@ -334,23 +339,14 @@ def _check_p313_1(sp: Space):
 @_claim("C-P3.13-2", "safe", (), "intersections of theta-closed families are theta-closed")
 def _check_p313_2(sp: Space):
     closed, _ = theta_families(sp)
-    full = sp.ground.full_mask
     # every subfamily intersection arises by folding one member at a time
-    seen = {full: ()}
-    frontier = [full]
-    while frontier:
-        cur = frontier.pop()
-        for idx, m in enumerate(closed):
-            new = cur & m
-            if new not in seen:
-                seen[new] = seen[cur] + (idx,)
-                frontier.append(new)
+    seen, _ = _reachable(closed, sp.ground.full_mask, int.__and__)
     theta = theta_closure_table(sp)
     for value in sorted(seen):
         if theta[value] != value:
             return "fails", {
                 "intersection": _labels(sp, value),
-                "subfamily": [_labels(sp, closed[i]) for i in sorted(set(seen[value]))],
+                "subfamily": [_labels(sp, closed[i]) for i in _rebuild_subfamily(seen, value)],
             }, {}
     return "holds", None, {}
 
@@ -445,13 +441,13 @@ def _check_t43(sp: Space):
     # through the kernel, so this quantifies over all filterbases
     principal = principal_verdicts(sp, "regular_open")
     for kernel in range(1, sp.ground.full_mask + 1):
-        for x in range(sp.ground.n):
-            converges = kernel & ~principal.meets[x] == 0
-            if converges and not principal.accumulates[kernel] >> x & 1:
-                return "fails", {
-                    "filterbase": [_labels(sp, kernel)],
-                    "point": sp.ground.labels[x],
-                }, {}
+        # the points where {kernel} converges and does not accumulate
+        bad = principal.converges[kernel] & ~principal.accumulates[kernel]
+        if bad:
+            return "fails", {
+                "filterbase": [_labels(sp, kernel)],
+                "point": sp.ground.labels[_lowest_point(bad)],
+            }, {}
     return "holds", None, {}
 
 
@@ -468,11 +464,10 @@ def _check_t44(sp: Space):
             # the points where the fine base accumulates and the coarse one does not
             lost = acc[fine] & ~acc[coarse]
             if lost:
-                x = (lost & -lost).bit_length() - 1
                 return "fails", {
                     "coarse": [_labels(sp, coarse)],
                     "fine": [_labels(sp, fine)],
-                    "point": sp.ground.labels[x],
+                    "point": sp.ground.labels[_lowest_point(lost)],
                 }, {}
     return "holds", None, {}
 
@@ -482,16 +477,15 @@ def _check_t45(sp: Space):
     principal = principal_verdicts(sp, "regular_open")
     for p in range(sp.ground.n):
         singleton = 1 << p
-        for x in range(sp.ground.n):
-            acc = bool(principal.accumulates[singleton] >> x & 1)
-            conv = bool(principal.meets[x] >> p & 1)
-            if acc != conv:
-                return "fails", {
-                    "filterbase": [_labels(sp, singleton)],
-                    "point": sp.ground.labels[x],
-                    "accumulates": acc,
-                    "converges": conv,
-                }, {}
+        acc, conv = principal.accumulates[singleton], principal.converges[singleton]
+        if acc != conv:
+            x = _lowest_point(acc ^ conv)
+            return "fails", {
+                "filterbase": [_labels(sp, singleton)],
+                "point": sp.ground.labels[x],
+                "accumulates": bool(acc >> x & 1),
+                "converges": bool(conv >> x & 1),
+            }, {}
     return "holds", None, {}
 
 
@@ -539,47 +533,19 @@ def _net_witness(sp: Space, net, x: int, part: str) -> dict:
     }
 
 
-def _bridge_classes(sp: Space) -> dict:
-    """Per (tail, range) class ``(T, R)`` with ``0 != T <= R``, one entry per
-    pairing: the first point ``(x, part)`` at which the filterbase verdicts
-    (kernel T) and the net verdicts (tail T, range R) disagree, or None.
-    By the convergence module's lemma this decides every net and every
-    filterbase of the class at once."""
-    memo = sp._memo
-    if "bridge_classes" in memo:
-        return memo["bridge_classes"]
-    points = range(sp.ground.n)
-    # the verdicts of {M}, hence of every filterbase with kernel M
-    principal = {
-        (m, x): {
-            fam: (_fb_converges(sp, (m,), x, fam), _fb_accumulates(sp, (m,), x, fam))
-            for fam in ("regular_open", "gamma_open_cl")
-        }
-        for m in range(1, sp.ground.full_mask + 1)
-        for x in points
-    }
-    pairings = [p.split("+") for p in PAIRINGS]
-    classes = {}
-    for r in range(1, sp.ground.full_mask + 1):
-        for t in submasks(r):
-            if not t:
-                continue
-            found = [None] * len(PAIRINGS)
-            for x in points:
-                fb = principal[t, x]
-                net_conv, net_standard = fb["gamma_open_cl"]
-                # every index lands in each closure iff {R} converges
-                net_acc = {"standard": net_standard, "literal": principal[r, x]["gamma_open_cl"][0]}
-                for i, (fam, reading) in enumerate(pairings):
-                    if found[i] is not None:
-                        continue
-                    if fb[fam][0] != net_conv:
-                        found[i] = (x, "convergence")
-                    elif fb[fam][1] != net_acc[reading]:
-                        found[i] = (x, "accumulation")
-            classes[t, r] = tuple(found)
-    memo["bridge_classes"] = classes
-    return classes
+def _class_mismatch(fb, net, reading: str, t: int, r: int):
+    """The first point ``(x, part)`` at which the filterbase verdicts
+    (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
+    *net* of gamma-closures) disagree, or None.  By the convergence
+    module's lemma this decides every net and filterbase of the class."""
+    conv = fb.converges[t] ^ net.converges[t]
+    # every index lands in each closure iff {R} converges
+    net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
+    bad = conv | (fb.accumulates[t] ^ net_acc)
+    if not bad:
+        return None
+    x = _lowest_point(bad)
+    return x, "convergence" if conv >> x & 1 else "accumulation"
 
 
 @lru_cache(maxsize=16)
@@ -588,22 +554,26 @@ def _net_rows(ground: PointSet, max_dir_size: int) -> tuple:
     return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, max_dir_size))
 
 
-def _filterbase_witness(sp: Space, classes: dict, pairing: int) -> dict | None:
+def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
     """The first failing filterbase of ``enumerate_filterbases`` order, in
     closed form.  Bases come kernel-first, and for one kernel K the base
     {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
     in ascending order (class (K, U)); larger bases only repeat those
-    classes.  ``filterbase_to_net`` maps a base to the class (kernel, union)."""
+    classes.  When (K, K) holds, (K, U) fails only under the literal
+    reading, and exactly when the net's ``converges[U]`` differs from
+    ``converges[K]``: the first such U is K plus the lowest point whose
+    one-point extension changes it (*net_converges* is None under the
+    cofinal reading, where U never matters)."""
     full = sp.ground.full_mask
     for k in range(1, full + 1):
         members = (k,)
-        hit = classes[k, k][pairing]
-        if hit is None:
-            for u in sorted(k | s for s in submasks(full ^ k) if s):
-                if classes[k, u][pairing] is not None:
-                    members = (k, u)
-                    hit = classes[k, u][pairing]
-                    break
+        hit = mismatch(k, k)
+        if hit is None and net_converges is not None:
+            u = next((k | 1 << p for p in bits_of(full ^ k)
+                      if net_converges[k | 1 << p] != net_converges[k]), None)
+            if u is not None:
+                members = (k, u)
+                hit = mismatch(k, u)
         if hit is not None:
             x, part = hit
             return {
@@ -617,37 +587,36 @@ def _filterbase_witness(sp: Space, classes: dict, pairing: int) -> dict | None:
 def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
-    filterbase/constructed-net bridge.  Verdicts are decided per (tail,
-    range) class; witnesses are the first failing net of ``enumerate_nets``
-    and the first failing filterbase of ``enumerate_filterbases``."""
+    filterbase/constructed-net bridge.  Verdicts are mask expressions over
+    the per-subset ``principal_verdicts`` tables; witnesses are the first
+    failing net of ``enumerate_nets`` and the first failing filterbase of
+    ``enumerate_filterbases``."""
     memo = sp._memo
     key = ("bridge", max_dir_size)
     if key in memo:
         return memo[key]
-    classes = _bridge_classes(sp)
-    result = {p: {"C-P4.10": None, "C-P4.11": None} for p in PAIRINGS}
+    net_tables = principal_verdicts(sp, "gamma_open_cl")
+    mismatch = {}
+    result = {}
+    for pairing in PAIRINGS:
+        fam, reading = pairing.split("+")
+        mismatch[pairing] = partial(_class_mismatch, principal_verdicts(sp, fam), net_tables, reading)
+        literal = net_tables.converges if reading == "literal" else None
+        witness = _filterbase_witness(sp, mismatch[pairing], literal)
+        result[pairing] = {"C-P4.10": None, "C-P4.11": witness}
 
-    # nets on at most max_dir_size indices realise the classes with |R| <= max_dir_size
-    pending = [
-        i for i in range(len(PAIRINGS))
-        if any(
-            found[i] is not None
-            for (_, r), found in classes.items()
-            if r.bit_count() <= max_dir_size
-        )
-    ]
+    # a net class (T, R) is the class of the base {T, R}: a pairing with no
+    # failing filterbase has no failing net
+    pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
     if pending:
         for net, t, r in _net_rows(sp.ground, max_dir_size):
-            found = classes[t, r]
-            for i in [i for i in pending if found[i] is not None]:
-                x, part = found[i]
-                result[PAIRINGS[i]]["C-P4.10"] = _net_witness(sp, net, x, part)
-                pending.remove(i)
+            for pairing in list(pending):
+                hit = mismatch[pairing](t, r)
+                if hit is not None:
+                    result[pairing]["C-P4.10"] = _net_witness(sp, net, *hit)
+                    pending.remove(pairing)
             if not pending:
                 break
-
-    for i, pairing in enumerate(PAIRINGS):
-        result[pairing]["C-P4.11"] = _filterbase_witness(sp, classes, i)
 
     memo[key] = result
     return result

@@ -1,4 +1,4 @@
-"""The net/filterbase bridge decided by (tail, range) classes must give the
+"""The net/filterbase bridge read from per-subset tables must give the
 same verdicts and the same witnesses as enumerating every small net and
 every filterbase.  The enumeration lives here as the oracle."""
 
@@ -129,6 +129,21 @@ def test_three_point_builtin_and_pivot_spaces_match_oracle():
         statuses.add(tl.check_claim(sp, "C-P4.10").status)
     # the sample exercises witnesses, not only agreement on "holds"
     assert statuses == {"holds", "fails"}
+
+
+def test_four_point_builtin_and_pivot_sample_matches_oracle():
+    spaces = _spaces(4, "builtins,pivots")
+    assert len(spaces) == 2775
+    sample = spaces[:: len(spaces) // 10 + 1]
+    assert len(sample) == 10
+    two_member_literal = False
+    for sp in sample:
+        _assert_matches_oracle(sp)
+        for pairing in ("regular_open+literal", "gamma_open_cl+literal"):
+            witness = tl.bridge_pairings(sp)[pairing]["C-P4.11"]
+            two_member_literal |= witness is not None and len(witness["filterbase"]) == 2
+    # a base {K, U} is only reported through the one-point-extension path
+    assert two_member_literal
 
 
 def test_t413_failure_witness_matches_oracle(monkeypatch):

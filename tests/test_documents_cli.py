@@ -10,7 +10,7 @@ import pytest
 
 import gamma_top
 from gamma_top import cli, documents
-from gamma_top.finspace import PointSet, validate_topology
+from gamma_top.finspace import MAX_POINTS, PointSet, validate_topology
 from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space
 from gamma_top.gamma_sets import gamma_open_family
 
@@ -299,16 +299,19 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (one_gib, one_gib))
 
 
-def test_verify_five_point_chain_bridge_claims(tmp_path):
-    # every filterbase on 5 points (165,211 of them) no longer has to be
-    # built: the bridge claims finish quickly and in little memory
-    points = ["a", "b", "c", "d", "e"]
+@pytest.mark.parametrize("size", [5, MAX_POINTS])
+def test_verify_five_point_chain_bridge_claims(tmp_path, size):
+    # the bridge claims read per-subset tables, n * 2**n steps: neither every
+    # filterbase (165,211 on 5 points) nor every (tail, range) class (about
+    # 43 M on 16 points) is built, so a chain of MAX_POINTS points finishes
+    # quickly and in little memory
+    points = [chr(ord("a") + i) for i in range(size)]
     doc = {
         "points": points,
         "opens": [points[:k] for k in range(len(points) + 1)],
         "gamma": {"kind": "closure"},
     }
-    path = tmp_path / "chain5.json"
+    path = tmp_path / f"chain{size}.json"
     path.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
     start = time.perf_counter()

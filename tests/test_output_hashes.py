@@ -17,6 +17,9 @@ def _cases():
     sweep = ("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all")
     for threads in ("1", "2"):
         yield f"sweep3-all-t{threads}", sweep + ("--format", "machine"), threads
+    bridge = ("verify", "--enumerate", "4", "--ops", "builtins,pivots",
+              "--claims", "C-P4.10,C-P4.11,C-T4.13", "--format", "machine")
+    yield "sweep4-bridge-t1", bridge, "1"
     for command in ("verify", "analyze"):
         for name in ("example3_2", "example3_5", "example3_16", "example3_17"):
             for fmt in ("machine", "text"):
@@ -37,6 +40,7 @@ CASES = list(_cases())
 GOLDEN = {
     "sweep3-all-t1": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
     "sweep3-all-t2": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
+    "sweep4-bridge-t1": ("7c8b3f78c45d8ce2f6b3d0b988e0cb6e8bcad24d59957ce345ccdd7db4cf21d8", 0),
     "verify-example3_2-machine": ("de685ca1a40fecbe85ba1fb7681f85397d3e39ca214d5259fcdaf9a5812b06c3", 0),
     "verify-example3_2-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),
     "verify-example3_5-machine": ("c5f4ca14e73289f273128bc98de032cedf5c744ee9f9db974a688da31692c999", 0),

@@ -106,6 +106,25 @@ def test_bridge_pairings_on_examples(example3_2, example3_5):
         assert pairing_data["gamma_open_cl+standard"]["C-P4.11"] is None
 
 
+def test_p313_2_failure_reports_a_subfamily_with_that_intersection(example3_2, monkeypatch):
+    # C-P3.13-2 holds on every space: force a failure at {b}, an
+    # intersection of two members and of no fewer
+    ground = example3_2.ground
+    family = (ground.mask_of("ab"), ground.mask_of("bc"))
+    b = ground.mask_of("b")
+    table = tuple(ground.full_mask if a == b else a for a in ground.subsets())
+    monkeypatch.setattr(tl, "theta_families", lambda sp: (family, ()))
+    monkeypatch.setattr(tl, "theta_closure_table", lambda sp: table)
+    verdict = tl.check_claim(example3_2, "C-P3.13-2")
+    assert verdict.status == "fails"
+    assert verdict.witness["intersection"] == ["b"]
+    meet = ground.full_mask
+    for member in verdict.witness["subfamily"]:
+        meet &= ground.mask_of(member)
+    assert ground.labels_of(meet) == tuple(verdict.witness["intersection"])
+    assert len(verdict.witness["subfamily"]) == 2
+
+
 def test_mine_finds_the_pivot_space_witness():
     found = tl.mine(3, "pivots", "gamma_open_not_regular_open")
     assert any(
