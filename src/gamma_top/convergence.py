@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
-from .gamma_core import Space
+from .gamma_core import Space, per_space
 from .gamma_sets import _theta_env, gamma_open_family, regular_open_family
 
 
@@ -152,26 +152,23 @@ class PrincipalVerdicts:
     accumulates: tuple  # per subset M, the points at which {M} accumulates
 
 
+@per_space
 def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
     """Built once per space and test family: regular-open neighbourhoods
     (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``)."""
-    memo = sp._memo
-    key = ("principal", family)
-    if key not in memo:
-        n = sp.ground.n
-        if family == "regular_open":
-            ro = regular_open_family(sp)
-            tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
-        elif family == "gamma_open_cl":
-            tests = _theta_env(sp, False)
-        else:
-            raise ValueError(f"unknown test family {family!r}")
-        full = sp.ground.full_mask
-        # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
-        outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
-        converges = inside_table(n, outside)[::-1]
-        memo[key] = PrincipalVerdicts(tests, converges, meeting_table(n, tests))
-    return memo[key]
+    n = sp.ground.n
+    if family == "regular_open":
+        ro = regular_open_family(sp)
+        tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
+    elif family == "gamma_open_cl":
+        tests = _theta_env(sp, False)
+    else:
+        raise ValueError(f"unknown test family {family!r}")
+    full = sp.ground.full_mask
+    # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
+    outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
+    converges = inside_table(n, outside)[::-1]
+    return PrincipalVerdicts(tests, converges, meeting_table(n, tests))
 
 
 def _fb_converges(sp: Space, members, xi: int, family: str) -> bool:
@@ -432,7 +429,8 @@ def enumerate_nets(ground: PointSet, max_size: int = 3):
 
 @dataclass(frozen=True)
 class GammaClosedConditions:
-    """Independent verdicts for the five cover/accumulation conditions."""
+    """Verdicts for the five cover/accumulation conditions.  Condition (3)
+    is the contrapositive of (2), so the two always agree."""
 
     gamma_open_covers: bool
     closed_families_shrink: bool
@@ -489,13 +487,15 @@ def _gamma_closed_family(sp: Space, closedness: str) -> tuple[int, ...]:
     raise ValueError(f"unknown closedness mode {closedness!r}")
 
 
+@per_space
 def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaClosedConditions:
-    """Decide the five conditions independently.
+    """Decide the five conditions, once per space and closedness mode.
 
     (1) every gamma-open cover has a subfamily whose gamma-closures cover;
     (2) every gamma-closed family with empty intersection has a subfamily
         with empty intersection of gamma-interiors;
-    (3) the contrapositive of (2);
+    (3) the contrapositive of (2), reported with the verdict and the
+        witness of (2): a statement and its contrapositive are equivalent;
     (4) every filterbase accumulates somewhere (one representative per
         generated filter);
     (5) every maximal filterbase converges somewhere.
@@ -503,16 +503,7 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
     Inner existentials over subfamilies collapse to the full subfamily by
     monotonicity, which is what the reachable-value scans exploit; outer
     universals range over all subfamilies via their folded values.
-    Decided once per space and closedness mode.
     """
-    memo = sp._memo
-    key = ("gamma_closed_conditions", closedness)
-    if key not in memo:
-        memo[key] = _decide_conditions(sp, closedness)
-    return memo[key]
-
-
-def _decide_conditions(sp: Space, closedness: str) -> GammaClosedConditions:
     full = sp.ground.full_mask
     ground = sp.ground
     witnesses = {}
@@ -540,20 +531,14 @@ def _decide_conditions(sp: Space, closedness: str) -> GammaClosedConditions:
         lambda cur, it: (cur[0] & it[0], cur[1] & it[1]),
     )
     cond2 = True
-    cond3 = True
     for inter, int_inter in order2:
-        if inter == 0 and int_inter != 0 and cond2:
+        if inter == 0 and int_inter != 0:
             cond2 = False
             idxs = _rebuild_subfamily(seen2, (inter, int_inter))
-            witnesses["closed_families_shrink"] = {
+            witnesses["closed_families_shrink"] = witnesses["closed_families_contrapositive"] = {
                 "family": [ground.labels_of(closed[i]) for i in idxs]
             }
-        if int_inter != 0 and inter == 0 and cond3:
-            cond3 = False
-            idxs = _rebuild_subfamily(seen2, (inter, int_inter))
-            witnesses["closed_families_contrapositive"] = {
-                "family": [ground.labels_of(closed[i]) for i in idxs]
-            }
+            break
 
     principal = principal_verdicts(sp, "regular_open")
     cond4 = True
@@ -570,4 +555,4 @@ def _decide_conditions(sp: Space, closedness: str) -> GammaClosedConditions:
             witnesses["maximal_filterbases_converge"] = {"point": ground.labels[p]}
             break
 
-    return GammaClosedConditions(cond1, cond2, cond3, cond4, cond5, witnesses)
+    return GammaClosedConditions(cond1, cond2, cond2, cond4, cond5, witnesses)

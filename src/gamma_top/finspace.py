@@ -9,7 +9,7 @@ listing is reproducible run to run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 MAX_POINTS = 16
@@ -198,16 +198,20 @@ class Topology:
 
     ground: PointSet
     opens: frozenset[int]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def opens_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens))
 
     @cached_property
-    def closed_sorted(self) -> tuple[int, ...]:
+    def minimal_nbds(self) -> tuple[int, ...]:
+        """Per point x, its smallest open neighbourhood U_x."""
         full = self.ground.full_mask
-        return tuple(sorted(full ^ u for u in self.opens))
+        nbds = [full] * self.ground.n
+        for u in self.opens:
+            for x in bits_of(u):
+                nbds[x] &= u
+        return tuple(nbds)
 
     def is_open(self, mask: int) -> bool:
         return mask in self.opens
@@ -235,31 +239,23 @@ def validate_topology(ground: PointSet, family) -> Topology:
 
 
 def interior(top: Topology, a: int) -> int:
-    """Largest open subset of *a*: the union of all opens inside it."""
+    """Largest open subset of *a*: the points x whose U_x lies inside it."""
     top.ground.check_mask(a)
-    memo = top._memo
-    key = ("int", a)
-    if key not in memo:
-        result = 0
-        for u in top.opens_sorted:
-            if u & ~a == 0:
-                result |= u
-        memo[key] = result
-    return memo[key]
+    result = 0
+    for x, u in enumerate(top.minimal_nbds):
+        if u & ~a == 0:
+            result |= 1 << x
+    return result
 
 
 def closure(top: Topology, a: int) -> int:
-    """Smallest closed superset of *a*: the intersection of closed supersets."""
+    """Smallest closed superset of *a*: the points x whose U_x meets it."""
     top.ground.check_mask(a)
-    memo = top._memo
-    key = ("cl", a)
-    if key not in memo:
-        result = top.ground.full_mask
-        for c in top.closed_sorted:
-            if a & ~c == 0:
-                result &= c
-        memo[key] = result
-    return memo[key]
+    result = 0
+    for x, u in enumerate(top.minimal_nbds):
+        if u & a:
+            result |= 1 << x
+    return result
 
 
 def open_nbds(top: Topology, x: str) -> list[int]:

@@ -21,6 +21,8 @@ operators is therefore a checked property, not an implementation shortcut.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from .finspace import (
@@ -177,57 +179,71 @@ def gamma_closure(sp: Space, a: int) -> int:
     return sp.cl_g[a]
 
 
+def per_space(fn):
+    """Decorate ``fn(sp, *args)`` to run once per space and argument tuple.
+
+    The value is kept in the space's memo under the decorated function and
+    its arguments, defaults filled in, so ``f(sp)`` and ``f(sp, default)``
+    read one entry.  This is the only code that reads or writes the memo.
+    """
+    signature = inspect.signature(fn)
+    defaults = tuple(p.default for p in signature.parameters.values())[1:]
+
+    @functools.wraps(fn)
+    def once_per_args(sp, *args, **kwargs):
+        if kwargs:
+            bound = signature.bind(sp, *args, **kwargs)
+            bound.apply_defaults()
+            key = (once_per_args,) + tuple(bound.arguments.values())[1:]
+        else:
+            # a missing argument without a default keys on Parameter.empty,
+            # and the call below raises before anything is stored
+            key = (once_per_args,) + args + defaults[len(args):]
+        memo = sp._memo
+        if key not in memo:
+            memo[key] = fn(sp, *args, **kwargs)
+        return memo[key]
+
+    return once_per_args
+
+
+@per_space
 def gamma_open_family(sp: Space) -> tuple[int, ...]:
     """All fixed points of gamma_interior, ascending."""
-    memo = sp._memo
-    if "gopen" not in memo:
-        memo["gopen"] = tuple(m for m, gi in enumerate(sp.int_g) if gi == m)
-    return memo["gopen"]
+    return tuple(m for m, gi in enumerate(sp.int_g) if gi == m)
 
 
+@per_space
 def is_regular_operation(sp: Space) -> bool:
     """True iff any two neighbourhood values are refined by a third:
     for every x and opens U, V at x there is an open W at x with
     value(W) inside value(U) & value(V)."""
-    memo = sp._memo
-    if "regular" not in memo:
-        opens = sp.top.opens_sorted
-        values = sp._values
-        result = True
-        for i in range(sp.ground.n):
-            bit = 1 << i
-            at_x = [u for u in opens if u & bit]
-            for u, v in itertools.product(at_x, repeat=2):
-                cap = values[u] & values[v]
-                if not any(values[w] & ~cap == 0 for w in at_x):
-                    result = False
-                    break
-            if not result:
-                break
-        memo["regular"] = result
-    return memo["regular"]
+    opens = sp.top.opens_sorted
+    values = sp._values
+    for i in range(sp.ground.n):
+        bit = 1 << i
+        at_x = [u for u in opens if u & bit]
+        for u, v in itertools.product(at_x, repeat=2):
+            cap = values[u] & values[v]
+            if not any(values[w] & ~cap == 0 for w in at_x):
+                return False
+    return True
 
 
+@per_space
 def is_open_operation(sp: Space) -> bool:
     """True iff every neighbourhood value contains a gamma-open
     neighbourhood of the point."""
-    memo = sp._memo
-    if "open_op" not in memo:
-        family = gamma_open_family(sp)
-        result = True
-        for i in range(sp.ground.n):
-            bit = 1 << i
-            for u in sp.top.opens_sorted:
-                if not u & bit:
-                    continue
-                value = sp._values[u]
-                if not any(b & bit and b & ~value == 0 for b in family):
-                    result = False
-                    break
-            if not result:
-                break
-        memo["open_op"] = result
-    return memo["open_op"]
+    family = gamma_open_family(sp)
+    for i in range(sp.ground.n):
+        bit = 1 << i
+        for u in sp.top.opens_sorted:
+            if not u & bit:
+                continue
+            value = sp._values[u]
+            if not any(b & bit and b & ~value == 0 for b in family):
+                return False
+    return True
 
 
 def enumerate_gamma_operations(top: Topology, mode: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finspace import bits_of, interior, meeting_table
-from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family
+from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family, per_space
 
 FLAG_NAMES = (
     "open_tau",
@@ -48,12 +48,10 @@ def is_gamma_regular_closed(sp: Space, a: int) -> bool:
     return sp.cl_g[gamma_interior(sp, a)] == a
 
 
+@per_space
 def regular_open_family(sp: Space) -> tuple[int, ...]:
-    memo = sp._memo
-    if "regopen" not in memo:
-        ig = sp.int_g
-        memo["regopen"] = tuple(m for m, c in enumerate(sp.cl_g) if ig[c] == m)
-    return memo["regopen"]
+    ig = sp.int_g
+    return tuple(m for m, c in enumerate(sp.cl_g) if ig[c] == m)
 
 
 def is_gamma_clopen(sp: Space, a: int) -> bool:
@@ -61,36 +59,26 @@ def is_gamma_clopen(sp: Space, a: int) -> bool:
     return gamma_interior(sp, a) == a and gamma_closure(sp, a) == a
 
 
+@per_space
 def is_extremally_disconnected(sp: Space) -> bool:
     """True iff the gamma-closure of every gamma-open set is gamma-open."""
-    memo = sp._memo
-    if "extdisc" not in memo:
-        ig, cg = sp.int_g, sp.cl_g
-        memo["extdisc"] = all(ig[cg[u]] == cg[u] for u in gamma_open_family(sp))
-    return memo["extdisc"]
+    ig, cg = sp.int_g, sp.cl_g
+    return all(ig[cg[u]] == cg[u] for u in gamma_open_family(sp))
 
 
+@per_space
 def _theta_env(sp: Space, use_tau_opens: bool):
     """Per point, the gamma-closures of its test-family neighbourhoods."""
-    memo = sp._memo
-    key = ("theta_env", use_tau_opens)
-    if key not in memo:
-        family = sp.top.opens_sorted if use_tau_opens else gamma_open_family(sp)
-        cg = sp.cl_g
-        memo[key] = tuple(
-            tuple(cg[u] for u in family if u >> i & 1) for i in range(sp.ground.n)
-        )
-    return memo[key]
+    family = sp.top.opens_sorted if use_tau_opens else gamma_open_family(sp)
+    cg = sp.cl_g
+    return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(sp.ground.n))
 
 
+@per_space
 def theta_closure_table(sp: Space, use_tau_opens: bool = False) -> tuple[int, ...]:
     """``gamma_theta_closure`` over every subset, indexed by mask; built on
     first use, once per test family."""
-    memo = sp._memo
-    key = ("theta_table", use_tau_opens)
-    if key not in memo:
-        memo[key] = meeting_table(sp.ground.n, _theta_env(sp, use_tau_opens))
-    return memo[key]
+    return meeting_table(sp.ground.n, _theta_env(sp, use_tau_opens))
 
 
 def gamma_theta_closure(sp: Space, a: int, *, use_tau_opens: bool = False) -> int:
@@ -101,19 +89,16 @@ def gamma_theta_closure(sp: Space, a: int, *, use_tau_opens: bool = False) -> in
     return theta_closure_table(sp, use_tau_opens)[a]
 
 
+@per_space
 def theta_families(sp: Space, *, use_tau_opens: bool = False):
     """(theta_closed, theta_open): fixed points of the theta closure and
     their complements, both ascending."""
-    memo = sp._memo
-    key = ("theta_families", use_tau_opens)
-    if key not in memo:
-        full = sp.ground.full_mask
-        table = theta_closure_table(sp, use_tau_opens)
-        closed = tuple(m for m, t in enumerate(table) if t == m)
-        # complements of an ascending family, ascending
-        opened = tuple(full ^ m for m in reversed(closed))
-        memo[key] = (closed, opened)
-    return memo[key]
+    full = sp.ground.full_mask
+    table = theta_closure_table(sp, use_tau_opens)
+    closed = tuple(m for m, t in enumerate(table) if t == m)
+    # complements of an ascending family, ascending
+    opened = tuple(full ^ m for m in reversed(closed))
+    return closed, opened
 
 
 def is_theta_open(sp: Space, a: int) -> bool:

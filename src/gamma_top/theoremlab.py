@@ -23,7 +23,6 @@ from .finspace import (
     SizeTooLarge,
     bits_of,
     enumerate_topologies,
-    submasks,
     validate_topology,
 )
 from .gamma_core import (
@@ -32,6 +31,7 @@ from .gamma_core import (
     is_open_operation,
     is_regular_operation,
     operations_for,
+    per_space,
 )
 from .gamma_sets import (
     gamma_open_family,
@@ -131,16 +131,14 @@ def _ground(points: tuple[str, ...]) -> PointSet:
     return PointSet(points)
 
 
+@per_space
 def space_key(sp: Space) -> SpaceKey:
-    memo = sp._memo
-    if "space_key" not in memo:
-        memo["space_key"] = SpaceKey(
-            points=sp.ground.labels,
-            opens=sp.top.opens_sorted,
-            gamma_kind=sp.gamma.kind,
-            gamma_values=sp.extension,
-        )
-    return memo["space_key"]
+    return SpaceKey(
+        points=sp.ground.labels,
+        opens=sp.top.opens_sorted,
+        gamma_kind=sp.gamma.kind,
+        gamma_values=sp.extension,
+    )
 
 
 def rebuild_space(key: SpaceKey) -> Space:
@@ -200,6 +198,25 @@ def _lowest_point(mask: int) -> int:
 def _separating(sp: Space, has, lacks):
     """The subsets with property *has* and without *lacks*, ascending."""
     return (a for a in sp.ground.subsets() if has(sp, a) and not lacks(sp, a))
+
+
+def _monotonicity_break(table, start: int = 0):
+    """The first pair (A, A + {i}) with ``table[A]`` not inside
+    ``table[A + {i}]``, in ascending A from *start*, then ascending i; None
+    when there is none.  Checking these covering pairs, n * 2**(n-1) of
+    them, decides monotonicity: a chain of one-point steps leads from any A
+    to any superset B, and inclusion is transitive along it.  Every set on
+    that chain contains A, so with *start* = 1 it decides monotonicity
+    over the non-empty subsets.  (A point i already in A gives
+    A + {i} = A, a step that cannot break.)"""
+    size = len(table)
+    bits = [1 << i for i in range(size.bit_length() - 1)]
+    for a in range(start, size):
+        ta = table[a]
+        for bit in bits:
+            if ta & ~table[a | bit]:
+                return a, a | bit
+    return None
 
 
 def _implication(sp: Space, premise, conclusion):
@@ -328,11 +345,10 @@ def _check_c310(sp: Space):
 
 @_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
 def _check_p313_1(sp: Space):
-    theta = theta_closure_table(sp)
-    for b, tb in enumerate(theta):
-        for a in submasks(b):
-            if theta[a] & ~tb:
-                return "fails", {"subset": _labels(sp, a), "superset": _labels(sp, b)}, {}
+    pair = _monotonicity_break(theta_closure_table(sp))
+    if pair is not None:
+        a, b = pair
+        return "fails", {"subset": _labels(sp, a), "superset": _labels(sp, b)}, {}
     return "holds", None, {}
 
 
@@ -454,21 +470,18 @@ def _check_t43(sp: Space):
 @_claim("C-T4.4", "safe", (),
         "accumulation passes from a subordinate filterbase to the coarser one")
 def _check_t44(sp: Space):
-    full = sp.ground.full_mask
     acc = principal_verdicts(sp, "regular_open").accumulates
-    for coarse in range(1, full + 1):
-        # subordinate representatives have non-empty kernels inside coarse
-        for fine in submasks(coarse):
-            if not fine:
-                continue
-            # the points where the fine base accumulates and the coarse one does not
-            lost = acc[fine] & ~acc[coarse]
-            if lost:
-                return "fails", {
-                    "coarse": [_labels(sp, coarse)],
-                    "fine": [_labels(sp, fine)],
-                    "point": sp.ground.labels[_lowest_point(lost)],
-                }, {}
+    # subordinate representatives have non-empty kernels inside the coarse one
+    pair = _monotonicity_break(acc, start=1)
+    if pair is not None:
+        fine, coarse = pair
+        # the points where the fine base accumulates and the coarse one does not
+        lost = acc[fine] & ~acc[coarse]
+        return "fails", {
+            "coarse": [_labels(sp, coarse)],
+            "fine": [_labels(sp, fine)],
+            "point": sp.ground.labels[_lowest_point(lost)],
+        }, {}
     return "holds", None, {}
 
 
@@ -584,6 +597,7 @@ def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
     return None
 
 
+@per_space
 def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
@@ -591,10 +605,6 @@ def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     the per-subset ``principal_verdicts`` tables; witnesses are the first
     failing net of ``enumerate_nets`` and the first failing filterbase of
     ``enumerate_filterbases``."""
-    memo = sp._memo
-    key = ("bridge", max_dir_size)
-    if key in memo:
-        return memo[key]
     net_tables = principal_verdicts(sp, "gamma_open_cl")
     mismatch = {}
     result = {}
@@ -617,8 +627,6 @@ def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
                     pending.remove(pairing)
             if not pending:
                 break
-
-    memo[key] = result
     return result
 
 
@@ -838,15 +846,11 @@ def check_invariants(sp: Space) -> list:
             hit("cl_gamma_extensive", subset=_labels(sp, a))
         if a & ~theta[a]:
             hit("thetacl_extensive", subset=_labels(sp, a))
-    for b in sp.ground.subsets():
-        ib, cb, tb = ig[b], cg[b], theta[b]
-        for a in submasks(b):
-            if ig[a] & ~ib:
-                hit("int_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
-            if cg[a] & ~cb:
-                hit("cl_gamma_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
-            if theta[a] & ~tb:
-                hit("thetacl_monotone", subset=_labels(sp, a), superset=_labels(sp, b))
+    for name, table in (("int_gamma_monotone", ig), ("cl_gamma_monotone", cg),
+                        ("thetacl_monotone", theta)):
+        pair = _monotonicity_break(table)
+        if pair is not None:
+            hit(name, subset=_labels(sp, pair[0]), superset=_labels(sp, pair[1]))
     gopen = set(gamma_open_family(sp))
     for a in regular_open_family(sp):
         if a not in gopen:

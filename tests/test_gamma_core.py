@@ -1,5 +1,7 @@
 import pytest
 
+from gamma_top import documents
+from gamma_top.convergence import gamma_closed_space_conditions
 from gamma_top.finspace import PointSet, closure, interior, validate_topology
 from gamma_top.gamma_core import (
     GammaError,
@@ -16,7 +18,10 @@ from gamma_top.gamma_core import (
     is_open_operation,
     is_regular_operation,
     operations_for,
+    per_space,
 )
+from gamma_top.gamma_sets import theta_closure_table, theta_families
+from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -155,3 +160,35 @@ def test_pivot_branches_follow_membership(example3_17):
     # pivot b with in=cl, out=id over the six-open topology
     assert apply_gamma(example3_17, m("ab")) == m("abc")  # b inside: closure
     assert apply_gamma(example3_17, m("ac")) == m("ac")  # b outside: identity
+
+
+def test_per_space_runs_once_per_space_and_arguments():
+    calls = []
+
+    @per_space
+    def family(sp):
+        calls.append(("family", sp))
+        return object()
+
+    @per_space
+    def table(sp, mode="dual", *, scale=1):
+        calls.append((mode, scale))
+        return object()
+
+    first, second = documents.load_bundled("example3_2"), documents.load_bundled("example3_5")
+    assert family(first) is family(first) is not family(second)
+    # a defaulted argument, passed or not, positionally or by name, reads one entry
+    value = table(first)
+    assert table(first, "dual") is table(first, mode="dual", scale=1) is value
+    assert table(first, "cl") is table(first, "cl") is not value
+    assert table(first, scale=2) is not value and table(second) is not value
+    assert calls == [("family", first), ("family", second), ("dual", 1), ("cl", 1),
+                     ("dual", 2), ("dual", 1)]
+
+
+def test_memoised_values_ignore_explicit_defaults():
+    sp = documents.load_bundled("example3_5")
+    assert theta_closure_table(sp) is theta_closure_table(sp, False)
+    assert theta_families(sp) is theta_families(sp, use_tau_opens=False)
+    assert bridge_pairings(sp) is bridge_pairings(sp, NET_SIZE_CAP)
+    assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp, "dual")

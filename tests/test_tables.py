@@ -8,7 +8,7 @@ from test_properties import spaces
 
 from gamma_top import theoremlab as tl
 from gamma_top.convergence import _fb_accumulates, _fb_converges
-from gamma_top.finspace import PointSet, open_nbds, validate_topology
+from gamma_top.finspace import PointSet, closure, interior, open_nbds, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space, apply_gamma, gamma_closure, gamma_interior
 from gamma_top.gamma_sets import gamma_theta_closure
 
@@ -29,6 +29,23 @@ class Oracle:
         subsets = range(sp.ground.full_mask + 1)
         self.gamma_open = [a for a in subsets if self.int_g(a) == a]
         self.regular_open = [a for a in subsets if self.int_g(self.cl_g(a)) == a]
+
+    def interior(self, a):
+        """The union of the opens inside a."""
+        out = 0
+        for u in self.sp.top.opens_sorted:
+            if u & ~a == 0:
+                out |= u
+        return out
+
+    def closure(self, a):
+        """The meet of the closed sets containing a."""
+        full = self.sp.ground.full_mask
+        out = full
+        for u in self.sp.top.opens_sorted:
+            if a & u == 0:
+                out &= full ^ u
+        return out
 
     def int_g(self, a):
         """Points of a with some neighbourhood value inside a."""
@@ -68,6 +85,7 @@ def assert_tables_match(sp, masks=None):
     oracle = Oracle(sp)
     masks = sp.ground.subsets() if masks is None else masks
     for a in masks:
+        assert (interior(sp.top, a), closure(sp.top, a)) == (oracle.interior(a), oracle.closure(a)), a
         assert sp.int_g[a] == gamma_interior(sp, a) == oracle.int_g(a), a
         assert sp.cl_g[a] == gamma_closure(sp, a) == oracle.cl_g(a), a
         for mode in (False, True):

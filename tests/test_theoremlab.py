@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from gamma_top.finspace import PointSet, SizeTooLarge, validate_topology
@@ -123,6 +125,32 @@ def test_p313_2_failure_reports_a_subfamily_with_that_intersection(example3_2, m
         meet &= ground.mask_of(member)
     assert ground.labels_of(meet) == tuple(verdict.witness["intersection"])
     assert len(verdict.witness["subfamily"]) == 2
+
+
+def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example3_2, monkeypatch):
+    # every real table is monotone: force a break at {a,b}, whose value
+    # {a} no longer contains the value {b} of its subset {b}
+    ground = example3_2.ground
+    table = tuple(ground.mask_of("a") if a == ground.mask_of("ab") else a for a in ground.subsets())
+
+    def breaks(subset, superset):
+        small, big = ground.mask_of(subset), ground.mask_of(superset)
+        assert small & ~big == 0 and (big ^ small).bit_count() == 1
+        return table[small] & ~table[big]
+
+    monkeypatch.setattr(tl, "theta_closure_table", lambda sp: table)
+    monkeypatch.setattr(tl, "principal_verdicts", lambda sp, family: SimpleNamespace(accumulates=table))
+    verdict = tl.check_claim(example3_2, "C-P3.13-1")
+    assert verdict.status == "fails"
+    assert verdict.witness == {"subset": ["b"], "superset": ["a", "b"]}
+    assert breaks(*verdict.witness.values())
+    verdict = tl.check_claim(example3_2, "C-T4.4")
+    assert verdict.status == "fails"
+    (fine,), (coarse,) = verdict.witness["fine"], verdict.witness["coarse"]
+    assert breaks(fine, coarse) >> ground.index(verdict.witness["point"]) & 1
+    monotone = [v for v in tl.check_invariants(example3_2) if v["invariant"] == "thetacl_monotone"]
+    assert monotone == [{"invariant": "thetacl_monotone",
+                         "witness": {"subset": ["b"], "superset": ["a", "b"]}}]
 
 
 def test_mine_finds_the_pivot_space_witness():
