@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import and_
+from operator import and_, or_
 
 from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
 from .gamma_core import Space, per_space
@@ -452,32 +452,6 @@ class GammaClosedConditions:
         return all(self.as_tuple())
 
 
-def _reachable(members, seed, combine):
-    """All values taken by folding *combine* over subfamilies, with enough
-    parent links to rebuild a witness subfamily for any value."""
-    seen = {seed: None}
-    order = [seed]
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for idx, item in enumerate(members):
-            new = combine(cur, item)
-            if new not in seen:
-                seen[new] = (cur, idx)
-                order.append(new)
-    return seen, order
-
-
-def _rebuild_subfamily(seen, value):
-    idxs = set()
-    while seen[value] is not None:
-        prev, idx = seen[value]
-        idxs.add(idx)
-        value = prev
-    return sorted(idxs)
-
-
 def _gamma_closed_family(sp: Space, closedness: str) -> tuple[int, ...]:
     full = sp.ground.full_mask
     if closedness == "dual":
@@ -500,43 +474,36 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
         generated filter);
     (5) every maximal filterbase converges somewhere.
 
-    Inner existentials over subfamilies collapse to the full subfamily by
-    monotonicity, which is what the reachable-value scans exploit; outer
-    universals range over all subfamilies via their folded values.
+    (1) and (2) are decided per point y from the operator tables, in
+    n * |family| steps.  (1) fails at y iff some gamma-open cover has
+    closures that all miss y.  Every such cover lies inside the family of
+    gamma-open sets whose cl_g misses y, so (1) fails iff that family
+    covers, and it is the witness.  Likewise (2) fails at y iff the
+    closed sets whose int_g holds y have empty intersection.  Neither
+    ever fails: cl_g is extensive, so that family never holds y, and
+    int_g is contractive, so y lies in every one of those closed sets.
     """
     full = sp.ground.full_mask
     ground = sp.ground
     witnesses = {}
 
     fam = gamma_open_family(sp)
-    cl_of = [sp.cl_g[v] for v in fam]
-    seen, order = _reachable(
-        list(zip(fam, cl_of)), (0, 0), lambda cur, it: (cur[0] | it[0], cur[1] | it[1])
-    )
     cond1 = True
-    for union, cl_union in order:
-        if union == full and cl_union != full:
+    for y in range(ground.n):
+        cover = [u for u in fam if not sp.cl_g[u] >> y & 1]
+        if reduce(or_, cover, 0) == full:
             cond1 = False
-            idxs = _rebuild_subfamily(seen, (union, cl_union))
-            witnesses["gamma_open_covers"] = {
-                "cover": [ground.labels_of(fam[i]) for i in idxs]
-            }
+            witnesses["gamma_open_covers"] = {"cover": [ground.labels_of(u) for u in cover]}
             break
 
     closed = _gamma_closed_family(sp, closedness)
-    int_of = [sp.int_g[a] for a in closed]
-    seen2, order2 = _reachable(
-        list(zip(closed, int_of)),
-        (full, full),
-        lambda cur, it: (cur[0] & it[0], cur[1] & it[1]),
-    )
     cond2 = True
-    for inter, int_inter in order2:
-        if inter == 0 and int_inter != 0:
+    for y in range(ground.n):
+        family = [a for a in closed if sp.int_g[a] >> y & 1]
+        if reduce(and_, family, full) == 0:
             cond2 = False
-            idxs = _rebuild_subfamily(seen2, (inter, int_inter))
             witnesses["closed_families_shrink"] = witnesses["closed_families_contrapositive"] = {
-                "family": [ground.labels_of(closed[i]) for i in idxs]
+                "family": [ground.labels_of(a) for a in family]
             }
             break
 

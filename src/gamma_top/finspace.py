@@ -123,6 +123,18 @@ def meeting_table(n: int, sets_at) -> tuple[int, ...]:
     return tuple(full ^ m for m in miss)
 
 
+def meet_above_table(n: int, family) -> tuple[int, ...]:
+    """Per subset V of an n-point ground set, the meet of the members of
+    *family* that contain V (the whole set when none does).
+
+    x is missing from that meet iff some member C above V misses x, i.e.
+    the complement of C, a set owned by x, lies inside the complement of
+    V: one ``inside_table`` pass over the complements, read backwards."""
+    full = (1 << n) - 1
+    outside = [[full ^ c for c in family if not c >> x & 1] for x in range(n)]
+    return tuple(full ^ m for m in reversed(inside_table(n, outside)))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered ground set of distinctly labelled points."""
@@ -220,8 +232,13 @@ class Topology:
 def validate_topology(ground: PointSet, family) -> Topology:
     """Check the finite topology axioms and return the validated Topology.
 
-    Pairwise closure under union and intersection suffices: on a finite
-    family, arbitrary unions reduce to iterated pairwise ones.
+    With U_x the meet of the members at x, a family holding {} and the
+    whole set is a topology iff every u | U_x is a member (u = {} gives
+    U_x itself): n * |family| look-ups.  Necessity is plain.  Conversely
+    every member v is the union of the U_x for x in v, so u | v is reached
+    from u by adding one U_x at a time, and u & v is the union of the U_x
+    for x in u & v, reached the same way from {}.  Only a rejected family
+    is scanned pairwise, so the error names the first failing pair.
     """
     opens = set()
     for mask in family:
@@ -229,13 +246,15 @@ def validate_topology(ground: PointSet, family) -> Topology:
         opens.add(mask)
     if 0 not in opens or ground.full_mask not in opens:
         raise MissingEmptyOrWhole("topology must contain the empty set and the whole set")
-    members = sorted(opens)
-    for a, b in itertools.combinations(members, 2):
-        if a | b not in opens:
-            raise NotClosedUnderUnion(ground, a, b)
-        if a & b not in opens:
-            raise NotClosedUnderIntersection(ground, a, b)
-    return Topology(ground, frozenset(opens))
+    top = Topology(ground, frozenset(opens))
+    nbds = top.minimal_nbds
+    if not all(u | nbd in opens for u in opens for nbd in nbds):
+        for a, b in itertools.combinations(sorted(opens), 2):
+            if a | b not in opens:
+                raise NotClosedUnderUnion(ground, a, b)
+            if a & b not in opens:
+                raise NotClosedUnderIntersection(ground, a, b)
+    return top
 
 
 def interior(top: Topology, a: int) -> int:

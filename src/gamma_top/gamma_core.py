@@ -217,33 +217,34 @@ def gamma_open_family(sp: Space) -> tuple[int, ...]:
 def is_regular_operation(sp: Space) -> bool:
     """True iff any two neighbourhood values are refined by a third:
     for every x and opens U, V at x there is an open W at x with
-    value(W) inside value(U) & value(V)."""
-    opens = sp.top.opens_sorted
+    value(W) inside value(U) & value(V).
+
+    On finitely many values that holds iff one value at x lies inside all
+    of them, i.e. inside their meet K_x (fold the refinement over the
+    values; the converse is plain), i.e. iff x is in int_g(K_x): the
+    finite-directedness fact of the ``convergence`` lemma, in
+    n * |opens| steps."""
     values = sp._values
-    for i in range(sp.ground.n):
-        bit = 1 << i
-        at_x = [u for u in opens if u & bit]
-        for u, v in itertools.product(at_x, repeat=2):
-            cap = values[u] & values[v]
-            if not any(values[w] & ~cap == 0 for w in at_x):
-                return False
+    for x in range(sp.ground.n):
+        kernel = sp.ground.full_mask
+        for u in sp.top.opens_sorted:
+            if u >> x & 1:
+                kernel &= values[u]
+        if not sp.int_g[kernel] >> x & 1:
+            return False
     return True
 
 
 @per_space
 def is_open_operation(sp: Space) -> bool:
     """True iff every neighbourhood value contains a gamma-open
-    neighbourhood of the point."""
+    neighbourhood of the point: with ``owns[A]`` the points owning a
+    gamma-open neighbourhood inside A (one ``inside_table`` pass), every
+    open u must lie inside ``owns[value(u)]``."""
+    n = sp.ground.n
     family = gamma_open_family(sp)
-    for i in range(sp.ground.n):
-        bit = 1 << i
-        for u in sp.top.opens_sorted:
-            if not u & bit:
-                continue
-            value = sp._values[u]
-            if not any(b & bit and b & ~value == 0 for b in family):
-                return False
-    return True
+    owns = inside_table(n, [[b for b in family if b >> x & 1] for x in range(n)])
+    return all(u & ~owns[value] == 0 for u, value in sp._values.items())
 
 
 def enumerate_gamma_operations(top: Topology, mode: str):

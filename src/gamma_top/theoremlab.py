@@ -23,6 +23,8 @@ from .finspace import (
     SizeTooLarge,
     bits_of,
     enumerate_topologies,
+    inside_table,
+    meet_above_table,
     validate_topology,
 )
 from .gamma_core import (
@@ -45,8 +47,6 @@ from .gamma_sets import (
     theta_families,
 )
 from .convergence import (
-    _reachable,
-    _rebuild_subfamily,
     enumerate_nets,
     gamma_closed_space_conditions,
     net_tail_range,
@@ -354,15 +354,18 @@ def _check_p313_1(sp: Space):
 
 @_claim("C-P3.13-2", "safe", (), "intersections of theta-closed families are theta-closed")
 def _check_p313_2(sp: Space):
+    """V is the intersection of a subfamily iff it is the meet of all the
+    members above V (any subfamily meeting to V lies above it), so the
+    intersections are the fixed points of ``meet_above_table``.  The
+    witness subfamily is the members above V."""
     closed, _ = theta_families(sp)
-    # every subfamily intersection arises by folding one member at a time
-    seen, _ = _reachable(closed, sp.ground.full_mask, int.__and__)
+    meet = meet_above_table(sp.ground.n, closed)
     theta = theta_closure_table(sp)
-    for value in sorted(seen):
-        if theta[value] != value:
+    for v, m in enumerate(meet):
+        if m == v and theta[v] != v:
             return "fails", {
-                "intersection": _labels(sp, value),
-                "subfamily": [_labels(sp, closed[i]) for i in _rebuild_subfamily(seen, value)],
+                "intersection": _labels(sp, v),
+                "subfamily": [_labels(sp, c) for c in closed if v & ~c == 0],
             }, {}
     return "holds", None, {}
 
@@ -370,59 +373,50 @@ def _check_p313_2(sp: Space):
 @_claim("C-T3.14", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta closure equals the meet of theta-closed supersets and of regular-open supersets")
 def _check_t314(sp: Space):
-    full = sp.ground.full_mask
-    closed, _ = theta_families(sp)
-    ro = regular_open_family(sp)
+    """Both meets, for every subset, come from one ``meet_above_table``
+    pass per family."""
+    n = sp.ground.n
+    meets = (
+        ("theta_closed_supersets", meet_above_table(n, theta_families(sp)[0])),
+        ("regular_open_supersets", meet_above_table(n, regular_open_family(sp))),
+    )
     for a, t in enumerate(theta_closure_table(sp)):
-        meet_closed = full
-        for v in closed:
-            if a & ~v == 0:
-                meet_closed &= v
-        if t != meet_closed:
-            return "fails", {
-                "subset": _labels(sp, a),
-                "part": "theta_closed_supersets",
-                "theta_closure": _labels(sp, t),
-                "meet": _labels(sp, meet_closed),
-            }, {}
-        meet_ro = full
-        for v in ro:
-            if a & ~v == 0:
-                meet_ro &= v
-        if t != meet_ro:
-            return "fails", {
-                "subset": _labels(sp, a),
-                "part": "regular_open_supersets",
-                "theta_closure": _labels(sp, t),
-                "meet": _labels(sp, meet_ro),
-            }, {}
+        for part, meet in meets:
+            if t != meet[a]:
+                return "fails", {
+                    "subset": _labels(sp, a),
+                    "part": part,
+                    "theta_closure": _labels(sp, t),
+                    "meet": _labels(sp, meet[a]),
+                }, {}
     return "holds", None, {}
 
 
 @_claim("C-T3.15-A", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta-closure membership tests against regular-open neighbourhoods")
 def _check_t315a(sp: Space):
-    ro = regular_open_family(sp)
+    """The points all of whose regular-open neighbourhoods meet A are
+    ``principal_verdicts(sp, "regular_open").accumulates[A]``; the first
+    failing point is the lowest bit of the difference."""
+    acc = principal_verdicts(sp, "regular_open").accumulates
     for a, t in enumerate(theta_closure_table(sp)):
-        for i in range(sp.ground.n):
-            bit = 1 << i
-            rhs = all(v & a for v in ro if v & bit)
-            if bool(t & bit) != rhs:
-                return "fails", {"subset": _labels(sp, a), "point": sp.ground.labels[i]}, {}
+        bad = t ^ acc[a]
+        if bad:
+            point = sp.ground.labels[_lowest_point(bad)]
+            return "fails", {"subset": _labels(sp, a), "point": point}, {}
     return "holds", None, {}
 
 
 @_claim("C-T3.15-B", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta-open means every point has a regular-open neighbourhood inside")
 def _check_t315b(sp: Space):
+    """The points of A owning a regular-open neighbourhood inside A are
+    one ``inside_table`` over the regular-open neighbourhoods."""
     full = sp.ground.full_mask
     theta = theta_closure_table(sp)
-    ro = regular_open_family(sp)
+    owns = inside_table(sp.ground.n, principal_verdicts(sp, "regular_open").tests)
     for a in sp.ground.subsets():
-        rhs = all(
-            any(v & (1 << i) and v & ~a == 0 for v in ro) for i in bits_of(a)
-        )
-        if (theta[full ^ a] == full ^ a) != rhs:
+        if (theta[full ^ a] == full ^ a) != (a & ~owns[a] == 0):
             return "fails", {"subset": _labels(sp, a)}, {}
     return "holds", None, {}
 

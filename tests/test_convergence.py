@@ -215,24 +215,25 @@ def test_space_conditions_all_hold(example3_2, example3_5):
 
 
 def test_space_conditions_decided_once_per_mode(monkeypatch):
-    folds = []
-    reachable = convergence._reachable
+    modes = []
+    closed_family = convergence._gamma_closed_family
 
-    def counting(*args):
-        folds.append(args)
-        return reachable(*args)
+    def counting(sp, closedness):
+        modes.append(closedness)
+        return closed_family(sp, closedness)
 
-    monkeypatch.setattr(convergence, "_reachable", counting)
+    # each computation of the conditions reads its mode's closed family once
+    monkeypatch.setattr(convergence, "_gamma_closed_family", counting)
     sp = documents.load_bundled("example3_2")  # a fresh memo
     first = gamma_closed_space_conditions(sp)
-    assert len(folds) == 2  # the cover fold and the closed-family fold
+    assert modes == ["dual"]
     again = gamma_closed_space_conditions(sp)
-    assert len(folds) == 2
+    assert modes == ["dual"]
     assert again == first and again.witnesses == first.witnesses
     # C-P4.7-EQ adds the cl mode; C-T4.13 reads the dual result it left
     theoremlab.check_claim(sp, "C-P4.7-EQ")
     theoremlab.check_claim(sp, "C-T4.13")
-    assert len(folds) == 4
+    assert modes == ["dual", "cl"]
 
 
 def test_space_conditions_unknown_mode(example3_2):

@@ -300,6 +300,19 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (one_gib, one_gib))
 
 
+def _run_limited(*argv):
+    """Run the CLI in a subprocess under a 1 GiB address-space limit;
+    return the finished process and its wall time in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamma_top.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    return proc, time.perf_counter() - start
+
+
 BRIDGE_CLAIMS = "C-P4.10,C-P4.11,C-T4.13"
 
 
@@ -322,18 +335,38 @@ def test_verify_five_point_chain_bridge_claims(tmp_path, size, claims, budget):
     }
     path = tmp_path / f"chain{size}.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "gamma_top.cli", "verify", str(path),
-         "--claims", claims, "--format", "machine"],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_limit_address_space,
-    )
-    elapsed = time.perf_counter() - start
+    proc, elapsed = _run_limited("verify", str(path), "--claims", claims, "--format", "machine")
     assert proc.returncode == 0, proc.stderr
     assert elapsed < budget
     verdicts = json.loads(proc.stdout)["verdicts"]
     assert [v["claim"] for v in verdicts] == list(parse_claims(claims))
     assert all(v["status"] in ("holds", "fails") or v["claim"] in CONDITIONED_CLAIMS
                for v in verdicts)
+
+
+@pytest.fixture(scope="module")
+def discrete16(tmp_path_factory):
+    """The discrete topology on MAX_POINTS points, all 65,536 subsets open,
+    with the identity operation."""
+    points = [chr(ord("a") + i) for i in range(MAX_POINTS)]
+    doc = {
+        "points": points,
+        "opens": [[p for i, p in enumerate(points) if m >> i & 1] for m in range(1 << MAX_POINTS)],
+        "gamma": {"kind": "identity"},
+    }
+    path = tmp_path_factory.mktemp("discrete") / f"discrete{MAX_POINTS}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("verify", "--claims", "all"), ("analyze",)], ids=lambda a: a[0])
+def test_discrete_sixteen_point_document_finishes(discrete16, argv):
+    # the topology is checked in n * |opens| look-ups, the space conditions
+    # per point, the theta meets and the operation flags from 2**n tables:
+    # no quantifier folds subfamilies or scans pairs of 65,536 opens
+    proc, elapsed = _run_limited(argv[0], discrete16, *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 30
+    if argv[0] == "verify":
+        statuses = [line.split()[1] for line in proc.stdout.splitlines() if not line.startswith("measured")]
+        assert statuses == ["holds"] * 24

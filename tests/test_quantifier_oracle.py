@@ -1,0 +1,299 @@
+"""The quantifiers decided per point or from 2**n tables must give the
+verdicts and witnesses of their literal definitions: folds over every
+subfamily, scans over every point and pair of neighbourhoods, and the
+pairwise topology check.  The literal definitions live here as the
+oracle."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+
+from gamma_top import documents
+from gamma_top import theoremlab as tl
+from gamma_top.convergence import _gamma_closed_family, gamma_closed_space_conditions
+from gamma_top.finspace import (
+    DEFAULT_LABELS,
+    MissingEmptyOrWhole,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
+    PointSet,
+    Topology,
+    validate_topology,
+)
+from gamma_top.gamma_core import GammaOperation, Space, is_open_operation, is_regular_operation
+from gamma_top.gamma_sets import (
+    gamma_open_family,
+    regular_open_family,
+    theta_closure_table,
+    theta_families,
+)
+
+from test_properties import spaces
+
+
+def _reachable(members, seed, combine):
+    """All values taken by folding *combine* over subfamilies, with enough
+    parent links to rebuild a witness subfamily for any value."""
+    seen = {seed: None}
+    order = [seed]
+    qi = 0
+    while qi < len(order):
+        cur = order[qi]
+        qi += 1
+        for idx, item in enumerate(members):
+            new = combine(cur, item)
+            if new not in seen:
+                seen[new] = (cur, idx)
+                order.append(new)
+    return seen, order
+
+
+def _rebuild_subfamily(seen, value):
+    idxs = set()
+    while seen[value] is not None:
+        prev, idx = seen[value]
+        idxs.add(idx)
+        value = prev
+    return sorted(idxs)
+
+
+def oracle_conditions(sp, closedness):
+    """Conditions (1) and (2): some gamma-open cover whose closures do not
+    cover, some closed family with empty intersection whose interiors
+    meet, each found by folding every subfamily (None when none exists)."""
+    full = sp.ground.full_mask
+    fam = gamma_open_family(sp)
+    seen, order = _reachable(
+        [(u, sp.cl_g[u]) for u in fam], (0, 0), lambda cur, it: (cur[0] | it[0], cur[1] | it[1])
+    )
+    cover = next(([fam[i] for i in _rebuild_subfamily(seen, value)]
+                  for value in order if value[0] == full and value[1] != full), None)
+    closed = _gamma_closed_family(sp, closedness)
+    seen, order = _reachable(
+        [(a, sp.int_g[a]) for a in closed], (full, full),
+        lambda cur, it: (cur[0] & it[0], cur[1] & it[1]),
+    )
+    family = next(([closed[i] for i in _rebuild_subfamily(seen, value)]
+                   for value in order if value[0] == 0 and value[1] != 0), None)
+    return cover, family
+
+
+def oracle_p313_2(sp, theta):
+    closed, _ = theta_families(sp)
+    seen, _ = _reachable(closed, sp.ground.full_mask, int.__and__)
+    for value in sorted(seen):
+        if theta[value] != value:
+            return "fails", {
+                "intersection": tl._labels(sp, value),
+                "subfamily": [tl._labels(sp, closed[i]) for i in _rebuild_subfamily(seen, value)],
+            }, {}
+    return "holds", None, {}
+
+
+def oracle_t314(sp):
+    full = sp.ground.full_mask
+    closed, _ = theta_families(sp)
+    ro = regular_open_family(sp)
+    for a, t in enumerate(theta_closure_table(sp)):
+        for part, family in (("theta_closed_supersets", closed), ("regular_open_supersets", ro)):
+            meet = full
+            for v in family:
+                if a & ~v == 0:
+                    meet &= v
+            if t != meet:
+                return "fails", {
+                    "subset": tl._labels(sp, a),
+                    "part": part,
+                    "theta_closure": tl._labels(sp, t),
+                    "meet": tl._labels(sp, meet),
+                }, {}
+    return "holds", None, {}
+
+
+def oracle_t315a(sp):
+    ro = regular_open_family(sp)
+    for a, t in enumerate(theta_closure_table(sp)):
+        for i in range(sp.ground.n):
+            bit = 1 << i
+            if bool(t & bit) != all(v & a for v in ro if v & bit):
+                return "fails", {"subset": tl._labels(sp, a), "point": sp.ground.labels[i]}, {}
+    return "holds", None, {}
+
+
+def oracle_t315b(sp):
+    full = sp.ground.full_mask
+    theta = theta_closure_table(sp)
+    ro = regular_open_family(sp)
+    for a in sp.ground.subsets():
+        rhs = all(any(v >> i & 1 and v & ~a == 0 for v in ro) for i in range(sp.ground.n) if a >> i & 1)
+        if (theta[full ^ a] == full ^ a) != rhs:
+            return "fails", {"subset": tl._labels(sp, a)}, {}
+    return "holds", None, {}
+
+
+def oracle_regular_operation(sp):
+    values = sp._values
+    for i in range(sp.ground.n):
+        at_x = [u for u in sp.top.opens_sorted if u >> i & 1]
+        for u, v in itertools.product(at_x, repeat=2):
+            cap = values[u] & values[v]
+            if not any(values[w] & ~cap == 0 for w in at_x):
+                return False
+    return True
+
+
+def oracle_open_operation(sp):
+    family = gamma_open_family(sp)
+    return all(
+        any(b >> i & 1 and b & ~sp._values[u] == 0 for b in family)
+        for i in range(sp.ground.n)
+        for u in sp.top.opens_sorted if u >> i & 1
+    )
+
+
+CLAIM_ORACLES = {
+    "C-T3.14": oracle_t314,
+    "C-T3.15-A": oracle_t315a,
+    "C-T3.15-B": oracle_t315b,
+}
+
+
+def _assert_matches_oracle(sp):
+    """Compare every table-driven quantifier with its oracle on *sp*; return
+    the statuses of the claim bodies, run whatever the hypotheses say."""
+    statuses = {}
+    for cid, oracle in CLAIM_ORACLES.items():
+        result = tl.CLAIMS[cid].check(sp)
+        assert result == oracle(sp), cid
+        statuses[cid] = result[0]
+    assert tl.CLAIMS["C-P3.13-2"].check(sp) == oracle_p313_2(sp, theta_closure_table(sp)) \
+        == ("holds", None, {})
+    for mode in ("dual", "cl"):
+        conds = gamma_closed_space_conditions(sp, mode)
+        assert oracle_conditions(sp, mode) == (None, None)
+        assert conds.all_hold() and conds.witnesses == {}
+    assert is_open_operation(sp) == oracle_open_operation(sp)
+    assert is_regular_operation(sp) == oracle_regular_operation(sp)
+    return statuses
+
+
+def _spaces(n, modes):
+    return [sp for _, _, sp in tl.enumerate_spaces(n, tl.parse_modes(modes))]
+
+
+@pytest.mark.parametrize("name", sorted(documents.BUNDLED))
+def test_bundled_examples_match_oracle(name):
+    _assert_matches_oracle(documents.load_bundled(name))
+
+
+def test_all_one_and_two_point_table_spaces_match_oracle():
+    spaces_12 = _spaces(1, "all_tables") + _spaces(2, "all_tables")
+    assert len(spaces_12) == 2 + 36
+    for sp in spaces_12:
+        _assert_matches_oracle(sp)
+
+
+@pytest.mark.parametrize("n, modes, size, stride", [
+    (3, "all_tables", 9048, 12),
+    (4, "builtins,pivots", 2775, 8),
+])
+def test_stride_sample_matches_oracle_where_claims_fail(n, modes, size, stride):
+    spaces_n = _spaces(n, modes)
+    assert len(spaces_n) == size
+    seen = {cid: set() for cid in CLAIM_ORACLES}
+    for sp in spaces_n[::stride]:
+        for cid, status in _assert_matches_oracle(sp).items():
+            seen[cid].add(status)
+    # the witnesses are compared too, not only agreement on "holds"
+    assert seen["C-T3.14"] == seen["C-T3.15-A"] == {"holds", "fails"}
+    assert seen["C-T3.15-B"] == {"holds", "fails"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_random_spaces_match_oracle(sp):
+    _assert_matches_oracle(sp)
+
+
+def _discrete_identity(**tables):
+    """The discrete 3-point space with the identity operation, whose
+    operator tables (both the identity on subsets) are replaced by
+    *tables*; a fresh space, so nothing is memoised yet."""
+    top = validate_topology(PointSet(DEFAULT_LABELS[:3]), range(8))
+    sp = Space(top.ground, top, GammaOperation("identity"))
+    assert sp.int_g == sp.cl_g == tuple(range(8))
+    for name, table in tables.items():
+        object.__setattr__(sp, name, table)
+    return sp
+
+
+def test_forced_cover_condition_failure_has_a_failing_witness():
+    # cl_g({a}) = {} breaks extensiveness, so the cover of the singletons
+    # has closures that miss a
+    cl_g = tuple(0 if a == 0b001 else a for a in range(8))
+    for mode in ("dual", "cl"):
+        forced = _discrete_identity(cl_g=cl_g)
+        conds = gamma_closed_space_conditions(forced, mode)
+        cover, _ = oracle_conditions(forced, mode)
+        assert cover is not None and not conds.gamma_open_covers
+        masks = [forced.ground.mask_of(u) for u in conds.witnesses["gamma_open_covers"]["cover"]]
+        assert set(masks) <= set(gamma_open_family(forced))
+        union = closures = 0
+        for u in masks:
+            union |= u
+            closures |= forced.cl_g[u]
+        assert union == forced.ground.full_mask != closures
+
+
+def test_forced_closed_family_failure_has_a_failing_witness():
+    # int_g({a}) = {a,b} breaks contractiveness: the closed sets whose
+    # interior holds b meet in nothing
+    int_g = tuple(0b011 if a == 0b001 else a for a in range(8))
+    for mode in ("dual", "cl"):
+        forced = _discrete_identity(int_g=int_g)
+        conds = gamma_closed_space_conditions(forced, mode)
+        _, family = oracle_conditions(forced, mode)
+        assert family is not None
+        assert not conds.closed_families_shrink and not conds.closed_families_contrapositive
+        witness = conds.witnesses["closed_families_shrink"]["family"]
+        masks = [forced.ground.mask_of(a) for a in witness]
+        assert set(masks) <= set(_gamma_closed_family(forced, mode))
+        meet = interiors = forced.ground.full_mask
+        for a in masks:
+            meet &= a
+            interiors &= forced.int_g[a]
+        assert meet == 0 != interiors
+
+
+def pairwise_topology(ground, family):
+    """The pairwise closure check, with the first failing pair."""
+    opens = set(family)
+    if 0 not in opens or ground.full_mask not in opens:
+        raise MissingEmptyOrWhole("topology must contain the empty set and the whole set")
+    for a, b in itertools.combinations(sorted(opens), 2):
+        if a | b not in opens:
+            raise NotClosedUnderUnion(ground, a, b)
+        if a & b not in opens:
+            raise NotClosedUnderIntersection(ground, a, b)
+    return Topology(ground, frozenset(opens))
+
+
+def _outcome(check, ground, family):
+    try:
+        return "accepted", check(ground, family).opens
+    except (MissingEmptyOrWhole, NotClosedUnderUnion, NotClosedUnderIntersection) as err:
+        return type(err), getattr(err, "pair", None), str(err)
+
+
+def test_validate_topology_matches_the_pairwise_scan_on_every_small_family():
+    accepted = 0
+    for n in (1, 2, 3):
+        ground = PointSet(DEFAULT_LABELS[:n])
+        size = 1 << n
+        for bits in range(1 << size):
+            family = [m for m in range(size) if bits >> m & 1]
+            outcome = _outcome(validate_topology, ground, family)
+            assert outcome == _outcome(pairwise_topology, ground, family), (n, family)
+            accepted += outcome[0] == "accepted"
+    assert accepted == 1 + 4 + 29
