@@ -49,7 +49,7 @@ def _threads() -> int:
     return max(1, min(value, os.cpu_count() or 1))
 
 
-def _emit(payload: dict, text: str, fmt: str):
+def _emit(payload: dict | None, text: str, fmt: str):
     if fmt == "machine":
         print(jsonout.dumps(payload))
     else:
@@ -145,12 +145,11 @@ def _mine_job(n, modes, predicate, topo_range) -> list:
     return [w.to_dict() for w in theoremlab.mine(n, modes, predicate, topo_range)]
 
 
-def _verify_enumeration(args, claims) -> tuple[dict, str, int]:
+def _verify_enumeration(args, claims) -> tuple[SweepReport, str, int]:
     n = args.enumerate
     modes = theoremlab.parse_modes(args.ops)
     parts = _over_topologies(_sweep_job, n, modes, claims)
     report = functools.reduce(SweepReport.merge, parts)
-    payload = report.to_dict()
     lines = [f"enumeration: n={n} modes={','.join(modes)} "
              f"topologies={report.topologies} spaces={report.spaces}"]
     for cid in claims:
@@ -164,13 +163,12 @@ def _verify_enumeration(args, claims) -> tuple[dict, str, int]:
     if len(report.failures) > 10:
         lines.append(f"... {len(report.failures) - 10} more counterexamples")
     safe_fails = sum(report.tallies[cid]["fails"] for cid in claims if cid in SAFE_CLAIMS)
-    return payload, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+    return report, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
 
 
-def _verify_file(args, claims) -> tuple[dict, str, int]:
+def _verify_file(args, claims) -> tuple[theoremlab.VerificationReport, str, int]:
     sp = _load(args.file)
     report = theoremlab.run_suite(sp, claims)
-    payload = report.to_dict()
     lines = []
     for v in report.verdicts:
         line = f"{v.claim_id:14} {v.status}"
@@ -182,7 +180,7 @@ def _verify_file(args, claims) -> tuple[dict, str, int]:
     for d in report.discrepancies:
         lines.append(f"measured {d['kind']}: {json.dumps({k: v for k, v in d.items() if k != 'kind'}, sort_keys=True)}")
     safe_fails = [v for v in report.verdicts if v.status == "fails" and v.claim_id in SAFE_CLAIMS]
-    return payload, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+    return report, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -193,10 +191,11 @@ def cmd_verify(args) -> int:
     if args.enumerate is not None:
         if args.ops is None:
             raise FinSpaceError("--enumerate requires --ops")
-        payload, text, code = _verify_enumeration(args, claims)
+        report, text, code = _verify_enumeration(args, claims)
     else:
-        payload, text, code = _verify_file(args, claims)
-    _emit(payload, text, args.format)
+        report, text, code = _verify_file(args, claims)
+    # text output never reads the machine payload, so only machine builds it
+    _emit(report.to_dict() if args.format == "machine" else None, text, args.format)
     return code
 
 

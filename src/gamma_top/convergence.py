@@ -161,7 +161,7 @@ def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
         ro = regular_open_family(sp)
         tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
     elif family == "gamma_open_cl":
-        tests = _theta_env(sp, False)
+        tests = _theta_env(sp)
     else:
         raise ValueError(f"unknown test family {family!r}")
     full = sp.ground.full_mask
@@ -282,7 +282,7 @@ def net_r_converges(sp: Space, net: Net, x: str) -> bool:
     """For every gamma-open U at x the net is eventually inside cl_g(U)."""
     xi = sp.ground.index(x)
     geq = net.dirset.geq_masks
-    for clu in _theta_env(sp, False)[xi]:
+    for clu in _theta_env(sp)[xi]:
         ok = _net_value_mask(net, clu)
         if not any(row & ~ok == 0 for row in geq):
             return False
@@ -296,7 +296,7 @@ def net_r_accumulates(sp: Space, net: Net, x: str, literal: bool = False) -> boo
     xi = sp.ground.index(x)
     geq = net.dirset.geq_masks
     everything = (1 << net.dirset.size) - 1
-    for clu in _theta_env(sp, False)[xi]:
+    for clu in _theta_env(sp)[xi]:
         ok = _net_value_mask(net, clu)
         if literal:
             if ok != everything:
@@ -418,7 +418,7 @@ def enumerate_directed_sets(max_size: int) -> tuple[DirectedSet, ...]:
     return tuple(out)
 
 
-def enumerate_nets(ground: PointSet, max_size: int = 3):
+def enumerate_nets(ground: PointSet, max_size: int):
     """All nets over directed sets of at most *max_size* elements."""
     for dirset in enumerate_directed_sets(max_size):
         for values in itertools.product(range(ground.n), repeat=dirset.size):

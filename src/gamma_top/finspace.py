@@ -319,7 +319,7 @@ def _upsets(rows, n: int):
     return tuple(opens)
 
 
-def enumerate_topologies(n: int, labels=None):
+def enumerate_topologies(n: int):
     """Yield every labelled topology on *n* points exactly once.
 
     Topologies are produced in ascending order of their sorted open-set
@@ -329,9 +329,7 @@ def enumerate_topologies(n: int, labels=None):
         raise SizeTooLarge(
             f"exhaustive topology enumeration supports 1..{MAX_ENUMERATION_POINTS} points"
         )
-    ground = PointSet(tuple(labels) if labels is not None else DEFAULT_LABELS[:n])
-    if ground.n != n:
-        raise FinSpaceError("label count does not match n")
+    ground = PointSet(DEFAULT_LABELS[:n])
     families = sorted(_upsets(rows, n) for rows in _directed_preorders(n))
     for fam in families:
         yield Topology(ground, frozenset(fam))

@@ -22,7 +22,6 @@ operators is therefore a checked property, not an implementation shortcut.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 from dataclasses import dataclass
 from .finspace import (
@@ -131,12 +130,14 @@ class Space:
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
         if self.gamma.kind == "table":
-            domain = tuple(sorted(m for m, _ in self.gamma.table))
-            if domain != self.top.opens_sorted:
+            # read the sorted table in one pass, not one value_on scan per open
+            pairs = self.gamma.table
+            if tuple(m for m, _ in pairs) != self.top.opens_sorted:
                 raise InvalidOperation("table domain must be exactly the open sets")
+        else:
+            pairs = [(v, self.gamma.value_on(self.top, v)) for v in self.top.opens_sorted]
         values = {}
-        for v in self.top.opens_sorted:
-            value = self.gamma.value_on(self.top, v)
+        for v, value in pairs:
             self.ground.check_mask(value)
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
@@ -179,30 +180,31 @@ def gamma_closure(sp: Space, a: int) -> int:
     return sp.cl_g[a]
 
 
+_MISSING = object()
+
+
 def per_space(fn):
     """Decorate ``fn(sp, *args)`` to run once per space and argument tuple.
 
     The value is kept in the space's memo under the decorated function and
     its arguments, defaults filled in, so ``f(sp)`` and ``f(sp, default)``
     read one entry.  This is the only code that reads or writes the memo.
+    Arguments are positional only: a keyword call raises ``TypeError``.
     """
-    signature = inspect.signature(fn)
-    defaults = tuple(p.default for p in signature.parameters.values())[1:]
+    defaults = fn.__defaults__ or ()
+    # position, among the arguments after sp, of the first defaulted one
+    first_default = fn.__code__.co_argcount - 1 - len(defaults)
 
     @functools.wraps(fn)
-    def once_per_args(sp, *args, **kwargs):
-        if kwargs:
-            bound = signature.bind(sp, *args, **kwargs)
-            bound.apply_defaults()
-            key = (once_per_args,) + tuple(bound.arguments.values())[1:]
-        else:
-            # a missing argument without a default keys on Parameter.empty,
-            # and the call below raises before anything is stored
-            key = (once_per_args,) + args + defaults[len(args):]
+    def once_per_args(sp, *args):
+        # too few or too many arguments give a key of another length, and
+        # the call below raises before anything is stored
+        key = (once_per_args,) + args + defaults[len(args) - first_default:]
         memo = sp._memo
-        if key not in memo:
-            memo[key] = fn(sp, *args, **kwargs)
-        return memo[key]
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(sp, *args)
+        return value
 
     return once_per_args
 

@@ -1,9 +1,9 @@
 """Subset classifiers: gamma-open/closed, regular-open/closed, clopen,
 extremal disconnectedness, and the theta closure with its families.
 
-The theta closure is one table over all subsets per test family, built on
-first use the way ``gamma_core`` builds cl_g; the families are read off
-the operator tables."""
+The theta closure is one table over all subsets, built on first use the
+way ``gamma_core`` builds cl_g; the families are read off the operator
+tables."""
 
 from __future__ import annotations
 
@@ -67,34 +67,32 @@ def is_extremally_disconnected(sp: Space) -> bool:
 
 
 @per_space
-def _theta_env(sp: Space, use_tau_opens: bool):
-    """Per point, the gamma-closures of its test-family neighbourhoods."""
-    family = sp.top.opens_sorted if use_tau_opens else gamma_open_family(sp)
-    cg = sp.cl_g
+def _theta_env(sp: Space):
+    """Per point, the gamma-closures of its gamma-open neighbourhoods."""
+    family, cg = gamma_open_family(sp), sp.cl_g
     return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(sp.ground.n))
 
 
 @per_space
-def theta_closure_table(sp: Space, use_tau_opens: bool = False) -> tuple[int, ...]:
+def theta_closure_table(sp: Space) -> tuple[int, ...]:
     """``gamma_theta_closure`` over every subset, indexed by mask; built on
-    first use, once per test family."""
-    return meeting_table(sp.ground.n, _theta_env(sp, use_tau_opens))
+    first use."""
+    return meeting_table(sp.ground.n, _theta_env(sp))
 
 
-def gamma_theta_closure(sp: Space, a: int, *, use_tau_opens: bool = False) -> int:
+def gamma_theta_closure(sp: Space, a: int) -> int:
     """Points x such that the gamma-closure of every gamma-open set at x
-    meets *a*.  ``use_tau_opens`` swaps in plain opens as the test family,
-    for discrepancy analysis only."""
+    meets *a*."""
     sp.ground.check_mask(a)
-    return theta_closure_table(sp, use_tau_opens)[a]
+    return theta_closure_table(sp)[a]
 
 
 @per_space
-def theta_families(sp: Space, *, use_tau_opens: bool = False):
+def theta_families(sp: Space):
     """(theta_closed, theta_open): fixed points of the theta closure and
     their complements, both ascending."""
     full = sp.ground.full_mask
-    table = theta_closure_table(sp, use_tau_opens)
+    table = theta_closure_table(sp)
     closed = tuple(m for m, t in enumerate(table) if t == m)
     # complements of an ascending family, ascending
     opened = tuple(full ^ m for m in reversed(closed))

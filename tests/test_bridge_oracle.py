@@ -149,7 +149,7 @@ def test_four_point_builtin_and_pivot_sample_matches_oracle():
 def test_t413_failure_witness_matches_oracle(monkeypatch):
     # C-T4.13 holds on every enumerated space; closures that meet nothing
     # make every net accumulate nowhere and exercise the witness path
-    def no_closures(sp, use_tau_opens):
+    def no_closures(sp):
         return tuple((0,) for _ in range(sp.ground.n))
 
     monkeypatch.setattr(convergence, "_theta_env", no_closures)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gamma_top
-from gamma_top import cli, documents
+from gamma_top import cli, documents, theoremlab
 from gamma_top.finspace import MAX_POINTS, PointSet, validate_topology
 from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space
 from gamma_top.gamma_sets import gamma_open_family
@@ -165,6 +166,20 @@ def test_cli_verify_enumeration_finds_safe_counterexamples(capsys):
     assert payload["tallies"]["C-RO-INCL"]["fails"] > 0
     first = payload["failures"][0]
     assert first["witness"]["part"] == "regular_open_not_gamma_open"
+
+
+def test_cli_verify_text_builds_no_machine_payload(capsys, monkeypatch):
+    runs = (("verify", doc_path("example3_5")),
+            ("verify", "--enumerate", "2", "--ops", "builtins,pivots"))
+    expected = [run_cli(capsys, *argv) for argv in runs]
+
+    def no_payload(self):
+        raise AssertionError("text output built the machine payload")
+
+    monkeypatch.setattr(theoremlab.VerificationReport, "to_dict", no_payload)
+    monkeypatch.setattr(theoremlab.SweepReport, "to_dict", no_payload)
+    assert [run_cli(capsys, *argv) for argv in runs] == expected
+    assert [code for code, _, _ in expected] == [0, 0]
 
 
 def test_cli_verify_argument_validation(capsys):
@@ -347,26 +362,39 @@ def test_verify_five_point_chain_bridge_claims(tmp_path, size, claims, budget):
 @pytest.fixture(scope="module")
 def discrete16(tmp_path_factory):
     """The discrete topology on MAX_POINTS points, all 65,536 subsets open,
-    with the identity operation."""
+    with the identity operation, once by kind and once as a table."""
     points = [chr(ord("a") + i) for i in range(MAX_POINTS)]
-    doc = {
-        "points": points,
-        "opens": [[p for i, p in enumerate(points) if m >> i & 1] for m in range(1 << MAX_POINTS)],
-        "gamma": {"kind": "identity"},
+    opens = [[p for i, p in enumerate(points) if m >> i & 1] for m in range(1 << MAX_POINTS)]
+    gammas = {
+        "identity": {"kind": "identity"},
+        "table": {"kind": "table", "table": [{"open": u, "value": u} for u in opens]},
     }
-    path = tmp_path_factory.mktemp("discrete") / f"discrete{MAX_POINTS}.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    directory = tmp_path_factory.mktemp("discrete")
+    paths = {}
+    for kind, gamma in gammas.items():
+        paths[kind] = directory / f"discrete{MAX_POINTS}-{kind}.json"
+        paths[kind].write_text(json.dumps({"points": points, "opens": opens, "gamma": gamma}))
+    return paths
 
 
-@pytest.mark.parametrize("argv", [("verify", "--claims", "all"), ("analyze",)], ids=lambda a: a[0])
-def test_discrete_sixteen_point_document_finishes(discrete16, argv):
+# sha256 of the text stdout of verify --claims all, the same for both documents
+DISCRETE16_VERIFY_SHA256 = "06b9af3192e097d8d4eb58b6199e9fe10ecc9a9607514ad23ba6a72062562e05"
+
+
+@pytest.mark.parametrize("kind, argv", [
+    pytest.param("identity", ("verify", "--claims", "all"), id="verify"),
+    pytest.param("identity", ("analyze",), id="analyze"),
+    pytest.param("table", ("verify", "--claims", "all"), id="verify-table"),
+])
+def test_discrete_sixteen_point_document_finishes(discrete16, kind, argv):
     # the topology is checked in n * |opens| look-ups, the space conditions
     # per point, the theta meets and the operation flags from 2**n tables:
-    # no quantifier folds subfamilies or scans pairs of 65,536 opens
-    proc, elapsed = _run_limited(argv[0], discrete16, *argv[1:])
+    # no quantifier folds subfamilies or scans pairs of 65,536 opens; a
+    # table operation is read in one pass, not scanned once per open
+    proc, elapsed = _run_limited(argv[0], str(discrete16[kind]), *argv[1:])
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 30
     if argv[0] == "verify":
         statuses = [line.split()[1] for line in proc.stdout.splitlines() if not line.startswith("measured")]
         assert statuses == ["holds"] * 24
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DISCRETE16_VERIFY_SHA256

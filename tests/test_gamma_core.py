@@ -20,7 +20,6 @@ from gamma_top.gamma_core import (
     operations_for,
     per_space,
 )
-from gamma_top.gamma_sets import theta_closure_table, theta_families
 from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings
 
 ABC = PointSet(("a", "b", "c"))
@@ -171,24 +170,30 @@ def test_per_space_runs_once_per_space_and_arguments():
         return object()
 
     @per_space
-    def table(sp, mode="dual", *, scale=1):
+    def table(sp, mode="dual", scale=1):
         calls.append((mode, scale))
         return object()
 
     first, second = documents.load_bundled("example3_2"), documents.load_bundled("example3_5")
     assert family(first) is family(first) is not family(second)
-    # a defaulted argument, passed or not, positionally or by name, reads one entry
+    # a defaulted argument, passed or not, reads one entry
     value = table(first)
-    assert table(first, "dual") is table(first, mode="dual", scale=1) is value
+    assert table(first, "dual") is table(first, "dual", 1) is value
     assert table(first, "cl") is table(first, "cl") is not value
-    assert table(first, scale=2) is not value and table(second) is not value
+    assert table(first, "dual", 2) is not value and table(second) is not value
     assert calls == [("family", first), ("family", second), ("dual", 1), ("cl", 1),
                      ("dual", 2), ("dual", 1)]
+    # arguments are positional only: a keyword call raises and stores nothing
+    memo_before = dict(second._memo)
+    with pytest.raises(TypeError):
+        table(second, mode="cl")
+    assert second._memo == memo_before and len(calls) == 6
 
 
 def test_memoised_values_ignore_explicit_defaults():
     sp = documents.load_bundled("example3_5")
-    assert theta_closure_table(sp) is theta_closure_table(sp, False)
-    assert theta_families(sp) is theta_families(sp, use_tau_opens=False)
     assert bridge_pairings(sp) is bridge_pairings(sp, NET_SIZE_CAP)
     assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp, "dual")
+    assert gamma_closed_space_conditions(sp, "cl") is not gamma_closed_space_conditions(sp)
+    with pytest.raises(TypeError):
+        gamma_closed_space_conditions(sp, closedness="dual")

@@ -125,14 +125,6 @@ def test_theta_families_discrete_identity():
     assert closed == tuple(range(8))
 
 
-def test_theta_closure_tau_open_mode_is_tighter(example3_2, example3_16):
-    # testing against all opens can only shrink the closure
-    for sp in (example3_2, example3_16):
-        for a in ABC.subsets():
-            tau_mode = gamma_theta_closure(sp, a, use_tau_opens=True)
-            assert tau_mode & ~gamma_theta_closure(sp, a) == 0
-
-
 def test_classify_subset_3_2(example3_2):
     c = classify_subset(example3_2, m("ab"))
     assert c.flags["gamma_open"]

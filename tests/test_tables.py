@@ -64,19 +64,17 @@ class Oracle:
         return out
 
     def test_sets(self, x, family):
-        """The gamma-closures of the gamma-open sets (``gamma_open_cl``),
-        of the opens (``tau_cl``), or the regular-open sets, at x."""
+        """The gamma-closures of the gamma-open sets (``gamma_open_cl``)
+        or the regular-open sets, at x."""
         if family == "regular_open":
             return [a for a in self.regular_open if a >> x & 1]
-        opens = self.sp.top.opens_sorted if family == "tau_cl" else self.gamma_open
-        return [self.cl_g(u) for u in opens if u >> x & 1]
+        return [self.cl_g(u) for u in self.gamma_open if u >> x & 1]
 
-    def theta(self, a, use_tau_opens):
-        """Points x such that cl_g(U) meets a for every test open U at x."""
-        family = "tau_cl" if use_tau_opens else "gamma_open_cl"
+    def theta(self, a):
+        """Points x such that cl_g(U) meets a for every gamma-open U at x."""
         out = 0
         for x in range(self.sp.ground.n):
-            if all(t & a for t in self.test_sets(x, family)):
+            if all(t & a for t in self.test_sets(x, "gamma_open_cl")):
                 out |= 1 << x
         return out
 
@@ -88,8 +86,7 @@ def assert_tables_match(sp, masks=None):
         assert (interior(sp.top, a), closure(sp.top, a)) == (oracle.interior(a), oracle.closure(a)), a
         assert sp.int_g[a] == gamma_interior(sp, a) == oracle.int_g(a), a
         assert sp.cl_g[a] == gamma_closure(sp, a) == oracle.cl_g(a), a
-        for mode in (False, True):
-            assert gamma_theta_closure(sp, a, use_tau_opens=mode) == oracle.theta(a, mode), (a, mode)
+        assert gamma_theta_closure(sp, a) == oracle.theta(a), a
     for family in ("regular_open", "gamma_open_cl"):
         for x in range(sp.ground.n):
             tests = oracle.test_sets(x, family)
