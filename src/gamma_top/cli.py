@@ -7,8 +7,11 @@
 
 With ``--format machine`` stdout is the payload as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it (keys sorted,
-two-space indent, ASCII escapes) plus one trailing newline, written by
-``jsonout.dumps``; tier-1 pins these bytes against ``json.dumps``.
+two-space indent, ASCII escapes) plus one trailing newline.  The payload
+is built in full first; ``jsonout.dump`` then writes it to stdout in
+batches, so the text is never held whole.  Tier-1 pins these bytes against
+``json.dumps``.  An error while writing (a closed pipe, a full disk) can
+leave partial stdout; the exit code still says what happened.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early
@@ -51,7 +54,10 @@ def _threads() -> int:
 
 def _emit(payload: dict | None, text: str, fmt: str):
     if fmt == "machine":
-        print(jsonout.dumps(payload))
+        # sys.stdout is read per call: tests and the benchmark redirect it
+        out = sys.stdout
+        jsonout.dump(payload, out.write)
+        out.write("\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

@@ -3,16 +3,21 @@ byte for byte, without its pure-Python indent path.
 
 Keys are sorted, nesting is indented by two spaces, item separators are
 ``,`` and key separators ``: ``, and strings are escaped to ASCII by the
-C ``encode_basestring_ascii`` that json itself uses.  The output is built as
-a list of chunks and joined once.  Tier-1 checks the bytes against
-``json.dumps`` on generated values.
+C ``encode_basestring_ascii`` that json itself uses.  ``dump`` is the one
+encoder: it hands its ``write`` callable the text in batches, each the join
+of about ``BATCH_CHUNKS`` chunks and cut between items, so a large value is
+written without ever being held whole as text.  ``dumps`` joins those
+batches.  Tier-1 checks the bytes against ``json.dumps`` on generated values.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["dumps"]
+__all__ = ["dump", "dumps"]
+
+# chunks joined into one ``write`` call; a chunk is a token or a label list
+BATCH_CHUNKS = 4096
 
 _INF = float("inf")
 
@@ -45,13 +50,26 @@ def _key(k) -> str:
 
 
 def dumps(obj) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it.
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it."""
+    parts = []
+    dump(obj, parts.append)
+    return "".join(parts)
+
+
+def dump(obj, write) -> None:
+    """Pass ``obj`` to ``write`` as ``json.dumps(obj, sort_keys=True,
+    indent=2)`` writes it, in non-empty ``str`` batches cut between items.
 
     Supports what json supports by default: dict, list, tuple, str, int,
     float (NaN and infinities as ``NaN``/``Infinity``), True, False and
-    None; anything else raises TypeError."""
+    None; anything else raises TypeError, after the batches before it have
+    been written."""
     chunks = []
     emit = chunks.append
+
+    def flush():
+        write("".join(chunks))
+        chunks.clear()
 
     def value(v, nl):
         t = type(v)
@@ -103,6 +121,8 @@ def dumps(obj) -> str:
             emit(lead)
             value(item, inner)
             lead = sep
+            if len(chunks) >= BATCH_CHUNKS:
+                flush()
         emit(nl + "]")
 
     def obj_(d, nl):
@@ -116,7 +136,9 @@ def dumps(obj) -> str:
             emit(lead + (_string(k) if type(k) is str else _key(k)) + ": ")
             value(d[k], inner)
             lead = sep
+            if len(chunks) >= BATCH_CHUNKS:
+                flush()
         emit(nl + "}")
 
     value(obj, "\n")
-    return "".join(chunks)
+    flush()

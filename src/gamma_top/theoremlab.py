@@ -1025,16 +1025,19 @@ PREDICATE_NAMES = tuple(sorted(SEPARATIONS)) + tuple(f"fails:{cid}" for cid in C
 
 @dataclass
 class MinedWitness:
+    """One hit of ``mine``; like ``Verdict`` it keeps the space's key, not
+    the ``Space``, so a long list of hits pins no operator tables."""
+
     topology_index: int
     operation_index: int
-    space: Space
+    space: SpaceKey
     witness: dict
 
     def to_dict(self) -> dict:
         return {
             "topology_index": self.topology_index,
             "operation_index": self.operation_index,
-            "space": space_key(self.space).to_dict(),
+            "space": self.space.to_dict(),
             "witness": self.witness,
         }
 
@@ -1062,10 +1065,10 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
         if claim_id is not None:
             verdict = check_claim(sp, claim_id)
             if verdict.status == "fails":
-                out.append(MinedWitness(ti, oi, sp, verdict.witness))
+                out.append(MinedWitness(ti, oi, verdict.space, verdict.witness))
             continue
         for a in _separating(sp, *SEPARATIONS[predicate]):
-            out.append(MinedWitness(ti, oi, sp, {"subset": _labels(sp, a)}))
+            out.append(MinedWitness(ti, oi, space_key(sp), {"subset": _labels(sp, a)}))
     return out
 
 

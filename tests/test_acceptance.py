@@ -113,7 +113,7 @@ def test_criterion_3_audits_and_miner(capsys):
     if not witnesses:
         problems.append("miner returned no verdict data")
     for w in witnesses[:5]:
-        sp = w.space
+        sp = tl.rebuild_space(w.space)
         mask = sp.ground.mask_of(w.witness["subset"])
         if not (is_theta_open(sp, mask) and not is_gamma_regular_open(sp, mask)):
             problems.append("mined witness fails recomputation")

@@ -3,12 +3,14 @@
 here, so a renamed or re-signatured function fails tier-1 rather than only
 the benchmark."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
-from gamma_top import theoremlab
+from gamma_top import cli, jsonout, theoremlab
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +60,12 @@ def test_traced_warm_up_records_the_layer_spans(name, tmp_path):
     claims = {workloads.CLAIM_SPANS[cid] for cid in EXPECTED_CLAIMS[name]}
     assert EXPECTED_LAYERS[name] <= set(workloads.LAYER_SPANS)
     assert recorded == EXPECTED_LAYERS[name] | claims
+
+
+def test_emit_writes_to_the_stdout_of_the_call():
+    # the benchmark and capsys replace sys.stdout after import: machine
+    # output must follow the replacement, not a stream bound at import
+    payload = {"verdicts": [{"claim": "C-RO-INCL", "status": "holds"}], "n": 3}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(payload, "", "machine")
+    assert out.getvalue() == jsonout.dumps(payload) + "\n"

@@ -295,12 +295,18 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch):
     assert run_cli(capsys, *args) == (code, capped, "")
 
 
-def test_closed_stdout_is_not_an_input_error():
+@pytest.mark.parametrize("argv", [
     # about 172 KB of output, more than a pipe holds: the writer meets the closed pipe
+    pytest.param(("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all"),
+                 id="verify"),
+    # about 15 MB in many batches: the pipe closes with most of them still unwritten
+    pytest.param(("mine", "--n", "3", "--ops", "all_tables",
+                  "--predicate", "gamma_open_not_theta_open"), id="mine"),
+])
+def test_closed_stdout_is_not_an_input_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gamma_top.cli", "verify", "--enumerate", "3",
-         "--ops", "builtins,pivots", "--claims", "all", "--format", "machine"],
+        [sys.executable, "-m", "gamma_top.cli", *argv, "--format", "machine"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.read(1) == b"{"
@@ -398,3 +404,30 @@ def test_discrete_sixteen_point_document_finishes(discrete16, kind, argv):
         statuses = [line.split()[1] for line in proc.stdout.splitlines() if not line.startswith("measured")]
         assert statuses == ["holds"] * 24
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DISCRETE16_VERIFY_SHA256
+
+
+# sha256 of the machine stdout of verify --claims all on the identity document
+DISCRETE16_MACHINE_SHA256 = "d51255ab9d7fedbdd28c1c535637592ffd33bee5262700cf028dbd46eebd6a44"
+
+
+def test_discrete_sixteen_point_machine_verify_streams(discrete16, tmp_path):
+    # about 535 MB of machine output, written in batches as it is encoded,
+    # so it fits under the 1 GiB limit; the test hashes the stream rather
+    # than holding it.  It takes about 20 s, so it has its own 60 s budget.
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
+    sha = hashlib.sha256()
+    start = time.perf_counter()
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gamma_top.cli", "verify", str(discrete16["identity"]),
+             "--claims", "all", "--format", "machine"],
+            stdout=subprocess.PIPE, stderr=err, env=env, preexec_fn=_limit_address_space,
+        )
+        with proc.stdout:
+            for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+                sha.update(block)
+        code = proc.wait(timeout=120)
+        err.seek(0)
+        assert code == 0, err.read().decode()
+    assert time.perf_counter() - start < 60
+    assert sha.hexdigest() == DISCRETE16_MACHINE_SHA256

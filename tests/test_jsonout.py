@@ -105,3 +105,21 @@ def test_verify_machine_bytes_with_non_ascii_labels(tmp_path, capsys):
     assert out == oracle(report.to_dict()) + "\n"
     assert code in (cli.EXIT_OK, cli.EXIT_COUNTEREXAMPLE)
     assert "\\u03b1" in out and "\\ud835\\udd1f" in out
+
+
+def test_dump_batches_join_to_the_same_bytes():
+    # several batches' worth of chunks: every piece handed over is a
+    # non-empty str, and the pieces join to the oracle's text
+    obj = {
+        "rows": [
+            {"i": i, "labels": ["a", "b"][: i % 3], "x": [i * 0.5, None, i % 2 == 0]}
+            for i in range(3 * jsonout.BATCH_CHUNKS)
+        ],
+        "empty": {},
+    }
+    pieces = []
+    jsonout.dump(obj, pieces.append)
+    assert len(pieces) > 3
+    assert all(type(p) is str and p for p in pieces)
+    assert "".join(pieces) == oracle(obj)
+    assert jsonout.dumps(obj) == "".join(pieces)

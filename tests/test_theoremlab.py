@@ -156,7 +156,7 @@ def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example
 def test_mine_finds_the_pivot_space_witness():
     found = tl.mine(3, "pivots", "gamma_open_not_regular_open")
     assert any(
-        w.space.top.opens_sorted == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a", "b"]}
+        w.space.opens == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a", "b"]}
         for w in found
     )
 
@@ -164,7 +164,7 @@ def test_mine_finds_the_pivot_space_witness():
 def test_mine_finds_the_int_closure_witness():
     found = tl.mine(3, "builtins", "regular_open_not_clopen")
     assert any(
-        w.space.top.opens_sorted == (0, 1, 2, 3, 7) and w.witness == {"subset": ["a"]}
+        w.space.opens == (0, 1, 2, 3, 7) and w.witness == {"subset": ["a"]}
         for w in found
     )
 
@@ -173,7 +173,7 @@ def test_mine_claim_failure_predicate():
     assert tl.mine(2, "builtins,pivots", "fails:C-T3.6") == []
     found = tl.mine(3, "pivots", "fails:C-T3.9-FWD")
     assert any(
-        w.space.top.opens_sorted == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a"]}
+        w.space.opens == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a"]}
         for w in found
     )
 
@@ -183,7 +183,7 @@ def test_mine_is_superset_stable():
     large = tl.mine(3, "builtins,pivots", "gamma_open_not_regular_open")
 
     def signature(w):
-        return (w.space.top.opens_sorted, w.space.extension, tuple(w.witness["subset"]))
+        return (w.space.opens, w.space.gamma_values, tuple(w.witness["subset"]))
 
     assert {signature(w) for w in small} <= {signature(w) for w in large}
 
