@@ -63,7 +63,7 @@ from operator import and_, or_
 
 from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
 from .gamma_core import Space, per_space
-from .gamma_sets import _theta_env, gamma_open_family, regular_open_family
+from .gamma_sets import _theta_env, gamma_open_family, regular_open_family, theta_closure_table
 
 
 class FilterbaseError(ValueError):
@@ -155,20 +155,27 @@ class PrincipalVerdicts:
 @per_space
 def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
     """Built once per space and test family: regular-open neighbourhoods
-    (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``)."""
+    (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``).
+
+    {M} accumulates at x iff M meets every test set of x.  Against the
+    gamma-closures of x's gamma-open neighbourhoods that is the definition
+    of x in the theta closure of M, so the ``gamma_open_cl`` accumulation
+    table is ``theta_closure_table``, read rather than built again."""
     n = sp.ground.n
     if family == "regular_open":
         ro = regular_open_family(sp)
         tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
+        accumulates = meeting_table(n, tests)
     elif family == "gamma_open_cl":
         tests = _theta_env(sp)
+        accumulates = theta_closure_table(sp)
     else:
         raise ValueError(f"unknown test family {family!r}")
     full = sp.ground.full_mask
     # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
     outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
     converges = inside_table(n, outside)[::-1]
-    return PrincipalVerdicts(tests, converges, meeting_table(n, tests))
+    return PrincipalVerdicts(tests, converges, accumulates)
 
 
 def _fb_converges(sp: Space, members, xi: int, family: str) -> bool:
@@ -361,14 +368,6 @@ def is_universal_net(ground: PointSet, net: Net) -> bool:
 
 # -- enumerations ------------------------------------------------------------
 
-def enumerate_filters(ground: PointSet):
-    """One principal representative per generated filter: the filterbase
-    {M} for each non-empty M.  Convergence verdicts depend only on the
-    generated filter, so these representatives cover all filterbases."""
-    for m in range(1, ground.full_mask + 1):
-        yield Filterbase(frozenset((m,)))
-
-
 @lru_cache(maxsize=None)
 def enumerate_filterbases(ground: PointSet) -> tuple[Filterbase, ...]:
     """Every filterbase on the ground set.  A family of non-empty sets is
@@ -452,18 +451,9 @@ class GammaClosedConditions:
         return all(self.as_tuple())
 
 
-def _gamma_closed_family(sp: Space, closedness: str) -> tuple[int, ...]:
-    full = sp.ground.full_mask
-    if closedness == "dual":
-        return tuple(sorted(full ^ g for g in gamma_open_family(sp)))
-    if closedness == "cl":
-        return tuple(m for m, c in enumerate(sp.cl_g) if c & ~m == 0)
-    raise ValueError(f"unknown closedness mode {closedness!r}")
-
-
 @per_space
-def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaClosedConditions:
-    """Decide the five conditions, once per space and closedness mode.
+def gamma_closed_space_conditions(sp: Space) -> GammaClosedConditions:
+    """Decide the five conditions, once per space.
 
     (1) every gamma-open cover has a subfamily whose gamma-closures cover;
     (2) every gamma-closed family with empty intersection has a subfamily
@@ -482,6 +472,11 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
     closed sets whose int_g holds y have empty intersection.  Neither
     ever fails: cl_g is extensive, so that family never holds y, and
     int_g is contractive, so y lies in every one of those closed sets.
+
+    A gamma-closed set is the complement of a gamma-open one.  Reading it
+    as a fixed point of cl_g gives the same family: x is outside cl_g(A)
+    iff some value at x misses A, iff some value at x lies inside X - A,
+    iff x is in int_g(X - A).  So cl_g(A) = A iff X - A is gamma-open.
     """
     full = sp.ground.full_mask
     ground = sp.ground
@@ -496,7 +491,8 @@ def gamma_closed_space_conditions(sp: Space, closedness: str = "dual") -> GammaC
             witnesses["gamma_open_covers"] = {"cover": [ground.labels_of(u) for u in cover]}
             break
 
-    closed = _gamma_closed_family(sp, closedness)
+    # complements of an ascending family, ascending
+    closed = tuple(full ^ g for g in reversed(fam))
     cond2 = True
     for y in range(ground.n):
         family = [a for a in closed if sp.int_g[a] >> y & 1]

@@ -65,13 +65,26 @@ class TableModeTooLarge(GammaError):
     pass
 
 
+# each pivot branch as a function of (topology, open set)
+_BRANCHES = {
+    "id": lambda top, v: v,
+    "cl": closure,
+    "intcl": lambda top, v: interior(top, closure(top, v)),
+}
+# a builtin kind is the pivot branch it applies to every open
+_BUILTIN_BRANCH = {"identity": "id", "closure": "cl", "int_closure": "intcl"}
+
+
 @dataclass(frozen=True)
 class GammaOperation:
     """One of five operation kinds.
 
     ``pivot`` applies *in_branch* to opens containing the pivot point and
     *out_branch* to the rest; branches are id, cl (closure) or intcl
-    (interior of closure).  ``table`` lists an explicit value per open set.
+    (interior of closure).  ``identity``, ``closure`` and ``int_closure``
+    apply the branch id, cl or intcl to every open: a pivot whose two
+    branches agree, so one branch table serves all four kinds.  ``table``
+    lists an explicit value per open set.
     """
 
     kind: str
@@ -94,32 +107,30 @@ class GammaOperation:
             if self.pivot is not None or self.in_branch is not None or self.out_branch is not None:
                 raise InvalidOperation(f"{self.kind} operations take no extra fields")
 
-    def value_on(self, top: Topology, v: int) -> int:
-        """Raw value at the open set *v* (no expansiveness check here)."""
-        if self.kind == "identity":
-            return v
-        if self.kind == "closure":
-            return closure(top, v)
-        if self.kind == "int_closure":
-            return interior(top, closure(top, v))
+    def extension(self, top: Topology) -> tuple[int, ...]:
+        """Raw values over ``top.opens_sorted`` (no expansiveness check
+        here); two operations are the same map iff their extensions agree.
+        A table's sorted domain must be exactly the opens."""
+        opens = top.opens_sorted
+        if self.kind == "table":
+            if tuple(m for m, _ in self.table) != opens:
+                raise InvalidOperation("table domain must be exactly the open sets")
+            return tuple(value for _, value in self.table)
         if self.kind == "pivot":
-            branch = self.in_branch if v & (1 << top.ground.index(self.pivot)) else self.out_branch
-            if branch == "id":
-                return v
-            if branch == "cl":
-                return closure(top, v)
-            return interior(top, closure(top, v))
-        for open_mask, value in self.table:
-            if open_mask == v:
-                return value
-        raise NotAnOpenSet(f"table has no entry for {top.ground.format(v)}")
+            bit = 1 << top.ground.index(self.pivot)
+            inside, outside = _BRANCHES[self.in_branch], _BRANCHES[self.out_branch]
+        else:
+            bit = 0
+            inside = outside = _BRANCHES[_BUILTIN_BRANCH[self.kind]]
+        return tuple((inside if v & bit else outside)(top, v) for v in opens)
 
 
 @dataclass(frozen=True)
 class Space:
     """Ground set, topology and operation: the context of every classifier.
 
-    ``int_g`` and ``cl_g`` hold the two operators, indexed by subset mask.
+    ``int_g`` and ``cl_g`` hold the two operators, indexed by subset mask;
+    ``extension`` holds the operation's values over the sorted opens.
     """
 
     ground: PointSet
@@ -129,19 +140,14 @@ class Space:
     def __post_init__(self):
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
-        if self.gamma.kind == "table":
-            # read the sorted table in one pass, not one value_on scan per open
-            pairs = self.gamma.table
-            if tuple(m for m, _ in pairs) != self.top.opens_sorted:
-                raise InvalidOperation("table domain must be exactly the open sets")
-        else:
-            pairs = [(v, self.gamma.value_on(self.top, v)) for v in self.top.opens_sorted]
+        extension = self.gamma.extension(self.top)
         values = {}
-        for v, value in pairs:
+        for v, value in zip(self.top.opens_sorted, extension):
             self.ground.check_mask(value)
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
             values[v] = value
+        object.__setattr__(self, "extension", extension)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_memo", {})
         # per-point neighbourhood values drive the two operators
@@ -152,12 +158,6 @@ class Space:
         # expansiveness puts each point inside its values, so int_g(A) <= A
         object.__setattr__(self, "int_g", inside_table(self.ground.n, nbds))
         object.__setattr__(self, "cl_g", meeting_table(self.ground.n, nbds))
-
-    @property
-    def extension(self) -> tuple[int, ...]:
-        """Values over the sorted opens; two operations are the same map iff
-        their extensions agree."""
-        return tuple(self._values[v] for v in self.top.opens_sorted)
 
 
 def apply_gamma(sp: Space, v: int) -> int:
@@ -266,7 +266,7 @@ def enumerate_gamma_operations(top: Topology, mode: str):
         for label in top.ground.labels:
             for in_b, out_b in itertools.product(BRANCHES, repeat=2):
                 op = GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
-                ext = tuple(op.value_on(top, v) for v in top.opens_sorted)
+                ext = op.extension(top)
                 if ext not in seen:
                     seen.add(ext)
                     yield op
@@ -291,7 +291,7 @@ def operations_for(top: Topology, modes) -> list[GammaOperation]:
     ops = []
     for mode in modes:
         for op in enumerate_gamma_operations(top, mode):
-            ext = tuple(op.value_on(top, v) for v in top.opens_sorted)
+            ext = op.extension(top)
             if ext not in seen:
                 seen.add(ext)
                 ops.append(op)

@@ -115,30 +115,19 @@ class SubsetClassification:
     witnesses: dict
 
 
-def _smallest_point(sp: Space, mask: int) -> str | None:
-    for i in bits_of(mask):
-        return sp.ground.labels[i]
-    return None
-
-
 def classify_subset(sp: Space, a: int) -> SubsetClassification:
     """All flags for one subset, with the smallest failing point recorded
-    for every flag that comes out false."""
+    for every flag that comes out false.
+
+    Each flag is an equation between two sets (clopen is two), and its
+    failing-point mask is their symmetric difference, so the flag holds
+    iff the mask is 0.  ``gamma_closed_cl`` reads cl_g(A) <= A as
+    cl_g(A) = A because cl_g is extensive, and ``open_tau`` and the
+    theta flags compare a set with its interior or theta closure."""
     sp.ground.check_mask(a)
     full = sp.ground.full_mask
     comp = full ^ a
     gi, gc = gamma_interior(sp, a), gamma_closure(sp, a)
-    flags = {
-        "open_tau": sp.top.is_open(a),
-        "gamma_open": gi == a,
-        "gamma_closed_dual": is_gamma_closed_dual(sp, a),
-        "gamma_closed_cl": gc == a,
-        "gamma_regular_open": is_gamma_regular_open(sp, a),
-        "gamma_regular_closed": is_gamma_regular_closed(sp, a),
-        "gamma_clopen": gi == a and gc == a,
-        "theta_open": is_theta_open(sp, a),
-        "theta_closed": is_theta_closed(sp, a),
-    }
     fail_masks = {
         "open_tau": a ^ interior(sp.top, a),
         "gamma_open": a ^ gi,
@@ -150,10 +139,7 @@ def classify_subset(sp: Space, a: int) -> SubsetClassification:
         "theta_open": comp ^ gamma_theta_closure(sp, comp),
         "theta_closed": a ^ gamma_theta_closure(sp, a),
     }
-    witnesses = {}
-    for name in FLAG_NAMES:
-        if not flags[name]:
-            point = _smallest_point(sp, fail_masks[name])
-            if point is not None:
-                witnesses[name] = point
+    flags = {name: not fail for name, fail in fail_masks.items()}
+    labels = sp.ground.labels
+    witnesses = {name: labels[next(bits_of(fail))] for name, fail in fail_masks.items() if fail}
     return SubsetClassification(subset=a, flags=flags, witnesses=witnesses)

@@ -110,19 +110,25 @@ class SpaceKey:
     gamma_values: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        """The space as JSON values.  Its label lists are shared with every
-        other payload over the same points (``PointSet.label_list``): no
+        """The space as JSON values, built on first use and then returned
+        to every payload on this key; its label lists are shared with every
+        other payload over the same points (``PointSet.label_list``).  No
         caller mutates a result, and none may."""
-        ground = _ground(self.points)
-        lists = ground.label_list
-        return {
-            "points": lists(ground.full_mask),
-            "opens": [lists(m) for m in self.opens],
-            "gamma": {
-                "kind": self.gamma_kind,
-                "values": [lists(m) for m in self.gamma_values],
-            },
-        }
+        payload = self.__dict__.get("_payload")
+        if payload is None:
+            ground = _ground(self.points)
+            lists = ground.label_list
+            payload = {
+                "points": lists(ground.full_mask),
+                "opens": [lists(m) for m in self.opens],
+                "gamma": {
+                    "kind": self.gamma_kind,
+                    "values": [lists(m) for m in self.gamma_values],
+                },
+            }
+            # a frozen dataclass: set the cache past its __setattr__
+            object.__setattr__(self, "_payload", payload)
+        return payload
 
 
 @lru_cache(maxsize=64)
@@ -498,8 +504,10 @@ def _check_t45(sp: Space):
 
 @_claim("C-P4.7-EQ", "safe", (), "the five cover/accumulation conditions all hold")
 def _check_p47(sp: Space):
-    conds = gamma_closed_space_conditions(sp, "dual")
-    notes = {"cl_mode_conditions": gamma_closed_space_conditions(sp, "cl").as_tuple()}
+    conds = gamma_closed_space_conditions(sp)
+    # cl_g(A) = A iff X - A is gamma-open (``gamma_closed_space_conditions``),
+    # so the cl_g-fixed reading of gamma-closed has these same conditions
+    notes = {"cl_mode_conditions": conds.as_tuple()}
     if conds.all_hold():
         return "holds", None, notes
     for name, value in zip(
@@ -653,7 +661,7 @@ def _check_p411(sp: Space):
         "cover condition, net accumulation and universal-net convergence agree")
 def _check_t413(sp: Space):
     notes = {"restriction": NET_RESTRICTION_NOTE}
-    covers = gamma_closed_space_conditions(sp, "dual").gamma_open_covers
+    covers = gamma_closed_space_conditions(sp).gamma_open_covers
 
     # by the convergence module's lemma a net accumulates at x iff its tail
     # T does as a kernel, and nets within the cap realise every |T| <= cap

@@ -4,7 +4,7 @@ every filterbase.  The enumeration lives here as the oracle."""
 
 import pytest
 
-from gamma_top import convergence, documents
+from gamma_top import convergence, documents, gamma_sets
 from gamma_top import theoremlab as tl
 from gamma_top.convergence import (
     _fb_accumulates,
@@ -71,7 +71,7 @@ def oracle_bridge_pairings(sp, max_dir_size):
 
 def oracle_t413(sp):
     notes = {"restriction": tl.NET_RESTRICTION_NOTE}
-    covers = gamma_closed_space_conditions(sp, "dual").gamma_open_covers
+    covers = gamma_closed_space_conditions(sp).gamma_open_covers
     labels = sp.ground.labels
     acc_witness = uni_witness = None
     for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP):
@@ -152,7 +152,9 @@ def test_t413_failure_witness_matches_oracle(monkeypatch):
     def no_closures(sp):
         return tuple((0,) for _ in range(sp.ground.n))
 
+    # the test sets, and the theta closure that is their accumulation table
     monkeypatch.setattr(convergence, "_theta_env", no_closures)
+    monkeypatch.setattr(gamma_sets, "_theta_env", no_closures)
     sp = documents.load_bundled("example3_2")
     verdict = tl.check_claim(sp, "C-T4.13")
     assert verdict.status == "fails"

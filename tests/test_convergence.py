@@ -16,7 +16,6 @@ from gamma_top.convergence import (
     chain,
     enumerate_directed_sets,
     enumerate_filterbases,
-    enumerate_filters,
     enumerate_nets,
     fb_r_accumulates,
     fb_r_converges,
@@ -65,7 +64,6 @@ def test_kernel_is_a_member_for_every_filterbase():
 def test_filterbase_counts():
     assert len(enumerate_filterbases(PointSet(("a", "b")))) == 5
     assert len(enumerate_filterbases(ABC)) == 31
-    assert len(list(enumerate_filters(ABC))) == 7
 
 
 def test_subordination():
@@ -211,31 +209,26 @@ def test_space_conditions_all_hold(example3_2, example3_5):
     for sp in (example3_2, example3_5, indiscrete):
         conds = gamma_closed_space_conditions(sp)
         assert conds.all_hold(), conds
-        assert gamma_closed_space_conditions(sp, "cl").as_tuple() == conds.as_tuple()
 
 
-def test_space_conditions_decided_once_per_mode(monkeypatch):
-    modes = []
-    closed_family = convergence._gamma_closed_family
+def test_space_conditions_decided_once_per_space(monkeypatch):
+    calls = []
+    open_family = convergence.gamma_open_family
 
-    def counting(sp, closedness):
-        modes.append(closedness)
-        return closed_family(sp, closedness)
+    def counting(sp):
+        calls.append(sp)
+        return open_family(sp)
 
-    # each computation of the conditions reads its mode's closed family once
-    monkeypatch.setattr(convergence, "_gamma_closed_family", counting)
+    # each computation of the conditions reads the gamma-open family once
+    monkeypatch.setattr(convergence, "gamma_open_family", counting)
     sp = documents.load_bundled("example3_2")  # a fresh memo
     first = gamma_closed_space_conditions(sp)
-    assert modes == ["dual"]
+    assert len(calls) == 1
     again = gamma_closed_space_conditions(sp)
-    assert modes == ["dual"]
-    assert again == first and again.witnesses == first.witnesses
-    # C-P4.7-EQ adds the cl mode; C-T4.13 reads the dual result it left
-    theoremlab.check_claim(sp, "C-P4.7-EQ")
+    assert again is first and len(calls) == 1
+    # C-P4.7-EQ reports the cl_g-fixed reading from the same result, and
+    # C-T4.13 reads it too
+    verdict = theoremlab.check_claim(sp, "C-P4.7-EQ")
+    assert verdict.notes["cl_mode_conditions"] == first.as_tuple()
     theoremlab.check_claim(sp, "C-T4.13")
-    assert modes == ["dual", "cl"]
-
-
-def test_space_conditions_unknown_mode(example3_2):
-    with pytest.raises(ValueError):
-        gamma_closed_space_conditions(example3_2, "weird")
+    assert len(calls) == 1

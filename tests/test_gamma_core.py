@@ -2,10 +2,11 @@ import pytest
 
 from gamma_top import documents
 from gamma_top.convergence import gamma_closed_space_conditions
-from gamma_top.finspace import PointSet, closure, interior, validate_topology
+from gamma_top.finspace import PointSet, closure, enumerate_topologies, interior, validate_topology
 from gamma_top.gamma_core import (
     GammaError,
     GammaNotExpansive,
+    BRANCHES,
     GammaOperation,
     InvalidOperation,
     NotAnOpenSet,
@@ -116,7 +117,7 @@ def test_pivots_mode_deduplicates_by_extension(example3_2):
     top = example3_2.top
     ops = list(enumerate_gamma_operations(top, "pivots"))
     assert 1 <= len(ops) <= 27  # 3 pivots x 9 branch pairs before dedup
-    exts = [tuple(op.value_on(top, v) for v in top.opens_sorted) for op in ops]
+    exts = [op.extension(top) for op in ops]
     assert len(set(exts)) == len(exts)
     # the pivot-at-b id/cl operation itself is enumerated
     assert example3_2.extension in exts
@@ -150,7 +151,7 @@ def test_unknown_mode():
 def test_operations_for_deduplicates_across_modes():
     top = validate_topology(ABC, list(range(8)))  # discrete: builtins coincide
     ops = operations_for(top, ("builtins", "pivots"))
-    exts = [tuple(op.value_on(top, v) for v in top.opens_sorted) for op in ops]
+    exts = [op.extension(top) for op in ops]
     assert len(set(exts)) == len(exts)
     assert len(ops) == 1  # closure and int-closure equal identity here
 
@@ -193,7 +194,47 @@ def test_per_space_runs_once_per_space_and_arguments():
 def test_memoised_values_ignore_explicit_defaults():
     sp = documents.load_bundled("example3_5")
     assert bridge_pairings(sp) is bridge_pairings(sp, NET_SIZE_CAP)
-    assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp, "dual")
-    assert gamma_closed_space_conditions(sp, "cl") is not gamma_closed_space_conditions(sp)
     with pytest.raises(TypeError):
-        gamma_closed_space_conditions(sp, closedness="dual")
+        bridge_pairings(sp, max_dir_size=NET_SIZE_CAP)
+    # the conditions take the space alone
+    assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp)
+    with pytest.raises(TypeError):
+        gamma_closed_space_conditions(sp, "dual")
+
+
+def _per_open_value(op, top, v):
+    """The value at the open *v*, straight from the kind's definition."""
+    if op.kind == "pivot":
+        branch = op.in_branch if v >> top.ground.index(op.pivot) & 1 else op.out_branch
+    else:
+        branch = {"identity": "id", "closure": "cl", "int_closure": "intcl"}[op.kind]
+    if branch == "id":
+        return v
+    if branch == "cl":
+        return closure(top, v)
+    return interior(top, closure(top, v))
+
+
+def test_extension_matches_the_per_open_definitions():
+    tops = list(enumerate_topologies(3))
+    assert len(tops) == 29
+    for top in tops:
+        ops = [GammaOperation(kind) for kind in ("identity", "closure", "int_closure")]
+        ops += [
+            GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
+            for label in top.ground.labels for in_b in BRANCHES for out_b in BRANCHES
+        ]
+        for op in ops:
+            ext = op.extension(top)
+            assert ext == tuple(_per_open_value(op, top, v) for v in top.opens_sorted), (top, op)
+            table = GammaOperation("table", table=tuple(zip(top.opens_sorted, ext)))
+            assert table.extension(top) == ext
+            assert Space(top.ground, top, op).extension == ext
+    # a table must list exactly the opens
+    top = validate_topology(ABC, [0, m("a"), 7])
+    for domain in ([0, 7], [0, m("a"), m("b"), 7], [0, m("b"), 7]):
+        op = GammaOperation("table", table=tuple((v, 7) for v in domain))
+        with pytest.raises(InvalidOperation, match="table domain must be exactly the open sets"):
+            op.extension(top)
+        with pytest.raises(InvalidOperation, match="table domain must be exactly the open sets"):
+            Space(ABC, top, op)

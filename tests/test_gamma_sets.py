@@ -1,6 +1,8 @@
+from gamma_top import theoremlab as tl
 from gamma_top.finspace import PointSet, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space
 from gamma_top.gamma_sets import (
+    FLAG_NAMES,
     classify_subset,
     gamma_open_family,
     gamma_theta_closure,
@@ -9,7 +11,9 @@ from gamma_top.gamma_sets import (
     is_gamma_closed_cl,
     is_gamma_closed_dual,
     is_gamma_open,
+    is_gamma_regular_closed,
     is_gamma_regular_open,
+    is_theta_closed,
     is_theta_open,
     regular_open_family,
     theta_families,
@@ -167,3 +171,45 @@ def test_theta_open_witness_space_on_discrete_topology():
     sp = Space(ABC, top, GammaOperation("table", table=table))
     assert is_theta_open(sp, m("ab"))
     assert not is_gamma_regular_open(sp, m("ab"))
+
+
+def _lemma_spaces():
+    """Every n=3 table space and every n=4 builtin/pivot space."""
+    for n, modes in ((3, "all_tables"), (4, "builtins,pivots")):
+        for _, _, sp in tl.enumerate_spaces(n, modes):
+            yield sp
+
+
+def test_gamma_closed_readings_are_one_family():
+    # x is outside cl_g(A) iff some value at x lies inside X - A, iff x is
+    # in int_g(X - A): the complements of the gamma-open sets are exactly
+    # the fixed points of cl_g
+    count = 0
+    for sp in _lemma_spaces():
+        full = sp.ground.full_mask
+        complements = sorted(full ^ u for u in gamma_open_family(sp))
+        assert complements == [a for a, c in enumerate(sp.cl_g) if c == a]
+        count += 1
+    assert count == 9048 + 2775
+
+
+CLASSIFIERS = {
+    "open_tau": lambda sp, a: sp.top.is_open(a),
+    "gamma_open": is_gamma_open,
+    "gamma_closed_dual": is_gamma_closed_dual,
+    "gamma_closed_cl": is_gamma_closed_cl,
+    "gamma_regular_open": is_gamma_regular_open,
+    "gamma_regular_closed": is_gamma_regular_closed,
+    "gamma_clopen": is_gamma_clopen,
+    "theta_open": is_theta_open,
+    "theta_closed": is_theta_closed,
+}
+
+
+def test_classify_subset_flags_match_the_classifiers():
+    assert tuple(CLASSIFIERS) == FLAG_NAMES
+    for sp in _lemma_spaces():
+        for a in sp.ground.subsets():
+            c = classify_subset(sp, a)
+            assert c.flags == {name: is_(sp, a) for name, is_ in CLASSIFIERS.items()}, (sp, a)
+            assert set(c.witnesses) == {name for name, flag in c.flags.items() if not flag}

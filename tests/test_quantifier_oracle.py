@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from gamma_top import documents
 from gamma_top import theoremlab as tl
-from gamma_top.convergence import _gamma_closed_family, gamma_closed_space_conditions
+from gamma_top.convergence import gamma_closed_space_conditions
 from gamma_top.finspace import (
     DEFAULT_LABELS,
     MissingEmptyOrWhole,
@@ -58,6 +58,16 @@ def _rebuild_subfamily(seen, value):
     return sorted(idxs)
 
 
+def closed_family(sp, closedness):
+    """The gamma-closed sets under one reading, ascending: complements of
+    gamma-open sets (``dual``) or fixed points of cl_g (``cl``)."""
+    full = sp.ground.full_mask
+    if closedness == "dual":
+        return tuple(sorted(full ^ g for g in gamma_open_family(sp)))
+    assert closedness == "cl"
+    return tuple(m for m, c in enumerate(sp.cl_g) if c & ~m == 0)
+
+
 def oracle_conditions(sp, closedness):
     """Conditions (1) and (2): some gamma-open cover whose closures do not
     cover, some closed family with empty intersection whose interiors
@@ -69,7 +79,7 @@ def oracle_conditions(sp, closedness):
     )
     cover = next(([fam[i] for i in _rebuild_subfamily(seen, value)]
                   for value in order if value[0] == full and value[1] != full), None)
-    closed = _gamma_closed_family(sp, closedness)
+    closed = closed_family(sp, closedness)
     seen, order = _reachable(
         [(a, sp.int_g[a]) for a in closed], (full, full),
         lambda cur, it: (cur[0] & it[0], cur[1] & it[1]),
@@ -169,10 +179,10 @@ def _assert_matches_oracle(sp):
         statuses[cid] = result[0]
     assert tl.CLAIMS["C-P3.13-2"].check(sp) == oracle_p313_2(sp, theta_closure_table(sp)) \
         == ("holds", None, {})
+    conds = gamma_closed_space_conditions(sp)
+    assert conds.all_hold() and conds.witnesses == {}
     for mode in ("dual", "cl"):
-        conds = gamma_closed_space_conditions(sp, mode)
         assert oracle_conditions(sp, mode) == (None, None)
-        assert conds.all_hold() and conds.witnesses == {}
     assert is_open_operation(sp) == oracle_open_operation(sp)
     assert is_regular_operation(sp) == oracle_regular_operation(sp)
     return statuses
@@ -232,38 +242,38 @@ def test_forced_cover_condition_failure_has_a_failing_witness():
     # cl_g({a}) = {} breaks extensiveness, so the cover of the singletons
     # has closures that miss a
     cl_g = tuple(0 if a == 0b001 else a for a in range(8))
-    for mode in ("dual", "cl"):
-        forced = _discrete_identity(cl_g=cl_g)
-        conds = gamma_closed_space_conditions(forced, mode)
-        cover, _ = oracle_conditions(forced, mode)
-        assert cover is not None and not conds.gamma_open_covers
-        masks = [forced.ground.mask_of(u) for u in conds.witnesses["gamma_open_covers"]["cover"]]
-        assert set(masks) <= set(gamma_open_family(forced))
-        union = closures = 0
-        for u in masks:
-            union |= u
-            closures |= forced.cl_g[u]
-        assert union == forced.ground.full_mask != closures
+    forced = _discrete_identity(cl_g=cl_g)
+    conds = gamma_closed_space_conditions(forced)
+    # the oracle finds a failing cover under either reading of gamma-closed
+    assert all(oracle_conditions(forced, mode)[0] is not None for mode in ("dual", "cl"))
+    assert not conds.gamma_open_covers
+    masks = [forced.ground.mask_of(u) for u in conds.witnesses["gamma_open_covers"]["cover"]]
+    assert set(masks) <= set(gamma_open_family(forced))
+    union = closures = 0
+    for u in masks:
+        union |= u
+        closures |= forced.cl_g[u]
+    assert union == forced.ground.full_mask != closures
 
 
 def test_forced_closed_family_failure_has_a_failing_witness():
     # int_g({a}) = {a,b} breaks contractiveness: the closed sets whose
     # interior holds b meet in nothing
     int_g = tuple(0b011 if a == 0b001 else a for a in range(8))
-    for mode in ("dual", "cl"):
-        forced = _discrete_identity(int_g=int_g)
-        conds = gamma_closed_space_conditions(forced, mode)
-        _, family = oracle_conditions(forced, mode)
-        assert family is not None
-        assert not conds.closed_families_shrink and not conds.closed_families_contrapositive
-        witness = conds.witnesses["closed_families_shrink"]["family"]
-        masks = [forced.ground.mask_of(a) for a in witness]
-        assert set(masks) <= set(_gamma_closed_family(forced, mode))
-        meet = interiors = forced.ground.full_mask
-        for a in masks:
-            meet &= a
-            interiors &= forced.int_g[a]
-        assert meet == 0 != interiors
+    forced = _discrete_identity(int_g=int_g)
+    conds = gamma_closed_space_conditions(forced)
+    # the oracle finds a failing family under either reading of gamma-closed
+    assert all(oracle_conditions(forced, mode)[1] is not None for mode in ("dual", "cl"))
+    assert not conds.closed_families_shrink and not conds.closed_families_contrapositive
+    witness = conds.witnesses["closed_families_shrink"]["family"]
+    masks = [forced.ground.mask_of(a) for a in witness]
+    # the forced int_g breaks duality; the engine reads the dual family
+    assert set(masks) <= set(closed_family(forced, "dual"))
+    meet = interiors = forced.ground.full_mask
+    for a in masks:
+        meet &= a
+        interiors &= forced.int_g[a]
+    assert meet == 0 != interiors
 
 
 def pairwise_topology(ground, family):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -92,6 +93,16 @@ def test_space_key_roundtrip(example3_2):
     rebuilt = tl.rebuild_space(key)
     assert rebuilt.top.opens_sorted == example3_2.top.opens_sorted
     assert rebuilt.extension == example3_2.extension
+
+
+def test_one_space_payload_per_space(example3_5):
+    report = tl.run_suite(example3_5)
+    spaces = [v.to_dict()["space"] for v in report.verdicts]
+    assert len(spaces) == len(tl.CLAIM_IDS)
+    assert all(space is spaces[0] for space in spaces)
+    # a key built afresh renders the same JSON values
+    fresh = dataclasses.replace(tl.space_key(example3_5))
+    assert fresh.to_dict() is not spaces[0] and fresh.to_dict() == spaces[0]
 
 
 def test_bridge_pairings_on_examples(example3_2, example3_5):
