@@ -9,7 +9,9 @@ With ``--format machine`` stdout is the payload as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it (keys sorted,
 two-space indent, ASCII escapes) plus one trailing newline.  The payload
 is built in full first; ``jsonout.dump`` then writes it to stdout in
-batches, so the text is never held whole.  Tier-1 pins these bytes against
+batches, so the text is never held whole.  The space that consecutive
+verdicts or witnesses carry is one shared dict, encoded once and its text
+replayed at each later occurrence.  Tier-1 pins these bytes against
 ``json.dumps``.  An error while writing (a closed pipe, a full disk) can
 leave partial stdout; the exit code still says what happened.
 

@@ -237,8 +237,12 @@ def validate_topology(ground: PointSet, family) -> Topology:
     U_x itself): n * |family| look-ups.  Necessity is plain.  Conversely
     every member v is the union of the U_x for x in v, so u | v is reached
     from u by adding one U_x at a time, and u & v is the union of the U_x
-    for x in u & v, reached the same way from {}.  Only a rejected family
-    is scanned pairwise, so the error names the first failing pair.
+    for x in u & v, reached the same way from {}.  A rejected family is
+    scanned once more, point by point, for a failing pair: the members at x
+    are folded in ascending order, and a running meet that leaves the
+    family names an intersection; else the meet is U_x, and the first
+    member u with u | U_x missing names a union.  Some x fails one way or
+    the other, so this is n * |family| steps too.
     """
     opens = set()
     for mask in family:
@@ -249,11 +253,18 @@ def validate_topology(ground: PointSet, family) -> Topology:
     top = Topology(ground, frozenset(opens))
     nbds = top.minimal_nbds
     if not all(u | nbd in opens for u in opens for nbd in nbds):
-        for a, b in itertools.combinations(sorted(opens), 2):
-            if a | b not in opens:
-                raise NotClosedUnderUnion(ground, a, b)
-            if a & b not in opens:
-                raise NotClosedUnderIntersection(ground, a, b)
+        members = sorted(opens)
+        for x in range(ground.n):
+            bit = 1 << x
+            meet = ground.full_mask
+            for v in members:
+                if v & bit:
+                    if meet & v not in opens:
+                        raise NotClosedUnderIntersection(ground, meet, v)
+                    meet &= v
+            for u in members:
+                if u | meet not in opens:
+                    raise NotClosedUnderUnion(ground, *sorted((u, meet)))
     return top
 
 

@@ -8,18 +8,33 @@ encoder: it hands its ``write`` callable the text in batches, each the join
 of about ``BATCH_CHUNKS`` chunks and cut between items, so a large value is
 written without ever being held whole as text.  ``dumps`` joins those
 batches.  Tier-1 checks the bytes against ``json.dumps`` on generated values.
+
+A ``Shared`` dict is one a payload holds in several places, such as the
+space every verdict on it carries.  ``dump`` keeps the chunks of the last
+``Shared`` it encoded and replays them when the same object comes back at
+the same indent, so a payload met k times with no other ``Shared`` in
+between is encoded once.  Only one is kept, so memory stays bounded by one
+payload; every output places the payloads on one space next to each other.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["dump", "dumps"]
+__all__ = ["Shared", "dump", "dumps"]
 
 # chunks joined into one ``write`` call; a chunk is a token or a label list
 BATCH_CHUNKS = 4096
 
 _INF = float("inf")
+
+
+class Shared(dict):
+    """A dict that a payload holds in several places and nobody mutates
+    once built.  ``dump`` may write its earlier text again instead of
+    encoding it again; json and every other reader see a plain dict."""
+
+    __slots__ = ()  # no per-instance __dict__: as small as a dict
 
 
 def _float(v: float) -> str:
@@ -66,8 +81,17 @@ def dump(obj, write) -> None:
     been written."""
     chunks = []
     emit = chunks.append
+    # the Shared replayed, its indent, and the chunk runs of its first
+    # encoding (each flush inside it ends a run); ``runs`` is where the
+    # payload being encoded now collects its runs, from chunks[start:]
+    kept = kept_nl = kept_runs = runs = None
+    start = 0
 
     def flush():
+        nonlocal start
+        if runs is not None:
+            runs.append(chunks[start:])
+            start = 0
         write("".join(chunks))
         chunks.clear()
 
@@ -89,6 +113,8 @@ def dump(obj, write) -> None:
             emit("false")
         elif t is float:
             emit(_float(v))
+        elif t is Shared:
+            shared(v, nl)
         # subclasses, in the order json tests them
         elif isinstance(v, str):
             emit(_string(v))
@@ -139,6 +165,24 @@ def dump(obj, write) -> None:
             if len(chunks) >= BATCH_CHUNKS:
                 flush()
         emit(nl + "}")
+
+    def shared(d, nl):
+        nonlocal kept, kept_nl, kept_runs, runs, start
+        if d is kept and nl == kept_nl:
+            for run in kept_runs:
+                chunks.extend(run)
+                if len(chunks) >= BATCH_CHUNKS:
+                    flush()
+        elif runs is not None:
+            # inside a payload being recorded: its runs take this one in
+            obj_(d, nl)
+        else:
+            # drop the kept payload first: one payload's chunks at a time
+            kept = kept_runs = None
+            runs, start = [], len(chunks)
+            obj_(d, nl)
+            runs.append(chunks[start:])
+            kept, kept_nl, kept_runs, runs = d, nl, runs, None
 
     value(obj, "\n")
     flush()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from . import documents
+from .jsonout import Shared
 from .finspace import (
     MAX_ENUMERATION_POINTS,
     MAX_TABLE_POINTS,
@@ -113,19 +114,21 @@ class SpaceKey:
         """The space as JSON values, built on first use and then returned
         to every payload on this key; its label lists are shared with every
         other payload over the same points (``PointSet.label_list``).  No
-        caller mutates a result, and none may."""
+        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
+        so machine output encodes it once for the consecutive payloads that
+        carry it."""
         payload = self.__dict__.get("_payload")
         if payload is None:
             ground = _ground(self.points)
             lists = ground.label_list
-            payload = {
-                "points": lists(ground.full_mask),
-                "opens": [lists(m) for m in self.opens],
-                "gamma": {
+            payload = Shared(
+                points=lists(ground.full_mask),
+                opens=[lists(m) for m in self.opens],
+                gamma={
                     "kind": self.gamma_kind,
                     "values": [lists(m) for m in self.gamma_values],
                 },
-            }
+            )
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload

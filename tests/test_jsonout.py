@@ -2,6 +2,7 @@
 ``json.dumps(obj, sort_keys=True, indent=2)``."""
 
 import enum
+import random
 import json
 from collections import OrderedDict
 
@@ -123,3 +124,89 @@ def test_dump_batches_join_to_the_same_bytes():
     assert all(type(p) is str and p for p in pieces)
     assert "".join(pieces) == oracle(obj)
     assert jsonout.dumps(obj) == "".join(pieces)
+
+
+def _space(points="abc", opens=(0, 1, 3, 7)):
+    return theoremlab.SpaceKey(tuple(points), opens, "table", opens).to_dict()
+
+
+def _shared_cases():
+    a = _space()
+    b = jsonout.Shared({"b": [1, ["x"]], "c": {}})
+    big = jsonout.Shared(
+        {"rows": [{"i": i, "l": ["a", "b"][: i % 3]} for i in range(2 * jsonout.BATCH_CHUNKS)]}
+    )
+    return {
+        "verify": {"verdicts": [{"claim": f"C-{i}", "space": a} for i in range(24)]},
+        "two depths": {"a": a, "deeper": [{"x": [a, a]}], "z": a},
+        "interleaved": [a, b, a, b, b, a],
+        "nested": [jsonout.Shared({"inner": a, "again": a}), a, jsonout.Shared({"inner": a})],
+        "empty": [jsonout.Shared(), jsonout.Shared(), {"e": jsonout.Shared()}],
+        "root": a,
+        "small repeats": [a] * (3 * jsonout.BATCH_CHUNKS // 10),
+        "large repeats": {"k": [big, big, {"x": big}], "l": big},
+    }
+
+
+@pytest.mark.parametrize("name", list(_shared_cases()))
+def test_shared_payloads_match_json_dumps(name):
+    obj = _shared_cases()[name]
+    pieces = []
+    jsonout.dump(obj, pieces.append)
+    assert all(type(p) is str and p for p in pieces)
+    assert "".join(pieces) == oracle(obj)
+    if "repeats" in name:
+        assert len(pieces) > 3
+
+
+def test_a_repeated_shared_payload_is_encoded_once(monkeypatch):
+    key = theoremlab.SpaceKey(("a", "b"), (0, 1, 3), "table", (0, 1, 3))
+    space = key.to_dict()
+    assert type(space) is jsonout.Shared and key.to_dict() is space
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return json.encoder.encode_basestring_ascii(s)
+
+    monkeypatch.setattr(jsonout, "_string", counting)
+
+    def strings(obj):
+        calls.clear()
+        jsonout.dumps(obj)
+        return len(calls)
+
+    once = strings([space])
+    assert once > 0
+    assert strings([space] * 24) == once
+    assert strings([dict(space)] * 24) == 24 * once
+
+
+def _mine_shaped(plain):
+    """Mined witnesses, one to three per space, each space's in a row."""
+    rng = random.Random(3)
+    records = []
+    for ti in range(1000):
+        opens = tuple(sorted({0, 7} | {rng.randrange(8) for _ in range(3)}))
+        space = _space(opens=opens)
+        for oi in range(1 + ti % 3):
+            records.append({
+                "operation_index": oi,
+                "space": dict(space) if plain else space,
+                "topology_index": ti,
+                "witness": {"subset": ["a", "b", "c"][: oi + 1]},
+            })
+    return records
+
+
+def test_replayed_payloads_keep_the_batches():
+    # a replayed space is flushed after as a whole, not after each of its
+    # items: the writes and their sizes stay those of plain copies
+    replayed, plain = [], []
+    jsonout.dump(_mine_shaped(False), replayed.append)
+    jsonout.dump(_mine_shaped(True), plain.append)
+    assert "".join(replayed) == "".join(plain)
+    assert len(plain) > 10
+    assert abs(len(replayed) - len(plain)) <= 0.1 * len(plain)
+    largest = max(map(len, plain))
+    assert abs(max(map(len, replayed)) - largest) <= 0.1 * largest
