@@ -62,7 +62,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
-from .gamma_core import Space, per_space
+from .gamma_core import Space, per_operator_class
 from .gamma_sets import _theta_env, gamma_open_family, regular_open_family, theta_closure_table
 
 
@@ -152,9 +152,9 @@ class PrincipalVerdicts:
     accumulates: tuple  # per subset M, the points at which {M} accumulates
 
 
-@per_space
+@per_operator_class
 def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
-    """Built once per space and test family: regular-open neighbourhoods
+    """Built once per operator class and test family: regular-open neighbourhoods
     (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``).
 
     {M} accumulates at x iff M meets every test set of x.  Against the
@@ -451,9 +451,9 @@ class GammaClosedConditions:
         return all(self.as_tuple())
 
 
-@per_space
+@per_operator_class
 def gamma_closed_space_conditions(sp: Space) -> GammaClosedConditions:
-    """Decide the five conditions, once per space.
+    """Decide the five conditions, once per operator class.
 
     (1) every gamma-open cover has a subfamily whose gamma-closures cover;
     (2) every gamma-closed family with empty intersection has a subfamily

@@ -9,7 +9,7 @@ listing is reproducible run to run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 MAX_POINTS = 16
@@ -206,10 +206,16 @@ class PointSet:
 
 @dataclass(frozen=True)
 class Topology:
-    """A validated family of open subsets over a ground set."""
+    """A validated family of open subsets over a ground set.
+
+    ``operator_memos`` maps each (int_g, cl_g) pair of tables to the memo
+    that the spaces on this object with those operators share
+    (``gamma_core.per_operator_class``).  It lives and dies with the
+    object: an equal but distinct topology shares nothing."""
 
     ground: PointSet
     opens: frozenset[int]
+    operator_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def opens_sorted(self) -> tuple[int, ...]:

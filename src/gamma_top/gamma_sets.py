@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finspace import bits_of, interior, meeting_table
-from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family, per_space
+from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family, per_operator_class
 
 FLAG_NAMES = (
     "open_tau",
@@ -48,7 +48,7 @@ def is_gamma_regular_closed(sp: Space, a: int) -> bool:
     return sp.cl_g[gamma_interior(sp, a)] == a
 
 
-@per_space
+@per_operator_class
 def regular_open_family(sp: Space) -> tuple[int, ...]:
     ig = sp.int_g
     return tuple(m for m, c in enumerate(sp.cl_g) if ig[c] == m)
@@ -59,21 +59,21 @@ def is_gamma_clopen(sp: Space, a: int) -> bool:
     return gamma_interior(sp, a) == a and gamma_closure(sp, a) == a
 
 
-@per_space
+@per_operator_class
 def is_extremally_disconnected(sp: Space) -> bool:
     """True iff the gamma-closure of every gamma-open set is gamma-open."""
     ig, cg = sp.int_g, sp.cl_g
     return all(ig[cg[u]] == cg[u] for u in gamma_open_family(sp))
 
 
-@per_space
+@per_operator_class
 def _theta_env(sp: Space):
     """Per point, the gamma-closures of its gamma-open neighbourhoods."""
     family, cg = gamma_open_family(sp), sp.cl_g
     return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(sp.ground.n))
 
 
-@per_space
+@per_operator_class
 def theta_closure_table(sp: Space) -> tuple[int, ...]:
     """``gamma_theta_closure`` over every subset, indexed by mask; built on
     first use."""
@@ -87,7 +87,7 @@ def gamma_theta_closure(sp: Space, a: int) -> int:
     return theta_closure_table(sp)[a]
 
 
-@per_space
+@per_operator_class
 def theta_families(sp: Space):
     """(theta_closed, theta_open): fixed points of the theta closure and
     their complements, both ascending."""

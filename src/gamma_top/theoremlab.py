@@ -34,6 +34,7 @@ from .gamma_core import (
     is_open_operation,
     is_regular_operation,
     operations_for,
+    per_operator_class,
     per_space,
 )
 from .gamma_sets import (
@@ -83,9 +84,12 @@ CLAIMS: dict[str, Claim] = {}
 
 
 def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
-    """Register the decorated checker as claim *cid*."""
+    """Register the decorated checker as claim *cid*, memoised per
+    operator class: a checker reads the operators, never the operation's
+    values, and ``check_claim`` tests the hypotheses per space."""
 
     def register(check):
+        check = per_operator_class(check)
         CLAIMS[cid] = Claim(cid, tier, hypotheses, statement, check)
         return check
 
@@ -602,7 +606,7 @@ def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
     return None
 
 
-@per_space
+@per_operator_class
 def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
@@ -742,7 +746,10 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
 
 # -- per-space report ------------------------------------------------------
 
+@per_operator_class
 def _space_discrepancies(sp: Space) -> list:
+    """The measured-only statistics; shared by the operator class, so a
+    caller copies before it adds anything."""
     out = []
     full = sp.ground.full_mask
     ig, cg = sp.int_g, sp.cl_g
@@ -831,8 +838,11 @@ INVARIANT_NAMES = (
 )
 
 
+@per_operator_class
 def check_invariants(sp: Space) -> list:
-    """Structural laws every space must satisfy; returns violations."""
+    """Structural laws every space must satisfy; returns violations,
+    shared by the operator class, so a caller copies before it adds
+    anything."""
     full = sp.ground.full_mask
     bad = []
 
@@ -947,10 +957,8 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
                 failures.append(verdict)
         if invariants:
             for item in check_invariants(sp):
-                item["space"] = space_key(sp).to_dict()
-                item["topology_index"] = ti
-                item["operation_index"] = oi
-                violations.append(item)
+                violations.append(dict(item, space=space_key(sp).to_dict(),
+                                       topology_index=ti, operation_index=oi))
             disc = {d["kind"]: d for d in _space_discrepancies(sp)}
             stats["spaces"] += 1
             stats["cl_gamma_idempotent_everywhere"] += disc["cl_gamma_idempotent"]["holds"]
