@@ -58,6 +58,8 @@ def parse_space(text: str) -> Space:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise DocumentSyntaxError("document is nested too deeply") from None
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(set(doc) == {"points", "opens", "gamma"},
              "document must have exactly the keys points, opens, gamma")

@@ -18,14 +18,14 @@ disjoint from A, so each point is marked at the complements of its values
 and every entry is ORed into its subsets.  The duality between the two
 operators is therefore a checked property, not an implementation shortcut.
 
-Two memos hold what is computed from a space.  A value that reads the
-operation's values (its key, and whether the operation is open or
-regular) is kept per ``Space`` (``per_space``).  Everything else reads
+One memo holds what is computed from a space (``per_operator_class``).
+Every derived value, the open/regular operation flags included, reads
 only the ground set, the topology and the two operator tables, so it is
 a function of the space's *operator class* (topology, int_g, cl_g) and
-is kept once per class (``per_operator_class``): in a memo owned by the
-``Topology`` object, shared by every space on that object with equal
-tables.  The 9,048 3-point table spaces fall into 507 classes.
+is kept once per class: in a memo owned by the ``Topology`` object,
+shared by every space on that object with equal tables.  The 9,048
+3-point table spaces fall into 507 classes.  The one value that reads
+the operation's own values is the space's key, ``Space.key``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .finspace import (
     meeting_table,
     submasks,
 )
+from .jsonout import Shared
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -135,13 +136,52 @@ class GammaOperation:
 
 
 @dataclass(frozen=True)
+class SpaceKey:
+    """Enough data to rebuild a space bit-exactly (operation as a table)."""
+
+    points: tuple[str, ...]
+    opens: tuple[int, ...]
+    gamma_kind: str
+    gamma_values: tuple[int, ...]
+
+    def to_dict(self) -> dict:
+        """The space as JSON values, built on first use and then returned
+        to every payload on this key; its label lists are shared with every
+        other payload over the same points (``PointSet.label_list``).  No
+        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
+        so machine output encodes it once for the consecutive payloads that
+        carry it."""
+        payload = self.__dict__.get("_payload")
+        if payload is None:
+            ground = _ground(self.points)
+            lists = ground.label_list
+            payload = Shared(
+                points=lists(ground.full_mask),
+                opens=[lists(m) for m in self.opens],
+                gamma={
+                    "kind": self.gamma_kind,
+                    "values": [lists(m) for m in self.gamma_values],
+                },
+            )
+            # a frozen dataclass: set the cache past its __setattr__
+            object.__setattr__(self, "_payload", payload)
+        return payload
+
+
+@functools.lru_cache(maxsize=64)
+def _ground(points: tuple[str, ...]) -> PointSet:
+    """One validated ground set, and so one label-list cache, per label tuple."""
+    return PointSet(points)
+
+
+@dataclass(frozen=True)
 class Space:
     """Ground set, topology and operation: the context of every classifier.
 
     ``int_g`` and ``cl_g`` hold the two operators, indexed by subset mask;
     ``extension`` holds the operation's values over the sorted opens.
-    ``_memo`` is this space's memo, ``_class_memo`` the one it shares with
-    the spaces on the same ``Topology`` object with equal operators.
+    ``_class_memo`` is the memo shared with the spaces on the same
+    ``Topology`` object with equal operators.
     """
 
     ground: PointSet
@@ -151,21 +191,18 @@ class Space:
     def __post_init__(self):
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
+        opens = self.top.opens_sorted
         extension = self.gamma.extension(self.top)
-        values = {}
-        for v, value in zip(self.top.opens_sorted, extension):
+        for v, value in zip(opens, extension):
             self.ground.check_mask(value)
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
-            values[v] = value
         object.__setattr__(self, "extension", extension)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_memo", {})
         # per-point neighbourhood values drive the two operators
         nbds = []
         for i in range(self.ground.n):
             bit = 1 << i
-            nbds.append(tuple(values[u] for u in self.top.opens_sorted if u & bit))
+            nbds.append(tuple(value for u, value in zip(opens, extension) if u & bit))
         # expansiveness puts each point inside its values, so int_g(A) <= A
         int_g = inside_table(self.ground.n, nbds)
         cl_g = meeting_table(self.ground.n, nbds)
@@ -174,12 +211,19 @@ class Space:
         class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
         object.__setattr__(self, "_class_memo", class_memo)
 
+    @functools.cached_property
+    def key(self) -> SpaceKey:
+        """The space's key: it reads the operation's values, which two
+        spaces of one operator class can give differently, so it is kept
+        per space."""
+        return SpaceKey(self.ground.labels, self.top.opens_sorted, self.gamma.kind, self.extension)
+
 
 def apply_gamma(sp: Space, v: int) -> int:
     """Value of the operation at the open set *v*."""
     try:
-        return sp._values[v]
-    except KeyError:
+        return sp.extension[sp.top.opens_sorted.index(v)]
+    except ValueError:
         raise NotAnOpenSet(f"{sp.ground.format(v)} is not an open set") from None
 
 
@@ -198,42 +242,6 @@ def gamma_closure(sp: Space, a: int) -> int:
 _MISSING = object()
 
 
-def _memoised(fn, own: bool):
-    """``fn(sp, *args)`` run once per argument tuple and memo: the space's
-    own memo if *own*, else its operator class's.
-
-    The value is kept under the returned wrapper and the arguments,
-    defaults filled in, so ``f(sp)`` and ``f(sp, default)`` read one entry.
-    This is the only code that reads or writes either memo.  Arguments are
-    positional only: a keyword call raises ``TypeError``."""
-    defaults = fn.__defaults__ or ()
-    # position, among the arguments after sp, of the first defaulted one
-    first_default = fn.__code__.co_argcount - 1 - len(defaults)
-
-    @functools.wraps(fn)
-    def once_per_args(sp, *args):
-        # too few or too many arguments give a key of another length, and
-        # the call below raises before anything is stored
-        key = (once_per_args,) + args + defaults[len(args) - first_default:]
-        memo = sp._memo if own else sp._class_memo
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(sp, *args)
-        return value
-
-    return once_per_args
-
-
-def per_space(fn):
-    """Decorate ``fn(sp, *args)`` to run once per space and argument tuple.
-
-    For the functions that read the operation's values (``sp.gamma``,
-    ``sp.extension``, ``sp._values``), where two spaces of one operator
-    class can differ: two tables with equal operators can still give an
-    open different values, and so have different keys."""
-    return _memoised(fn, True)
-
-
 def per_operator_class(fn):
     """Decorate ``fn(sp, *args)`` to run once per operator class and
     argument tuple.
@@ -243,8 +251,28 @@ def per_operator_class(fn):
     equal values on two spaces with the same topology object and equal
     operator tables (by induction on the depth of its calls; the ground
     set is the topology's).  So the first space of a class computes the
-    value and the others read it."""
-    return _memoised(fn, False)
+    value and the others read it.
+
+    The value is kept in the class memo under the returned wrapper and
+    the arguments.  This is the only code that reads or writes the memo.
+    Arguments are positional only: a keyword call raises ``TypeError``,
+    and so does decorating a function with defaulted parameters, which
+    would give ``f(sp)`` and ``f(sp, default)`` two entries."""
+    if fn.__defaults__ or fn.__kwdefaults__:
+        raise TypeError(f"{fn.__qualname__}: a memoised function takes no defaults")
+
+    @functools.wraps(fn)
+    def once_per_args(sp, *args):
+        # a wrong argument count makes the call below raise before
+        # anything is stored
+        key = (once_per_args,) + args
+        memo = sp._class_memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(sp, *args)
+        return value
+
+    return once_per_args
 
 
 @per_operator_class
@@ -253,38 +281,42 @@ def gamma_open_family(sp: Space) -> tuple[int, ...]:
     return tuple(m for m, gi in enumerate(sp.int_g) if gi == m)
 
 
-@per_space
+@per_operator_class
 def is_regular_operation(sp: Space) -> bool:
     """True iff any two neighbourhood values are refined by a third:
     for every x and opens U, V at x there is an open W at x with
     value(W) inside value(U) & value(V).
 
-    On finitely many values that holds iff one value at x lies inside all
-    of them, i.e. inside their meet K_x (fold the refinement over the
-    values; the converse is plain), i.e. iff x is in int_g(K_x): the
-    finite-directedness fact of the ``convergence`` lemma, in
-    n * |opens| steps."""
-    values = sp._values
-    for x in range(sp.ground.n):
-        kernel = sp.ground.full_mask
-        for u in sp.top.opens_sorted:
-            if u >> x & 1:
-                kernel &= values[u]
-        if not sp.int_g[kernel] >> x & 1:
+    On finitely many values that holds iff one value at x lies inside
+    their meet K_x (fold the refinement over the values; the converse is
+    plain), i.e. iff x is in int_g(K_x): the finite-directedness fact of
+    the ``convergence`` lemma.  Lemma: x is in int_g(A) iff some value at
+    x lies inside A, so those A are the supersets of the values at x and
+    K_x is their meet: y is in K_x iff x is not in int_g(X - {y})."""
+    n, ig = sp.ground.n, sp.int_g
+    full = sp.ground.full_mask
+    co_points = [ig[full ^ 1 << y] for y in range(n)]
+    for x in range(n):
+        kernel = sum(1 << y for y, c in enumerate(co_points) if not c >> x & 1)
+        if not ig[kernel] >> x & 1:
             return False
     return True
 
 
-@per_space
+@per_operator_class
 def is_open_operation(sp: Space) -> bool:
-    """True iff every neighbourhood value contains a gamma-open
-    neighbourhood of the point: with ``owns[A]`` the points owning a
-    gamma-open neighbourhood inside A (one ``inside_table`` pass), every
-    open u must lie inside ``owns[value(u)]``."""
-    n = sp.ground.n
-    family = gamma_open_family(sp)
-    owns = inside_table(n, [[b for b in family if b >> x & 1] for x in range(n)])
-    return all(u & ~owns[value] == 0 for u, value in sp._values.items())
+    """True iff every neighbourhood value holds a gamma-open
+    neighbourhood of the point: for every x and open U at x, a gamma-open
+    V with x in V inside value(U).
+
+    Lemma: that holds iff int_g(A) is gamma-open for every A.  As x is in
+    int_g(A) iff some value at x lies inside A, the largest gamma-open
+    subset G(A) of A is inside int_g(A).  If the operation is open, a
+    value(U) inside A at x holds a gamma-open V at x, inside G(A): so
+    int_g(A) = G(A).  Conversely x is in int_g(value(U)), a gamma-open
+    set inside value(U)."""
+    ig = sp.int_g
+    return all(ig[g] == g for g in ig)
 
 
 def enumerate_gamma_operations(top: Topology, mode: str):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from . import documents
-from .jsonout import Shared
 from .finspace import (
     MAX_ENUMERATION_POINTS,
     MAX_TABLE_POINTS,
@@ -31,11 +30,11 @@ from .finspace import (
 from .gamma_core import (
     GammaOperation,
     Space,
+    SpaceKey,
     is_open_operation,
     is_regular_operation,
     operations_for,
     per_operator_class,
-    per_space,
 )
 from .gamma_sets import (
     gamma_open_family,
@@ -86,7 +85,8 @@ CLAIMS: dict[str, Claim] = {}
 def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
     """Register the decorated checker as claim *cid*, memoised per
     operator class: a checker reads the operators, never the operation's
-    values, and ``check_claim`` tests the hypotheses per space."""
+    values.  ``check_claim`` tests the hypotheses first, through the flags
+    of ``SPACE_FLAGS``, which are memoised per class too."""
 
     def register(check):
         check = per_operator_class(check)
@@ -104,55 +104,6 @@ NET_RESTRICTION_NOTE = (
 
 
 # -- space identity -------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceKey:
-    """Enough data to rebuild a space bit-exactly (operation as a table)."""
-
-    points: tuple[str, ...]
-    opens: tuple[int, ...]
-    gamma_kind: str
-    gamma_values: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        """The space as JSON values, built on first use and then returned
-        to every payload on this key; its label lists are shared with every
-        other payload over the same points (``PointSet.label_list``).  No
-        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
-        so machine output encodes it once for the consecutive payloads that
-        carry it."""
-        payload = self.__dict__.get("_payload")
-        if payload is None:
-            ground = _ground(self.points)
-            lists = ground.label_list
-            payload = Shared(
-                points=lists(ground.full_mask),
-                opens=[lists(m) for m in self.opens],
-                gamma={
-                    "kind": self.gamma_kind,
-                    "values": [lists(m) for m in self.gamma_values],
-                },
-            )
-            # a frozen dataclass: set the cache past its __setattr__
-            object.__setattr__(self, "_payload", payload)
-        return payload
-
-
-@lru_cache(maxsize=64)
-def _ground(points: tuple[str, ...]) -> PointSet:
-    """One validated ground set, and so one label-list cache, per label tuple."""
-    return PointSet(points)
-
-
-@per_space
-def space_key(sp: Space) -> SpaceKey:
-    return SpaceKey(
-        points=sp.ground.labels,
-        opens=sp.top.opens_sorted,
-        gamma_kind=sp.gamma.kind,
-        gamma_values=sp.extension,
-    )
-
 
 def rebuild_space(key: SpaceKey) -> Space:
     ground = PointSet(key.points)
@@ -571,9 +522,10 @@ def _class_mismatch(fb, net, reading: str, t: int, r: int):
 
 
 @lru_cache(maxsize=16)
-def _net_rows(ground: PointSet, max_dir_size: int) -> tuple:
-    """``(net, T, R)`` for every net of ``enumerate_nets``, in its order."""
-    return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, max_dir_size))
+def _net_rows(ground: PointSet) -> tuple:
+    """``(net, T, R)`` for every net of ``enumerate_nets`` within the
+    cap, in its order."""
+    return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, NET_SIZE_CAP))
 
 
 def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
@@ -607,7 +559,7 @@ def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
 
 
 @per_operator_class
-def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
+def bridge_pairings(sp: Space) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
     filterbase/constructed-net bridge.  Verdicts are mask expressions over
@@ -628,7 +580,7 @@ def bridge_pairings(sp: Space, max_dir_size: int = NET_SIZE_CAP) -> dict:
     # failing filterbase has no failing net
     pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
     if pending:
-        for net, t, r in _net_rows(sp.ground, max_dir_size):
+        for net, t, r in _net_rows(sp.ground):
             for pairing in list(pending):
                 hit = mismatch[pairing](t, r)
                 if hit is not None:
@@ -690,7 +642,7 @@ def _check_t413(sp: Space):
         "every_universal_net_converges": universal_converge,
     }
     if not nets_accumulate:
-        net = next(net for net, t, _ in _net_rows(sp.ground, NET_SIZE_CAP) if accumulates_nowhere(t))
+        net = next(net for net, t, _ in _net_rows(sp.ground) if accumulates_nowhere(t))
         witness["net"] = _net_witness(sp, net, 0, "no_accumulation_point")
     return "fails", witness, notes
 
@@ -716,19 +668,18 @@ def parse_claims(claims) -> tuple[str, ...]:
     return ids
 
 
-_HYPOTHESIS_TESTS = {
-    "open_operation": is_open_operation,
+# the space-level flags, in the order ``analyze`` prints them; claim
+# hypotheses name them too
+SPACE_FLAGS = {
     "extremally_disconnected": is_extremally_disconnected,
+    "regular_operation": is_regular_operation,
+    "open_operation": is_open_operation,
 }
 
 
 def space_flags(sp: Space) -> dict:
     """The space-level flags that ``analyze`` and the audits report."""
-    return {
-        "extremally_disconnected": is_extremally_disconnected(sp),
-        "regular_operation": is_regular_operation(sp),
-        "open_operation": is_open_operation(sp),
-    }
+    return {name: flag(sp) for name, flag in SPACE_FLAGS.items()}
 
 
 def check_claim(sp: Space, claim_id: str) -> Verdict:
@@ -736,8 +687,8 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
         claim = CLAIMS[claim_id]
     except KeyError:
         raise UnknownClaim(f"unknown claim {claim_id!r}") from None
-    key = space_key(sp)
-    unmet = [h for h in claim.hypotheses if not _HYPOTHESIS_TESTS[h](sp)]
+    key = sp.key
+    unmet = [h for h in claim.hypotheses if not SPACE_FLAGS[h](sp)]
     if unmet:
         return Verdict(claim_id, key, "hypotheses_not_met", None, {"unmet": unmet})
     status, witness, notes = claim.check(sp)
@@ -957,7 +908,7 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
                 failures.append(verdict)
         if invariants:
             for item in check_invariants(sp):
-                violations.append(dict(item, space=space_key(sp).to_dict(),
+                violations.append(dict(item, space=sp.key.to_dict(),
                                        topology_index=ti, operation_index=oi))
             disc = {d["kind"]: d for d in _space_discrepancies(sp)}
             stats["spaces"] += 1
@@ -977,7 +928,6 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
 class BridgeReport:
     n: int
     modes: tuple
-    max_dir_size: int
     spaces: int
     pairings: dict
     satisfying: list
@@ -986,14 +936,14 @@ class BridgeReport:
         return {
             "n": self.n,
             "modes": list(self.modes),
-            "max_dir_size": self.max_dir_size,
+            "max_dir_size": NET_SIZE_CAP,
             "spaces": self.spaces,
             "pairings": self.pairings,
             "satisfying_pairings": self.satisfying,
         }
 
 
-def bridge_report(n: int, modes=("builtins", "pivots"), max_dir_size: int = NET_SIZE_CAP) -> BridgeReport:
+def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     """Evaluate the two bridge propositions under all four definitional
     pairings over the enumeration, collecting failure counts and witnesses."""
     modes = parse_modes(modes)
@@ -1007,16 +957,16 @@ def bridge_report(n: int, modes=("builtins", "pivots"), max_dir_size: int = NET_
     spaces = 0
     for ti, oi, sp in enumerate_spaces(n, modes):
         spaces += 1
-        per_space = bridge_pairings(sp, max_dir_size)
+        found = bridge_pairings(sp)
         for name in PAIRINGS:
             for prop in ("C-P4.10", "C-P4.11"):
-                witness = per_space[name][prop]
+                witness = found[name][prop]
                 if witness is not None:
                     entry = pairings[name][prop]
                     entry["failures"] += 1
                     if len(entry["witnesses"]) < 3:
                         record = dict(witness)
-                        record["space"] = space_key(sp).to_dict()
+                        record["space"] = sp.key.to_dict()
                         record["topology_index"] = ti
                         record["operation_index"] = oi
                         entry["witnesses"].append(record)
@@ -1026,7 +976,7 @@ def bridge_report(n: int, modes=("builtins", "pivots"), max_dir_size: int = NET_
         if pairings[name]["C-P4.10"]["failures"] == 0
         and pairings[name]["C-P4.11"]["failures"] == 0
     ]
-    return BridgeReport(n, modes, max_dir_size, spaces, pairings, satisfying)
+    return BridgeReport(n, modes, spaces, pairings, satisfying)
 
 
 # -- mining ----------------------------------------------------------------
@@ -1087,7 +1037,7 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
                 out.append(MinedWitness(ti, oi, verdict.space, verdict.witness))
             continue
         for a in _separating(sp, *SEPARATIONS[predicate]):
-            out.append(MinedWitness(ti, oi, space_key(sp), {"subset": _labels(sp, a)}))
+            out.append(MinedWitness(ti, oi, sp.key, {"subset": _labels(sp, a)}))
     return out
 
 
@@ -1207,4 +1157,4 @@ def audit_example(which: str) -> ExampleAudit:
         "recomputed_witnesses": [_labels(sp, a) for a in found],
         "supported_in_space": bool(found),
     }
-    return ExampleAudit(which, space_key(sp), diffs, qualitative, space_flags(sp))
+    return ExampleAudit(which, sp.key, diffs, qualitative, space_flags(sp))

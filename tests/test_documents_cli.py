@@ -201,6 +201,16 @@ def test_cli_empty_claim_list_is_an_input_error(capsys):
         assert err.startswith("error:") and "empty" in err, argv
 
 
+def test_cli_deeply_nested_document_is_an_input_error(capsys, tmp_path):
+    # exit 1 would mean a safe claim failed
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err == "error: document is nested too deeply\n", command
+
+
 def test_cli_mine(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -19,7 +19,7 @@ from gamma_top.gamma_core import (
     is_open_operation,
     is_regular_operation,
     operations_for,
-    per_space,
+    per_operator_class,
 )
 from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings
 
@@ -162,41 +162,44 @@ def test_pivot_branches_follow_membership(example3_17):
     assert apply_gamma(example3_17, m("ac")) == m("ac")  # b outside: identity
 
 
-def test_per_space_runs_once_per_space_and_arguments():
+def test_per_operator_class_runs_once_per_class_and_arguments():
     calls = []
 
-    @per_space
+    @per_operator_class
     def family(sp):
         calls.append(("family", sp))
         return object()
 
-    @per_space
-    def table(sp, mode="dual", scale=1):
-        calls.append((mode, scale))
+    @per_operator_class
+    def table(sp, mode):
+        calls.append(mode)
         return object()
 
     first, second = documents.load_bundled("example3_2"), documents.load_bundled("example3_5")
     assert family(first) is family(first) is not family(second)
-    # a defaulted argument, passed or not, reads one entry
-    value = table(first)
-    assert table(first, "dual") is table(first, "dual", 1) is value
+    value = table(first, "dual")
+    assert table(first, "dual") is value
     assert table(first, "cl") is table(first, "cl") is not value
-    assert table(first, "dual", 2) is not value and table(second) is not value
-    assert calls == [("family", first), ("family", second), ("dual", 1), ("cl", 1),
-                     ("dual", 2), ("dual", 1)]
+    assert table(second, "dual") is not value
+    assert calls == [("family", first), ("family", second), "dual", "cl", "dual"]
     # arguments are positional only: a keyword call raises and stores nothing
-    memo_before = dict(second._memo)
+    memo_before = dict(second._class_memo)
     with pytest.raises(TypeError):
         table(second, mode="cl")
-    assert second._memo == memo_before and len(calls) == 6
+    assert second._class_memo == memo_before and len(calls) == 5
+    # a defaulted parameter would give f(sp) and f(sp, default) two entries
+    with pytest.raises(TypeError, match="takes no defaults"):
+        @per_operator_class
+        def defaulted(sp, mode="dual"):
+            return mode
 
 
-def test_memoised_values_ignore_explicit_defaults():
+def test_memoised_functions_take_the_space_alone():
     sp = documents.load_bundled("example3_5")
-    assert bridge_pairings(sp) is bridge_pairings(sp, NET_SIZE_CAP)
+    assert bridge_pairings(sp) is bridge_pairings(sp)
+    # nets are capped at NET_SIZE_CAP, and no call may ask for another cap
     with pytest.raises(TypeError):
-        bridge_pairings(sp, max_dir_size=NET_SIZE_CAP)
-    # the conditions take the space alone
+        bridge_pairings(sp, NET_SIZE_CAP)
     assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp)
     with pytest.raises(TypeError):
         gamma_closed_space_conditions(sp, "dual")

@@ -1,5 +1,5 @@
-"""Claim verdicts, families, invariants and discrepancy statistics are
-memoised per operator class: the spaces on one ``Topology`` object with
+"""Claim verdicts, families, flags, invariants and discrepancy statistics
+are memoised per operator class: the spaces on one ``Topology`` object with
 equal int_g and cl_g tables share them (``gamma_core.per_operator_class``).
 These tests check that sharing changes no result, that the shared code
 reads nothing of the operation but its two operators, and how often the
@@ -54,10 +54,10 @@ def test_shared_results_equal_fresh_ones():
 
 
 def _stand_in(sp):
-    """The ground set, topology and operator tables of *sp*, with empty
-    memos: no ``gamma``, ``extension`` or operation values."""
+    """The ground set, topology and operator tables of *sp*, with an empty
+    memo: no ``gamma``, ``extension`` or ``key``."""
     return SimpleNamespace(ground=sp.ground, top=sp.top, int_g=sp.int_g, cl_g=sp.cl_g,
-                           _memo={}, _class_memo={})
+                           _class_memo={})
 
 
 def test_class_memoised_code_reads_only_the_operators():
@@ -74,9 +74,21 @@ def test_class_memoised_code_reads_only_the_operators():
             assert claim.check(stand_in) == claim.check(sp), cid
         assert tl.check_invariants(stand_in) == tl.check_invariants(sp)
         assert tl._space_discrepancies(stand_in) == tl._space_discrepancies(sp)
+        assert tl.space_flags(stand_in) == tl.space_flags(sp)
 
 
 def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
+    # the classes, and per claim those with a space that meets its hypotheses
+    classes = set()
+    met = collections.defaultdict(set)
+    for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",)):
+        cls = (ti, sp.int_g, sp.cl_g)
+        classes.add(cls)
+        for cid, claim in tl.CLAIMS.items():
+            if all(tl.SPACE_FLAGS[h](sp) for h in claim.hypotheses):
+                met[cid].add(cls)
+    assert len(classes) == 507
+
     runs = collections.Counter()
 
     def counted(name, body):
@@ -91,21 +103,15 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
         monkeypatch.setitem(tl.CLAIMS, cid, dataclasses.replace(claim, check=check))
     for name in ("check_invariants", "_space_discrepancies"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name).__wrapped__))
-
-    # the classes, and per claim those with a space that meets its hypotheses
-    classes = set()
-    met = collections.defaultdict(set)
-    for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",)):
-        cls = (ti, sp.int_g, sp.cl_g)
-        classes.add(cls)
-        for cid, claim in tl.CLAIMS.items():
-            if all(tl._HYPOTHESIS_TESTS[h](sp) for h in claim.hypotheses):
-                met[cid].add(cls)
-    assert len(classes) == 507
+    for name, flag in tl.SPACE_FLAGS.items():
+        monkeypatch.setitem(tl.SPACE_FLAGS, name, counted(name, flag.__wrapped__))
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
     assert runs["check_invariants"] == runs["_space_discrepancies"] == 507
+    # every class tests both hypotheses once; no claim names the regular flag
+    assert runs["open_operation"] == runs["extremally_disconnected"] == 507
+    assert runs["regular_operation"] == 0
     for cid, claim in tl.CLAIMS.items():
         assert runs[cid] == len(met[cid]), cid
         if not claim.hypotheses:
@@ -124,4 +130,4 @@ def test_equal_topology_objects_share_no_memo(example3_2):
     check = tl.CLAIMS["C-T3.8"].check
     assert check(same) is check(first)
     # the key reads the operation, so it stays per space
-    assert tl.space_key(same) is not tl.space_key(first)
+    assert same.key is not first.key and same.key == first.key

@@ -109,8 +109,8 @@ def test_identity_gamma_recovers_classical(top, seed):
 def test_builtin_operations_are_expansive(top):
     for op in enumerate_gamma_operations(top, "builtins"):
         sp = Space(top.ground, top, op)
-        for v in top.opens_sorted:
-            assert v & ~sp._values[v] == 0
+        for v, value in zip(top.opens_sorted, sp.extension):
+            assert v & ~value == 0
 
 
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=5))

@@ -142,8 +142,13 @@ def oracle_t315b(sp):
     return "holds", None, {}
 
 
+def _values(sp):
+    """The operation's value at each open set."""
+    return dict(zip(sp.top.opens_sorted, sp.extension))
+
+
 def oracle_regular_operation(sp):
-    values = sp._values
+    values = _values(sp)
     for i in range(sp.ground.n):
         at_x = [u for u in sp.top.opens_sorted if u >> i & 1]
         for u, v in itertools.product(at_x, repeat=2):
@@ -155,8 +160,9 @@ def oracle_regular_operation(sp):
 
 def oracle_open_operation(sp):
     family = gamma_open_family(sp)
+    values = _values(sp)
     return all(
-        any(b >> i & 1 and b & ~sp._values[u] == 0 for b in family)
+        any(b >> i & 1 and b & ~values[u] == 0 for b in family)
         for i in range(sp.ground.n)
         for u in sp.top.opens_sorted if u >> i & 1
     )
@@ -218,6 +224,19 @@ def test_stride_sample_matches_oracle_where_claims_fail(n, modes, size, stride):
     # the witnesses are compared too, not only agreement on "holds"
     assert seen["C-T3.14"] == seen["C-T3.15-A"] == {"holds", "fails"}
     assert seen["C-T3.15-B"] == {"holds", "fails"}
+
+
+def test_operation_flags_match_oracle_on_every_enumerated_space():
+    # the flags are memoised per operator class, the oracles read each
+    # space's own values: so no class mixes flag values either
+    spaces_n = _spaces(3, "all_tables") + _spaces(4, "builtins,pivots")
+    assert len(spaces_n) == 9048 + 2775
+    seen = set()
+    for sp in spaces_n:
+        flags = (is_open_operation(sp), is_regular_operation(sp))
+        assert flags == (oracle_open_operation(sp), oracle_regular_operation(sp))
+        seen.add(flags)
+    assert len(seen) == 4
 
 
 @settings(max_examples=150, deadline=None)

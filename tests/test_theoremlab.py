@@ -89,7 +89,7 @@ def test_verdicts_recompute_bit_exactly(example3_2, example3_5):
 
 
 def test_space_key_roundtrip(example3_2):
-    key = tl.space_key(example3_2)
+    key = example3_2.key
     rebuilt = tl.rebuild_space(key)
     assert rebuilt.top.opens_sorted == example3_2.top.opens_sorted
     assert rebuilt.extension == example3_2.extension
@@ -101,7 +101,7 @@ def test_one_space_payload_per_space(example3_5):
     assert len(spaces) == len(tl.CLAIM_IDS)
     assert all(space is spaces[0] for space in spaces)
     # a key built afresh renders the same JSON values
-    fresh = dataclasses.replace(tl.space_key(example3_5))
+    fresh = dataclasses.replace(example3_5.key)
     assert fresh.to_dict() is not spaces[0] and fresh.to_dict() == spaces[0]
 
 
@@ -124,7 +124,7 @@ def test_p313_2_failure_reports_a_subfamily_with_that_intersection(example3_2, m
     # intersection of two members and of no fewer.  Claim results are
     # memoised per operator class, so the patched helpers are read only
     # on a space with a memo of its own, not the shared fixture.
-    sp = tl.rebuild_space(tl.space_key(example3_2))
+    sp = tl.rebuild_space(example3_2.key)
     ground = sp.ground
     family = (ground.mask_of("ab"), ground.mask_of("bc"))
     b = ground.mask_of("b")
@@ -145,7 +145,7 @@ def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example
     # every real table is monotone: force a break at {a,b}, whose value
     # {a} no longer contains the value {b} of its subset {b}; on a space
     # with a memo of its own, as above
-    sp = tl.rebuild_space(tl.space_key(example3_2))
+    sp = tl.rebuild_space(example3_2.key)
     ground = sp.ground
     table = tuple(ground.mask_of("a") if a == ground.mask_of("ab") else a for a in ground.subsets())
 
