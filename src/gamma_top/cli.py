@@ -260,7 +260,9 @@ def cmd_audit(args) -> int:
 
 # -- wiring ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gamma-top",
         description="analyze, verify, mine and audit expansive operations on finite topologies",
@@ -270,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="families, flags and the full classification table")
     p.add_argument("file", help="space document (JSON)")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the claim suite on one space or an enumeration")
     p.add_argument("file", nargs="?", default=None)
@@ -280,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of claim ids, or safe|conditioned|all "
                         "(default: all for a file, safe for an enumeration)")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mine", help="search an enumeration for separations or claim failures")
     p.add_argument("--n", type=int, required=True)
@@ -288,21 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", required=True,
                    help=f"one of {', '.join(theoremlab.PREDICATE_NAMES[:5])}, ... or fails:<claim>")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("audit", help="diff a bundled example against recomputation")
     p.add_argument("--example", required=True, choices=("3.2", "3.5", "3.16", "3.17"))
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=cmd_audit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a command replaced at run time takes effect
+    commands = {"analyze": cmd_analyze, "verify": cmd_verify, "mine": cmd_mine, "audit": cmd_audit}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except BrokenPipeError:
         # the reader is gone; the flush at shutdown must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

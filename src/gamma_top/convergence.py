@@ -57,7 +57,7 @@ filterbase disagrees, no net does either.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
@@ -221,26 +221,28 @@ class DirectedSet:
 
     size: int
     leq: frozenset[tuple[int, int]]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool = True):
-        if not validate:  # construction sites that guarantee the laws
-            return
+    def __post_init__(self):
+        """Check the laws on the rows, in O(|leq|) steps: the index range
+        and reflexivity; transitivity as geq(j) <= geq(i) for each j in
+        geq(i); directedness as a non-empty top class when there are
+        elements (a top element bounds every pair, and the module lemma's
+        fold gives one).  Only a relation that is not directed is scanned
+        further, for a pair to name."""
         rng = range(self.size)
         for i, j in self.leq:
             if i not in rng or j not in rng:
                 raise NetError("relation mentions an element outside the index range")
+        geq = self.geq_masks
         for i in rng:
-            if (i, i) not in self.leq:
+            if not geq[i] >> i & 1:
                 raise NetError(f"relation is not reflexive at {i}")
-        for i, j in self.leq:
-            for k in rng:
-                if (j, k) in self.leq and (i, k) not in self.leq:
-                    raise NetError("relation is not transitive")
         for i in rng:
-            for j in rng:
-                if not any((i, k) in self.leq and (j, k) in self.leq for k in rng):
-                    raise NetError(f"elements {i} and {j} have no upper bound")
+            if any(geq[j] & ~geq[i] for j in bits_of(geq[i])):
+                raise NetError("relation is not transitive")
+        if rng and not self.top_mask:
+            i, j = next((i, j) for i in rng for j in rng if not geq[i] & geq[j])
+            raise NetError(f"elements {i} and {j} have no upper bound")
 
     @cached_property
     def geq_masks(self) -> tuple[int, ...]:
@@ -353,10 +355,7 @@ def filterbase_to_net(fb: Filterbase) -> Net:
         for j, (_, fj) in enumerate(elems):
             if fj & ~fi == 0:
                 pairs.add((i, j))
-    # reflexivity and transitivity hold by construction; directedness
-    # comes from fb's own directedness, so skip the cubic recheck
-    dirset = DirectedSet(len(elems), frozenset(pairs), validate=False)
-    return Net(dirset, tuple(p for p, _ in elems))
+    return Net(DirectedSet(len(elems), frozenset(pairs)), tuple(p for p, _ in elems))
 
 
 def is_universal_net(ground: PointSet, net: Net) -> bool:

@@ -48,6 +48,8 @@ from .gamma_sets import (
     theta_families,
 )
 from .convergence import (
+    Net,
+    chain,
     enumerate_nets,
     gamma_closed_space_conditions,
     net_tail_range,
@@ -266,18 +268,16 @@ def _check_t38(sp: Space):
     return "holds", None, {}
 
 
-def _cl_idempotence_notes(sp: Space) -> dict:
-    cg = sp.cl_g
-    for a, c in enumerate(cg):
-        if cg[c] != c:
-            return {"cl_gamma_idempotent": False, "idempotence_witness": _labels(sp, a)}
-    return {"cl_gamma_idempotent": True}
+# Both C-T3.9 claims require an open operation, under which cl_g is
+# idempotent (``_space_discrepancies``): their notes are this one dict,
+# shared and never mutated
+_CL_IDEMPOTENT_NOTES = {"cl_gamma_idempotent": True}
 
 
 @_claim("C-T3.9-FWD", "conditioned", ("open_operation",),
         "if cl_g(A) is regular-open then A is gamma-open")
 def _check_t39_fwd(sp: Space):
-    notes = _cl_idempotence_notes(sp)
+    notes = _CL_IDEMPOTENT_NOTES
     ig, cg = sp.int_g, sp.cl_g
     for a, c in enumerate(cg):
         if ig[cg[c]] == c and ig[a] != a:
@@ -288,7 +288,7 @@ def _check_t39_fwd(sp: Space):
 @_claim("C-T3.9-CONV", "conditioned", ("open_operation", "extremally_disconnected"),
         "if A is gamma-open then cl_g(A) is regular-open")
 def _check_t39_conv(sp: Space):
-    notes = _cl_idempotence_notes(sp)
+    notes = _CL_IDEMPOTENT_NOTES
     ig, cg = sp.int_g, sp.cl_g
     for a in gamma_open_family(sp):
         if ig[cg[cg[a]]] != cg[a]:
@@ -619,30 +619,29 @@ def _check_p411(sp: Space):
 @_claim("C-T4.13", "other", (),
         "cover condition, net accumulation and universal-net convergence agree")
 def _check_t413(sp: Space):
+    """By the convergence module's lemma a net accumulates at x iff its
+    tail T does as a kernel, and nets within the cap realise every
+    |T| <= cap.  The accumulation table is a ``meeting_table``, monotone in
+    T, so some such net accumulates nowhere iff some one-point tail does.
+    A universal net has a one-point tail, which is inside a test set
+    exactly when it meets it: converging nowhere is accumulating nowhere.
+    So the two net conditions are equal.  ``enumerate_nets`` lists the
+    one-index nets first, by value, so the first net that accumulates
+    nowhere is the one-index net at the lowest such point."""
     notes = {"restriction": NET_RESTRICTION_NOTE}
     covers = gamma_closed_space_conditions(sp).gamma_open_covers
-
-    # by the convergence module's lemma a net accumulates at x iff its tail
-    # T does as a kernel, and nets within the cap realise every |T| <= cap
     acc = principal_verdicts(sp, "gamma_open_cl").accumulates
-
-    def accumulates_nowhere(t):
-        return not acc[t]
-
-    tails = [t for t in range(1, sp.ground.full_mask + 1) if t.bit_count() <= NET_SIZE_CAP]
-    nets_accumulate = not any(accumulates_nowhere(t) for t in tails)
-    # a universal net has a one-point tail, which is inside a test set
-    # exactly when it meets it: converging nowhere is accumulating nowhere
-    universal_converge = not any(accumulates_nowhere(t) for t in tails if t & (t - 1) == 0)
-    if covers == nets_accumulate == universal_converge:
+    nowhere = next((p for p in range(sp.ground.n) if not acc[1 << p]), None)
+    nets_accumulate = nowhere is None
+    if covers == nets_accumulate:
         return "holds", None, notes
     witness = {
         "cover_condition": covers,
         "every_net_accumulates": nets_accumulate,
-        "every_universal_net_converges": universal_converge,
+        "every_universal_net_converges": nets_accumulate,
     }
     if not nets_accumulate:
-        net = next(net for net, t, _ in _net_rows(sp.ground) if accumulates_nowhere(t))
+        net = Net(chain(1), (nowhere,))
         witness["net"] = _net_witness(sp, net, 0, "no_accumulation_point")
     return "fails", witness, notes
 
@@ -699,43 +698,32 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
 
 @per_operator_class
 def _space_discrepancies(sp: Space) -> list:
-    """The measured-only statistics; shared by the operator class, so a
-    caller copies before it adds anything."""
-    out = []
-    full = sp.ground.full_mask
-    ig, cg = sp.int_g, sp.cl_g
-    # gamma-closed as the complement of a gamma-open set, and as cl_g-fixed
-    disagree = [
-        m
-        for m in sp.ground.subsets()
-        if (ig[full ^ m] == full ^ m) != (cg[m] & ~m == 0)
+    """Three statistics, each decided by a lemma; shared by the operator
+    class, so a caller copies before it adds anything.  Tier-1 checks them
+    against the literal scans over every subset.
+
+    * ``closedness_definitions``: cl_g(A) = A iff X - A is gamma-open
+      (``gamma_closed_space_conditions``), so the two readings of
+      gamma-closed always agree.
+    * ``cl_gamma_idempotent``: by the same duality cl_g(A) =
+      X - int_g(X - A), so cl_g(cl_g(A)) = X - int_g(int_g(X - A)).  Hence
+      cl_g is idempotent iff int_g is, iff the operation is open
+      (``is_open_operation``).  Only a space that is not open is scanned,
+      for the first A in mask order with cl_g(cl_g(A)) != cl_g(A).
+    * ``cl_gamma_within_theta_closure``: take x in cl_g(A) and a gamma-open
+      U at x.  Then x is in int_g(U), so some value at x lies inside U.
+      That value meets A, so cl_g(U), which contains U, meets A.  So x is
+      in thetacl(A): cl_g(A) is always inside thetacl(A).
+    """
+    witness = None
+    if not is_open_operation(sp):
+        cg = sp.cl_g
+        witness = _labels(sp, next(a for a, c in enumerate(cg) if cg[c] != c))
+    return [
+        {"kind": "closedness_definitions", "agree": True, "agreement_rate": 1.0, "witness": None},
+        {"kind": "cl_gamma_idempotent", "holds": witness is None, "witness": witness},
+        {"kind": "cl_gamma_within_theta_closure", "holds": True, "witness": None},
     ]
-    out.append(
-        {
-            "kind": "closedness_definitions",
-            "agree": not disagree,
-            "agreement_rate": 1.0 - len(disagree) / (full + 1),
-            "witness": _labels(sp, disagree[0]) if disagree else None,
-        }
-    )
-    idem = _cl_idempotence_notes(sp)
-    out.append(
-        {
-            "kind": "cl_gamma_idempotent",
-            "holds": idem["cl_gamma_idempotent"],
-            "witness": idem.get("idempotence_witness"),
-        }
-    )
-    theta = theta_closure_table(sp)
-    bad = [m for m in sp.ground.subsets() if cg[m] & ~theta[m]]
-    out.append(
-        {
-            "kind": "cl_gamma_within_theta_closure",
-            "holds": not bad,
-            "witness": _labels(sp, bad[0]) if bad else None,
-        }
-    )
-    return out
 
 
 def run_suite(sp: Space, claim_ids=None) -> VerificationReport:
@@ -773,20 +761,6 @@ def enumerate_spaces(n: int, modes, topo_range=None):
             continue
         for oi, op in enumerate(operations_for(top, modes)):
             yield ti, oi, Space(top.ground, top, op)
-
-
-INVARIANT_NAMES = (
-    "int_cl_duality",
-    "int_gamma_contractive",
-    "cl_gamma_extensive",
-    "thetacl_extensive",
-    "int_gamma_monotone",
-    "cl_gamma_monotone",
-    "thetacl_monotone",
-    "regular_open_in_gamma_open",
-    "gamma_open_in_opens",
-    "theta_open_implies_gamma_open",
-)
 
 
 @per_operator_class
@@ -881,7 +855,7 @@ class InvariantReport:
 
 def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=None):
     """One pass over the enumeration: claims plus, optionally, the
-    structural invariants and the measured-only statistics."""
+    structural invariants and the discrepancy statistics."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}

@@ -145,17 +145,32 @@ def test_four_point_builtin_and_pivot_sample_matches_oracle():
     assert two_member_literal
 
 
-def test_t413_failure_witness_matches_oracle(monkeypatch):
-    # C-T4.13 holds on every enumerated space; closures that meet nothing
-    # make every net accumulate nowhere and exercise the witness path
-    def no_closures(sp):
-        return tuple((0,) for _ in range(sp.ground.n))
+def _no_closures(sp):
+    return tuple((0,) for _ in range(sp.ground.n))
 
-    # the test sets, and the theta closure that is their accumulation table
-    monkeypatch.setattr(convergence, "_theta_env", no_closures)
-    monkeypatch.setattr(gamma_sets, "_theta_env", no_closures)
-    sp = documents.load_bundled("example3_2")
-    verdict = tl.check_claim(sp, "C-T4.13")
-    assert verdict.status == "fails"
-    assert verdict.witness["net"]["part"] == "no_accumulation_point"
-    assert (verdict.status, verdict.witness, verdict.notes) == oracle_t413(sp)
+
+def _first_point_alone(sp):
+    # the first point's one test set is itself, so its one-index net
+    # accumulates there; every other point's test set meets nothing
+    return ((1,),) + tuple((0,) for _ in range(sp.ground.n - 1))
+
+
+def test_t413_failure_witness_matches_oracle(monkeypatch):
+    # C-T4.13 holds on every enumerated space; test sets that meet nothing
+    # make nets accumulate nowhere and exercise the witness path.  Both the
+    # test sets and the theta closure, their accumulation table, read them.
+    for env, value in ((_no_closures, "a"), (_first_point_alone, "b")):
+        monkeypatch.setattr(convergence, "_theta_env", env)
+        monkeypatch.setattr(gamma_sets, "_theta_env", env)
+        sp = documents.load_bundled("example3_2")  # a fresh memo
+        verdict = tl.check_claim(sp, "C-T4.13")
+        assert verdict.status == "fails"
+        assert (verdict.status, verdict.witness, verdict.notes) == oracle_t413(sp)
+        witness = verdict.witness
+        assert witness["every_net_accumulates"] == witness["every_universal_net_converges"] is False
+        # the first net of the enumeration that accumulates nowhere
+        labels = sp.ground.labels
+        first = next(net for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP)
+                     if not any(net_r_accumulates(sp, net, x) for x in labels))
+        assert witness["net"] == tl._net_witness(sp, first, 0, "no_accumulation_point")
+        assert witness["net"]["values"] == [value]

@@ -119,12 +119,12 @@ def test_fb_verdicts_factor_through_the_kernel(example3_2, example3_5):
 
 
 def test_directed_set_validation():
-    with pytest.raises(NetError):
-        DirectedSet(2, frozenset({(0, 0), (1, 1)}))  # no upper bound for {0,1}
-    with pytest.raises(NetError):
-        DirectedSet(2, frozenset({(0, 1), (1, 1)}))  # not reflexive at 0
-    with pytest.raises(NetError):
-        DirectedSet(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))  # not transitive
+    with pytest.raises(NetError, match="elements 0 and 1 have no upper bound"):
+        DirectedSet(2, frozenset({(0, 0), (1, 1)}))
+    with pytest.raises(NetError, match="not reflexive at 0"):
+        DirectedSet(2, frozenset({(0, 1), (1, 1)}))
+    with pytest.raises(NetError, match="not transitive"):
+        DirectedSet(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))
 
 
 def test_net_convergence_examples(example3_2):

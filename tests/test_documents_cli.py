@@ -266,6 +266,13 @@ def test_cli_threaded_run_matches_sequential(capsys, monkeypatch):
         assert threaded == sequential
 
 
+def test_cli_builds_its_parser_once(capsys):
+    parser = cli.build_parser()
+    assert run_cli(capsys, "audit", "--example", "3.2")[0] == cli.EXIT_OK
+    assert run_cli(capsys, "analyze", doc_path("example3_2"))[0] == cli.EXIT_OK
+    assert cli.build_parser() is parser
+
+
 def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatch):
     def out_of_memory(args):
         raise MemoryError

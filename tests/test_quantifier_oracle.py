@@ -4,7 +4,9 @@ subfamily, scans over every point and pair of neighbourhoods, and the
 pairwise topology check.  The literal definitions live here as the
 oracle."""
 
+import collections
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from gamma_top import theoremlab as tl
 from gamma_top.convergence import gamma_closed_space_conditions
 from gamma_top.finspace import (
     DEFAULT_LABELS,
+    MAX_POINTS,
     MissingEmptyOrWhole,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -168,6 +171,45 @@ def oracle_open_operation(sp):
     )
 
 
+def oracle_cl_idempotence_notes(sp):
+    """The first A with cl_g(cl_g(A)) != cl_g(A), by a scan."""
+    cg = sp.cl_g
+    for a, c in enumerate(cg):
+        if cg[c] != c:
+            return {"cl_gamma_idempotent": False, "idempotence_witness": tl._labels(sp, a)}
+    return {"cl_gamma_idempotent": True}
+
+
+def oracle_discrepancies(sp):
+    """The three statistics of ``_space_discrepancies``, by scans over
+    every subset."""
+    full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    disagree = [m for m in sp.ground.subsets()
+                if (ig[full ^ m] == full ^ m) != (cg[m] & ~m == 0)]
+    idem = oracle_cl_idempotence_notes(sp)
+    theta = theta_closure_table(sp)
+    bad = [m for m in sp.ground.subsets() if cg[m] & ~theta[m]]
+    return [
+        {
+            "kind": "closedness_definitions",
+            "agree": not disagree,
+            "agreement_rate": 1.0 - len(disagree) / (full + 1),
+            "witness": tl._labels(sp, disagree[0]) if disagree else None,
+        },
+        {
+            "kind": "cl_gamma_idempotent",
+            "holds": idem["cl_gamma_idempotent"],
+            "witness": idem.get("idempotence_witness"),
+        },
+        {
+            "kind": "cl_gamma_within_theta_closure",
+            "holds": not bad,
+            "witness": tl._labels(sp, bad[0]) if bad else None,
+        },
+    ]
+
+
 CLAIM_ORACLES = {
     "C-T3.14": oracle_t314,
     "C-T3.15-A": oracle_t315a,
@@ -191,6 +233,7 @@ def _assert_matches_oracle(sp):
         assert oracle_conditions(sp, mode) == (None, None)
     assert is_open_operation(sp) == oracle_open_operation(sp)
     assert is_regular_operation(sp) == oracle_regular_operation(sp)
+    assert tl._space_discrepancies(sp) == oracle_discrepancies(sp)
     return statuses
 
 
@@ -237,6 +280,38 @@ def test_operation_flags_match_oracle_on_every_enumerated_space():
         assert flags == (oracle_open_operation(sp), oracle_regular_operation(sp))
         seen.add(flags)
     assert len(seen) == 4
+
+
+def _chain_space(size):
+    """The chain topology on *size* points with the closure operation."""
+    points = [chr(ord("a") + i) for i in range(size)]
+    doc = {"points": points, "opens": [points[:k] for k in range(size + 1)],
+           "gamma": {"kind": "closure"}}
+    return documents.parse_space(json.dumps(doc))
+
+
+def test_discrepancies_and_t39_notes_match_the_scans():
+    # the lemmas of ``_space_discrepancies`` against the scans they replace
+    table3 = _spaces(3, "all_tables")
+    spaces_n = table3 + _spaces(4, "builtins,pivots")
+    assert len(spaces_n) == 9048 + 2775
+    spaces_n += [documents.load_bundled(name) for name in sorted(documents.BUNDLED)]
+    spaces_n.append(_chain_space(MAX_POINTS))
+    opens = collections.Counter()
+    noted = collections.Counter()
+    for sp in spaces_n:
+        assert tl._space_discrepancies(sp) == oracle_discrepancies(sp)
+        opens[is_open_operation(sp)] += 1
+        for cid in ("C-T3.9-FWD", "C-T3.9-CONV"):
+            verdict = tl.check_claim(sp, cid)
+            if verdict.status != "hypotheses_not_met":
+                assert verdict.notes == oracle_cl_idempotence_notes(sp), cid
+                noted[cid] += 1
+    # both branches of the idempotence statistic, and both claims, are met
+    assert opens[True] and opens[False]
+    assert noted["C-T3.9-FWD"] and noted["C-T3.9-CONV"]
+    # cl_g is idempotent on exactly the open table spaces
+    assert sum(tl._space_discrepancies(sp)[1]["holds"] for sp in table3) == 5672
 
 
 @settings(max_examples=150, deadline=None)
