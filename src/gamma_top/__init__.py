@@ -43,7 +43,6 @@ from .convergence import (
     fb_r_accumulates,
     fb_r_converges,
     filterbase_to_net,
-    gamma_closed_space_conditions,
     is_maximal_filterbase,
     is_subordinate,
     is_universal_net,

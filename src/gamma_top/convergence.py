@@ -1,5 +1,4 @@
-"""Filterbases, nets, their convergence notions, and the five
-cover/accumulation conditions a space can be probed with.
+"""Filterbases, nets and their convergence notions.
 
 Filterbase convergence and accumulation test against gamma-regular-open
 neighbourhoods; net convergence and accumulation test against
@@ -57,13 +56,13 @@ filterbase disagrees, no net does either.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
 from .gamma_core import Space, per_operator_class
-from .gamma_sets import _theta_env, gamma_open_family, regular_open_family, theta_closure_table
+from .gamma_sets import _theta_env, regular_open_family, theta_closure_table
 
 
 class FilterbaseError(ValueError):
@@ -421,100 +420,3 @@ def enumerate_nets(ground: PointSet, max_size: int):
     for dirset in enumerate_directed_sets(max_size):
         for values in itertools.product(range(ground.n), repeat=dirset.size):
             yield Net(dirset, values)
-
-
-# -- the five space conditions ------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaClosedConditions:
-    """Verdicts for the five cover/accumulation conditions.  Condition (3)
-    is the contrapositive of (2), so the two always agree."""
-
-    gamma_open_covers: bool
-    closed_families_shrink: bool
-    closed_families_contrapositive: bool
-    filterbases_accumulate: bool
-    maximal_filterbases_converge: bool
-    witnesses: dict = field(compare=False)
-
-    def as_tuple(self):
-        return (
-            self.gamma_open_covers,
-            self.closed_families_shrink,
-            self.closed_families_contrapositive,
-            self.filterbases_accumulate,
-            self.maximal_filterbases_converge,
-        )
-
-    def all_hold(self) -> bool:
-        return all(self.as_tuple())
-
-
-@per_operator_class
-def gamma_closed_space_conditions(sp: Space) -> GammaClosedConditions:
-    """Decide the five conditions, once per operator class.
-
-    (1) every gamma-open cover has a subfamily whose gamma-closures cover;
-    (2) every gamma-closed family with empty intersection has a subfamily
-        with empty intersection of gamma-interiors;
-    (3) the contrapositive of (2), reported with the verdict and the
-        witness of (2): a statement and its contrapositive are equivalent;
-    (4) every filterbase accumulates somewhere (one representative per
-        generated filter);
-    (5) every maximal filterbase converges somewhere.
-
-    (1) and (2) are decided per point y from the operator tables, in
-    n * |family| steps.  (1) fails at y iff some gamma-open cover has
-    closures that all miss y.  Every such cover lies inside the family of
-    gamma-open sets whose cl_g misses y, so (1) fails iff that family
-    covers, and it is the witness.  Likewise (2) fails at y iff the
-    closed sets whose int_g holds y have empty intersection.  Neither
-    ever fails: cl_g is extensive, so that family never holds y, and
-    int_g is contractive, so y lies in every one of those closed sets.
-
-    A gamma-closed set is the complement of a gamma-open one.  Reading it
-    as a fixed point of cl_g gives the same family: x is outside cl_g(A)
-    iff some value at x misses A, iff some value at x lies inside X - A,
-    iff x is in int_g(X - A).  So cl_g(A) = A iff X - A is gamma-open.
-    """
-    full = sp.ground.full_mask
-    ground = sp.ground
-    witnesses = {}
-
-    fam = gamma_open_family(sp)
-    cond1 = True
-    for y in range(ground.n):
-        cover = [u for u in fam if not sp.cl_g[u] >> y & 1]
-        if reduce(or_, cover, 0) == full:
-            cond1 = False
-            witnesses["gamma_open_covers"] = {"cover": [ground.labels_of(u) for u in cover]}
-            break
-
-    # complements of an ascending family, ascending
-    closed = tuple(full ^ g for g in reversed(fam))
-    cond2 = True
-    for y in range(ground.n):
-        family = [a for a in closed if sp.int_g[a] >> y & 1]
-        if reduce(and_, family, full) == 0:
-            cond2 = False
-            witnesses["closed_families_shrink"] = witnesses["closed_families_contrapositive"] = {
-                "family": [ground.labels_of(a) for a in family]
-            }
-            break
-
-    principal = principal_verdicts(sp, "regular_open")
-    cond4 = True
-    for kernel in range(1, full + 1):
-        if not principal.accumulates[kernel]:
-            cond4 = False
-            witnesses["filterbases_accumulate"] = {"kernel": ground.labels_of(kernel)}
-            break
-
-    cond5 = True
-    for p in range(ground.n):
-        if not principal.converges[1 << p]:
-            cond5 = False
-            witnesses["maximal_filterbases_converge"] = {"point": ground.labels[p]}
-            break
-
-    return GammaClosedConditions(cond1, cond2, cond2, cond4, cond5, witnesses)

@@ -3,10 +3,15 @@
 Every claim is a decidable statement about one finite space.  A claim
 checker quantifies over the space's subsets, subset families, filterbases
 or small nets and returns holds / fails-with-witness, or reports that the
-space does not meet the claim's hypotheses.  Sweeps run claims over full
-enumerations of (topology, operation) pairs; the miner searches the same
-enumerations for named separations; the audits rebuild the four bundled
-example spaces and diff their published families against recomputation.
+space does not meet the claim's hypotheses.  Ten claims are theorems of
+every finite space.  Each follows from the laws that ``check_invariants``
+checks (cl_g extensive, int_g contractive, the two dual) or from a
+``meeting_table`` being monotone, by the lemma in its checker's
+docstring, and that checker returns "holds" without a scan.  Sweeps run
+claims over full enumerations of (topology, operation) pairs; the miner
+searches the same enumerations for named separations; the audits rebuild
+the four bundled example spaces and diff their published families
+against recomputation.
 """
 
 from __future__ import annotations
@@ -47,14 +52,7 @@ from .gamma_sets import (
     theta_closure_table,
     theta_families,
 )
-from .convergence import (
-    Net,
-    chain,
-    enumerate_nets,
-    gamma_closed_space_conditions,
-    net_tail_range,
-    principal_verdicts,
-)
+from .convergence import enumerate_nets, net_tail_range, principal_verdicts
 
 
 class UnknownPredicate(ValueError):
@@ -166,18 +164,16 @@ def _separating(sp: Space, has, lacks):
     return (a for a in sp.ground.subsets() if has(sp, a) and not lacks(sp, a))
 
 
-def _monotonicity_break(table, start: int = 0):
+def _monotonicity_break(table):
     """The first pair (A, A + {i}) with ``table[A]`` not inside
-    ``table[A + {i}]``, in ascending A from *start*, then ascending i; None
-    when there is none.  Checking these covering pairs, n * 2**(n-1) of
-    them, decides monotonicity: a chain of one-point steps leads from any A
-    to any superset B, and inclusion is transitive along it.  Every set on
-    that chain contains A, so with *start* = 1 it decides monotonicity
-    over the non-empty subsets.  (A point i already in A gives
-    A + {i} = A, a step that cannot break.)"""
+    ``table[A + {i}]``, in ascending A, then ascending i; None when there
+    is none.  Checking these covering pairs, n * 2**(n-1) of them, decides
+    monotonicity: a chain of one-point steps leads from any A to any
+    superset B, and inclusion is transitive along it.  (A point i already
+    in A gives A + {i} = A, a step that cannot break.)"""
     size = len(table)
     bits = [1 << i for i in range(size.bit_length() - 1)]
-    for a in range(start, size):
+    for a in range(size):
         ta = table[a]
         for bit in bits:
             if ta & ~table[a | bit]:
@@ -209,7 +205,9 @@ def _check_ro_incl(sp: Space):
 
 @_claim("C-P3.4-FWD", "other", (), "gamma-clopen implies gamma-regular-open")
 def _check_p34_fwd(sp: Space):
-    return _implication(sp, is_gamma_clopen, is_gamma_regular_open)
+    """Holds on every space: A = int_g(A) = cl_g(A) gives
+    int_g(cl_g(A)) = int_g(A) = A."""
+    return "holds", None, {}
 
 
 @_claim("C-P3.4-CONV", "conditioned", ("extremally_disconnected",),
@@ -220,14 +218,9 @@ def _check_p34_conv(sp: Space):
 
 @_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
 def _check_t36(sp: Space):
-    full = sp.ground.full_mask
-    ig, cg = sp.int_g, sp.cl_g
-    for a in sp.ground.subsets():
-        fixed = cg[ig[a]] == a
-        if ig[a] == a and cg[a] == a and not fixed:
-            return "fails", {"subset": _labels(sp, a), "part": "clopen_to_fixed"}, {}
-        if fixed and ig[cg[full ^ a]] != full ^ a:
-            return "fails", {"subset": _labels(sp, a), "part": "fixed_to_complement_regular_open"}, {}
+    """Holds on every space.  A clopen A gives cl_g(int_g(A)) = cl_g(A) = A.
+    If cl_g(int_g(A)) = A, duality (int_g(B) = X - cl_g(X - B)) gives
+    int_g(cl_g(X - A)) = X - cl_g(int_g(A)) = X - A."""
     return "holds", None, {}
 
 
@@ -309,28 +302,19 @@ def _check_c310(sp: Space):
 
 @_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
 def _check_p313_1(sp: Space):
-    pair = _monotonicity_break(theta_closure_table(sp))
-    if pair is not None:
-        a, b = pair
-        return "fails", {"subset": _labels(sp, a), "superset": _labels(sp, b)}, {}
+    """Holds on every space: the theta closure is a ``meeting_table``, and
+    a set that meets A meets every superset of A."""
     return "holds", None, {}
 
 
 @_claim("C-P3.13-2", "safe", (), "intersections of theta-closed families are theta-closed")
 def _check_p313_2(sp: Space):
-    """V is the intersection of a subfamily iff it is the meet of all the
-    members above V (any subfamily meeting to V lies above it), so the
-    intersections are the fixed points of ``meet_above_table``.  The
-    witness subfamily is the members above V."""
-    closed, _ = theta_families(sp)
-    meet = meet_above_table(sp.ground.n, closed)
-    theta = theta_closure_table(sp)
-    for v, m in enumerate(meet):
-        if m == v and theta[v] != v:
-            return "fails", {
-                "intersection": _labels(sp, v),
-                "subfamily": [_labels(sp, c) for c in closed if v & ~c == 0],
-            }, {}
+    """Holds on every space: the theta closure is monotone (C-P3.13-1) and
+    extensive (every point x of A lies in each gamma-closure of a
+    gamma-open set at x, which so meets A).  So V = the intersection of
+    theta-closed sets C_i gives V <= thetacl(V) <= the intersection of the
+    thetacl(C_i) = C_i, which is V.  The empty family gives
+    X = thetacl(X)."""
     return "holds", None, {}
 
 
@@ -406,83 +390,56 @@ def _check_chain_ro_to(sp: Space):
 
 @_claim("C-CHAIN-TO-GO", "other", (), "theta-open implies gamma-open")
 def _check_chain_to_go(sp: Space):
-    return _implication(sp, is_theta_open, is_gamma_open)
+    """Holds on every space: cl_g(B) <= thetacl(B) (``_space_discrepancies``)
+    and cl_g is extensive.  So thetacl(X - A) = X - A forces
+    cl_g(X - A) = X - A, and duality gives int_g(A) = X - cl_g(X - A) = A."""
+    return "holds", None, {}
 
 
 @_claim("C-T4.3", "safe", (), "filterbase convergence implies accumulation")
 def _check_t43(sp: Space):
-    # one representative filterbase per generated filter: verdicts factor
-    # through the kernel, so this quantifies over all filterbases
-    principal = principal_verdicts(sp, "regular_open")
-    for kernel in range(1, sp.ground.full_mask + 1):
-        # the points where {kernel} converges and does not accumulate
-        bad = principal.converges[kernel] & ~principal.accumulates[kernel]
-        if bad:
-            return "fails", {
-                "filterbase": [_labels(sp, kernel)],
-                "point": sp.ground.labels[_lowest_point(bad)],
-            }, {}
+    """Holds on every space.  A filterbase's verdicts are those of its
+    kernel K, which is not empty (the convergence module's lemma).  If it
+    converges at x then K <= K_x, the meet of x's test sets: every test
+    set of x contains K, so it meets K."""
     return "holds", None, {}
 
 
 @_claim("C-T4.4", "safe", (),
         "accumulation passes from a subordinate filterbase to the coarser one")
 def _check_t44(sp: Space):
-    acc = principal_verdicts(sp, "regular_open").accumulates
-    # subordinate representatives have non-empty kernels inside the coarse one
-    pair = _monotonicity_break(acc, start=1)
-    if pair is not None:
-        fine, coarse = pair
-        # the points where the fine base accumulates and the coarse one does not
-        lost = acc[fine] & ~acc[coarse]
-        return "fails", {
-            "coarse": [_labels(sp, coarse)],
-            "fine": [_labels(sp, fine)],
-            "point": sp.ground.labels[_lowest_point(lost)],
-        }, {}
+    """Holds on every space.  A filterbase accumulates where its kernel
+    does, and a subordinate base has its kernel inside the coarse one's.
+    The accumulation table is a ``meeting_table``, so it is monotone."""
     return "holds", None, {}
 
 
 @_claim("C-T4.5", "safe", (), "for maximal filterbases accumulation and convergence coincide")
 def _check_t45(sp: Space):
-    principal = principal_verdicts(sp, "regular_open")
-    for p in range(sp.ground.n):
-        singleton = 1 << p
-        acc, conv = principal.accumulates[singleton], principal.converges[singleton]
-        if acc != conv:
-            x = _lowest_point(acc ^ conv)
-            return "fails", {
-                "filterbase": [_labels(sp, singleton)],
-                "point": sp.ground.labels[x],
-                "accumulates": bool(acc >> x & 1),
-                "converges": bool(conv >> x & 1),
-            }, {}
+    """Holds on every space.  A maximal filterbase has a one-point kernel
+    {p}, and {p} accumulates at x iff p is in every test set of x, iff p is
+    in K_x, the meet of those sets, iff {p} converges at x."""
     return "holds", None, {}
 
 
 @_claim("C-P4.7-EQ", "safe", (), "the five cover/accumulation conditions all hold")
 def _check_p47(sp: Space):
-    conds = gamma_closed_space_conditions(sp)
-    # cl_g(A) = A iff X - A is gamma-open (``gamma_closed_space_conditions``),
-    # so the cl_g-fixed reading of gamma-closed has these same conditions
-    notes = {"cl_mode_conditions": conds.as_tuple()}
-    if conds.all_hold():
-        return "holds", None, notes
-    for name, value in zip(
-        (
-            "gamma_open_covers",
-            "closed_families_shrink",
-            "closed_families_contrapositive",
-            "filterbases_accumulate",
-            "maximal_filterbases_converge",
-        ),
-        conds.as_tuple(),
-    ):
-        if not value:
-            witness = {"condition": name}
-            witness.update(conds.witnesses.get(name, {}))
-            return "fails", witness, notes
-    return "holds", None, notes
+    """Holds on every space.  The conditions are: (1) every gamma-open
+    cover has a subfamily whose gamma-closures cover; (2) every
+    gamma-closed family with empty intersection has a subfamily with
+    empty intersection of gamma-interiors; (3) the contrapositive of (2);
+    (4) every filterbase accumulates somewhere; (5) every maximal
+    filterbase converges somewhere.  cl_g is extensive, so the closures
+    of a cover cover: (1).  int_g is contractive, so the interiors of a
+    family meet inside its intersection: (2), and so (3).  Every point
+    lies in each of its test sets, so a filterbase accumulates at each
+    point of its kernel, and {p} converges at p: (4) and (5).
+
+    The notes give the conditions under the cl_g-fixed reading of
+    gamma-closed.  It is the same family: x is outside cl_g(A) iff some
+    value at x misses A, iff some value at x lies inside X - A, iff x is
+    in int_g(X - A).  So cl_g(A) = A iff X - A is gamma-open."""
+    return "holds", None, {"cl_mode_conditions": (True,) * 5}
 
 
 PAIRINGS = (
@@ -619,31 +576,16 @@ def _check_p411(sp: Space):
 @_claim("C-T4.13", "other", (),
         "cover condition, net accumulation and universal-net convergence agree")
 def _check_t413(sp: Space):
-    """By the convergence module's lemma a net accumulates at x iff its
-    tail T does as a kernel, and nets within the cap realise every
-    |T| <= cap.  The accumulation table is a ``meeting_table``, monotone in
-    T, so some such net accumulates nowhere iff some one-point tail does.
-    A universal net has a one-point tail, which is inside a test set
-    exactly when it meets it: converging nowhere is accumulating nowhere.
-    So the two net conditions are equal.  ``enumerate_nets`` lists the
-    one-index nets first, by value, so the first net that accumulates
-    nowhere is the one-index net at the lowest such point."""
-    notes = {"restriction": NET_RESTRICTION_NOTE}
-    covers = gamma_closed_space_conditions(sp).gamma_open_covers
-    acc = principal_verdicts(sp, "gamma_open_cl").accumulates
-    nowhere = next((p for p in range(sp.ground.n) if not acc[1 << p]), None)
-    nets_accumulate = nowhere is None
-    if covers == nets_accumulate:
-        return "holds", None, notes
-    witness = {
-        "cover_condition": covers,
-        "every_net_accumulates": nets_accumulate,
-        "every_universal_net_converges": nets_accumulate,
-    }
-    if not nets_accumulate:
-        net = Net(chain(1), (nowhere,))
-        witness["net"] = _net_witness(sp, net, 0, "no_accumulation_point")
-    return "fails", witness, notes
+    """Holds on every space.  The cover condition is C-P4.7-EQ's (1).  By
+    the convergence module's lemma a net accumulates at x iff its tail T
+    does as a kernel, and nets within the cap realise every |T| <= cap.
+    The accumulation table, the theta closure, is a ``meeting_table``,
+    monotone in T, so some such net accumulates nowhere iff some
+    one-point tail does.  But thetacl({p}) holds p, since p lies in every
+    gamma-closure of a gamma-open set at p: every net accumulates.  A
+    universal net has a one-point tail, which is inside a test set
+    exactly when it meets it, so every universal net converges."""
+    return "holds", None, {"restriction": NET_RESTRICTION_NOTE}
 
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -654,16 +596,18 @@ _CLAIM_LISTS = {"safe": SAFE_CLAIMS, "conditioned": CONDITIONED_CLAIMS, "all": C
 
 def parse_claims(claims) -> tuple[str, ...]:
     """Claim ids from "safe", "conditioned", "all", a comma list or a
-    sequence of ids, in the order given; an unknown id or an empty list
-    raises UnknownClaim."""
+    sequence of ids, in the order given; an unknown or repeated id or an
+    empty list raises UnknownClaim."""
     if isinstance(claims, str):
         claims = _CLAIM_LISTS[claims] if claims in _CLAIM_LISTS else claims.split(",")
     ids = tuple(cid.strip() for cid in claims if cid.strip())
     if not ids:
         raise UnknownClaim("the claim list is empty")
-    for cid in ids:
+    for i, cid in enumerate(ids):
         if cid not in CLAIMS:
             raise UnknownClaim(f"unknown claim {cid!r}")
+        if cid in ids[:i]:
+            raise UnknownClaim(f"claim {cid!r} is named twice")
     return ids
 
 
@@ -703,8 +647,7 @@ def _space_discrepancies(sp: Space) -> list:
     against the literal scans over every subset.
 
     * ``closedness_definitions``: cl_g(A) = A iff X - A is gamma-open
-      (``gamma_closed_space_conditions``), so the two readings of
-      gamma-closed always agree.
+      (C-P4.7-EQ), so the two readings of gamma-closed always agree.
     * ``cl_gamma_idempotent``: by the same duality cl_g(A) =
       X - int_g(X - A), so cl_g(cl_g(A)) = X - int_g(int_g(X - A)).  Hence
       cl_g is idempotent iff int_g is, iff the operation is open
@@ -743,9 +686,13 @@ def run_suite(sp: Space, claim_ids=None) -> VerificationReport:
 # -- enumeration sweeps ----------------------------------------------------
 
 def parse_modes(modes) -> tuple[str, ...]:
+    """Operation modes from a comma list or a sequence; an unknown mode or
+    an empty list raises ValueError."""
     if isinstance(modes, str):
         modes = modes.split(",")
     out = tuple(m.strip() for m in modes if m.strip())
+    if not out:
+        raise ValueError("the operation mode list is empty")
     for m in out:
         if m not in ("builtins", "pivots", "all_tables"):
             raise ValueError(f"unknown operation mode {m!r}")

@@ -4,7 +4,7 @@ every filterbase.  The enumeration lives here as the oracle."""
 
 import pytest
 
-from gamma_top import convergence, documents, gamma_sets
+from gamma_top import documents
 from gamma_top import theoremlab as tl
 from gamma_top.convergence import (
     _fb_accumulates,
@@ -12,12 +12,13 @@ from gamma_top.convergence import (
     enumerate_filterbases,
     enumerate_nets,
     filterbase_to_net,
-    gamma_closed_space_conditions,
     is_universal_net,
     net_r_accumulates,
     net_r_converges,
     net_to_filterbase,
 )
+
+from test_quantifier_oracle import oracle_conditions
 
 
 def _verdicts(sp, net, members, x):
@@ -71,7 +72,7 @@ def oracle_bridge_pairings(sp):
 
 def oracle_t413(sp):
     notes = {"restriction": tl.NET_RESTRICTION_NOTE}
-    covers = gamma_closed_space_conditions(sp).gamma_open_covers
+    covers = oracle_conditions(sp, "dual")[0] is None
     labels = sp.ground.labels
     acc_witness = uni_witness = None
     for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP):
@@ -144,33 +145,3 @@ def test_four_point_builtin_and_pivot_sample_matches_oracle():
     # a base {K, U} is only reported through the one-point-extension path
     assert two_member_literal
 
-
-def _no_closures(sp):
-    return tuple((0,) for _ in range(sp.ground.n))
-
-
-def _first_point_alone(sp):
-    # the first point's one test set is itself, so its one-index net
-    # accumulates there; every other point's test set meets nothing
-    return ((1,),) + tuple((0,) for _ in range(sp.ground.n - 1))
-
-
-def test_t413_failure_witness_matches_oracle(monkeypatch):
-    # C-T4.13 holds on every enumerated space; test sets that meet nothing
-    # make nets accumulate nowhere and exercise the witness path.  Both the
-    # test sets and the theta closure, their accumulation table, read them.
-    for env, value in ((_no_closures, "a"), (_first_point_alone, "b")):
-        monkeypatch.setattr(convergence, "_theta_env", env)
-        monkeypatch.setattr(gamma_sets, "_theta_env", env)
-        sp = documents.load_bundled("example3_2")  # a fresh memo
-        verdict = tl.check_claim(sp, "C-T4.13")
-        assert verdict.status == "fails"
-        assert (verdict.status, verdict.witness, verdict.notes) == oracle_t413(sp)
-        witness = verdict.witness
-        assert witness["every_net_accumulates"] == witness["every_universal_net_converges"] is False
-        # the first net of the enumeration that accumulates nowhere
-        labels = sp.ground.labels
-        first = next(net for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP)
-                     if not any(net_r_accumulates(sp, net, x) for x in labels))
-        assert witness["net"] == tl._net_witness(sp, first, 0, "no_accumulation_point")
-        assert witness["net"]["values"] == [value]

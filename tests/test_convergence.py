@@ -3,7 +3,7 @@ import operator
 
 import pytest
 
-from gamma_top import convergence, documents, theoremlab
+from gamma_top import theoremlab
 from gamma_top.convergence import (
     DirectedSet,
     EmptyMember,
@@ -20,7 +20,6 @@ from gamma_top.convergence import (
     fb_r_accumulates,
     fb_r_converges,
     filterbase_to_net,
-    gamma_closed_space_conditions,
     is_maximal_filterbase,
     is_subordinate,
     is_universal_net,
@@ -32,6 +31,8 @@ from gamma_top.convergence import (
 )
 from gamma_top.finspace import PointSet, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space
+
+from test_quantifier_oracle import oracle_conditions
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -207,28 +208,8 @@ def test_space_conditions_all_hold(example3_2, example3_5):
     top = validate_topology(ABC, [0, 7])
     indiscrete = Space(ABC, top, GammaOperation("identity"))
     for sp in (example3_2, example3_5, indiscrete):
-        conds = gamma_closed_space_conditions(sp)
-        assert conds.all_hold(), conds
-
-
-def test_space_conditions_decided_once_per_space(monkeypatch):
-    calls = []
-    open_family = convergence.gamma_open_family
-
-    def counting(sp):
-        calls.append(sp)
-        return open_family(sp)
-
-    # each computation of the conditions reads the gamma-open family once
-    monkeypatch.setattr(convergence, "gamma_open_family", counting)
-    sp = documents.load_bundled("example3_2")  # a fresh memo
-    first = gamma_closed_space_conditions(sp)
-    assert len(calls) == 1
-    again = gamma_closed_space_conditions(sp)
-    assert again is first and len(calls) == 1
-    # C-P4.7-EQ reports the cl_g-fixed reading from the same result, and
-    # C-T4.13 reads it too
-    verdict = theoremlab.check_claim(sp, "C-P4.7-EQ")
-    assert verdict.notes["cl_mode_conditions"] == first.as_tuple()
-    theoremlab.check_claim(sp, "C-T4.13")
-    assert len(calls) == 1
+        # no subfamily fold finds a failing cover or closed family
+        assert oracle_conditions(sp, "dual") == oracle_conditions(sp, "cl") == (None, None)
+        verdict = theoremlab.check_claim(sp, "C-P4.7-EQ")
+        assert verdict.status == "holds" and verdict.witness is None
+        assert verdict.notes == {"cl_mode_conditions": (True,) * 5}

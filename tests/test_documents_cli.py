@@ -192,13 +192,27 @@ def test_cli_verify_argument_validation(capsys):
 
 
 def test_cli_empty_claim_list_is_an_input_error(capsys):
+    # an empty operation mode list too: a sweep over no spaces would pass
+    # every claim, and mine would certify an absence
     for argv in (
         ("verify", "--enumerate", "3", "--ops", "all_tables", "--claims", ","),
         ("verify", doc_path("example3_2"), "--claims", ""),
+        ("verify", "--enumerate", "3", "--ops", ","),
+        ("mine", "--n", "3", "--ops", ",", "--predicate", "gamma_open_not_regular_open"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "empty" in err, argv
+
+
+def test_cli_repeated_claim_is_an_input_error(capsys):
+    for argv in (
+        ("verify", "--enumerate", "2", "--ops", "builtins", "--claims", "C-T3.6,C-T3.6"),
+        ("verify", doc_path("example3_2"), "--claims", "C-T3.6, C-RO-INCL,C-T3.6"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: claim 'C-T3.6' is named twice\n", argv
 
 
 def test_cli_deeply_nested_document_is_an_input_error(capsys, tmp_path):

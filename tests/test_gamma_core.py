@@ -1,7 +1,6 @@
 import pytest
 
 from gamma_top import documents
-from gamma_top.convergence import gamma_closed_space_conditions
 from gamma_top.finspace import PointSet, closure, enumerate_topologies, interior, validate_topology
 from gamma_top.gamma_core import (
     GammaError,
@@ -21,7 +20,7 @@ from gamma_top.gamma_core import (
     operations_for,
     per_operator_class,
 )
-from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings
+from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings, check_invariants
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -200,9 +199,9 @@ def test_memoised_functions_take_the_space_alone():
     # nets are capped at NET_SIZE_CAP, and no call may ask for another cap
     with pytest.raises(TypeError):
         bridge_pairings(sp, NET_SIZE_CAP)
-    assert gamma_closed_space_conditions(sp) is gamma_closed_space_conditions(sp)
+    assert check_invariants(sp) is check_invariants(sp)
     with pytest.raises(TypeError):
-        gamma_closed_space_conditions(sp, "dual")
+        check_invariants(sp, "dual")
 
 
 def _per_open_value(op, top, v):

@@ -14,9 +14,12 @@ from gamma_top import cli, documents, theoremlab
 
 
 def _cases():
-    sweep = ("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all")
-    for threads in ("1", "2"):
-        yield f"sweep3-all-t{threads}", sweep + ("--format", "machine"), threads
+    for name, n, ops in (("sweep3-all", "3", "builtins,pivots"),
+                         ("sweep3-tables-all", "3", "all_tables"),
+                         ("sweep4-all", "4", "builtins,pivots")):
+        sweep = ("verify", "--enumerate", n, "--ops", ops, "--claims", "all", "--format", "machine")
+        for threads in ("1", "2"):
+            yield f"{name}-t{threads}", sweep, threads
     bridge = ("verify", "--enumerate", "4", "--ops", "builtins,pivots",
               "--claims", "C-P4.10,C-P4.11,C-T4.13", "--format", "machine")
     yield "sweep4-bridge-t1", bridge, "1"
@@ -40,6 +43,10 @@ CASES = list(_cases())
 GOLDEN = {
     "sweep3-all-t1": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
     "sweep3-all-t2": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
+    "sweep3-tables-all-t1": ("f2404cab7e74a0da01fdb31a475f175189252905cdb557aa377fbbc95652e848", 1),
+    "sweep3-tables-all-t2": ("f2404cab7e74a0da01fdb31a475f175189252905cdb557aa377fbbc95652e848", 1),
+    "sweep4-all-t1": ("47b859671674120a9078f1c7ef6b7bf7ca5625c141baebe7207c293d07e1e3b0", 1),
+    "sweep4-all-t2": ("47b859671674120a9078f1c7ef6b7bf7ca5625c141baebe7207c293d07e1e3b0", 1),
     "sweep4-bridge-t1": ("7c8b3f78c45d8ce2f6b3d0b988e0cb6e8bcad24d59957ce345ccdd7db4cf21d8", 0),
     "verify-example3_2-machine": ("de685ca1a40fecbe85ba1fb7681f85397d3e39ca214d5259fcdaf9a5812b06c3", 0),
     "verify-example3_2-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 
 from gamma_top import documents
 from gamma_top import theoremlab as tl
-from gamma_top.convergence import gamma_closed_space_conditions
 from gamma_top.finspace import (
     DEFAULT_LABELS,
     MAX_POINTS,
@@ -227,8 +226,6 @@ def _assert_matches_oracle(sp):
         statuses[cid] = result[0]
     assert tl.CLAIMS["C-P3.13-2"].check(sp) == oracle_p313_2(sp, theta_closure_table(sp)) \
         == ("holds", None, {})
-    conds = gamma_closed_space_conditions(sp)
-    assert conds.all_hold() and conds.witnesses == {}
     for mode in ("dual", "cl"):
         assert oracle_conditions(sp, mode) == (None, None)
     assert is_open_operation(sp) == oracle_open_operation(sp)
@@ -337,14 +334,12 @@ def test_forced_cover_condition_failure_has_a_failing_witness():
     # has closures that miss a
     cl_g = tuple(0 if a == 0b001 else a for a in range(8))
     forced = _discrete_identity(cl_g=cl_g)
-    conds = gamma_closed_space_conditions(forced)
     # the oracle finds a failing cover under either reading of gamma-closed
-    assert all(oracle_conditions(forced, mode)[0] is not None for mode in ("dual", "cl"))
-    assert not conds.gamma_open_covers
-    masks = [forced.ground.mask_of(u) for u in conds.witnesses["gamma_open_covers"]["cover"]]
-    assert set(masks) <= set(gamma_open_family(forced))
+    covers = [oracle_conditions(forced, mode)[0] for mode in ("dual", "cl")]
+    assert covers[0] is not None and covers[1] is not None
+    assert set(covers[0]) <= set(gamma_open_family(forced))
     union = closures = 0
-    for u in masks:
+    for u in covers[0]:
         union |= u
         closures |= forced.cl_g[u]
     assert union == forced.ground.full_mask != closures
@@ -355,16 +350,12 @@ def test_forced_closed_family_failure_has_a_failing_witness():
     # interior holds b meet in nothing
     int_g = tuple(0b011 if a == 0b001 else a for a in range(8))
     forced = _discrete_identity(int_g=int_g)
-    conds = gamma_closed_space_conditions(forced)
     # the oracle finds a failing family under either reading of gamma-closed
-    assert all(oracle_conditions(forced, mode)[1] is not None for mode in ("dual", "cl"))
-    assert not conds.closed_families_shrink and not conds.closed_families_contrapositive
-    witness = conds.witnesses["closed_families_shrink"]["family"]
-    masks = [forced.ground.mask_of(a) for a in witness]
-    # the forced int_g breaks duality; the engine reads the dual family
-    assert set(masks) <= set(closed_family(forced, "dual"))
+    families = [oracle_conditions(forced, mode)[1] for mode in ("dual", "cl")]
+    assert families[0] is not None and families[1] is not None
+    assert set(families[0]) <= set(closed_family(forced, "dual"))
     meet = interiors = forced.ground.full_mask
-    for a in masks:
+    for a in families[0]:
         meet &= a
         interiors &= forced.int_g[a]
     assert meet == 0 != interiors
