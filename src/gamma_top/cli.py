@@ -194,6 +194,8 @@ def _verify_file(args, claims) -> tuple[theoremlab.VerificationReport, str, int]
 def cmd_verify(args) -> int:
     if (args.file is None) == (args.enumerate is None):
         raise FinSpaceError("verify needs a space file or --enumerate N, not both")
+    if args.enumerate is None and args.ops is not None:
+        raise FinSpaceError("--ops needs --enumerate N; a space file carries its operation")
     default = "safe" if args.enumerate is not None else "all"
     claims = theoremlab.parse_claims(default if args.claims is None else args.claims)
     if args.enumerate is not None:

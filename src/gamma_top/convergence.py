@@ -3,8 +3,9 @@
 Filterbase convergence and accumulation test against gamma-regular-open
 neighbourhoods; net convergence and accumulation test against
 gamma-closures of gamma-open neighbourhoods.  Both test families are kept
-available behind a mode switch because the two do not coincide in general;
-the claim layer compares all pairings.
+available behind a mode switch because the two do not coincide in general
+(they do at every point of an open extremally disconnected space, by the
+lemma in ``theoremlab``); the claim layer compares all pairings.
 
 Lemma (tail/range classes).  Let v be a net on a finite directed preorder
 D, and write up(i) = {j : i <= j}.  The top class top(D) = {t : i <= t for

@@ -123,18 +123,6 @@ def meeting_table(n: int, sets_at) -> tuple[int, ...]:
     return tuple(full ^ m for m in miss)
 
 
-def meet_above_table(n: int, family) -> tuple[int, ...]:
-    """Per subset V of an n-point ground set, the meet of the members of
-    *family* that contain V (the whole set when none does).
-
-    x is missing from that meet iff some member C above V misses x, i.e.
-    the complement of C, a set owned by x, lies inside the complement of
-    V: one ``inside_table`` pass over the complements, read backwards."""
-    full = (1 << n) - 1
-    outside = [[full ^ c for c in family if not c >> x & 1] for x in range(n)]
-    return tuple(full ^ m for m in reversed(inside_table(n, outside)))
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An ordered ground set of distinctly labelled points."""

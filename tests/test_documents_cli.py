@@ -189,6 +189,8 @@ def test_cli_verify_argument_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", doc_path("example3_2"), "--claims", "C-FAKE")
     assert code == 2 and "C-FAKE" in err
+    code, out, err = run_cli(capsys, "verify", doc_path("example3_2"), "--ops", "builtins")
+    assert (code, out) == (2, "") and "--ops needs --enumerate" in err
 
 
 def test_cli_empty_claim_list_is_an_input_error(capsys):

@@ -26,6 +26,7 @@ from gamma_top.finspace import (
 from gamma_top.gamma_core import GammaOperation, Space, is_open_operation, is_regular_operation
 from gamma_top.gamma_sets import (
     gamma_open_family,
+    is_extremally_disconnected,
     regular_open_family,
     theta_closure_table,
     theta_families,
@@ -144,6 +145,27 @@ def oracle_t315b(sp):
     return "holds", None, {}
 
 
+def oracle_t315c(sp):
+    full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    theta = theta_closure_table(sp)
+    for a in sp.ground.subsets():
+        lhs = ig[cg[a]] == a
+        rhs = theta[full ^ a] == full ^ a and theta[a] == a
+        if lhs != rhs:
+            return "fails", {"subset": tl._labels(sp, a)}, {}
+    return "holds", None, {}
+
+
+def oracle_t39_conv(sp):
+    notes = oracle_cl_idempotence_notes(sp)
+    ig, cg = sp.int_g, sp.cl_g
+    for a in gamma_open_family(sp):
+        if ig[cg[cg[a]]] != cg[a]:
+            return "fails", {"subset": tl._labels(sp, a)}, notes
+    return "holds", None, notes
+
+
 def _values(sp):
     """The operation's value at each open set."""
     return dict(zip(sp.top.opens_sorted, sp.extension))
@@ -209,21 +231,32 @@ def oracle_discrepancies(sp):
     ]
 
 
+# the five claims decided by the open + ED lemma (``theoremlab``), each
+# with the scan it replaced
 CLAIM_ORACLES = {
+    "C-T3.9-CONV": oracle_t39_conv,
     "C-T3.14": oracle_t314,
     "C-T3.15-A": oracle_t315a,
     "C-T3.15-B": oracle_t315b,
+    "C-T3.15-C": oracle_t315c,
 }
 
 
 def _assert_matches_oracle(sp):
-    """Compare every table-driven quantifier with its oracle on *sp*; return
-    the statuses of the claim bodies, run whatever the hypotheses say."""
+    """Compare every table-driven quantifier with its oracle on *sp*, and
+    each open + ED claim with its oracle where its hypotheses hold; return
+    the oracles' statuses, run whatever the hypotheses say."""
+    open_ed = oracle_open_operation(sp) and is_extremally_disconnected(sp)
     statuses = {}
     for cid, oracle in CLAIM_ORACLES.items():
-        result = tl.CLAIMS[cid].check(sp)
-        assert result == oracle(sp), cid
-        statuses[cid] = result[0]
+        assert tl.CLAIMS[cid].hypotheses == ("open_operation", "extremally_disconnected")
+        expected = oracle(sp)
+        verdict = tl.check_claim(sp, cid)
+        if open_ed:
+            assert (verdict.status, verdict.witness, verdict.notes) == expected, cid
+        else:
+            assert verdict.status == "hypotheses_not_met", cid
+        statuses[cid] = expected[0], open_ed
     assert tl.CLAIMS["C-P3.13-2"].check(sp) == oracle_p313_2(sp, theta_closure_table(sp)) \
         == ("holds", None, {})
     for mode in ("dual", "cl"):
@@ -261,9 +294,10 @@ def test_stride_sample_matches_oracle_where_claims_fail(n, modes, size, stride):
     for sp in spaces_n[::stride]:
         for cid, status in _assert_matches_oracle(sp).items():
             seen[cid].add(status)
-    # the witnesses are compared too, not only agreement on "holds"
-    assert seen["C-T3.14"] == seen["C-T3.15-A"] == {"holds", "fails"}
-    assert seen["C-T3.15-B"] == {"holds", "fails"}
+    # the oracles are not vacuous: they fail where the hypotheses do not
+    # hold, and the verdicts are compared where they do
+    for cid in CLAIM_ORACLES:
+        assert {("holds", True), ("fails", False)} <= seen[cid], cid
 
 
 def test_operation_flags_match_oracle_on_every_enumerated_space():
