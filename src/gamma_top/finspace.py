@@ -196,13 +196,19 @@ class PointSet:
 class Topology:
     """A validated family of open subsets over a ground set.
 
-    ``operator_memos`` maps each (int_g, cl_g) pair of tables to the memo
-    that the spaces on this object with those operators share
-    (``gamma_core.per_operator_class``).  It lives and dies with the
-    object: an equal but distinct topology shares nothing."""
+    Two memo dicts live and die with the object: an equal but distinct
+    topology shares nothing.  ``operator_tables`` maps each tuple of
+    per-point neighbourhood values to the (int_g, cl_g, class memo) that
+    ``gamma_core.Space`` built from it, so the tables are built once per
+    tuple.  ``operator_memos`` maps each (int_g, cl_g) pair of tables to
+    the memo that the spaces on this object with those operators share
+    (``gamma_core.per_operator_class``); several tuples can give one pair.
+    The two dicts are apart because at n = 2 a tuple of values and a pair
+    of tables are both pairs of int tuples."""
 
     ground: PointSet
     opens: frozenset[int]
+    operator_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     operator_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property

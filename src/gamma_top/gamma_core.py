@@ -9,8 +9,14 @@ the one axiom).  From it we derive:
 * ``gamma_closure(A)``  -- points all of whose open neighbourhoods have
   values meeting A.
 
-Every ``Space`` fills both operators once, as tables over all 2**n
-subsets, from the per-point neighbourhood values.  ``int_g``: each point
+Both operators are tables over all 2**n subsets, filled from the
+per-point neighbourhood values (``nbds``, per point x the values at the
+opens containing x) and from nothing else.  So they are built once per
+distinct ``nbds`` tuple on a topology object, not once per space.  The
+value at the empty set is in no point's neighbourhood values, and two
+operations that differ only there give one tuple: the 9,048 3-point
+table spaces give 1,131 tuples, which give 507 operator classes (below).
+``int_g``: each point
 is marked at each of its neighbourhood values, then every entry is ORed
 into its supersets.  ``cl_g`` comes from its own definition, not as the
 dual of ``int_g``: a point is missing from cl_g(A) iff one of its values is
@@ -112,7 +118,14 @@ class GammaOperation:
         elif self.kind == "table":
             if not self.table:
                 raise InvalidOperation("table operations need at least the empty set entry")
-            object.__setattr__(self, "table", tuple(sorted(self.table)))
+            table = tuple(sorted(self.table))
+            object.__setattr__(self, "table", table)
+            # read once here: the domain, checked against the opens, and
+            # the values that ``extension`` returns (not dataclass fields,
+            # so equality and hash still read ``table`` alone)
+            domain, values = zip(*table)
+            object.__setattr__(self, "_domain", domain)
+            object.__setattr__(self, "_values", values)
         else:
             if self.pivot is not None or self.in_branch is not None or self.out_branch is not None:
                 raise InvalidOperation(f"{self.kind} operations take no extra fields")
@@ -123,9 +136,9 @@ class GammaOperation:
         A table's sorted domain must be exactly the opens."""
         opens = top.opens_sorted
         if self.kind == "table":
-            if tuple(m for m, _ in self.table) != opens:
+            if self._domain != opens:
                 raise InvalidOperation("table domain must be exactly the open sets")
-            return tuple(value for _, value in self.table)
+            return self._values
         if self.kind == "pivot":
             bit = 1 << top.ground.index(self.pivot)
             inside, outside = _BRANCHES[self.in_branch], _BRANCHES[self.out_branch]
@@ -182,6 +195,12 @@ class Space:
     ``extension`` holds the operation's values over the sorted opens.
     ``_class_memo`` is the memo shared with the spaces on the same
     ``Topology`` object with equal operators.
+
+    Each value is checked for this space, against the ground set and for
+    expansiveness.  Then the tables and the memo come from the topology's
+    ``operator_tables`` entry for the space's neighbourhood values, made
+    by the first space with those values: of the 9,048 3-point table
+    spaces, 1,131 build tables, and they fall into 507 classes.
     """
 
     ground: PointSet
@@ -198,17 +217,22 @@ class Space:
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
         object.__setattr__(self, "extension", extension)
-        # per-point neighbourhood values drive the two operators
-        nbds = []
-        for i in range(self.ground.n):
-            bit = 1 << i
-            nbds.append(tuple(value for u, value in zip(opens, extension) if u & bit))
-        # expansiveness puts each point inside its values, so int_g(A) <= A
-        int_g = inside_table(self.ground.n, nbds)
-        cl_g = meeting_table(self.ground.n, nbds)
+        # per-point neighbourhood values drive the two operators, which
+        # are built once per distinct tuple of them on this topology
+        nbds = tuple([
+            tuple([value for u, value in zip(opens, extension) if u >> i & 1])
+            for i in range(self.ground.n)
+        ])
+        tables = self.top.operator_tables.get(nbds)
+        if tables is None:
+            # expansiveness puts each point inside its values, so int_g(A) <= A
+            int_g = inside_table(self.ground.n, nbds)
+            cl_g = meeting_table(self.ground.n, nbds)
+            class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
+            tables = self.top.operator_tables[nbds] = (int_g, cl_g, class_memo)
+        int_g, cl_g, class_memo = tables
         object.__setattr__(self, "int_g", int_g)
         object.__setattr__(self, "cl_g", cl_g)
-        class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
         object.__setattr__(self, "_class_memo", class_memo)
 
     @functools.cached_property

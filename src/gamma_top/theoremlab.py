@@ -12,8 +12,10 @@ docstring, and that checker returns "holds" without a scan.  Five more
 their hypotheses, an open operation on an extremally disconnected space,
 by the lemma stated above C-T3.9-CONV, and return "holds" without a scan
 too.  Sweeps run claims over full enumerations of (topology, operation)
-pairs; the miner searches the same enumerations for named separations;
-the audits rebuild the four bundled example spaces and diff their
+pairs; the miner searches the same enumerations for named separations or
+claim failures.  Both read a claim row or a list of separating subsets
+once per operator class (``_outcomes``, ``_separations``) and add only
+the space's indices and key per space.  The audits rebuild the four bundled example spaces and diff their
 published families against recomputation.
 """
 
@@ -628,6 +630,19 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
     return Verdict(claim_id, key, status, witness, notes)
 
 
+@per_operator_class
+def _outcomes(sp: Space, ids: tuple) -> tuple:
+    """The (claim id, status, witness, notes) row of each claim in *ids*,
+    shared by the operator class: ``check_claim`` reads the space's key,
+    and the row keeps no part of it.  Witness and notes are shared too,
+    so a caller copies before it adds anything."""
+    rows = []
+    for cid in ids:
+        verdict = check_claim(sp, cid)
+        rows.append((cid, verdict.status, verdict.witness, verdict.notes))
+    return tuple(rows)
+
+
 # -- per-space report ------------------------------------------------------
 
 @per_operator_class
@@ -809,14 +824,11 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
         topologies.add(ti)
         spaces += 1
-        for cid in ids:
-            verdict = check_claim(sp, cid)
-            tallies[cid][verdict.status] += 1
-            if verdict.status == "fails":
-                verdict.notes = dict(verdict.notes)
-                verdict.notes["topology_index"] = ti
-                verdict.notes["operation_index"] = oi
-                failures.append(verdict)
+        for cid, status, witness, notes in _outcomes(sp, ids):
+            tallies[cid][status] += 1
+            if status == "fails":
+                failures.append(Verdict(cid, sp.key, status, witness,
+                                        dict(notes, topology_index=ti, operation_index=oi)))
         if invariants:
             for item in check_invariants(sp):
                 violations.append(dict(item, space=sp.key.to_dict(),
@@ -900,6 +912,14 @@ SEPARATIONS = {
     "regular_open_not_gamma_open": (is_gamma_regular_open, is_gamma_open),
 }
 
+
+@per_operator_class
+def _separations(sp: Space, predicate: str) -> tuple:
+    """The subsets that separate the named pair, ascending: a predicate
+    reads the operators, so the tuple is shared by the operator class."""
+    return tuple(_separating(sp, *SEPARATIONS[predicate]))
+
+
 PREDICATE_NAMES = tuple(sorted(SEPARATIONS)) + tuple(f"fails:{cid}" for cid in CLAIM_IDS)
 
 
@@ -943,11 +963,11 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     out = []
     for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
         if claim_id is not None:
-            verdict = check_claim(sp, claim_id)
-            if verdict.status == "fails":
-                out.append(MinedWitness(ti, oi, verdict.space, verdict.witness))
+            _, status, witness, _ = _outcomes(sp, (claim_id,))[0]
+            if status == "fails":
+                out.append(MinedWitness(ti, oi, sp.key, witness))
             continue
-        for a in _separating(sp, *SEPARATIONS[predicate]):
+        for a in _separations(sp, predicate):
             out.append(MinedWitness(ti, oi, sp.key, {"subset": _labels(sp, a)}))
     return out
 
@@ -1060,7 +1080,7 @@ def audit_example(which: str) -> ExampleAudit:
             )
         )
     sep_name, printed_witness = _QUALITATIVE[which]
-    found = list(_separating(sp, *SEPARATIONS[sep_name]))
+    found = _separations(sp, sep_name)
     qualitative = {
         "separation": sep_name,
         "printed_witness": list(printed_witness),

@@ -1,7 +1,14 @@
 import pytest
 
 from gamma_top import documents
-from gamma_top.finspace import PointSet, closure, enumerate_topologies, interior, validate_topology
+from gamma_top.finspace import (
+    FinSpaceError,
+    PointSet,
+    closure,
+    enumerate_topologies,
+    interior,
+    validate_topology,
+)
 from gamma_top.gamma_core import (
     GammaError,
     GammaNotExpansive,
@@ -77,6 +84,26 @@ def test_table_domain_must_match_opens():
     top = validate_topology(ABC, [0, 1, 7])
     with pytest.raises(InvalidOperation):
         Space(ABC, top, GammaOperation("table", table=((0, 0), (7, 7))))
+
+
+def test_the_table_cache_never_skips_validation():
+    top = validate_topology(ABC, [0, m("a"), 7])
+    good = Space(ABC, top, GammaOperation("table", table=((0, 0), (m("a"), m("ab")), (7, 7))))
+    assert len(top.operator_tables) == 1
+    # the value at the empty set is in no point's neighbourhood values, so
+    # this table's tuple is the cached one: its mask is checked all the same
+    with pytest.raises(FinSpaceError):
+        Space(ABC, top, GammaOperation("table", table=((0, 8), (m("a"), m("ab")), (7, 7))))
+    with pytest.raises(GammaNotExpansive) as err:
+        Space(ABC, top, GammaOperation("table", table=((0, 0), (m("a"), m("b")), (7, 7))))
+    assert err.value.open_mask == m("a")
+    with pytest.raises(InvalidOperation):
+        Space(ABC, top, GammaOperation("table", table=((0, 0), (m("b"), m("ab")), (7, 7))))
+    # the failed spaces added nothing, and an equal space reads the entry
+    assert len(top.operator_tables) == 1
+    again = Space(ABC, top, GammaOperation("table", table=((0, 1), (m("a"), m("ab")), (7, 7))))
+    assert again.int_g is good.int_g and again.cl_g is good.cl_g
+    assert again._class_memo is good._class_memo
 
 
 def test_regular_and_open_flags(example3_2, example3_5, example3_17):

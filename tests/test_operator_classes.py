@@ -1,15 +1,16 @@
-"""Claim verdicts, families, flags, invariants and discrepancy statistics
-are memoised per operator class: the spaces on one ``Topology`` object with
-equal int_g and cl_g tables share them (``gamma_core.per_operator_class``).
-These tests check that sharing changes no result, that the shared code
-reads nothing of the operation but its two operators, and how often the
-shared code runs."""
+"""Claim verdicts, families, flags, invariants, discrepancy statistics,
+sweep rows and separations are memoised per operator class: the spaces on
+one ``Topology`` object with equal int_g and cl_g tables share them
+(``gamma_core.per_operator_class``).  The tables themselves are built once
+per tuple of per-point neighbourhood values.  These tests check that
+sharing changes no result, that the shared code reads nothing of the
+operation but its two operators, and how often the shared code runs."""
 
 import collections
 import dataclasses
 from types import SimpleNamespace
 
-from gamma_top import documents
+from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
 from gamma_top.finspace import validate_topology
 from gamma_top.gamma_core import Space, per_operator_class
@@ -53,11 +54,22 @@ def test_shared_results_equal_fresh_ones():
     assert _check_shared_equals_fresh(4, ("builtins", "pivots"), 19) > 0
 
 
-def _stand_in(sp):
+def _stand_in(sp, **extra):
     """The ground set, topology and operator tables of *sp*, with an empty
-    memo: no ``gamma``, ``extension`` or ``key``."""
+    memo: no ``gamma`` or ``extension``, and no ``key`` unless given."""
     return SimpleNamespace(ground=sp.ground, top=sp.top, int_g=sp.int_g, cl_g=sp.cl_g,
-                           _class_memo={})
+                           _class_memo={}, **extra)
+
+
+def _holds(value, target) -> bool:
+    """Whether *target* is *value* or sits anywhere inside it."""
+    if value is target:
+        return True
+    if isinstance(value, dict):
+        value = list(value.keys()) + list(value.values())
+    if isinstance(value, (tuple, list)):
+        return any(_holds(item, target) for item in value)
+    return False
 
 
 def test_class_memoised_code_reads_only_the_operators():
@@ -75,6 +87,14 @@ def test_class_memoised_code_reads_only_the_operators():
         assert tl.check_invariants(stand_in) == tl.check_invariants(sp)
         assert tl._space_discrepancies(stand_in) == tl._space_discrepancies(sp)
         assert tl.space_flags(stand_in) == tl.space_flags(sp)
+        for predicate in tl.SEPARATIONS:
+            assert tl._separations(stand_in, predicate) == tl._separations(sp, predicate)
+        # a sweep row reads the key through check_claim and keeps none of it
+        sentinel = object()
+        keyed = _stand_in(sp, key=sentinel)
+        row = tl._outcomes(keyed, tl.CLAIM_IDS)
+        assert row == tl._outcomes(sp, tl.CLAIM_IDS)
+        assert not _holds(row, sentinel)
 
 
 def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
@@ -89,14 +109,24 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
                 met[cid].add(cls)
     assert len(classes) == 507
 
+    # two spaces with equal neighbourhood values share their tables; as the
+    # empty set is the first open and in no neighbourhood, those values are
+    # the operation's values at the other opens
+    first_with = {}
+    for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",)):
+        first = first_with.setdefault((ti, sp.extension[1:]), sp)
+        assert sp.int_g is first.int_g and sp.cl_g is first.cl_g
+        assert sp._class_memo is first._class_memo
+    assert len(first_with) == 1131
+
     runs = collections.Counter()
 
-    def counted(name, body):
-        def run(sp):
+    def counted(name, body, memo=True):
+        def run(*args):
             runs[name] += 1
-            return body(sp)
+            return body(*args)
 
-        return per_operator_class(run)
+        return per_operator_class(run) if memo else run
 
     for cid, claim in tl.CLAIMS.items():
         check = counted(cid, claim.check.__wrapped__)
@@ -106,8 +136,14 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
     for name, flag in tl.SPACE_FLAGS.items():
         monkeypatch.setitem(tl.SPACE_FLAGS, name, counted(name, flag.__wrapped__))
 
+    for module, name in ((gamma_core, "inside_table"), (gamma_core, "meeting_table"),
+                         (tl, "check_claim"), (tl, "_separating")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name), memo=False))
+
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
+    assert runs["inside_table"] == runs["meeting_table"] == 1131
+    assert runs["check_claim"] == 507 * len(tl.CLAIM_IDS)
     assert runs["check_invariants"] == runs["_space_discrepancies"] == 507
     # every class tests both hypotheses once; no claim names the regular flag
     assert runs["open_operation"] == runs["extremally_disconnected"] == 507
@@ -116,6 +152,21 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
         assert runs[cid] == len(met[cid]), cid
         if not claim.hypotheses:
             assert runs[cid] == 507, cid
+
+    # the benchmark's sweep: one row of 18 claims per class
+    sweep_claims = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
+    assert len(sweep_claims) == 18
+    runs.clear()
+    tl.full_sweep(3, ("all_tables",), sweep_claims, invariants=False)
+    assert runs["check_claim"] == 9126
+    # and mine reads the same rows, and scans the subsets once per class
+    runs.clear()
+    assert len(tl.mine(3, ("all_tables",), "fails:C-RO-INCL")) == 576
+    assert runs["check_claim"] == 507
+    for predicate in tl.SEPARATIONS:
+        runs.clear()
+        tl.mine(3, ("all_tables",), predicate)
+        assert runs["_separating"] == 507, predicate
 
 
 def test_equal_topology_objects_share_no_memo(example3_2):
@@ -131,3 +182,24 @@ def test_equal_topology_objects_share_no_memo(example3_2):
     assert check(same) is check(first)
     # the key reads the operation, so it stays per space
     assert same.key is not first.key and same.key == first.key
+
+
+def test_a_class_row_is_never_mutated(monkeypatch):
+    spaces = list(tl.enumerate_spaces(3, ("all_tables",)))
+    monkeypatch.setattr(tl, "enumerate_spaces", lambda n, modes, topo_range=None: iter(spaces))
+    ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
+    first, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
+    # the second sweep reads every row from the memos the first one filled
+    second, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
+    assert first.to_dict() == second.to_dict()
+    failures = [v for v in first.failures if v.claim_id == "C-RO-INCL"]
+    assert len(failures) == 576
+    # failures of one class share their witness, never their notes
+    assert len({id(v.witness) for v in failures}) < len(failures)
+    assert len({id(v.notes) for v in first.failures + second.failures}) == 2 * len(first.failures)
+    index = {id(sp.key): (ti, oi) for ti, oi, sp in spaces}
+    for v in first.failures:
+        assert (v.notes["topology_index"], v.notes["operation_index"]) == index[id(v.space)]
+    for _, _, sp in spaces:
+        for _, _, _, notes in tl._outcomes(sp, ids):
+            assert "topology_index" not in notes and "operation_index" not in notes

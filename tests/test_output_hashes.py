@@ -35,6 +35,11 @@ def _cases():
                 "--format", "machine")
         for threads in ("1", "2"):
             yield f"mine-{predicate}-t{threads}", argv, threads
+    for predicate in sorted(theoremlab.SEPARATIONS) + ["fails:C-RO-INCL"]:
+        argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", predicate,
+                "--format", "machine")
+        for threads in ("1", "2") if predicate == "gamma_open_not_regular_open" else ("1",):
+            yield f"mine3-tables-{predicate}-t{threads}", argv, threads
 
 
 CASES = list(_cases())
@@ -78,6 +83,13 @@ GOLDEN = {
     "mine-regular_open_not_gamma_open-t2": ("f532080edd77d7466cfa6877c80ab34a15bee23e11e377a9a4f800ed12da7498", 0),
     "mine-theta_open_not_regular_open-t1": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
     "mine-theta_open_not_regular_open-t2": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
+    "mine3-tables-gamma_open_not_regular_open-t1": ("00ae3cfa5042b132ecf49d8f5505ce876ebb747b5c423e9cd8493b41b1ad7dd4", 0),
+    "mine3-tables-gamma_open_not_regular_open-t2": ("00ae3cfa5042b132ecf49d8f5505ce876ebb747b5c423e9cd8493b41b1ad7dd4", 0),
+    "mine3-tables-gamma_open_not_theta_open-t1": ("cde6c94b5b2ab7e84aed38f8f34ff91f27a06f354cfdfcb7f5951fb7b401ef52", 0),
+    "mine3-tables-regular_open_not_clopen-t1": ("61109fc5dcdbc9a7e809c5846611c4829ef2271da3c4162e1cac0303f5bac761", 0),
+    "mine3-tables-regular_open_not_gamma_open-t1": ("365eb2a2a08fde84916b6fabda86450ce5deecd70a248bdca108d2858b0a45e3", 0),
+    "mine3-tables-theta_open_not_regular_open-t1": ("8d22d6345346918bc0efdb5ced8ab7c07b8522f9f70588f32ddd65e4149681d4", 0),
+    "mine3-tables-fails:C-RO-INCL-t1": ("fd401a13261555af544bd95db0cb368201f9df708f610a9cc5d52327528b971a", 0),
 }
 
 
