@@ -51,17 +51,19 @@ literal reading depends on R.  G.converges[R] is the meet of
 G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
 one-point extension does: n * 2**n steps decide every T.  Net classes
 are filterbase classes (the class of the base {T, R}), so when no
-filterbase disagrees, no net does either.
+filterbase disagrees, no net does either.  Witnesses are built from
+their classes too (``theoremlab._first_nets``): nothing here enumerates
+nets, directed sets or filterbases; ``tests/test_bridge_oracle.py`` does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import and_
 
-from .finspace import PointSet, _directed_preorders, bits_of, inside_table, meeting_table, submasks
+from .finspace import PointSet, bits_of, inside_table, meeting_table
 from .gamma_core import Space, per_operator_class
 from .gamma_sets import _theta_env, regular_open_family, theta_closure_table
 
@@ -223,12 +225,14 @@ class DirectedSet:
     leq: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        """Check the laws on the rows, in O(|leq|) steps: the index range
-        and reflexivity; transitivity as geq(j) <= geq(i) for each j in
-        geq(i); directedness as a non-empty top class when there are
-        elements (a top element bounds every pair, and the module lemma's
-        fold gives one).  Only a relation that is not directed is scanned
-        further, for a pair to name."""
+        """Check the laws on the rows, in O(|leq|) steps: some element;
+        the index range and reflexivity; transitivity as geq(j) <= geq(i)
+        for each j in geq(i); directedness as a non-empty top class (a top
+        element bounds every pair, and the module lemma's fold gives one).
+        Only a relation that is not directed is scanned further, for a
+        pair to name."""
+        if self.size < 1:
+            raise NetError("a directed set needs at least one element")
         rng = range(self.size)
         for i, j in self.leq:
             if i not in rng or j not in rng:
@@ -240,7 +244,7 @@ class DirectedSet:
         for i in rng:
             if any(geq[j] & ~geq[i] for j in bits_of(geq[i])):
                 raise NetError("relation is not transitive")
-        if rng and not self.top_mask:
+        if not self.top_mask:
             i, j = next((i, j) for i in rng for j in rng if not geq[i] & geq[j])
             raise NetError(f"elements {i} and {j} have no upper bound")
 
@@ -363,61 +367,3 @@ def is_universal_net(ground: PointSet, net: Net) -> bool:
     maximal, i.e. the top class's values are a single point."""
     tail, _ = net_tail_range(net)
     return tail & (tail - 1) == 0
-
-
-# -- enumerations ------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def enumerate_filterbases(ground: PointSet) -> tuple[Filterbase, ...]:
-    """Every filterbase on the ground set.  A family of non-empty sets is
-    directed exactly when it contains its own intersection, so bases are
-    generated kernel-first."""
-    full = ground.full_mask
-    out = []
-    for kernel in range(1, full + 1):
-        proper_supersets = sorted(kernel | s for s in submasks(full ^ kernel) if s)
-        for r in range(len(proper_supersets) + 1):
-            for combo in itertools.combinations(proper_supersets, r):
-                out.append(Filterbase(frozenset((kernel,) + combo)))
-    return tuple(out)
-
-
-def _canonical_rows(rows, k: int):
-    best = None
-    for perm in itertools.permutations(range(k)):
-        relabeled = [0] * k
-        for i in range(k):
-            m = 0
-            for j in bits_of(rows[i]):
-                m |= 1 << perm[j]
-            relabeled[perm[i]] = m
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-@lru_cache(maxsize=None)
-def enumerate_directed_sets(max_size: int) -> tuple[DirectedSet, ...]:
-    """Directed preorders with at most *max_size* elements, one per
-    isomorphism class.  Net quantifications are invariant under relabelling
-    the index set, so class representatives suffice."""
-    out = []
-    for k in range(1, max_size + 1):
-        # directed: any two elements have a common upper bound
-        directed = (
-            rows for rows in _directed_preorders(k)
-            if all(rows[i] & rows[j] for i in range(k) for j in range(k))
-        )
-        canon = sorted({_canonical_rows(rows, k) for rows in directed})
-        for rows in canon:
-            pairs = frozenset((i, j) for i in range(k) for j in bits_of(rows[i]))
-            out.append(DirectedSet(k, pairs))
-    return tuple(out)
-
-
-def enumerate_nets(ground: PointSet, max_size: int):
-    """All nets over directed sets of at most *max_size* elements."""
-    for dirset in enumerate_directed_sets(max_size):
-        for values in itertools.product(range(ground.n), repeat=dirset.size):
-            yield Net(dirset, values)

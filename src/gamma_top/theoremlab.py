@@ -1,26 +1,29 @@
 """Claim catalog and exhaustive verification machinery.
 
 Every claim is a decidable statement about one finite space.  A claim
-checker quantifies over the space's subsets, subset families, filterbases
-or small nets and returns holds / fails-with-witness, or reports that the
-space does not meet the claim's hypotheses.  Ten claims are theorems of
-every finite space.  Each follows from the laws that ``check_invariants``
-checks (cl_g extensive, int_g contractive, the two dual) or from a
-``meeting_table`` being monotone, by the lemma in its checker's
-docstring, and that checker returns "holds" without a scan.  Five more
-(C-T3.9-CONV, C-T3.14, C-T3.15-A/B/C) hold on every space that meets
-their hypotheses, an open operation on an extremally disconnected space,
-by the lemma stated above C-T3.9-CONV, and return "holds" without a scan
-too.  Sweeps run claims over full enumerations of (topology, operation)
+checker quantifies over the space's subsets, subset families, or the
+classes of filterbases and small nets (the lemma in ``convergence``; no
+net is enumerated) and returns holds / fails-with-witness, or reports
+that the space does not meet the claim's hypotheses.  Ten claims are
+theorems of every finite space.  Each follows from the laws that
+``check_invariants`` checks (cl_g extensive, int_g contractive, the two
+dual) or from a ``meeting_table`` being monotone, by the lemma in its
+checker's docstring, and that checker returns "holds" without a scan.
+Five more (C-T3.9-CONV, C-T3.14, C-T3.15-A/B/C) hold on every space
+that meets their hypotheses, an open operation on an extremally
+disconnected space, by the lemma stated above C-T3.9-CONV, and return
+"holds" without a scan too.  Sweeps run claims over full enumerations of (topology, operation)
 pairs; the miner searches the same enumerations for named separations or
 claim failures.  Both read a claim row or a list of separating subsets
 once per operator class (``_outcomes``, ``_separations``) and add only
-the space's indices and key per space.  The audits rebuild the four bundled example spaces and diff their
-published families against recomputation.
+the space's indices and key per space.  The audits rebuild the four
+bundled example spaces and diff their published families against
+recomputation.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -55,7 +58,7 @@ from .gamma_sets import (
     theta_closure_table,
     theta_families,
 )
-from .convergence import enumerate_nets, net_tail_range, principal_verdicts
+from .convergence import principal_verdicts
 
 
 class UnknownPredicate(ValueError):
@@ -443,18 +446,6 @@ PAIRINGS = (
 DEFAULT_PAIRING = "regular_open+standard"
 
 
-def _net_witness(sp: Space, net, x: int, part: str) -> dict:
-    return {
-        "directed_set": {
-            "size": net.dirset.size,
-            "leq": sorted(net.dirset.leq),
-        },
-        "values": [sp.ground.labels[p] for p in net.values],
-        "point": sp.ground.labels[x],
-        "part": part,
-    }
-
-
 def _class_mismatch(fb, net, reading: str, t: int, r: int):
     """The first point ``(x, part)`` at which the filterbase verdicts
     (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
@@ -470,16 +461,64 @@ def _class_mismatch(fb, net, reading: str, t: int, r: int):
     return x, "convergence" if conv >> x & 1 else "accumulation"
 
 
-@lru_cache(maxsize=16)
-def _net_rows(ground: PointSet) -> tuple:
-    """``(net, T, R)`` for every net of ``enumerate_nets`` within the
-    cap, in its order."""
-    return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, NET_SIZE_CAP))
+@lru_cache(maxsize=None)
+def _first_nets(n: int) -> tuple:
+    """``(T, R, size, top, values)`` for each class with |R| <=
+    ``NET_SIZE_CAP``, in the order in which the oracle enumeration
+    (``tests/test_bridge_oracle.py``) first realises it, with that first
+    net: ``values`` on the directed set S(size, top) below.
+
+    Lemma.  The oracle lists directed sets by size k, then by canonical
+    form, the least tuple of up-set rows over relabellings; on each, the
+    values in lexicographic order.
+
+    * Every up-set holds the top class, so with top size t row 0 is at
+      least 2**t - 1, with equality iff indices 0..t-1 are the top class,
+      which a relabelling attains.  So for each k the directed sets come
+      in ascending t.
+    * Row i >= t then holds the top class and i, so the first directed
+      set of each (k, t) is S(k, t): t indices tied on top, and every
+      other index below them only.  This is the lemma's canonical net.
+    * A class depends on the values on the top class (T) and on all
+      indices (R) only, so a later directed set of the same (k, t),
+      relabelled to top class 0..t-1, realises only classes that S(k, t)
+      does with the same values.
+    * The t top indices cover T and the other k - t cover R - T, so the
+      first shape to realise (T, R) is S(|R|, |T|), with least values T
+      ascending, then R - T ascending.
+
+    So the rows are generated directly, in the order above:
+    ``itertools.combinations`` lists T, then R - T, lexicographically."""
+    rows = []
+    for size in range(1, NET_SIZE_CAP + 1):
+        for top in range(1, size + 1):
+            for head in itertools.combinations(range(n), top):
+                t = sum(1 << p for p in head)
+                rest = [p for p in range(n) if not t >> p & 1]
+                for tail in itertools.combinations(rest, size - top):
+                    rows.append((t, t | sum(1 << p for p in tail), size, top, head + tail))
+    return tuple(rows)
+
+
+def _first_net_witness(sp: Space, row, x: int, part: str) -> dict:
+    """The witness of a ``_first_nets`` row: its net on S(size, top), where
+    i <= j iff i == j or j is in the top class 0..top-1."""
+    _, _, size, top, values = row
+    return {
+        "directed_set": {
+            "size": size,
+            "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top],
+        },
+        "values": [sp.ground.labels[p] for p in values],
+        "point": sp.ground.labels[x],
+        "part": part,
+    }
 
 
 def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
-    """The first failing filterbase of ``enumerate_filterbases`` order, in
-    closed form.  Bases come kernel-first, and for one kernel K the base
+    """The first failing filterbase in the order of the oracle's
+    ``enumerate_filterbases`` (``tests/test_bridge_oracle.py``), in closed
+    form.  Bases come kernel-first, and for one kernel K the base
     {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
     in ascending order (class (K, U)); larger bases only repeat those
     classes.  When (K, K) holds, (K, U) fails only under the literal
@@ -512,9 +551,12 @@ def bridge_pairings(sp: Space) -> dict:
     """First mismatch witness per (test family, accumulation reading)
     pairing, for the net/tail-filterbase bridge and for the
     filterbase/constructed-net bridge.  Verdicts are mask expressions over
-    the per-subset ``principal_verdicts`` tables; witnesses are the first
-    failing net of ``enumerate_nets`` and the first failing filterbase of
-    ``enumerate_filterbases``."""
+    the per-subset ``principal_verdicts`` tables.  The witnesses are the
+    first failing net of the oracle's ``enumerate_nets`` and the first
+    failing filterbase of its ``enumerate_filterbases``, in the orders of
+    ``tests/test_bridge_oracle.py``, found without enumerating either:
+    the first ``_first_nets`` row whose class fails, and
+    ``_filterbase_witness``."""
     net_tables = principal_verdicts(sp, "gamma_open_cl")
     mismatch = {}
     result = {}
@@ -529,11 +571,11 @@ def bridge_pairings(sp: Space) -> dict:
     # failing filterbase has no failing net
     pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
     if pending:
-        for net, t, r in _net_rows(sp.ground):
+        for row in _first_nets(sp.ground.n):
             for pairing in list(pending):
-                hit = mismatch[pairing](t, r)
+                hit = mismatch[pairing](row[0], row[1])
                 if hit is not None:
-                    result[pairing]["C-P4.10"] = _net_witness(sp, net, *hit)
+                    result[pairing]["C-P4.10"] = _first_net_witness(sp, row, *hit)
                     pending.remove(pairing)
             if not pending:
                 break

@@ -1,22 +1,15 @@
-import functools
-import operator
-
 import pytest
 
 from gamma_top import theoremlab
 from gamma_top.convergence import (
     DirectedSet,
     EmptyMember,
-    Filterbase,
     Net,
     NetError,
     NotDirected,
     _fb_accumulates,
     _fb_converges,
     chain,
-    enumerate_directed_sets,
-    enumerate_filterbases,
-    enumerate_nets,
     fb_r_accumulates,
     fb_r_converges,
     filterbase_to_net,
@@ -25,24 +18,14 @@ from gamma_top.convergence import (
     is_universal_net,
     net_r_accumulates,
     net_r_converges,
-    net_tail_range,
     net_to_filterbase,
     validate_filterbase,
 )
 from gamma_top.finspace import PointSet, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space
 
+from test_bridge_oracle import ABC, enumerate_filterbases, fb, m
 from test_quantifier_oracle import oracle_conditions
-
-ABC = PointSet(("a", "b", "c"))
-
-
-def m(s):
-    return ABC.mask_of(s)
-
-
-def fb(*sets):
-    return Filterbase(frozenset(m(s) for s in sets))
 
 
 def test_validate_filterbase():
@@ -128,6 +111,15 @@ def test_directed_set_validation():
         DirectedSet(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))
 
 
+def test_a_directed_set_needs_an_element():
+    # the module lemma's top class is non-empty only on a non-empty index set
+    for size in (0, -1):
+        with pytest.raises(NetError, match="at least one element"):
+            DirectedSet(size, frozenset())
+    with pytest.raises(NetError, match="at least one element"):
+        chain(0)
+
+
 def test_net_convergence_examples(example3_2):
     constant = Net(chain(3), (0, 0, 0))
     assert net_r_converges(example3_2, constant, "a")
@@ -153,12 +145,6 @@ def test_net_to_filterbase_tails():
     assert net_to_filterbase(constant).members == {m("c")}
 
 
-def test_net_tails_always_validate(example3_2):
-    for net in enumerate_nets(ABC, 3):
-        tails = net_to_filterbase(net)
-        validate_filterbase(ABC, tails.members)
-
-
 def test_filterbase_to_net_shapes():
     single = filterbase_to_net(fb("a"))
     assert single.dirset.size == 1 and single.values == (0,)
@@ -166,22 +152,6 @@ def test_filterbase_to_net_shapes():
     assert three.dirset.size == 3
     # tails of the constructed net recover exactly the original members
     assert net_to_filterbase(three).members == {m("ab"), m("b")}
-
-
-def test_net_tail_range_is_top_class_and_range():
-    assert net_tail_range(Net(chain(3), (1, 0, 2))) == (m("c"), m("abc"))
-    tied_top = DirectedSet(2, frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
-    assert tied_top.top_mask == 0b11
-    assert net_tail_range(Net(tied_top, (0, 1))) == (m("ab"), m("ab"))
-    # the constructed net of a filterbase has tail = kernel, range = union
-    assert net_tail_range(filterbase_to_net(fb("abc", "ab", "b"))) == (m("b"), m("abc"))
-    # the tail filterbase of a net has kernel = tail, union = range
-    for net in enumerate_nets(ABC, 3):
-        tail, rng = net_tail_range(net)
-        tails = net_to_filterbase(net)
-        assert tails.kernel == tail
-        assert rng == sum({1 << v for v in net.values})
-        assert rng == functools.reduce(operator.or_, tails.members)
 
 
 def test_universal_nets():
@@ -194,14 +164,6 @@ def test_universal_nets():
     assert not is_universal_net(ABC, Net(tied_top, (0, 1)))
     # a strict chain always settles at its last value
     assert is_universal_net(ABC, Net(chain(4), (0, 1, 0, 1)))
-
-
-def test_directed_set_enumeration_counts():
-    sizes = [d.size for d in enumerate_directed_sets(3)]
-    assert sizes.count(1) == 1
-    assert sizes.count(2) == 2
-    assert sizes.count(3) == 5
-    assert len(list(enumerate_nets(ABC, 3))) == 1 * 3 + 2 * 9 + 5 * 27
 
 
 def test_space_conditions_all_hold(example3_2, example3_5):

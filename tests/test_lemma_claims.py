@@ -31,7 +31,7 @@ from gamma_top.gamma_sets import (
     theta_closure_table,
 )
 
-from test_bridge_oracle import oracle_t413
+from test_bridge_oracle import _classes, oracle_t413
 from test_properties import spaces
 from test_quantifier_oracle import (
     _chain_space,
@@ -121,15 +121,6 @@ def _assert_lemma_claims_hold(sp):
     for cid, notes in LEMMA_CLAIMS.items():
         verdict = tl.check_claim(sp, cid)
         assert (verdict.status, verdict.witness, verdict.notes) == ("holds", None, notes), cid
-
-
-def _classes(spaces_n):
-    """One space per operator class: the oracles read only the topology and
-    the operator tables, so it stands for the others."""
-    classes = {}
-    for sp in spaces_n:
-        classes.setdefault((sp.top, sp.int_g, sp.cl_g), sp)
-    return list(classes.values())
 
 
 def test_every_lemma_claim_holds_where_its_scan_finds_nothing():
