@@ -11,14 +11,18 @@ dual) or from a ``meeting_table`` being monotone, by the lemma in its
 checker's docstring, and that checker returns "holds" without a scan.
 Five more (C-T3.9-CONV, C-T3.14, C-T3.15-A/B/C) hold on every space
 that meets their hypotheses, an open operation on an extremally
-disconnected space, by the lemma stated above C-T3.9-CONV, and return
-"holds" without a scan too.  Sweeps run claims over full enumerations of (topology, operation)
-pairs; the miner searches the same enumerations for named separations or
-claim failures.  Both read a claim row or a list of separating subsets
-once per operator class (``_outcomes``, ``_separations``) and add only
-the space's indices and key per space.  The audits rebuild the four
-bundled example spaces and diff their published families against
-recomputation.
+disconnected (ED) space, by the open + ED lemma at the head of the claim
+checkers, and return "holds" without a scan too.  Three more
+(C-P3.4-CONV, C-T3.7, C-T3.8) assume an ED space, and by the ED lemma
+beside it fail exactly where C-RO-INCL does, at its first regular-open
+set that is not gamma-open: the four read that set from one scan
+(``_first_ro_not_gamma_open``).  Sweeps run claims over full
+enumerations of (topology, operation) pairs; the miner searches the same
+enumerations for named separations or claim failures.  Both read a claim
+row or a list of separating subsets once per operator class
+(``_outcomes``, ``_separations``) and add only the space's indices and
+key per space.  The audits rebuild the four bundled example spaces and
+diff their published families against recomputation.
 """
 
 from __future__ import annotations
@@ -187,100 +191,51 @@ def _monotonicity_break(table):
     return None
 
 
-def _implication(sp: Space, premise, conclusion):
-    """The verdict on "*premise* implies *conclusion*" for every subset: the
-    first subset with the premise and without the conclusion fails it."""
-    for a in _separating(sp, premise, conclusion):
-        return "fails", {"subset": _labels(sp, a)}, {}
-    return "holds", None, {}
-
-
 # -- claim checkers -------------------------------------------------------
 
-@_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")
-def _check_ro_incl(sp: Space):
-    """Only the first part is scanned.  A gamma-open A is open: each x in A
-    has an open U at x with U <= value(U) <= A (expansiveness)."""
+# Lemma (ED).  On an extremally disconnected space C-P3.4-CONV, C-T3.7 and
+# C-T3.8 fail exactly where C-RO-INCL does, at its witness R0: the first
+# regular-open set, ascending, that is not gamma-open
+# (``_first_ro_not_gamma_open``).  ED makes cl_g(U) gamma-open for every
+# gamma-open U.  Then:
+#
+# (i)   A regular-open R that is gamma-open is clopen: cl_g(R) is
+#       gamma-open (ED), so cl_g(R) = int_g(cl_g(R)) = R.
+# (ii)  If cl_g(int_g(A)) = A, then int_g(A) is regular-open, as
+#       int_g(cl_g(int_g(A))) = int_g(A).  If such an A is not clopen,
+#       int_g(A) is not gamma-open: otherwise (i) makes it clopen, and
+#       A = cl_g(int_g(A)) = int_g(A) is clopen too.  And int_g(A) lies
+#       inside A (int_g is contractive) and is not A, or it would be
+#       gamma-open: so it comes before A in mask order.
+# (iii) So the first subset that is regular-open or cl.int-fixed, and not
+#       clopen, is R0: by (i) a regular-open set is not clopen iff it is
+#       not gamma-open, and by (ii) R0 itself is not cl.int-fixed.
+# (iv)  A clopen set is regular-open (C-P3.4-FWD) and cl.int-fixed, and
+#       cl.int-fixed is complement regular-open (C-T3.6 and duality).  So
+#       C-T3.7 and C-T3.8 each fail at A exactly when A is regular-open or
+#       cl.int-fixed and not clopen, and both fail first at R0: regular-open,
+#       not clopen, not cl.int-fixed, complement not regular-open.
+#       C-P3.4-CONV's first regular-open set that is not clopen is R0 by (i).
+# (v)   A clopen set is theta-open (at each of its points it is a
+#       gamma-open set whose closure, itself, misses the complement), and a
+#       theta-open set is gamma-open (C-CHAIN-TO-GO).  So on regular-open
+#       sets theta-open is gamma-open, and C-CHAIN-RO-TO fails first at R0
+#       too.  It keeps its scan: it has no hypotheses, and fails off ED as
+#       well.
+
+def _first_ro_not_gamma_open(sp: Space):
+    """R0 of the ED lemma: the first regular-open set, ascending, that is
+    not gamma-open; None when there is none."""
     ig = sp.int_g
-    for a in regular_open_family(sp):
-        if ig[a] != a:
-            return "fails", {"subset": _labels(sp, a), "part": "regular_open_not_gamma_open"}, {}
-    return "holds", None, {}
+    return next((a for a in regular_open_family(sp) if ig[a] != a), None)
 
 
-@_claim("C-P3.4-FWD", "other", (), "gamma-clopen implies gamma-regular-open")
-def _check_p34_fwd(sp: Space):
-    """Holds on every space: A = int_g(A) = cl_g(A) gives
-    int_g(cl_g(A)) = int_g(A) = A."""
-    return "holds", None, {}
-
-
-@_claim("C-P3.4-CONV", "conditioned", ("extremally_disconnected",),
-        "gamma-regular-open implies gamma-clopen")
-def _check_p34_conv(sp: Space):
-    return _implication(sp, is_gamma_regular_open, is_gamma_clopen)
-
-
-@_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
-def _check_t36(sp: Space):
-    """Holds on every space.  A clopen A gives cl_g(int_g(A)) = cl_g(A) = A.
-    If cl_g(int_g(A)) = A, duality (int_g(B) = X - cl_g(X - B)) gives
-    int_g(cl_g(X - A)) = X - cl_g(int_g(A)) = X - A."""
-    return "holds", None, {}
-
-
-@_claim("C-T3.7", "conditioned", ("extremally_disconnected",),
-        "complement regular-open implies regular-open implies clopen")
-def _check_t37(sp: Space):
-    full = sp.ground.full_mask
-    ig, cg = sp.int_g, sp.cl_g
-    for a in sp.ground.subsets():
-        regular_open = ig[cg[a]] == a
-        if ig[cg[full ^ a]] == full ^ a and not regular_open:
-            return "fails", {"subset": _labels(sp, a), "part": "complement_to_self"}, {}
-        if regular_open and not (ig[a] == a and cg[a] == a):
-            return "fails", {"subset": _labels(sp, a), "part": "regular_open_to_clopen"}, {}
-    return "holds", None, {}
-
-
-@_claim("C-T3.8", "conditioned", ("extremally_disconnected",),
-        "clopen, cl.int-fixed, complement regular-open and regular-open coincide")
-def _check_t38(sp: Space):
-    full = sp.ground.full_mask
-    ig, cg = sp.int_g, sp.cl_g
-    for a in sp.ground.subsets():
-        bools = (
-            ig[a] == a and cg[a] == a,
-            cg[ig[a]] == a,
-            ig[cg[full ^ a]] == full ^ a,
-            ig[cg[a]] == a,
-        )
-        if len(set(bools)) > 1:
-            return "fails", {
-                "subset": _labels(sp, a),
-                "clopen": bools[0],
-                "cl_int_fixed": bools[1],
-                "complement_regular_open": bools[2],
-                "regular_open": bools[3],
-            }, {}
-    return "holds", None, {}
-
-
-# Both C-T3.9 claims require an open operation, under which cl_g is
-# idempotent (``_space_discrepancies``): their notes are this one dict,
-# shared and never mutated
-_CL_IDEMPOTENT_NOTES = {"cl_gamma_idempotent": True}
-
-
-@_claim("C-T3.9-FWD", "conditioned", ("open_operation",),
-        "if cl_g(A) is regular-open then A is gamma-open")
-def _check_t39_fwd(sp: Space):
-    notes = _CL_IDEMPOTENT_NOTES
-    ig, cg = sp.int_g, sp.cl_g
-    for a, c in enumerate(cg):
-        if ig[cg[c]] == c and ig[a] != a:
-            return "fails", {"subset": _labels(sp, a)}, notes
-    return "holds", None, notes
+def _fails_at_r0(sp: Space, **fields):
+    """Fails with witness {"subset": R0, **fields}; holds without R0."""
+    r0 = _first_ro_not_gamma_open(sp)
+    if r0 is None:
+        return "holds", None, {}
+    return "fails", {"subset": _labels(sp, r0), **fields}, {}
 
 
 # Lemma (open operation + ED).  The five claims that assume an open
@@ -304,6 +259,71 @@ def _check_t39_fwd(sp: Space):
 #     is extensive; a regular-open R at x is gamma-open, with cl_g(R) = R.
 #     So ``theta_closure_table(sp)`` is
 #     ``principal_verdicts(sp, "regular_open").accumulates``.
+
+
+@_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")
+def _check_ro_incl(sp: Space):
+    """The first part fails exactly at R0 (ED lemma), by definition.  A
+    gamma-open A is open: each x in A has an open U at x with
+    U <= value(U) <= A (expansiveness)."""
+    return _fails_at_r0(sp, part="regular_open_not_gamma_open")
+
+
+@_claim("C-P3.4-FWD", "other", (), "gamma-clopen implies gamma-regular-open")
+def _check_p34_fwd(sp: Space):
+    """Holds on every space: A = int_g(A) = cl_g(A) gives
+    int_g(cl_g(A)) = int_g(A) = A."""
+    return "holds", None, {}
+
+
+@_claim("C-P3.4-CONV", "conditioned", ("extremally_disconnected",),
+        "gamma-regular-open implies gamma-clopen")
+def _check_p34_conv(sp: Space):
+    """Fails first at R0, or holds (ED lemma, (i))."""
+    return _fails_at_r0(sp)
+
+
+@_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
+def _check_t36(sp: Space):
+    """Holds on every space.  A clopen A gives cl_g(int_g(A)) = cl_g(A) = A.
+    If cl_g(int_g(A)) = A, duality (int_g(B) = X - cl_g(X - B)) gives
+    int_g(cl_g(X - A)) = X - cl_g(int_g(A)) = X - A."""
+    return "holds", None, {}
+
+
+@_claim("C-T3.7", "conditioned", ("extremally_disconnected",),
+        "complement regular-open implies regular-open implies clopen")
+def _check_t37(sp: Space):
+    """Fails first at R0, regular-open and not clopen, or holds (ED lemma,
+    (iv)).  R0's complement is not regular-open, so the first part holds
+    there."""
+    return _fails_at_r0(sp, part="regular_open_to_clopen")
+
+
+@_claim("C-T3.8", "conditioned", ("extremally_disconnected",),
+        "clopen, cl.int-fixed, complement regular-open and regular-open coincide")
+def _check_t38(sp: Space):
+    """Fails first at R0, with R0's four flags, or holds (ED lemma, (iv))."""
+    return _fails_at_r0(sp, clopen=False, cl_int_fixed=False,
+                        complement_regular_open=False, regular_open=True)
+
+
+# Both C-T3.9 claims require an open operation, under which cl_g is
+# idempotent (``_space_discrepancies``): their notes are this one dict,
+# shared and never mutated
+_CL_IDEMPOTENT_NOTES = {"cl_gamma_idempotent": True}
+
+
+@_claim("C-T3.9-FWD", "conditioned", ("open_operation",),
+        "if cl_g(A) is regular-open then A is gamma-open")
+def _check_t39_fwd(sp: Space):
+    notes = _CL_IDEMPOTENT_NOTES
+    ig, cg = sp.int_g, sp.cl_g
+    for a, c in enumerate(cg):
+        if ig[cg[c]] == c and ig[a] != a:
+            return "fails", {"subset": _labels(sp, a)}, notes
+    return "holds", None, notes
+
 
 @_claim("C-T3.9-CONV", "conditioned", ("open_operation", "extremally_disconnected"),
         "if A is gamma-open then cl_g(A) is regular-open")
@@ -380,7 +400,9 @@ def _check_t315c(sp: Space):
 
 @_claim("C-CHAIN-RO-TO", "other", (), "regular-open implies theta-open")
 def _check_chain_ro_to(sp: Space):
-    return _implication(sp, is_gamma_regular_open, is_theta_open)
+    for a in _separating(sp, is_gamma_regular_open, is_theta_open):
+        return "fails", {"subset": _labels(sp, a)}, {}
+    return "holds", None, {}
 
 
 @_claim("C-CHAIN-TO-GO", "other", (), "theta-open implies gamma-open")

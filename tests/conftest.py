@@ -1,3 +1,6 @@
+import functools
+from typing import NamedTuple
+
 import pytest
 
 from gamma_top import documents, theoremlab
@@ -53,3 +56,27 @@ def sweep4():
     return theoremlab.full_sweep(
         4, ("builtins", "pivots"), theoremlab.SAFE_CLAIMS + theoremlab.CONDITIONED_CLAIMS
     )
+
+
+class Enumeration(NamedTuple):
+    spaces: list  # every space, in enumeration order
+    classes: list  # the first space of each operator class, in order
+
+
+@pytest.fixture(scope="session")
+def enumeration():
+    """``enumeration(n, modes)``: the spaces of one enumeration and one
+    space per operator class, built once per session.  The oracles read
+    only the topology and the operator tables, so a class's first space
+    stands for the others.  Tests that count builds or patch memoised
+    code enumerate afresh instead."""
+
+    @functools.cache
+    def build(n, modes):
+        spaces = [sp for _, _, sp in theoremlab.enumerate_spaces(n, theoremlab.parse_modes(modes))]
+        classes = {}
+        for sp in spaces:
+            classes.setdefault((sp.top, sp.int_g, sp.cl_g), sp)
+        return Enumeration(spaces, list(classes.values()))
+
+    return build

@@ -139,18 +139,32 @@ def _mismatch(verdicts, pairing):
     return None
 
 
+@lru_cache(maxsize=None)
+def _oracle_net_rows(ground):
+    """``(net, tail, range, tail filterbase members, universal)`` for each
+    net of ``enumerate_nets`` within the cap, listed once per ground set."""
+    return tuple((net, *net_tail_range(net), net_to_filterbase(net).members_sorted,
+                  is_universal_net(ground, net))
+                 for net in enumerate_nets(ground, tl.NET_SIZE_CAP))
+
+
+@lru_cache(maxsize=None)
+def _oracle_filterbases(ground):
+    """``(filterbase, constructed net)`` for each filterbase of
+    ``enumerate_filterbases``, listed once per ground set."""
+    return tuple((fb, filterbase_to_net(fb)) for fb in enumerate_filterbases(ground))
+
+
 def oracle_bridge_pairings(sp):
     result = {p: {"C-P4.10": None, "C-P4.11": None} for p in tl.PAIRINGS}
-    for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP):
-        members = net_to_filterbase(net).members_sorted
+    for net, _, _, members, _ in _oracle_net_rows(sp.ground):
         for x in range(sp.ground.n):
             verdicts = _verdicts(sp, net, members, x)
             for pairing in tl.PAIRINGS:
                 part = _mismatch(verdicts, pairing)
                 if part and result[pairing]["C-P4.10"] is None:
                     result[pairing]["C-P4.10"] = _net_witness(sp, net, x, part)
-    for fb in enumerate_filterbases(sp.ground):
-        net = filterbase_to_net(fb)
+    for fb, net in _oracle_filterbases(sp.ground):
         members = fb.members_sorted
         for x in range(sp.ground.n):
             verdicts = _verdicts(sp, net, members, x)
@@ -170,12 +184,12 @@ def oracle_t413(sp):
     covers = oracle_conditions(sp, "dual")[0] is None
     labels = sp.ground.labels
     acc_witness = uni_witness = None
-    for net in enumerate_nets(sp.ground, tl.NET_SIZE_CAP):
+    for net, _, _, _, universal in _oracle_net_rows(sp.ground):
         if acc_witness is None and not any(
             net_r_accumulates(sp, net, labels[x]) for x in range(sp.ground.n)
         ):
             acc_witness = _net_witness(sp, net, 0, "no_accumulation_point")
-        if uni_witness is None and is_universal_net(sp.ground, net):
+        if uni_witness is None and universal:
             if not any(net_r_converges(sp, net, labels[x]) for x in range(sp.ground.n)):
                 uni_witness = _net_witness(sp, net, 0, "universal_net_does_not_converge")
     nets_accumulate = acc_witness is None
@@ -199,33 +213,20 @@ def _assert_matches_oracle(sp):
     assert (verdict.status, verdict.witness, verdict.notes) == oracle_t413(sp)
 
 
-def _classes(spaces_n):
-    """One space per operator class: the oracles read only the topology and
-    the operator tables, so it stands for the others."""
-    classes = {}
-    for sp in spaces_n:
-        classes.setdefault((sp.top, sp.int_g, sp.cl_g), sp)
-    return list(classes.values())
-
-
-def _spaces(n, modes):
-    return [sp for _, _, sp in tl.enumerate_spaces(n, tl.parse_modes(modes))]
-
-
 @pytest.mark.parametrize("name", sorted(documents.BUNDLED))
 def test_bundled_examples_match_oracle(name):
     _assert_matches_oracle(documents.load_bundled(name))
 
 
-def test_all_two_point_table_spaces_match_oracle():
-    spaces = _spaces(2, "all_tables")
+def test_all_two_point_table_spaces_match_oracle(enumeration):
+    spaces = enumeration(2, "all_tables").spaces
     assert len(spaces) == 36
     for sp in spaces:
         _assert_matches_oracle(sp)
 
 
-def test_three_point_builtin_and_pivot_spaces_match_oracle():
-    spaces = _spaces(3, "builtins,pivots")
+def test_three_point_builtin_and_pivot_spaces_match_oracle(enumeration):
+    spaces = enumeration(3, "builtins,pivots").spaces
     assert len(spaces) == 104
     statuses = set()
     for sp in spaces:
@@ -235,8 +236,8 @@ def test_three_point_builtin_and_pivot_spaces_match_oracle():
     assert statuses == {"holds", "fails"}
 
 
-def test_four_point_builtin_and_pivot_sample_matches_oracle():
-    spaces = _spaces(4, "builtins,pivots")
+def test_four_point_builtin_and_pivot_sample_matches_oracle(enumeration):
+    spaces = enumeration(4, "builtins,pivots").spaces
     assert len(spaces) == 2775
     sample = spaces[:: len(spaces) // 10 + 1]
     assert len(sample) == 10
@@ -338,14 +339,9 @@ def test_first_nets_list_each_class_once_in_oracle_order(cap, monkeypatch):
     assert counts == ([1, 5, 19, 50] if cap == 3 else [1, 5, 19, 65])
 
 
-@lru_cache(maxsize=None)
-def _oracle_net_rows(ground):
-    return tuple((net,) + net_tail_range(net) for net in enumerate_nets(ground, tl.NET_SIZE_CAP))
-
-
-def test_every_operator_class_names_the_oracles_first_failing_net():
-    small = _classes(_spaces(3, "all_tables"))
-    four = _classes(_spaces(4, "builtins,pivots"))
+def test_every_operator_class_names_the_oracles_first_failing_net(enumeration):
+    small = enumeration(3, "all_tables").classes
+    four = enumeration(4, "builtins,pivots").classes
     assert (len(small), len(four)) == (507, 2321)
     failing = 0
     for sp in small + four:
@@ -354,7 +350,7 @@ def test_every_operator_class_names_the_oracles_first_failing_net():
         for pairing in tl.PAIRINGS:
             fam, reading = pairing.split("+")
             mismatch = partial(tl._class_mismatch, principal_verdicts(sp, fam), net_tables, reading)
-            expected = next((_net_witness(sp, net, *hit) for net, t, r in _oracle_net_rows(sp.ground)
+            expected = next((_net_witness(sp, net, *hit) for net, t, r, _, _ in _oracle_net_rows(sp.ground)
                              if (hit := mismatch(t, r)) is not None), None)
             assert found[pairing]["C-P4.10"] == expected, (sp.key, pairing)
             failing += expected is not None

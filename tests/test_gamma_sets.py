@@ -1,4 +1,3 @@
-from gamma_top import theoremlab as tl
 from gamma_top.finspace import PointSet, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space
 from gamma_top.gamma_sets import (
@@ -173,19 +172,17 @@ def test_theta_open_witness_space_on_discrete_topology():
     assert not is_gamma_regular_open(sp, m("ab"))
 
 
-def _lemma_spaces():
+def _lemma_spaces(enumeration):
     """Every n=3 table space and every n=4 builtin/pivot space."""
-    for n, modes in ((3, "all_tables"), (4, "builtins,pivots")):
-        for _, _, sp in tl.enumerate_spaces(n, modes):
-            yield sp
+    return enumeration(3, "all_tables").spaces + enumeration(4, "builtins,pivots").spaces
 
 
-def test_gamma_closed_readings_are_one_family():
+def test_gamma_closed_readings_are_one_family(enumeration):
     # x is outside cl_g(A) iff some value at x lies inside X - A, iff x is
     # in int_g(X - A): the complements of the gamma-open sets are exactly
     # the fixed points of cl_g
     count = 0
-    for sp in _lemma_spaces():
+    for sp in _lemma_spaces(enumeration):
         full = sp.ground.full_mask
         complements = sorted(full ^ u for u in gamma_open_family(sp))
         assert complements == [a for a, c in enumerate(sp.cl_g) if c == a]
@@ -206,9 +203,9 @@ CLASSIFIERS = {
 }
 
 
-def test_classify_subset_flags_match_the_classifiers():
+def test_classify_subset_flags_match_the_classifiers(enumeration):
     assert tuple(CLASSIFIERS) == FLAG_NAMES
-    for sp in _lemma_spaces():
+    for sp in _lemma_spaces(enumeration):
         for a in sp.ground.subsets():
             c = classify_subset(sp, a)
             assert c.flags == {name: is_(sp, a) for name, is_ in CLASSIFIERS.items()}, (sp, a)

@@ -5,11 +5,16 @@ counterexample either.  The scans, over every subset, covering pair and
 filterbase kernel, live here as the oracle, with the subfamily folds of
 ``test_quantifier_oracle`` and the net enumeration of
 ``test_bridge_oracle``.  Five hold under an open operation on an
-extremally disconnected space, by the lemma above C-T3.9-CONV in
+extremally disconnected (ED) space, by the open + ED lemma in
 ``theoremlab``: its parts are checked here by scans, and the claims
-against their old scans in ``test_quantifier_oracle``."""
+against their old scans in ``test_quantifier_oracle``.  Three more
+(C-P3.4-CONV, C-T3.7, C-T3.8) assume an ED space and, by the ED lemma in
+``theoremlab``, fail exactly at C-RO-INCL's first regular-open set that
+is not gamma-open, with no scan of their own: they are checked here
+against their old scans."""
 
 import ast
+import collections
 import inspect
 import textwrap
 
@@ -31,7 +36,7 @@ from gamma_top.gamma_sets import (
     theta_closure_table,
 )
 
-from test_bridge_oracle import _classes, oracle_t413
+from test_bridge_oracle import oracle_t413
 from test_properties import spaces
 from test_quantifier_oracle import (
     _chain_space,
@@ -123,19 +128,24 @@ def _assert_lemma_claims_hold(sp):
         assert (verdict.status, verdict.witness, verdict.notes) == ("holds", None, notes), cid
 
 
-def test_every_lemma_claim_holds_where_its_scan_finds_nothing():
-    small = [sp for n in (1, 2, 3) for _, _, sp in tl.enumerate_spaces(n, ("all_tables",))]
-    four = [sp for _, _, sp in tl.enumerate_spaces(4, ("builtins", "pivots"))]
-    assert (len(small), len(four)) == (2 + 36 + 9048, 2775)
-    for sp in small + four:
+def _small(enumeration):
+    """The n <= 3 table enumerations joined: their spaces, their classes."""
+    parts = [enumeration(n, "all_tables") for n in (1, 2, 3)]
+    return [sp for e in parts for sp in e.spaces], [sp for e in parts for sp in e.classes]
+
+
+def test_every_lemma_claim_holds_where_its_scan_finds_nothing(enumeration):
+    small, small_classes = _small(enumeration)
+    four = enumeration(4, "builtins,pivots")
+    assert (len(small), len(four.spaces)) == (2 + 36 + 9048, 2775)
+    for sp in small + four.spaces:
         _assert_lemma_claims_hold(sp)
     bundled = [documents.load_bundled(name) for name in sorted(documents.BUNDLED)]
-    small, four = _classes(small), _classes(four)
-    assert (len(small), len(four)) == (10 + 507, 2321)
-    for sp in small + bundled + [_chain_space(MAX_POINTS)]:
+    assert (len(small_classes), len(four.classes)) == (10 + 507, 2321)
+    for sp in small_classes + bundled + [_chain_space(MAX_POINTS)]:
         assert oracle_lemma_failures(sp) == set(), sp.key
     # the net enumeration takes about 5 ms per 4-point class: every fourth
-    for i, sp in enumerate(four):
+    for i, sp in enumerate(four.classes):
         assert oracle_lemma_failures(sp, nets=i % 4 == 0) == set(), sp.key
 
 
@@ -188,12 +198,12 @@ def open_ed_lemma_failures(sp):
     return failed
 
 
-def test_open_ed_lemma_parts_hold_on_every_open_ed_class():
-    small = [sp for n in (1, 2, 3) for _, _, sp in tl.enumerate_spaces(n, ("all_tables",))]
-    four = [sp for _, _, sp in tl.enumerate_spaces(4, ("builtins", "pivots"))]
+def test_open_ed_lemma_parts_hold_on_every_open_ed_class(enumeration):
+    small = _small(enumeration)[1]
+    four = enumeration(4, "builtins,pivots").classes
     bundled = [documents.load_bundled(name) for name in sorted(documents.BUNDLED)]
     checked = refuted = 0
-    for sp in _classes(small) + _classes(four) + bundled + [_chain_space(MAX_POINTS)]:
+    for sp in small + four + bundled + [_chain_space(MAX_POINTS)]:
         if _open_ed(sp):
             assert open_ed_lemma_failures(sp) == set(), sp.key
             checked += 1
@@ -212,16 +222,16 @@ def test_random_open_ed_spaces_hold_the_lemma_parts(sp):
         assert open_ed_lemma_failures(sp) == set()
 
 
-def test_open_ed_spaces_fail_only_t39_fwd():
+def test_open_ed_spaces_fail_only_t39_fwd(enumeration):
     # the lemma gives every claim but C-T3.9-FWD on an open ED space: the
     # five above, the ten unconditional ones, and C-RO-INCL (open), C-P3.4-CONV,
     # C-T3.7, C-T3.8 (regular-open = clopen, closed under complement),
     # C-C3.10 (cl_g(int_g(A)) is cl_g of a gamma-open set), C-CHAIN-RO-TO
     # (regular-open is theta-clopen) and C-P4.10/C-P4.11 (the two test
     # families are equal at every point)
-    for n, modes, open_ed, fwd_fails in ((3, ("all_tables",), 5480, 3712),
-                                         (4, ("builtins", "pivots"), 1407, 1306)):
-        spaces_n = [sp for _, _, sp in tl.enumerate_spaces(n, modes) if _open_ed(sp)]
+    for n, modes, open_ed, fwd_fails in ((3, "all_tables", 5480, 3712),
+                                         (4, "builtins,pivots", 1407, 1306)):
+        spaces_n = [sp for sp in enumeration(n, modes).spaces if _open_ed(sp)]
         assert len(spaces_n) == open_ed
         fails = 0
         for sp in spaces_n:
@@ -234,18 +244,146 @@ def test_open_ed_spaces_fail_only_t39_fwd():
         assert fails == fwd_fails
 
 
+# -- the ED lemma: three claims decided from C-RO-INCL's witness ---------------
+
+def oracle_p34_conv(sp):
+    for a in sp.ground.subsets():
+        if is_gamma_regular_open(sp, a) and not is_gamma_clopen(sp, a):
+            return "fails", {"subset": tl._labels(sp, a)}, {}
+    return "holds", None, {}
+
+
+def oracle_t37(sp):
+    full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    for a in sp.ground.subsets():
+        regular_open = ig[cg[a]] == a
+        if ig[cg[full ^ a]] == full ^ a and not regular_open:
+            return "fails", {"subset": tl._labels(sp, a), "part": "complement_to_self"}, {}
+        if regular_open and not (ig[a] == a and cg[a] == a):
+            return "fails", {"subset": tl._labels(sp, a), "part": "regular_open_to_clopen"}, {}
+    return "holds", None, {}
+
+
+def oracle_t38(sp):
+    full = sp.ground.full_mask
+    ig, cg = sp.int_g, sp.cl_g
+    for a in sp.ground.subsets():
+        bools = (
+            ig[a] == a and cg[a] == a,
+            cg[ig[a]] == a,
+            ig[cg[full ^ a]] == full ^ a,
+            ig[cg[a]] == a,
+        )
+        if len(set(bools)) > 1:
+            return "fails", {
+                "subset": tl._labels(sp, a),
+                "clopen": bools[0],
+                "cl_int_fixed": bools[1],
+                "complement_regular_open": bools[2],
+                "regular_open": bools[3],
+            }, {}
+    return "holds", None, {}
+
+
+# the scans the three checkers replaced
+ED_CLAIM_ORACLES = {
+    "C-P3.4-CONV": oracle_p34_conv,
+    "C-T3.7": oracle_t37,
+    "C-T3.8": oracle_t38,
+}
+
+
+def _assert_ed_claims_match_the_scans(sp):
+    """On an ED space: each of the three claims gives its old scan's
+    verdict, and fails exactly where C-RO-INCL does, at R0; C-CHAIN-RO-TO
+    fails first at R0 too (part (v)).  Returns whether R0 exists."""
+    assert is_extremally_disconnected(sp)
+    r0 = tl._first_ro_not_gamma_open(sp)
+    subset = None if r0 is None else tl._labels(sp, r0)
+    ro_incl = tl.check_claim(sp, "C-RO-INCL")
+    assert (ro_incl.witness or {}).get("subset") == subset
+    for cid, oracle in ED_CLAIM_ORACLES.items():
+        verdict = tl.check_claim(sp, cid)
+        assert (verdict.status, verdict.witness, verdict.notes) == oracle(sp), cid
+        assert verdict.status == ro_incl.status, cid
+        assert (verdict.witness or {}).get("subset") == subset, cid
+    chain = tl.check_claim(sp, "C-CHAIN-RO-TO").witness
+    assert chain == (None if r0 is None else {"subset": subset})
+    return r0 is not None
+
+
+def test_ed_claims_match_their_scans_on_every_ed_class(enumeration):
+    groups = {
+        "n<=3 tables": _small(enumeration)[1],
+        "n=4 builtins,pivots": enumeration(4, "builtins,pivots").classes,
+        "documents and chain": [documents.load_bundled(name) for name in sorted(documents.BUNDLED)]
+                               + [_chain_space(MAX_POINTS)],
+    }
+    classes = collections.Counter()
+    for name, group in groups.items():
+        for sp in group:
+            if is_extremally_disconnected(sp):
+                classes[name, _assert_ed_claims_match_the_scans(sp)] += 1
+    # ED classes, with and without R0: 10 + 447 at n <= 3, 1,435 at n = 4,
+    # and three bundled documents and the chain
+    assert classes == {
+        ("n<=3 tables", False): 10 + 423, ("n<=3 tables", True): 24,
+        ("n=4 builtins,pivots", False): 1287, ("n=4 builtins,pivots", True): 148,
+        ("documents and chain", False): 4,
+    }
+    # in spaces: C-T3.8 fails on 192 of the 8,472 ED table spaces at n = 3
+    # and on 148 of the 1,555 ED spaces at n = 4
+    for n, modes, ed, fails in ((3, "all_tables", 8472, 192), (4, "builtins,pivots", 1555, 148)):
+        statuses = collections.Counter(tl.check_claim(sp, "C-T3.8").status
+                                       for sp in enumeration(n, modes).spaces)
+        assert statuses["holds"] + statuses["fails"] == ed
+        assert statuses["fails"] == fails
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces())
+def test_random_ed_spaces_match_the_scans(sp):
+    if is_extremally_disconnected(sp):
+        _assert_ed_claims_match_the_scans(sp)
+
+
+# -- C-T3.9-FWD and gamma-dense sets ----------------------------------------
+
+def _dense_sets_are_gamma_open(sp):
+    full = sp.ground.full_mask
+    return all(sp.int_g[a] == a for a, c in enumerate(sp.cl_g) if c == full)
+
+
+def test_t39_fwd_holds_on_open_classes_exactly_when_dense_sets_are_gamma_open(enumeration):
+    # proved: if C-T3.9-FWD holds, every A with cl_g(A) = X is gamma-open,
+    # since X is regular-open.  Measured only: the converse, under an open
+    # operation, on every open class below
+    seen = collections.Counter()
+    for n, modes in ((3, "all_tables"), (4, "builtins,pivots")):
+        for sp in enumeration(n, modes).classes:
+            if is_open_operation(sp):
+                status = tl.check_claim(sp, "C-T3.9-FWD").status
+                assert (status == "holds") == _dense_sets_are_gamma_open(sp), sp.key
+                seen[n, status] += 1
+    # 223 open classes (5,672 spaces) at n = 3, 1,561 (1,943 spaces) at n = 4
+    assert seen == {(3, "holds"): 44, (3, "fails"): 179, (4, "holds"): 87, (4, "fails"): 1474}
+
+
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)
 
 
-def _loops(cid):
-    source = textwrap.dedent(inspect.getsource(tl.CLAIMS[cid].check.__wrapped__))
+def _loops(fn):
+    source = textwrap.dedent(inspect.getsource(fn))
     return sum(isinstance(node, _LOOPS) for node in ast.walk(ast.parse(source)))
 
 
 def test_lemma_decided_checkers_do_not_scan():
     assert len(LEMMA_CLAIMS) + len(OPEN_ED_CLAIMS) == 15
-    for cid in (*LEMMA_CLAIMS, *OPEN_ED_CLAIMS):
-        assert _loops(cid) == 0, cid
-    # C-RO-INCL scans its first part only: the second holds by expansiveness
-    assert _loops("C-RO-INCL") == 1
+    # C-RO-INCL and the three ED claims read R0, whose helper holds their
+    # only scan; C-RO-INCL's second part holds by expansiveness
+    for cid in (*LEMMA_CLAIMS, *OPEN_ED_CLAIMS, "C-RO-INCL", *ED_CLAIM_ORACLES):
+        assert _loops(tl.CLAIMS[cid].check.__wrapped__) == 0, cid
+    assert _loops(tl._fails_at_r0) == 0
+    assert _loops(tl._first_ro_not_gamma_open) == 1

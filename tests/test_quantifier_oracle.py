@@ -267,17 +267,13 @@ def _assert_matches_oracle(sp):
     return statuses
 
 
-def _spaces(n, modes):
-    return [sp for _, _, sp in tl.enumerate_spaces(n, tl.parse_modes(modes))]
-
-
 @pytest.mark.parametrize("name", sorted(documents.BUNDLED))
 def test_bundled_examples_match_oracle(name):
     _assert_matches_oracle(documents.load_bundled(name))
 
 
-def test_all_one_and_two_point_table_spaces_match_oracle():
-    spaces_12 = _spaces(1, "all_tables") + _spaces(2, "all_tables")
+def test_all_one_and_two_point_table_spaces_match_oracle(enumeration):
+    spaces_12 = enumeration(1, "all_tables").spaces + enumeration(2, "all_tables").spaces
     assert len(spaces_12) == 2 + 36
     for sp in spaces_12:
         _assert_matches_oracle(sp)
@@ -287,8 +283,8 @@ def test_all_one_and_two_point_table_spaces_match_oracle():
     (3, "all_tables", 9048, 12),
     (4, "builtins,pivots", 2775, 8),
 ])
-def test_stride_sample_matches_oracle_where_claims_fail(n, modes, size, stride):
-    spaces_n = _spaces(n, modes)
+def test_stride_sample_matches_oracle_where_claims_fail(enumeration, n, modes, size, stride):
+    spaces_n = enumeration(n, modes).spaces
     assert len(spaces_n) == size
     seen = {cid: set() for cid in CLAIM_ORACLES}
     for sp in spaces_n[::stride]:
@@ -300,10 +296,10 @@ def test_stride_sample_matches_oracle_where_claims_fail(n, modes, size, stride):
         assert {("holds", True), ("fails", False)} <= seen[cid], cid
 
 
-def test_operation_flags_match_oracle_on_every_enumerated_space():
+def test_operation_flags_match_oracle_on_every_enumerated_space(enumeration):
     # the flags are memoised per operator class, the oracles read each
     # space's own values: so no class mixes flag values either
-    spaces_n = _spaces(3, "all_tables") + _spaces(4, "builtins,pivots")
+    spaces_n = enumeration(3, "all_tables").spaces + enumeration(4, "builtins,pivots").spaces
     assert len(spaces_n) == 9048 + 2775
     seen = set()
     for sp in spaces_n:
@@ -321,10 +317,10 @@ def _chain_space(size):
     return documents.parse_space(json.dumps(doc))
 
 
-def test_discrepancies_and_t39_notes_match_the_scans():
+def test_discrepancies_and_t39_notes_match_the_scans(enumeration):
     # the lemmas of ``_space_discrepancies`` against the scans they replace
-    table3 = _spaces(3, "all_tables")
-    spaces_n = table3 + _spaces(4, "builtins,pivots")
+    table3 = enumeration(3, "all_tables").spaces
+    spaces_n = table3 + enumeration(4, "builtins,pivots").spaces
     assert len(spaces_n) == 9048 + 2775
     spaces_n += [documents.load_bundled(name) for name in sorted(documents.BUNDLED)]
     spaces_n.append(_chain_space(MAX_POINTS))
