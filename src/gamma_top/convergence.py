@@ -281,14 +281,26 @@ class Net:
     def __post_init__(self):
         if len(self.values) != self.dirset.size:
             raise NetError("a net needs one value per index element")
+        # per point p that the net takes, (1 << p, the mask of the indices
+        # i with values[i] == p); not a field, so equality reads the values
+        object.__setattr__(self, "index_masks", tuple(
+            (1 << p, sum(1 << i for i, q in enumerate(self.values) if q == p))
+            for p in sorted(set(self.values))))
 
 
 def _net_value_mask(net: Net, point_set_mask: int) -> int:
+    """The indices landing in the point set: the OR of its points' index
+    masks, one step per point of the net rather than one per index."""
     ok = 0
-    for i, p in enumerate(net.values):
-        if point_set_mask >> p & 1:
-            ok |= 1 << i
+    for bit, indices in net.index_masks:
+        if point_set_mask & bit:
+            ok |= indices
     return ok
+
+
+def _net_points(net: Net, index_mask: int) -> int:
+    """The points the net takes on the indices in the mask."""
+    return sum(bit for bit, indices in net.index_masks if indices & index_mask)
 
 
 def net_r_converges(sp: Space, net: Net, x: str) -> bool:
@@ -323,26 +335,14 @@ def net_r_accumulates(sp: Space, net: Net, x: str, literal: bool = False) -> boo
 def net_tail_range(net: Net) -> tuple[int, int]:
     """``(T, R)``: the point mask of the values on the top class (the
     eventual tail) and of all values (the range); see the module lemma."""
-    tail = 0
-    for i in bits_of(net.dirset.top_mask):
-        tail |= 1 << net.values[i]
-    rng = 0
-    for p in net.values:
-        rng |= 1 << p
-    return tail, rng
+    return _net_points(net, net.dirset.top_mask), _net_points(net, (1 << net.dirset.size) - 1)
 
 
 def net_to_filterbase(net: Net) -> Filterbase:
     """The family of net tails { values[i] : i >= j }, one per index j.
     It is directed: by the module lemma the top-class tail is a member
     inside every other member."""
-    tails = set()
-    for row in net.dirset.geq_masks:
-        tail = 0
-        for i in bits_of(row):
-            tail |= 1 << net.values[i]
-        tails.add(tail)
-    return Filterbase(frozenset(tails))
+    return Filterbase(frozenset(_net_points(net, row) for row in net.dirset.geq_masks))
 
 
 def filterbase_to_net(fb: Filterbase) -> Net:

@@ -197,14 +197,15 @@ class Topology:
     """A validated family of open subsets over a ground set.
 
     Two memo dicts live and die with the object: an equal but distinct
-    topology shares nothing.  ``operator_tables`` maps each tuple of
-    per-point neighbourhood values to the (int_g, cl_g, class memo) that
-    ``gamma_core.Space`` built from it, so the tables are built once per
-    tuple.  ``operator_memos`` maps each (int_g, cl_g) pair of tables to
-    the memo that the spaces on this object with those operators share
-    (``gamma_core.per_operator_class``); several tuples can give one pair.
-    The two dicts are apart because at n = 2 a tuple of values and a pair
-    of tables are both pairs of int tuples."""
+    topology shares nothing.  ``operator_tables`` maps each slice of an
+    operation's values at the non-empty opens to the (int_g, cl_g, class
+    memo) that ``gamma_core.Space`` built for it, so the tables are built
+    once per slice.  ``operator_memos`` maps each (int_g, cl_g) pair of
+    tables to the memo that the spaces on this object with those operators
+    share (``gamma_core.per_operator_class``); several slices can give one
+    pair.  The two dicts are kept apart because they count different
+    things: one entry per slice is one build of the tables, and one entry
+    per pair is one operator class, so each size reads as a count."""
 
     ground: PointSet
     opens: frozenset[int]

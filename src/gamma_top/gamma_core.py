@@ -11,18 +11,19 @@ the one axiom).  From it we derive:
 
 Both operators are tables over all 2**n subsets, filled from the
 per-point neighbourhood values (``nbds``, per point x the values at the
-opens containing x) and from nothing else.  So they are built once per
-distinct ``nbds`` tuple on a topology object, not once per space.  The
-value at the empty set is in no point's neighbourhood values, and two
-operations that differ only there give one tuple: the 9,048 3-point
-table spaces give 1,131 tuples, which give 507 operator classes (below).
-``int_g``: each point
-is marked at each of its neighbourhood values, then every entry is ORed
-into its supersets.  ``cl_g`` comes from its own definition, not as the
-dual of ``int_g``: a point is missing from cl_g(A) iff one of its values is
-disjoint from A, so each point is marked at the complements of its values
-and every entry is ORed into its subsets.  The duality between the two
-operators is therefore a checked property, not an implementation shortcut.
+opens containing x) and from nothing else.  Those values and the
+operation's values at the non-empty opens determine each other (the
+lemma in ``Space``), so the tables are built once per distinct slice
+``extension[1:]`` on a topology object, not once per space.  Two
+operations that differ only at the empty set share one slice: the 9,048
+3-point table spaces give 1,131 slices, which give 507 operator classes
+(below).  ``int_g``: each point is marked at each of its neighbourhood
+values, then every entry is ORed into its supersets.  ``cl_g`` comes
+from its own definition, not as the dual of ``int_g``: a point is
+missing from cl_g(A) iff one of its values is disjoint from A, so each
+point is marked at the complements of its values and every entry is
+ORed into its subsets.  The duality between the two operators is
+therefore a checked property, not an implementation shortcut.
 
 One memo holds what is computed from a space (``per_operator_class``).
 Every derived value, the open/regular operation flags included, reads
@@ -198,9 +199,19 @@ class Space:
 
     Each value is checked for this space, against the ground set and for
     expansiveness.  Then the tables and the memo come from the topology's
-    ``operator_tables`` entry for the space's neighbourhood values, made
-    by the first space with those values: of the 9,048 3-point table
-    spaces, 1,131 build tables, and they fall into 507 classes.
+    ``operator_tables`` entry for ``extension[1:]``, the values at every
+    open but the empty set, made by the first space with that slice: of
+    the 9,048 3-point table spaces, 1,131 build tables, and they fall into
+    507 classes.
+
+    Lemma: on one topology, two operations have equal slices iff they
+    have equal per-point neighbourhood values, the one input of the
+    tables.  The empty set is the first of the sorted opens, and its
+    value is in no point's values.  Every other open U contains some
+    point x, and the value at U sits at a fixed position in x's tuple
+    (the rank of U among the opens at x).  So the slice gives every
+    tuple, and the tuples give every entry of the slice.  The tuples are
+    therefore built only on a miss, to fill the tables.
     """
 
     ground: PointSet
@@ -217,19 +228,15 @@ class Space:
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
         object.__setattr__(self, "extension", extension)
-        # per-point neighbourhood values drive the two operators, which
-        # are built once per distinct tuple of them on this topology
-        nbds = tuple([
-            tuple([value for u, value in zip(opens, extension) if u >> i & 1])
-            for i in range(self.ground.n)
-        ])
-        tables = self.top.operator_tables.get(nbds)
+        tables = self.top.operator_tables.get(extension[1:])
         if tables is None:
+            nbds = [[value for u, value in zip(opens, extension) if u >> i & 1]
+                    for i in range(self.ground.n)]
             # expansiveness puts each point inside its values, so int_g(A) <= A
             int_g = inside_table(self.ground.n, nbds)
             cl_g = meeting_table(self.ground.n, nbds)
             class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
-            tables = self.top.operator_tables[nbds] = (int_g, cl_g, class_memo)
+            tables = self.top.operator_tables[extension[1:]] = (int_g, cl_g, class_memo)
         int_g, cl_g, class_memo = tables
         object.__setattr__(self, "int_g", int_g)
         object.__setattr__(self, "cl_g", cl_g)

@@ -21,13 +21,15 @@ enumerations of (topology, operation) pairs; the miner searches the same
 enumerations for named separations or claim failures.  Both read a claim
 row or a list of separating subsets once per operator class
 (``_outcomes``, ``_separations``) and add only the space's indices and
-key per space.  The audits rebuild the four bundled example spaces and
-diff their published families against recomputation.
+key per space; a sweep adds its tallies once per distinct status row.
+The audits rebuild the four bundled example spaces and diff their
+published families against recomputation.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -707,6 +709,14 @@ def _outcomes(sp: Space, ids: tuple) -> tuple:
     return tuple(rows)
 
 
+@per_operator_class
+def _status_row(sp: Space, ids: tuple) -> tuple:
+    """``(statuses, failing rows)`` of ``_outcomes``: a sweep counts the
+    spaces per status tuple and reads only the failing rows per space."""
+    rows = _outcomes(sp, ids)
+    return tuple(row[1] for row in rows), tuple(row for row in rows if row[1] == "fails")
+
+
 # -- per-space report ------------------------------------------------------
 
 @per_operator_class
@@ -871,7 +881,13 @@ class InvariantReport:
 
 def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=None):
     """One pass over the enumeration: claims plus, optionally, the
-    structural invariants and the discrepancy statistics."""
+    structural invariants and the discrepancy statistics.
+
+    Statuses and statistics are per operator class, so the pass counts
+    the spaces per status tuple and per triple of statistics, and adds
+    the counts to the tallies at the end.  Per space it touches only the
+    class's failing rows and its invariant violations, which carry the
+    space's key and indices."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
@@ -883,29 +899,30 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
         "cl_gamma_within_theta_closure_everywhere": 0,
         "closedness_definitions_agree_everywhere": 0,
     }
+    status_counts = Counter()
+    stat_counts = Counter()
     topologies = set()
-    spaces = 0
     for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
         topologies.add(ti)
-        spaces += 1
-        for cid, status, witness, notes in _outcomes(sp, ids):
-            tallies[cid][status] += 1
-            if status == "fails":
-                failures.append(Verdict(cid, sp.key, status, witness,
-                                        dict(notes, topology_index=ti, operation_index=oi)))
+        statuses, failing = _status_row(sp, ids)
+        status_counts[statuses] += 1
+        for cid, status, witness, notes in failing:
+            failures.append(Verdict(cid, sp.key, status, witness,
+                                    dict(notes, topology_index=ti, operation_index=oi)))
         if invariants:
             for item in check_invariants(sp):
                 violations.append(dict(item, space=sp.key.to_dict(),
                                        topology_index=ti, operation_index=oi))
-            disc = {d["kind"]: d for d in _space_discrepancies(sp)}
-            stats["spaces"] += 1
-            stats["cl_gamma_idempotent_everywhere"] += disc["cl_gamma_idempotent"]["holds"]
-            stats["cl_gamma_within_theta_closure_everywhere"] += disc[
-                "cl_gamma_within_theta_closure"
-            ]["holds"]
-            stats["closedness_definitions_agree_everywhere"] += disc[
-                "closedness_definitions"
-            ]["agree"]
+            closedness, idempotent, within = _space_discrepancies(sp)
+            # in the order of the statistics after "spaces"
+            stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += 1
+    for statuses, count in status_counts.items():
+        for cid, status in zip(ids, statuses):
+            tallies[cid][status] += count
+    for flags, count in stat_counts.items():
+        for name, flag in zip(stats, (True, *flags)):
+            stats[name] += flag * count
+    spaces = status_counts.total()
     claim_report = SweepReport(n, modes, ids, len(topologies), spaces, tallies, failures)
     inv_report = InvariantReport(n, modes, spaces, violations, stats) if invariants else None
     return claim_report, inv_report
@@ -1027,8 +1044,7 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     out = []
     for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
         if claim_id is not None:
-            _, status, witness, _ = _outcomes(sp, (claim_id,))[0]
-            if status == "fails":
+            for _, _, witness, _ in _status_row(sp, (claim_id,))[1]:
                 out.append(MinedWitness(ti, oi, sp.key, witness))
             continue
         for a in _separations(sp, predicate):

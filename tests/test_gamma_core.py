@@ -90,8 +90,8 @@ def test_the_table_cache_never_skips_validation():
     top = validate_topology(ABC, [0, m("a"), 7])
     good = Space(ABC, top, GammaOperation("table", table=((0, 0), (m("a"), m("ab")), (7, 7))))
     assert len(top.operator_tables) == 1
-    # the value at the empty set is in no point's neighbourhood values, so
-    # this table's tuple is the cached one: its mask is checked all the same
+    # the table key leaves out the value at the empty set, so this table's
+    # slice is the cached one: its mask is checked all the same
     with pytest.raises(FinSpaceError):
         Space(ABC, top, GammaOperation("table", table=((0, 8), (m("a"), m("ab")), (7, 7))))
     with pytest.raises(GammaNotExpansive) as err:

@@ -2,18 +2,23 @@
 sweep rows and separations are memoised per operator class: the spaces on
 one ``Topology`` object with equal int_g and cl_g tables share them
 (``gamma_core.per_operator_class``).  The tables themselves are built once
-per tuple of per-point neighbourhood values.  These tests check that
-sharing changes no result, that the shared code reads nothing of the
-operation but its two operators, and how often the shared code runs."""
+per slice ``extension[1:]``, the operation's values at the non-empty
+opens.  These tests check that sharing changes no result, that the shared
+code reads nothing of the operation but its two operators, that the slice
+and the per-point neighbourhood values determine each other, how often
+the shared code runs, and that a sweep's per-class tallies equal a
+per-space recount."""
 
 import collections
 import dataclasses
+import functools
+import math
 from types import SimpleNamespace
 
 from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
-from gamma_top.finspace import validate_topology
-from gamma_top.gamma_core import Space, per_operator_class
+from gamma_top.finspace import open_nbds, validate_topology
+from gamma_top.gamma_core import Space, apply_gamma, operations_for, per_operator_class
 
 
 def _fresh(sp):
@@ -203,3 +208,108 @@ def test_a_class_row_is_never_mutated(monkeypatch):
     for _, _, sp in spaces:
         for _, _, _, notes in tl._outcomes(sp, ids):
             assert "topology_index" not in notes and "operation_index" not in notes
+
+
+def _point_values(sp):
+    """Per point, the values at its open neighbourhoods in ascending mask
+    order, read literally: the one input of the operator tables."""
+    return tuple(tuple(apply_gamma(sp, u) for u in open_nbds(sp.top, label))
+                 for label in sp.ground.labels)
+
+
+def _check_table_key(spaces):
+    """On each topology object, equal slices ``extension[1:]`` iff equal
+    per-point values; each slice builds its own tables, shared by every
+    space with that slice, and is the topology's only entry for them.
+    *spaces* must be every space built on their topology objects.
+    Returns the number of table entries."""
+    by_top = collections.defaultdict(list)
+    for sp in spaces:
+        by_top[id(sp.top)].append(sp)
+    entries = 0
+    for group in by_top.values():
+        slice_of, values_of, first = {}, {}, {}
+        for sp in group:
+            values, key = _point_values(sp), sp.extension[1:]
+            assert slice_of.setdefault(values, key) == key
+            assert values_of.setdefault(key, values) == values
+            same = first.setdefault(key, sp)
+            assert sp.int_g is same.int_g and sp._class_memo is same._class_memo
+        # a key that merges two slices, or splits one, builds fewer or more tables
+        assert len({id(sp.int_g) for sp in group}) == len(first)
+        assert len(group[0].top.operator_tables) == len(first)
+        entries += len(first)
+    return entries
+
+
+def test_the_table_key_and_the_neighbourhood_values_determine_each_other():
+    three = [sp for _, _, sp in tl.enumerate_spaces(3, ("all_tables",))]
+    assert (len(three), _check_table_key(three)) == (9048, 1131)
+    four = [sp for _, _, sp in tl.enumerate_spaces(4, ("builtins", "pivots"))]
+    assert (len(four), _check_table_key(four)) == (2775, 2775)
+    for name in documents.BUNDLED:
+        doc = documents.load_bundled(name)
+        ops = operations_for(doc.top, ("builtins", "pivots"))
+        spaces = [doc] + [Space(doc.ground, doc.top, op) for op in ops]
+        assert _check_table_key(spaces) >= 2, name
+
+
+def _recount(n, modes, ids):
+    """The sweep's tallies, failures and statistics, counted space by
+    space through ``check_claim`` and the discrepancy rows by kind."""
+    tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
+    failures = []
+    stats = collections.Counter()
+    for ti, oi, sp in tl.enumerate_spaces(n, modes):
+        for cid in ids:
+            verdict = tl.check_claim(sp, cid)
+            tallies[cid][verdict.status] += 1
+            if verdict.status == "fails":
+                failures.append((cid, ti, oi, verdict.space, verdict.witness))
+        disc = {d["kind"]: d for d in tl._space_discrepancies(sp)}
+        stats["spaces"] += 1
+        stats["cl_gamma_idempotent_everywhere"] += disc["cl_gamma_idempotent"]["holds"]
+        stats["cl_gamma_within_theta_closure_everywhere"] += disc[
+            "cl_gamma_within_theta_closure"]["holds"]
+        stats["closedness_definitions_agree_everywhere"] += disc[
+            "closedness_definitions"]["agree"]
+    return tallies, failures, dict(stats)
+
+
+def _listed(report):
+    return [(v.claim_id, v.notes["topology_index"], v.notes["operation_index"], v.space,
+             v.witness) for v in report.failures]
+
+
+def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch):
+    # every pass below reads one list of spaces, so the claims run once
+    enumerate_spaces = tl.enumerate_spaces
+    listed = functools.cache(lambda n, modes: tuple(enumerate_spaces(n, modes)))
+
+    def replay(n, modes, topo_range=None):
+        lo, hi = topo_range or (0, math.inf)
+        return (row for row in listed(n, tuple(modes)) if lo <= row[0] < hi)
+
+    monkeypatch.setattr(tl, "enumerate_spaces", replay)
+    recounts = {}
+    for n, modes, ids, cut in ((3, ("all_tables",), tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS, 13),
+                               (4, ("builtins", "pivots"), tl.CLAIM_IDS, 150)):
+        tallies, failures, stats = recounts[n] = _recount(n, modes, ids)
+        claims, invariants = tl.full_sweep(n, modes, ids)
+        assert claims.spaces == stats["spaces"] == invariants.spaces
+        assert claims.tallies == tallies
+        assert _listed(claims) == failures
+        assert invariants.stats == stats
+        # two topology ranges joined give the same report
+        head = tl.full_sweep(n, modes, ids, invariants=False, topo_range=(0, cut))[0]
+        tail = tl.full_sweep(n, modes, ids, invariants=False, topo_range=(cut, 400))[0]
+        assert head.topologies == cut and 0 < tail.topologies
+        merged = head.merge(tail)
+        assert merged.to_dict() == claims.to_dict()
+        assert _listed(merged) == failures
+    # mine reads the same rows: the spaces where C-RO-INCL fails
+    hits = tl.mine(3, ("all_tables",), "fails:C-RO-INCL")
+    tallies, failures, _ = recounts[3]
+    assert len(hits) == tallies["C-RO-INCL"]["fails"] == 576
+    assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in hits] == [
+        f[1:] for f in failures if f[0] == "C-RO-INCL"]
