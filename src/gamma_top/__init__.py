@@ -1,7 +1,7 @@
 """Finite-model engine for expansive operations on the open sets of small
 topological spaces: interior/closure operators, subset classifiers,
-filterbase and net convergence, exhaustive claim verification and
-counterexample mining."""
+exhaustive claim verification (filterbase and net convergence through
+per-class tables) and counterexample mining."""
 
 from .finspace import (
     PointSet,
@@ -35,21 +35,6 @@ from .gamma_sets import (
     is_gamma_regular_open,
     regular_open_family,
     theta_families,
-)
-from .convergence import (
-    DirectedSet,
-    Filterbase,
-    Net,
-    fb_r_accumulates,
-    fb_r_converges,
-    filterbase_to_net,
-    is_maximal_filterbase,
-    is_subordinate,
-    is_universal_net,
-    net_r_accumulates,
-    net_r_converges,
-    net_to_filterbase,
-    validate_filterbase,
 )
 from .theoremlab import audit_example, check_claim, mine, run_suite
 

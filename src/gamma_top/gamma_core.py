@@ -321,9 +321,10 @@ def is_regular_operation(sp: Space) -> bool:
     On finitely many values that holds iff one value at x lies inside
     their meet K_x (fold the refinement over the values; the converse is
     plain), i.e. iff x is in int_g(K_x): the finite-directedness fact of
-    the ``convergence`` lemma.  Lemma: x is in int_g(A) iff some value at
-    x lies inside A, so those A are the supersets of the values at x and
-    K_x is their meet: y is in K_x iff x is not in int_g(X - {y})."""
+    the tail/range lemma in ``theoremlab``.  Lemma: x is in int_g(A) iff
+    some value at x lies inside A, so those A are the supersets of the
+    values at x and K_x is their meet: y is in K_x iff x is not in
+    int_g(X - {y})."""
     n, ig = sp.ground.n, sp.int_g
     full = sp.ground.full_mask
     co_points = [ig[full ^ 1 << y] for y in range(n)]
@@ -354,7 +355,7 @@ def enumerate_gamma_operations(top: Topology, mode: str):
     """Stream candidate operations over *top* in a fixed order.
 
     builtins    -> the three named operations, always all three;
-    pivots      -> every pivot point x branch pair, deduplicated by extension;
+    pivots      -> every pivot point x branch pair;
     all_tables  -> every expansive table (ground sets of at most 3 points).
     """
     if mode == "builtins":
@@ -363,14 +364,9 @@ def enumerate_gamma_operations(top: Topology, mode: str):
         yield GammaOperation("int_closure")
         return
     if mode == "pivots":
-        seen = set()
         for label in top.ground.labels:
             for in_b, out_b in itertools.product(BRANCHES, repeat=2):
-                op = GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
-                ext = op.extension(top)
-                if ext not in seen:
-                    seen.add(ext)
-                    yield op
+                yield GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
         return
     if mode == "all_tables":
         if top.ground.n > MAX_TABLE_POINTS:

@@ -1,5 +1,6 @@
 """Subset classifiers: gamma-open/closed, regular-open/closed, clopen,
-extremal disconnectedness, and the theta closure with its families.
+extremal disconnectedness, the theta closure with its families, and the
+verdicts of one-member filterbases.
 
 The theta closure is one table over all subsets, built on first use the
 way ``gamma_core`` builds cl_g; the families are read off the operator
@@ -8,8 +9,10 @@ tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
-from .finspace import bits_of, interior, meeting_table
+from .finspace import bits_of, inside_table, interior, meeting_table
 from .gamma_core import Space, gamma_closure, gamma_interior, gamma_open_family, per_operator_class
 
 FLAG_NAMES = (
@@ -97,6 +100,47 @@ def theta_families(sp: Space):
     # complements of an ascending family, ascending
     opened = tuple(full ^ m for m in reversed(closed))
     return closed, opened
+
+
+@dataclass(frozen=True)
+class PrincipalVerdicts:
+    """The verdicts of every one-member filterbase {M} against one test
+    family."""
+
+    converges: tuple  # per subset M, the points x with M <= K_x
+    accumulates: tuple  # per subset M, the points at which {M} accumulates
+
+
+@per_operator_class
+def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
+    """Built once per operator class and test family: regular-open
+    neighbourhoods (``regular_open``) or gamma-closures of gamma-open ones
+    (``gamma_open_cl``).
+
+    {M} converges at x iff M is inside K_x, the meet of x's test sets; it
+    accumulates at x iff M meets each of them.  Two tables indexed by M
+    hold the point masks of both verdicts.  M <= K_x iff the complement of
+    K_x lies inside the complement of M, so ``converges`` is one
+    ``inside_table`` pass over the complements of the K_x, read backwards.
+    Against the gamma-closures of x's gamma-open neighbourhoods,
+    accumulation is the definition of x in the theta closure of M, so the
+    ``gamma_open_cl`` accumulation table is ``theta_closure_table``, read
+    rather than built again."""
+    n = sp.ground.n
+    if family == "regular_open":
+        ro = regular_open_family(sp)
+        tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
+        accumulates = meeting_table(n, tests)
+    elif family == "gamma_open_cl":
+        tests = _theta_env(sp)
+        accumulates = theta_closure_table(sp)
+    else:
+        raise ValueError(f"unknown test family {family!r}")
+    full = sp.ground.full_mask
+    # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
+    outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
+    converges = inside_table(n, outside)[::-1]
+    return PrincipalVerdicts(converges, accumulates)
 
 
 def is_theta_open(sp: Space, a: int) -> bool:

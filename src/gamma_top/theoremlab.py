@@ -2,10 +2,10 @@
 
 Every claim is a decidable statement about one finite space.  A claim
 checker quantifies over the space's subsets, subset families, or the
-classes of filterbases and small nets (the lemma in ``convergence``; no
-net is enumerated) and returns holds / fails-with-witness, or reports
-that the space does not meet the claim's hypotheses.  Ten claims are
-theorems of every finite space.  Each follows from the laws that
+classes of filterbases and small nets (the tail/range lemma above
+C-T4.3; no net is enumerated) and returns holds / fails-with-witness, or
+reports that the space does not meet the claim's hypotheses.  Ten claims
+are theorems of every finite space.  Each follows from the laws that
 ``check_invariants`` checks (cl_g extensive, int_g contractive, the two
 dual) or from a ``meeting_table`` being monotone, by the lemma in its
 checker's docstring, and that checker returns "holds" without a scan.
@@ -60,11 +60,11 @@ from .gamma_sets import (
     is_gamma_regular_open,
     is_extremally_disconnected,
     is_theta_open,
+    principal_verdicts,
     regular_open_family,
     theta_closure_table,
     theta_families,
 )
-from .convergence import principal_verdicts
 
 
 class UnknownPredicate(ValueError):
@@ -415,10 +415,60 @@ def _check_chain_to_go(sp: Space):
     return "holds", None, {}
 
 
+# Filterbase convergence and accumulation test against regular-open
+# neighbourhoods; net convergence and accumulation test against
+# gamma-closures of gamma-open neighbourhoods.  Both test families are kept
+# (``PAIRINGS``) because the two do not coincide in general (they do at
+# every point of an open ED space, by the open + ED lemma, (c)); the bridge
+# claims compare all pairings.
+#
+# Lemma (tail/range classes).  Let v be a net on a finite directed preorder
+# D, and write up(i) = {j : i <= j}.  The top class top(D) = {t : i <= t for
+# every i} is non-empty: folding upper bounds over the finitely many
+# elements yields one above all of them.  Every up(i) contains top(D), and
+# up(t) = top(D) for t in top(D).  Put T = v(top(D)), the eventual tail, and
+# R = v(D), the range.  For a test set C:
+#
+# * v is eventually in C (some up(i) maps into C) iff T is inside C:
+#   take i in top(D) one way, use v(up(i)) >= T the other;
+# * v is frequently in C (every up(i) meets v^-1(C)) iff T meets C:
+#   every up(i) contains top(D), and up(t) = top(D);
+# * every index lands in C iff R is inside C.
+#
+# So net convergence, cofinal accumulation and literal accumulation depend
+# on (T, R) alone.  The tail filterbase {v(up(i))} has T = v(up(t)) as a
+# member contained in every other one, so its kernel is T; its union is R
+# because i is in up(i).  On a finite set directedness puts the kernel K of
+# any filterbase into the family, below every member, so the filterbase
+# converges to / accumulates at a test set iff K is inside / meets it: its
+# verdicts depend on K alone.  It is maximal iff |K| = 1, hence a net is
+# universal iff |T| = 1.  The constructed net of a filterbase F, on its
+# (point, member) pairs ordered by reverse member inclusion, has as top
+# class the pairs with member K: tail K, range the union of F.  Lastly
+# every pair {} != T <= R is realised by a net on |R| indices (T as a tied
+# top class, one index below it per point of R - T), so the nets on at
+# most k indices realise exactly the classes with |R| <= k.
+#
+# So each bridge verdict is a mask expression over the per-subset
+# ``principal_verdicts`` tables of one-member bases.  With F the test
+# family and G the gamma-closures, a class (T, R) disagrees at
+# F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
+# G.accumulates[T] under the cofinal reading and G.converges[R] under the
+# literal one; the first failing point is the lowest set bit.  Only the
+# literal reading depends on R.  G.converges[R] is the meet of
+# G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
+# one-point extension does: n * 2**n steps decide every T.  Net classes
+# are filterbase classes (the class of the base {T, R}), so when no
+# filterbase disagrees, no net does either.  Witnesses are built from
+# their classes too (``_first_nets``): nothing here enumerates nets,
+# directed sets or filterbases.  ``tests/test_bridge_oracle.py`` does,
+# over the literal objects of ``tests/literal_convergence.py``.
+
+
 @_claim("C-T4.3", "safe", (), "filterbase convergence implies accumulation")
 def _check_t43(sp: Space):
     """Holds on every space.  A filterbase's verdicts are those of its
-    kernel K, which is not empty (the convergence module's lemma).  If it
+    kernel K, which is not empty (the tail/range lemma).  If it
     converges at x then K <= K_x, the meet of x's test sets: every test
     set of x contains K, so it meets K."""
     return "holds", None, {}
@@ -473,8 +523,8 @@ DEFAULT_PAIRING = "regular_open+standard"
 def _class_mismatch(fb, net, reading: str, t: int, r: int):
     """The first point ``(x, part)`` at which the filterbase verdicts
     (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
-    *net* of gamma-closures) disagree, or None.  By the convergence
-    module's lemma this decides every net and filterbase of the class."""
+    *net* of gamma-closures) disagree, or None.  By the tail/range lemma
+    this decides every net and filterbase of the class."""
     conv = fb.converges[t] ^ net.converges[t]
     # every index lands in each closure iff {R} converges
     net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
@@ -635,7 +685,7 @@ def _check_p411(sp: Space):
         "cover condition, net accumulation and universal-net convergence agree")
 def _check_t413(sp: Space):
     """Holds on every space.  The cover condition is C-P4.7-EQ's (1).  By
-    the convergence module's lemma a net accumulates at x iff its tail T
+    the tail/range lemma a net accumulates at x iff its tail T
     does as a kernel, and nets within the cap realise every |T| <= cap.
     The accumulation table, the theta closure, is a ``meeting_table``,
     monotone in T, so some such net accumulates nowhere iff some

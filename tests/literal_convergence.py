@@ -1,72 +1,115 @@
-"""Filterbases, nets and their convergence notions.
+"""The literal model of the paper's section 4, kept as the tests' oracle.
 
-Filterbase convergence and accumulation test against gamma-regular-open
-neighbourhoods; net convergence and accumulation test against
-gamma-closures of gamma-open neighbourhoods.  Both test families are kept
-available behind a mode switch because the two do not coincide in general
-(they do at every point of an open extremally disconnected space, by the
-lemma in ``theoremlab``); the claim layer compares all pairings.
-
-Lemma (tail/range classes).  Let v be a net on a finite directed preorder
-D, and write up(i) = {j : i <= j}.  The top class top(D) = {t : i <= t for
-every i} is non-empty: folding upper bounds over the finitely many
-elements yields one above all of them.  Every up(i) contains top(D), and
-up(t) = top(D) for t in top(D).  Put T = v(top(D)), the eventual tail, and
-R = v(D), the range.  For a test set C:
-
-* v is eventually in C (some up(i) maps into C) iff T is inside C:
-  take i in top(D) one way, use v(up(i)) >= T the other;
-* v is frequently in C (every up(i) meets v^-1(C)) iff T meets C:
-  every up(i) contains top(D), and up(t) = top(D);
-* every index lands in C iff R is inside C.
-
-So net convergence, cofinal accumulation and literal accumulation depend
-on (T, R) alone.  The tail filterbase {v(up(i))} has T = v(up(t)) as a
-member contained in every other one, so its kernel is T; its union is R
-because i is in up(i).  On a finite set directedness puts the kernel K of
-any filterbase into the family, below every member, so the filterbase
-converges to / accumulates at a test set iff K is inside / meets it: its
-verdicts depend on K alone.  It is maximal iff |K| = 1, hence a net is
-universal iff |T| = 1.  ``filterbase_to_net(F)`` orders its (point, member)
-pairs by reverse member inclusion, so its top class is the pairs with
-member K: tail K, range the union of F.  Lastly every pair {} != T <= R is
-realised by a net on |R| indices (T as a tied top class, one index below
-it per point of R - T), so the nets on at most k indices realise exactly
-the classes with |R| <= k.  The claim layer decides the net/filterbase
-bridge per class through this lemma.
-
-Principal bases.  {M} converges at x iff M is inside K_x, the meet of x's
-test sets; it accumulates at x iff M meets each of them.  Per space and
-test family, two tables indexed by M hold the point masks of both
-verdicts (``principal_verdicts``).  M <= K_x iff the complement of K_x
-lies inside the complement of M, so ``converges`` is one ``inside_table``
-pass over the complements of the K_x, read backwards.
-
-So each bridge verdict is a mask expression over these tables.  With F
-the test family and G the gamma-closures, a class (T, R) disagrees at
-F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
-G.accumulates[T] under the cofinal reading and G.converges[R] under the
-literal one; the first failing point is the lowest set bit.  Only the
-literal reading depends on R.  G.converges[R] is the meet of
-G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
-one-point extension does: n * 2**n steps decide every T.  Net classes
-are filterbase classes (the class of the base {T, R}), so when no
-filterbase disagrees, no net does either.  Witnesses are built from
-their classes too (``theoremlab._first_nets``): nothing here enumerates
-nets, directed sets or filterbases; ``tests/test_bridge_oracle.py`` does.
-"""
+Filterbases, directed sets and nets are objects here, and every verdict
+reads its definition: the operators and test families point by point
+(``Oracle``), convergence and accumulation member by member and index by
+index.  No code in ``gamma_top`` uses this module: the package decides
+section 4 per class, through the tables of ``gamma_sets.principal_verdicts``
+and the tail/range lemma in ``theoremlab``, and the tests compare those
+tables with this model."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
-from .finspace import PointSet, bits_of, inside_table, meeting_table
-from .gamma_core import Space, per_operator_class
-from .gamma_sets import _theta_env, regular_open_family, theta_closure_table
+from gamma_top.finspace import PointSet, bits_of, open_nbds
+from gamma_top.gamma_core import Space, apply_gamma
 
+
+class Oracle:
+    """Every definition scanned point by point, never through a table."""
+
+    def __init__(self, sp):
+        self.sp = sp
+        # per point, the values of its open neighbourhoods
+        self.values = [{apply_gamma(sp, u) for u in open_nbds(sp.top, label)}
+                       for label in sp.ground.labels]
+
+    @cached_property
+    def gamma_open(self):
+        return [a for a in self.sp.ground.subsets() if self.int_g(a) == a]
+
+    @cached_property
+    def regular_open(self):
+        return [a for a in self.sp.ground.subsets() if self.int_g(self.cl_g(a)) == a]
+
+    @cached_property
+    def regular_open_tests(self):
+        """Per point x, the regular-open sets at x."""
+        return [[a for a in self.regular_open if a >> x & 1] for x in range(self.sp.ground.n)]
+
+    @cached_property
+    def gamma_open_cl_tests(self):
+        """Per point x, the gamma-closures of the gamma-open sets at x."""
+        return [[self.cl_g(u) for u in self.gamma_open if u >> x & 1] for x in range(self.sp.ground.n)]
+
+    def interior(self, a):
+        """The union of the opens inside a."""
+        out = 0
+        for u in self.sp.top.opens_sorted:
+            if u & ~a == 0:
+                out |= u
+        return out
+
+    def closure(self, a):
+        """The meet of the closed sets containing a."""
+        full = self.sp.ground.full_mask
+        out = full
+        for u in self.sp.top.opens_sorted:
+            if a & u == 0:
+                out &= full ^ u
+        return out
+
+    def int_g(self, a):
+        """Points of a with some neighbourhood value inside a."""
+        out = 0
+        for i, values in enumerate(self.values):
+            if a >> i & 1 and any(v & ~a == 0 for v in values):
+                out |= 1 << i
+        return out
+
+    def cl_g(self, a):
+        """Points every neighbourhood value of which meets a."""
+        out = 0
+        for i, values in enumerate(self.values):
+            if all(v & a for v in values):
+                out |= 1 << i
+        return out
+
+    def test_sets(self, x, family):
+        """The gamma-closures of the gamma-open sets (``gamma_open_cl``)
+        or the regular-open sets, at x."""
+        if family == "regular_open":
+            return self.regular_open_tests[x]
+        return self.gamma_open_cl_tests[x]
+
+    def theta(self, a):
+        """Points x such that cl_g(U) meets a for every gamma-open U at x."""
+        out = 0
+        for x in range(self.sp.ground.n):
+            if all(t & a for t in self.test_sets(x, "gamma_open_cl")):
+                out |= 1 << x
+        return out
+
+
+_ORACLES = {}  # id(space) -> (space, its Oracle)
+
+
+def oracle(sp: Space) -> Oracle:
+    """The ``Oracle`` of one space object, kept while its bases and nets
+    are tested.  Keyed by identity: hashing a space field by field on
+    every verdict would cost more than the verdict."""
+    entry = _ORACLES.get(id(sp))
+    if entry is None or entry[0] is not sp:
+        if len(_ORACLES) >= 8:
+            _ORACLES.clear()
+        entry = _ORACLES[id(sp)] = (sp, Oracle(sp))
+    return entry[1]
+
+
+# -- filterbases ---------------------------------------------------------------
 
 class FilterbaseError(ValueError):
     pass
@@ -142,64 +185,14 @@ def is_maximal_filterbase(ground: PointSet, fb: Filterbase) -> bool:
     return False
 
 
-# -- filterbase convergence -------------------------------------------------
-
-@dataclass(frozen=True)
-class PrincipalVerdicts:
-    """The test sets of one family, and the verdicts of every one-member
-    filterbase {M} against them."""
-
-    tests: tuple  # per point x, its test sets
-    converges: tuple  # per subset M, the points x with M <= K_x
-    accumulates: tuple  # per subset M, the points at which {M} accumulates
-
-
-@per_operator_class
-def principal_verdicts(sp: Space, family: str) -> PrincipalVerdicts:
-    """Built once per operator class and test family: regular-open neighbourhoods
-    (``regular_open``) or gamma-closures of gamma-open ones (``gamma_open_cl``).
-
-    {M} accumulates at x iff M meets every test set of x.  Against the
-    gamma-closures of x's gamma-open neighbourhoods that is the definition
-    of x in the theta closure of M, so the ``gamma_open_cl`` accumulation
-    table is ``theta_closure_table``, read rather than built again."""
-    n = sp.ground.n
-    if family == "regular_open":
-        ro = regular_open_family(sp)
-        tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
-        accumulates = meeting_table(n, tests)
-    elif family == "gamma_open_cl":
-        tests = _theta_env(sp)
-        accumulates = theta_closure_table(sp)
-    else:
-        raise ValueError(f"unknown test family {family!r}")
-    full = sp.ground.full_mask
-    # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
-    outside = [(full ^ reduce(and_, sets, full),) for sets in tests]
-    converges = inside_table(n, outside)[::-1]
-    return PrincipalVerdicts(tests, converges, accumulates)
-
-
 def _fb_converges(sp: Space, members, xi: int, family: str) -> bool:
-    table = principal_verdicts(sp, family)
-    if len(members) == 1:
-        (m,) = members
-        return bool(table.converges[m] >> xi & 1)
-    for a in table.tests[xi]:
-        if not any(f & ~a == 0 for f in members):
-            return False
-    return True
+    """Every test set of the point contains some member."""
+    return all(any(f & ~a == 0 for f in members) for a in oracle(sp).test_sets(xi, family))
 
 
 def _fb_accumulates(sp: Space, members, xi: int, family: str) -> bool:
-    table = principal_verdicts(sp, family)
-    if len(members) == 1:
-        (m,) = members
-        return bool(table.accumulates[m] >> xi & 1)
-    for a in table.tests[xi]:
-        if any(f & a == 0 for f in members):
-            return False
-    return True
+    """Every member meets every test set of the point."""
+    return all(f & a for a in oracle(sp).test_sets(xi, family) for f in members)
 
 
 def fb_r_converges(sp: Space, fb: Filterbase, x: str) -> bool:
@@ -212,7 +205,7 @@ def fb_r_accumulates(sp: Space, fb: Filterbase, x: str) -> bool:
     return _fb_accumulates(sp, fb.members, sp.ground.index(x), "regular_open")
 
 
-# -- nets --------------------------------------------------------------------
+# -- nets ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DirectedSet:
@@ -228,9 +221,9 @@ class DirectedSet:
         """Check the laws on the rows, in O(|leq|) steps: some element;
         the index range and reflexivity; transitivity as geq(j) <= geq(i)
         for each j in geq(i); directedness as a non-empty top class (a top
-        element bounds every pair, and the module lemma's fold gives one).
-        Only a relation that is not directed is scanned further, for a
-        pair to name."""
+        element bounds every pair, and the tail/range lemma's fold gives
+        one).  Only a relation that is not directed is scanned further,
+        for a pair to name."""
         if self.size < 1:
             raise NetError("a directed set needs at least one element")
         rng = range(self.size)
@@ -305,9 +298,8 @@ def _net_points(net: Net, index_mask: int) -> int:
 
 def net_r_converges(sp: Space, net: Net, x: str) -> bool:
     """For every gamma-open U at x the net is eventually inside cl_g(U)."""
-    xi = sp.ground.index(x)
     geq = net.dirset.geq_masks
-    for clu in _theta_env(sp)[xi]:
+    for clu in oracle(sp).test_sets(sp.ground.index(x), "gamma_open_cl"):
         ok = _net_value_mask(net, clu)
         if not any(row & ~ok == 0 for row in geq):
             return False
@@ -318,10 +310,9 @@ def net_r_accumulates(sp: Space, net: Net, x: str, literal: bool = False) -> boo
     """Cofinal reading by default: for every gamma-open U at x and every
     index there is a later index landing in cl_g(U).  The literal reading
     demands every index land in cl_g(U)."""
-    xi = sp.ground.index(x)
     geq = net.dirset.geq_masks
     everything = (1 << net.dirset.size) - 1
-    for clu in _theta_env(sp)[xi]:
+    for clu in oracle(sp).test_sets(sp.ground.index(x), "gamma_open_cl"):
         ok = _net_value_mask(net, clu)
         if literal:
             if ok != everything:
@@ -334,13 +325,14 @@ def net_r_accumulates(sp: Space, net: Net, x: str, literal: bool = False) -> boo
 
 def net_tail_range(net: Net) -> tuple[int, int]:
     """``(T, R)``: the point mask of the values on the top class (the
-    eventual tail) and of all values (the range); see the module lemma."""
+    eventual tail) and of all values (the range); see the tail/range
+    lemma in ``theoremlab``."""
     return _net_points(net, net.dirset.top_mask), _net_points(net, (1 << net.dirset.size) - 1)
 
 
 def net_to_filterbase(net: Net) -> Filterbase:
     """The family of net tails { values[i] : i >= j }, one per index j.
-    It is directed: by the module lemma the top-class tail is a member
+    It is directed: by the tail/range lemma the top-class tail is a member
     inside every other member."""
     return Filterbase(frozenset(_net_points(net, row) for row in net.dirset.geq_masks))
 
@@ -363,7 +355,5 @@ def filterbase_to_net(fb: Filterbase) -> Net:
 
 
 def is_universal_net(ground: PointSet, net: Net) -> bool:
-    """Universality via the finite-space bridge: the tail filterbase is
-    maximal, i.e. the top class's values are a single point."""
-    tail, _ = net_tail_range(net)
-    return tail & (tail - 1) == 0
+    """A net is universal iff its tail filterbase is maximal."""
+    return is_maximal_filterbase(ground, net_to_filterbase(net))

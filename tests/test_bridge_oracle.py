@@ -1,9 +1,12 @@
 """The net/filterbase bridge read from per-subset tables must give the
 same verdicts and the same witnesses as enumerating every small net and
 every filterbase.  The enumeration lives here as the oracle: no code in
-``gamma_top`` enumerates nets, directed sets or filterbases.  Its orders
-fix the witnesses: the first failing net of ``enumerate_nets`` within
-``NET_SIZE_CAP`` and the first failing filterbase of
+``gamma_top`` enumerates nets, directed sets or filterbases.  Each net and
+base is judged by the literal model of ``literal_convergence``, against
+test sets computed point by point, so no verdict reads the
+``principal_verdicts`` tables that ``theoremlab.bridge_pairings`` reads.
+Its orders fix the witnesses: the first failing net of ``enumerate_nets``
+within ``NET_SIZE_CAP`` and the first failing filterbase of
 ``enumerate_filterbases``."""
 
 import functools
@@ -15,7 +18,10 @@ import pytest
 
 from gamma_top import documents
 from gamma_top import theoremlab as tl
-from gamma_top.convergence import (
+from gamma_top.finspace import PointSet, _directed_preorders, bits_of, submasks
+from gamma_top.gamma_sets import principal_verdicts
+
+from literal_convergence import (
     DirectedSet,
     Filterbase,
     Net,
@@ -28,11 +34,8 @@ from gamma_top.convergence import (
     net_r_converges,
     net_tail_range,
     net_to_filterbase,
-    principal_verdicts,
     validate_filterbase,
 )
-from gamma_top.finspace import PointSet, _directed_preorders, bits_of, submasks
-
 from test_quantifier_oracle import oracle_conditions
 
 ABC = PointSet(("a", "b", "c"))

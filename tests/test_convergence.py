@@ -1,7 +1,10 @@
 import pytest
 
 from gamma_top import theoremlab
-from gamma_top.convergence import (
+from gamma_top.finspace import PointSet, validate_topology
+from gamma_top.gamma_core import GammaOperation, Space
+
+from literal_convergence import (
     DirectedSet,
     EmptyMember,
     Net,
@@ -21,9 +24,6 @@ from gamma_top.convergence import (
     net_to_filterbase,
     validate_filterbase,
 )
-from gamma_top.finspace import PointSet, validate_topology
-from gamma_top.gamma_core import GammaOperation, Space
-
 from test_bridge_oracle import ABC, enumerate_filterbases, fb, m
 from test_quantifier_oracle import oracle_conditions
 

@@ -141,7 +141,7 @@ def test_builtins_mode_always_yields_three():
 
 def test_pivots_mode_deduplicates_by_extension(example3_2):
     top = example3_2.top
-    ops = list(enumerate_gamma_operations(top, "pivots"))
+    ops = operations_for(top, ("pivots",))
     assert 1 <= len(ops) <= 27  # 3 pivots x 9 branch pairs before dedup
     exts = [op.extension(top) for op in ops]
     assert len(set(exts)) == len(exts)

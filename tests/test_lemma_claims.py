@@ -4,10 +4,11 @@ hold, with no witness, wherever the scan it replaced finds no
 counterexample either.  The scans, over every subset, covering pair and
 filterbase kernel, live here as the oracle, with the subfamily folds of
 ``test_quantifier_oracle`` and the net enumeration of
-``test_bridge_oracle``.  Five hold under an open operation on an
-extremally disconnected (ED) space, by the open + ED lemma in
-``theoremlab``: its parts are checked here by scans, and the claims
-against their old scans in ``test_quantifier_oracle``.  Three more
+``test_bridge_oracle`` over the literal nets of ``literal_convergence``.
+Five hold under an open operation on an extremally disconnected (ED)
+space, by the open + ED lemma in ``theoremlab``: its parts are checked
+here by scans, and the claims against their old scans in
+``test_quantifier_oracle``.  Three more
 (C-P3.4-CONV, C-T3.7, C-T3.8) assume an ED space and, by the ED lemma in
 ``theoremlab``, fail exactly at C-RO-INCL's first regular-open set that
 is not gamma-open, with no scan of their own: they are checked here
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 
 from gamma_top import documents
 from gamma_top import theoremlab as tl
-from gamma_top.convergence import principal_verdicts
 from gamma_top.finspace import MAX_POINTS
 from gamma_top.gamma_core import is_open_operation
 from gamma_top.gamma_sets import (
@@ -32,6 +32,7 @@ from gamma_top.gamma_sets import (
     is_gamma_open,
     is_gamma_regular_open,
     is_theta_open,
+    principal_verdicts,
     regular_open_family,
     theta_closure_table,
 )

@@ -4,7 +4,6 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from gamma_top import documents
-from gamma_top.convergence import validate_filterbase
 from gamma_top.finspace import (
     PointSet,
     closure,
@@ -14,6 +13,8 @@ from gamma_top.finspace import (
 )
 from gamma_top.gamma_core import GammaOperation, Space, enumerate_gamma_operations
 from gamma_top.gamma_sets import gamma_closure, gamma_interior, gamma_theta_closure
+
+from literal_convergence import validate_filterbase
 
 TOPOLOGIES = {n: tuple(enumerate_topologies(n)) for n in (1, 2, 3)}
 
