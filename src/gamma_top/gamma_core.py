@@ -11,19 +11,26 @@ the one axiom).  From it we derive:
 
 Both operators are tables over all 2**n subsets, filled from the
 per-point neighbourhood values (``nbds``, per point x the values at the
-opens containing x) and from nothing else.  Those values and the
-operation's values at the non-empty opens determine each other (the
-lemma in ``Space``), so the tables are built once per distinct slice
-``extension[1:]`` on a topology object, not once per space.  Two
-operations that differ only at the empty set share one slice: the 9,048
-3-point table spaces give 1,131 slices, which give 507 operator classes
-(below).  ``int_g``: each point is marked at each of its neighbourhood
-values, then every entry is ORed into its supersets.  ``cl_g`` comes
-from its own definition, not as the dual of ``int_g``: a point is
-missing from cl_g(A) iff one of its values is disjoint from A, so each
-point is marked at the complements of its values and every entry is
-ORed into its subsets.  The duality between the two operators is
-therefore a checked property, not an implementation shortcut.
+opens containing x) and from nothing else.  ``int_g``: each point is
+marked at each of its neighbourhood values, then every entry is ORed
+into its supersets.  ``cl_g`` comes from its own definition, not as the
+dual of ``int_g``: a point is missing from cl_g(A) iff one of its values
+is disjoint from A, so each point is marked at the complements of its
+values and every entry is ORed into its subsets.  The duality between
+the two operators is therefore a checked property, not an
+implementation shortcut.
+
+Those values and the operation's values at the non-empty opens
+determine each other (the lemma in ``Space``), so the tables are built
+once per distinct slice ``extension[1:]`` on a topology object, not once
+per space.  Two operations that differ only at the empty set share one
+slice: the 9,048 3-point table spaces give 1,131 slices, which give 507
+operator classes (below).  A sweep builds objects per slice as well.
+``operations_for`` lists each distinct extension once, with its
+operation, or with none for a table (its extension is its table, and
+``table_operation`` builds it on demand).  ``theoremlab``'s walk builds
+one ``Space`` per slice and reads every later operation of the slice
+through that space, checking only its value at the empty set.
 
 One memo holds what is computed from a space (``per_operator_class``).
 Every derived value, the open/regular operation flags included, reads
@@ -212,6 +219,12 @@ class Space:
     (the rank of U among the opens at x).  So the slice gives every
     tuple, and the tuples give every entry of the slice.  The tuples are
     therefore built only on a miss, to fill the tables.
+
+    So a sweep builds one space per slice (``theoremlab.enumerate_operations``)
+    and checks a later operation of the slice at its one new value, the
+    empty set's, against the ground set alone.  Its other values are the
+    first space's, already checked on the same topology; and every value
+    contains the empty set, so that value is expansive.
     """
 
     ground: PointSet
@@ -351,6 +364,24 @@ def is_open_operation(sp: Space) -> bool:
     return all(ig[g] == g for g in ig)
 
 
+def _table_extensions(top: Topology):
+    """Every expansive table's values over ``top.opens_sorted``, in the
+    order of ``itertools.product`` over the opens' sorted supersets (ground
+    sets of at most 3 points)."""
+    if top.ground.n > MAX_TABLE_POINTS:
+        raise TableModeTooLarge(
+            f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
+        )
+    full = top.ground.full_mask
+    yield from itertools.product(*(sorted(v | s for s in submasks(full ^ v))
+                                   for v in top.opens_sorted))
+
+
+def table_operation(top: Topology, values) -> GammaOperation:
+    """The table operation with *values* over ``top.opens_sorted``."""
+    return GammaOperation("table", table=tuple(zip(top.opens_sorted, values)))
+
+
 def enumerate_gamma_operations(top: Topology, mode: str):
     """Stream candidate operations over *top* in a fixed order.
 
@@ -369,27 +400,27 @@ def enumerate_gamma_operations(top: Topology, mode: str):
                 yield GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
         return
     if mode == "all_tables":
-        if top.ground.n > MAX_TABLE_POINTS:
-            raise TableModeTooLarge(
-                f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
-            )
-        full = top.ground.full_mask
-        opens = top.opens_sorted
-        per_open = [sorted(v | s for s in submasks(full ^ v)) for v in opens]
-        for values in itertools.product(*per_open):
-            yield GammaOperation("table", table=tuple(zip(opens, values)))
+        for values in _table_extensions(top):
+            yield table_operation(top, values)
         return
     raise GammaError(f"unknown enumeration mode {mode!r}")
 
 
-def operations_for(top: Topology, modes) -> list[GammaOperation]:
-    """Concatenate several enumeration modes, deduplicating by extension."""
+def operations_for(top: Topology, modes) -> list[tuple[tuple[int, ...], GammaOperation | None]]:
+    """One ``(extension, operation)`` pair per distinct extension over
+    *top*: the modes' operations in turn, each kept only if no earlier one
+    has its extension.  An ``all_tables`` entry carries no operation
+    (``None``): its extension is its table, and ``table_operation`` builds
+    the operation when a caller needs one."""
     seen = set()
-    ops = []
+    pairs = []
     for mode in modes:
-        for op in enumerate_gamma_operations(top, mode):
-            ext = op.extension(top)
+        if mode == "all_tables":
+            found = ((ext, None) for ext in _table_extensions(top))
+        else:
+            found = ((op.extension(top), op) for op in enumerate_gamma_operations(top, mode))
+        for ext, op in found:
             if ext not in seen:
                 seen.add(ext)
-                ops.append(op)
-    return ops
+                pairs.append((ext, op))
+    return pairs

@@ -18,12 +18,14 @@ beside it fail exactly where C-RO-INCL does, at its first regular-open
 set that is not gamma-open: the four read that set from one scan
 (``_first_ro_not_gamma_open``).  Sweeps run claims over full
 enumerations of (topology, operation) pairs; the miner searches the same
-enumerations for named separations or claim failures.  Both read a claim
-row or a list of separating subsets once per operator class
-(``_outcomes``, ``_separations``) and add only the space's indices and
-key per space; a sweep adds its tallies once per distinct status row.
-The audits rebuild the four bundled example spaces and diff their
-published families against recomputation.
+enumerations for named separations or claim failures.  Both read the
+enumeration through one walk (``enumerate_operations``), which builds
+one ``Space`` per slice of operation values.  They read a claim row or a
+list of separating subsets once per operator class (``_outcomes``,
+``_separations``) and build a space's key only where they report the
+space; a sweep adds its tallies once per distinct status row.  The
+audits rebuild the four bundled example spaces and diff their published
+families against recomputation.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ from .finspace import (
     validate_topology,
 )
 from .gamma_core import (
-    GammaOperation,
     Space,
     SpaceKey,
     is_open_operation,
     is_regular_operation,
     operations_for,
     per_operator_class,
+    table_operation,
 )
 from .gamma_sets import (
     gamma_open_family,
@@ -120,8 +122,7 @@ NET_RESTRICTION_NOTE = (
 def rebuild_space(key: SpaceKey) -> Space:
     ground = PointSet(key.points)
     top = validate_topology(ground, key.opens)
-    op = GammaOperation("table", table=tuple(zip(key.opens, key.gamma_values)))
-    return Space(ground, top, op)
+    return Space(ground, top, table_operation(top, key.gamma_values))
 
 
 # -- verdicts -------------------------------------------------------------
@@ -828,15 +829,50 @@ def parse_modes(modes) -> tuple[str, ...]:
     return out
 
 
-def enumerate_spaces(n: int, modes, topo_range=None):
-    """Yield (topology_index, operation_index, space) over the enumeration,
-    operations deduplicated by extension within each topology."""
+def enumerate_operations(n: int, modes, topo_range=None):
+    """Yield ``(topology_index, operation_index, extension, operation,
+    space)`` over the enumeration, operations deduplicated by extension
+    within each topology (``operations_for``; *operation* is ``None`` for
+    a table).
+
+    *space* is the first space on the topology object with the slice
+    ``extension[1:]``, so it carries the operator class of this operation;
+    it is built once per slice, and a later operation of the slice is
+    range-checked at its value at the empty set alone, by the lemma in
+    ``Space``.  A row's own space is ``space`` when their extensions are
+    equal, and otherwise ``enumerate_spaces`` builds it."""
     modes = parse_modes(modes)
     for ti, top in enumerate(enumerate_topologies(n)):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
             continue
-        for oi, op in enumerate(operations_for(top, modes)):
-            yield ti, oi, Space(top.ground, top, op)
+        ground = top.ground
+        firsts = {}
+        for oi, (extension, op) in enumerate(operations_for(top, modes)):
+            sp = firsts.get(extension[1:])
+            if sp is None:
+                gamma = table_operation(top, extension) if op is None else op
+                sp = firsts[extension[1:]] = Space(ground, top, gamma)
+            else:
+                ground.check_mask(extension[0])
+            yield ti, oi, extension, op, sp
+
+
+def enumerate_spaces(n: int, modes, topo_range=None):
+    """Yield (topology_index, operation_index, space) over the enumeration
+    of ``enumerate_operations``, one ``Space`` per row: the row's slice
+    space where it is the row's own, and a new space, sharing that one's
+    tables and memo, where not."""
+    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
+        if sp.extension != extension:
+            sp = Space(sp.ground, sp.top, table_operation(sp.top, extension) if op is None else op)
+        yield ti, oi, sp
+
+
+def _row_key(sp: Space, extension: tuple, op) -> SpaceKey:
+    """The key of the space of a walk row: the topology of its slice space
+    *sp*, and its own operation kind and extension."""
+    return SpaceKey(sp.ground.labels, sp.top.opens_sorted,
+                    "table" if op is None else op.kind, extension)
 
 
 @per_operator_class
@@ -935,9 +971,11 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
 
     Statuses and statistics are per operator class, so the pass counts
     the spaces per status tuple and per triple of statistics, and adds
-    the counts to the tallies at the end.  Per space it touches only the
-    class's failing rows and its invariant violations, which carry the
-    space's key and indices."""
+    the counts to the tallies at the end.  It reads the walk
+    (``enumerate_operations``), so a ``Space`` is built per slice, not per
+    space.  Per space it touches only the class's failing rows and its
+    invariant violations; a space with either gets one key, shared by all
+    of them, with the space's indices."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
@@ -952,17 +990,21 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     status_counts = Counter()
     stat_counts = Counter()
     topologies = set()
-    for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
+    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
         topologies.add(ti)
         statuses, failing = _status_row(sp, ids)
         status_counts[statuses] += 1
+        key = _row_key(sp, extension, op) if failing else None
         for cid, status, witness, notes in failing:
-            failures.append(Verdict(cid, sp.key, status, witness,
+            failures.append(Verdict(cid, key, status, witness,
                                     dict(notes, topology_index=ti, operation_index=oi)))
         if invariants:
-            for item in check_invariants(sp):
-                violations.append(dict(item, space=sp.key.to_dict(),
-                                       topology_index=ti, operation_index=oi))
+            broken = check_invariants(sp)
+            if broken:
+                space = (key or _row_key(sp, extension, op)).to_dict()
+                for item in broken:
+                    violations.append(dict(item, space=space,
+                                           topology_index=ti, operation_index=oi))
             closedness, idempotent, within = _space_discrepancies(sp)
             # in the order of the statistics after "spaces"
             stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += 1
@@ -1009,9 +1051,10 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
         for name in PAIRINGS
     }
     spaces = 0
-    for ti, oi, sp in enumerate_spaces(n, modes):
+    for ti, oi, extension, op, sp in enumerate_operations(n, modes):
         spaces += 1
         found = bridge_pairings(sp)
+        key = None
         for name in PAIRINGS:
             for prop in ("C-P4.10", "C-P4.11"):
                 witness = found[name][prop]
@@ -1020,7 +1063,8 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
                     entry["failures"] += 1
                     if len(entry["witnesses"]) < 3:
                         record = dict(witness)
-                        record["space"] = sp.key.to_dict()
+                        key = key or _row_key(sp, extension, op)
+                        record["space"] = key.to_dict()
                         record["topology_index"] = ti
                         record["operation_index"] = oi
                         entry["witnesses"].append(record)
@@ -1076,7 +1120,11 @@ class MinedWitness:
 def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     """Search the (topology, operation) enumeration for a named separation
     or for failures of one claim.  An empty result certifies absence over
-    the whole enumeration."""
+    the whole enumeration.
+
+    It reads the walk (``enumerate_operations``), so a ``Space`` is built
+    per slice; the hits are read per operator class, and a space with a
+    hit gets one key, shared by all its hits."""
     modes = parse_modes(op_mode)
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
         raise SizeTooLarge(f"mining supports ground sets of 1..{MAX_ENUMERATION_POINTS} points")
@@ -1092,13 +1140,14 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
             f"unknown predicate {predicate!r}; known: {', '.join(PREDICATE_NAMES)}"
         )
     out = []
-    for ti, oi, sp in enumerate_spaces(n, modes, topo_range):
+    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
         if claim_id is not None:
-            for _, _, witness, _ in _status_row(sp, (claim_id,))[1]:
-                out.append(MinedWitness(ti, oi, sp.key, witness))
-            continue
-        for a in _separations(sp, predicate):
-            out.append(MinedWitness(ti, oi, sp.key, {"subset": _labels(sp, a)}))
+            witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
+        else:
+            witnesses = [{"subset": _labels(sp, a)} for a in _separations(sp, predicate)]
+        if witnesses:
+            key = _row_key(sp, extension, op)
+            out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)
     return out
 
 

@@ -141,9 +141,10 @@ def test_builtins_mode_always_yields_three():
 
 def test_pivots_mode_deduplicates_by_extension(example3_2):
     top = example3_2.top
-    ops = operations_for(top, ("pivots",))
-    assert 1 <= len(ops) <= 27  # 3 pivots x 9 branch pairs before dedup
-    exts = [op.extension(top) for op in ops]
+    pairs = operations_for(top, ("pivots",))
+    assert 1 <= len(pairs) <= 27  # 3 pivots x 9 branch pairs before dedup
+    exts = [op.extension(top) for _, op in pairs]
+    assert exts == [ext for ext, _ in pairs]
     assert len(set(exts)) == len(exts)
     # the pivot-at-b id/cl operation itself is enumerated
     assert example3_2.extension in exts
@@ -176,10 +177,11 @@ def test_unknown_mode():
 
 def test_operations_for_deduplicates_across_modes():
     top = validate_topology(ABC, list(range(8)))  # discrete: builtins coincide
-    ops = operations_for(top, ("builtins", "pivots"))
-    exts = [op.extension(top) for op in ops]
+    pairs = operations_for(top, ("builtins", "pivots"))
+    exts = [op.extension(top) for _, op in pairs]
+    assert exts == [ext for ext, _ in pairs]
     assert len(set(exts)) == len(exts)
-    assert len(ops) == 1  # closure and int-closure equal identity here
+    assert len(pairs) == 1  # closure and int-closure equal identity here
 
 
 def test_pivot_branches_follow_membership(example3_17):

@@ -15,9 +15,11 @@ import functools
 import math
 from types import SimpleNamespace
 
+import pytest
+
 from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
-from gamma_top.finspace import open_nbds, validate_topology
+from gamma_top.finspace import FinSpaceError, enumerate_topologies, open_nbds, validate_topology
 from gamma_top.gamma_core import Space, apply_gamma, operations_for, per_operator_class
 
 
@@ -190,8 +192,8 @@ def test_equal_topology_objects_share_no_memo(example3_2):
 
 
 def test_a_class_row_is_never_mutated(monkeypatch):
-    spaces = list(tl.enumerate_spaces(3, ("all_tables",)))
-    monkeypatch.setattr(tl, "enumerate_spaces", lambda n, modes, topo_range=None: iter(spaces))
+    rows = list(tl.enumerate_operations(3, ("all_tables",)))
+    monkeypatch.setattr(tl, "enumerate_operations", lambda n, modes, topo_range=None: iter(rows))
     ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
     first, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
     # the second sweep reads every row from the memos the first one filled
@@ -202,10 +204,15 @@ def test_a_class_row_is_never_mutated(monkeypatch):
     # failures of one class share their witness, never their notes
     assert len({id(v.witness) for v in failures}) < len(failures)
     assert len({id(v.notes) for v in first.failures + second.failures}) == 2 * len(first.failures)
-    index = {id(sp.key): (ti, oi) for ti, oi, sp in spaces}
+    index = {(ti, oi): sp.key for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",))}
+    keys = {}
     for v in first.failures:
-        assert (v.notes["topology_index"], v.notes["operation_index"]) == index[id(v.space)]
-    for _, _, sp in spaces:
+        at = (v.notes["topology_index"], v.notes["operation_index"])
+        assert v.space == index[at]
+        # the failures of one space share one key
+        assert keys.setdefault(at, v.space) is v.space
+    assert len(keys) < len(first.failures)
+    for *_, sp in rows:
         for _, _, _, notes in tl._outcomes(sp, ids):
             assert "topology_index" not in notes and "operation_index" not in notes
 
@@ -249,18 +256,21 @@ def test_the_table_key_and_the_neighbourhood_values_determine_each_other():
     assert (len(four), _check_table_key(four)) == (2775, 2775)
     for name in documents.BUNDLED:
         doc = documents.load_bundled(name)
-        ops = operations_for(doc.top, ("builtins", "pivots"))
-        spaces = [doc] + [Space(doc.ground, doc.top, op) for op in ops]
+        pairs = operations_for(doc.top, ("builtins", "pivots"))
+        assert [ext for ext, _ in pairs] == [op.extension(doc.top) for _, op in pairs]
+        spaces = [doc] + [Space(doc.ground, doc.top, op) for _, op in pairs]
         assert _check_table_key(spaces) >= 2, name
 
 
-def _recount(n, modes, ids):
-    """The sweep's tallies, failures and statistics, counted space by
-    space through ``check_claim`` and the discrepancy rows by kind."""
+def _recount(spaces, ids):
+    """The sweep's tallies, failures and statistics over the
+    ``(topology_index, operation_index, space)`` rows *spaces*, counted
+    space by space through ``check_claim`` and the discrepancy rows by
+    kind."""
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
     failures = []
     stats = collections.Counter()
-    for ti, oi, sp in tl.enumerate_spaces(n, modes):
+    for ti, oi, sp in spaces:
         for cid in ids:
             verdict = tl.check_claim(sp, cid)
             tallies[cid][verdict.status] += 1
@@ -282,19 +292,19 @@ def _listed(report):
 
 
 def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch):
-    # every pass below reads one list of spaces, so the claims run once
-    enumerate_spaces = tl.enumerate_spaces
-    listed = functools.cache(lambda n, modes: tuple(enumerate_spaces(n, modes)))
+    # every pass below reads one list of walk rows, so the claims run once
+    walk = tl.enumerate_operations
+    listed = functools.cache(lambda n, modes: tuple(walk(n, modes)))
 
     def replay(n, modes, topo_range=None):
         lo, hi = topo_range or (0, math.inf)
         return (row for row in listed(n, tuple(modes)) if lo <= row[0] < hi)
 
-    monkeypatch.setattr(tl, "enumerate_spaces", replay)
+    monkeypatch.setattr(tl, "enumerate_operations", replay)
     recounts = {}
     for n, modes, ids, cut in ((3, ("all_tables",), tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS, 13),
                                (4, ("builtins", "pivots"), tl.CLAIM_IDS, 150)):
-        tallies, failures, stats = recounts[n] = _recount(n, modes, ids)
+        tallies, failures, stats = recounts[n] = _recount(tl.enumerate_spaces(n, modes), ids)
         claims, invariants = tl.full_sweep(n, modes, ids)
         assert claims.spaces == stats["spaces"] == invariants.spaces
         assert claims.tallies == tallies
@@ -313,3 +323,96 @@ def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch):
     assert len(hits) == tallies["C-RO-INCL"]["fails"] == 576
     assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in hits] == [
         f[1:] for f in failures if f[0] == "C-RO-INCL"]
+
+
+def _oracle_rows(n, modes):
+    """The enumeration written out per operation: on each topology, each
+    mode's operations in turn, an operation kept iff no earlier one on the
+    topology has its extension, and one ``Space`` per kept operation.
+    Yields ``(topology_index, operation_index, kind, extension, space)``."""
+    for ti, top in enumerate(enumerate_topologies(n)):
+        seen = set()
+        for mode in modes:
+            for op in gamma_core.enumerate_gamma_operations(top, mode):
+                ext = op.extension(top)
+                if ext not in seen:
+                    seen.add(ext)
+                    yield ti, len(seen) - 1, op.kind, ext, Space(top.ground, top, op)
+
+
+@pytest.mark.parametrize("n, modes", [
+    (3, ("all_tables",)),
+    (4, ("builtins", "pivots")),
+    # table operations join a builtin's slice
+    (3, ("builtins", "all_tables")),
+    # every builtin is a table listed before it, so none is kept
+    (3, ("all_tables", "builtins")),
+])
+def test_the_walk_lists_the_per_operation_enumeration(n, modes):
+    oracle = list(_oracle_rows(n, modes))
+    walk = list(tl.enumerate_operations(n, modes))
+    assert [(ti, oi, "table" if op is None else op.kind, ext)
+            for ti, oi, ext, op, _ in walk] == [row[:4] for row in oracle]
+    # each row's space is the first oracle space of its slice on its topology
+    firsts = {}
+    for (ti, _, ext, _, sp), (*_, want) in zip(walk, oracle):
+        first = firsts.setdefault((ti, ext[1:]), want)
+        assert sp == first and sp.extension == first.extension
+        assert (sp.int_g, sp.cl_g) == (want.int_g, want.cl_g)
+    joined = sum(op is None and sp.gamma.kind != "table" for _, _, _, op, sp in walk)
+    assert (joined > 0) == (modes == ("builtins", "all_tables"))
+    if modes == ("all_tables", "builtins"):
+        assert all(op is None for _, _, _, op, _ in walk)
+    # and the spaces they materialise are the oracle's
+    spaces = list(tl.enumerate_spaces(n, modes))
+    assert [(ti, oi) for ti, oi, _ in spaces] == [row[:2] for row in oracle]
+    for (_, _, sp), (*_, want) in zip(spaces, oracle):
+        assert sp == want and sp.key == want.key and sp.extension == want.extension
+        assert (sp.int_g, sp.cl_g) == (want.int_g, want.cl_g)
+
+
+def test_a_mixed_mode_sweep_tallies_what_a_per_operation_recount_finds():
+    modes = ("builtins", "all_tables")
+    ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
+    oracle = ((ti, oi, sp) for ti, oi, _, _, sp in _oracle_rows(3, modes))
+    tallies, failures, stats = _recount(oracle, ids)
+    claims, invariants = tl.full_sweep(3, modes, ids)
+    assert claims.spaces == stats["spaces"] == invariants.spaces == 9048
+    assert claims.tallies == tallies
+    assert _listed(claims) == failures
+    assert invariants.stats == stats
+
+
+@pytest.mark.parametrize("n, modes, spaces, builds", [
+    (3, ("all_tables",), 9048, 1131),
+    # every pivot and builtin maps the empty set to itself: one slice each
+    (4, ("builtins", "pivots"), 2775, 2775),
+])
+def test_a_sweep_and_a_mine_build_one_space_per_slice(monkeypatch, n, modes, spaces, builds):
+    built = collections.Counter()
+
+    def counted(*args):
+        built["Space"] += 1
+        return Space(*args)
+
+    monkeypatch.setattr(tl, "Space", counted)
+    claims, _ = tl.full_sweep(n, modes, ("C-RO-INCL",), invariants=False)
+    assert (claims.spaces, built["Space"]) == (spaces, builds)
+    built.clear()
+    tl.mine(n, modes, "gamma_open_not_regular_open")
+    assert built["Space"] == builds
+
+
+def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
+    operations_for = tl.operations_for
+
+    def with_a_bad_value(top, modes):
+        # a known slice, with the empty set's value outside the ground set
+        pairs = operations_for(top, modes)
+        return pairs + [((8,) + pairs[0][0][1:], None)]
+
+    monkeypatch.setattr(tl, "operations_for", with_a_bad_value)
+    with pytest.raises(FinSpaceError, match="0x8"):
+        tl.full_sweep(3, ("all_tables",), ("C-RO-INCL",), invariants=False)
+    with pytest.raises(FinSpaceError, match="0x8"):
+        tl.mine(3, ("all_tables",), "gamma_open_not_regular_open")
