@@ -153,14 +153,18 @@ def _mine_job(n, modes, predicate, topo_range) -> list:
     return [w.to_dict() for w in theoremlab.mine(n, modes, predicate, topo_range)]
 
 
-def _verify_enumeration(args, claims) -> tuple[SweepReport, str, int]:
-    n = args.enumerate
+def _verify_enumeration(args, claims) -> tuple[SweepReport, int]:
     modes = theoremlab.parse_modes(args.ops)
-    parts = _over_topologies(_sweep_job, n, modes, claims)
+    parts = _over_topologies(_sweep_job, args.enumerate, modes, claims)
     report = functools.reduce(SweepReport.merge, parts)
-    lines = [f"enumeration: n={n} modes={','.join(modes)} "
+    safe_fails = sum(report.tallies[cid]["fails"] for cid in claims if cid in SAFE_CLAIMS)
+    return report, EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+
+
+def _enumeration_text(report: SweepReport) -> str:
+    lines = [f"enumeration: n={report.n} modes={','.join(report.modes)} "
              f"topologies={report.topologies} spaces={report.spaces}"]
-    for cid in claims:
+    for cid in report.claim_ids:
         t = report.tallies[cid]
         lines.append(
             f"{cid:14} holds={t['holds']:<6} fails={t['fails']:<6} "
@@ -170,13 +174,16 @@ def _verify_enumeration(args, claims) -> tuple[SweepReport, str, int]:
         lines.append(f"counterexample {v.claim_id}: {json.dumps(v.witness, sort_keys=True)}")
     if len(report.failures) > 10:
         lines.append(f"... {len(report.failures) - 10} more counterexamples")
-    safe_fails = sum(report.tallies[cid]["fails"] for cid in claims if cid in SAFE_CLAIMS)
-    return report, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _verify_file(args, claims) -> tuple[theoremlab.VerificationReport, str, int]:
-    sp = _load(args.file)
-    report = theoremlab.run_suite(sp, claims)
+def _verify_file(args, claims) -> tuple[theoremlab.VerificationReport, int]:
+    report = theoremlab.run_suite(_load(args.file), claims)
+    safe_fails = [v for v in report.verdicts if v.status == "fails" and v.claim_id in SAFE_CLAIMS]
+    return report, EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+
+
+def _file_text(report: theoremlab.VerificationReport) -> str:
     lines = []
     for v in report.verdicts:
         line = f"{v.claim_id:14} {v.status}"
@@ -187,8 +194,7 @@ def _verify_file(args, claims) -> tuple[theoremlab.VerificationReport, str, int]
         lines.append(line)
     for d in report.discrepancies:
         lines.append(f"measured {d['kind']}: {json.dumps({k: v for k, v in d.items() if k != 'kind'}, sort_keys=True)}")
-    safe_fails = [v for v in report.verdicts if v.status == "fails" and v.claim_id in SAFE_CLAIMS]
-    return report, "\n".join(lines) + "\n", EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args) -> int:
@@ -201,15 +207,33 @@ def cmd_verify(args) -> int:
     if args.enumerate is not None:
         if args.ops is None:
             raise FinSpaceError("--enumerate requires --ops")
-        report, text, code = _verify_enumeration(args, claims)
+        report, code = _verify_enumeration(args, claims)
+        text = _enumeration_text
     else:
-        report, text, code = _verify_file(args, claims)
-    # text output never reads the machine payload, so only machine builds it
-    _emit(report.to_dict() if args.format == "machine" else None, text, args.format)
+        report, code = _verify_file(args, claims)
+        text = _file_text
+    # each format builds only what it prints: machine the payload, text the report
+    if args.format == "machine":
+        _emit(report.to_dict(), None, "machine")
+    else:
+        _emit(None, text(report), "text")
     return code
 
 
 # -- mine ----------------------------------------------------------------------
+
+def _mine_text(args, modes, found) -> str:
+    lines = [f"predicate {args.predicate}: {len(found)} witnesses "
+             f"(n={args.n}, modes={','.join(modes)})"]
+    for w in found[:20]:
+        lines.append(
+            f"topology {w['topology_index']:>4} operation {w['operation_index']:>4} "
+            f"witness {json.dumps(w['witness'], sort_keys=True)}"
+        )
+    if len(found) > 20:
+        lines.append(f"... {len(found) - 20} more")
+    return "\n".join(lines) + "\n"
+
 
 def cmd_mine(args) -> int:
     modes = theoremlab.parse_modes(args.ops)
@@ -222,16 +246,7 @@ def cmd_mine(args) -> int:
         "count": len(found),
         "witnesses": found,
     }
-    lines = [f"predicate {args.predicate}: {len(found)} witnesses "
-             f"(n={args.n}, modes={','.join(modes)})"]
-    for w in found[:20]:
-        lines.append(
-            f"topology {w['topology_index']:>4} operation {w['operation_index']:>4} "
-            f"witness {json.dumps(w['witness'], sort_keys=True)}"
-        )
-    if len(found) > 20:
-        lines.append(f"... {len(found) - 20} more")
-    _emit(payload, "\n".join(lines) + "\n", args.format)
+    _emit(payload, _mine_text(args, modes, found) if args.format == "text" else None, args.format)
     return EXIT_OK
 
 

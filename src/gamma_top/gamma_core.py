@@ -167,18 +167,19 @@ class SpaceKey:
 
     def to_dict(self) -> dict:
         """The space as JSON values, built on first use and then returned
-        to every payload on this key; its label lists are shared with every
-        other payload over the same points (``PointSet.label_list``).  No
-        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
-        so machine output encodes it once for the consecutive payloads that
-        carry it."""
+        to every payload on this key.  Its label lists are shared with every
+        other payload over the same points (``PointSet.label_list``), and
+        its ``points`` and ``opens`` lists with every key on the same
+        topology (``_opens_lists``).  No caller mutates a result, and none
+        may.  It is a ``jsonout.Shared``, so machine output encodes it once
+        for the consecutive payloads that carry it."""
         payload = self.__dict__.get("_payload")
         if payload is None:
-            ground = _ground(self.points)
-            lists = ground.label_list
+            points, opens = _opens_lists(self.points, self.opens)
+            lists = _ground(self.points).label_list
             payload = Shared(
-                points=lists(ground.full_mask),
-                opens=[lists(m) for m in self.opens],
+                points=points,
+                opens=opens,
                 gamma={
                     "kind": self.gamma_kind,
                     "values": [lists(m) for m in self.gamma_values],
@@ -187,6 +188,16 @@ class SpaceKey:
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload
+
+
+@functools.lru_cache(maxsize=1)
+def _opens_lists(points: tuple[str, ...], opens: tuple[int, ...]) -> tuple[list, list]:
+    """The ``points`` label list and the ``opens`` list of label lists of
+    one topology.  A walk builds the keys of one topology before the next,
+    so one entry serves every key on it."""
+    ground = _ground(points)
+    lists = ground.label_list
+    return lists(ground.full_mask), [lists(m) for m in opens]
 
 
 @functools.lru_cache(maxsize=64)

@@ -15,10 +15,26 @@ space every verdict on it carries.  ``dump`` keeps the chunks of the last
 the same indent, so a payload met k times with no other ``Shared`` in
 between is encoded once.  Only one is kept, so memory stays bounded by one
 payload; every output places the payloads on one space next to each other.
+
+A label list is a list or tuple of strings, such as a space's points or
+one of its opens.  Output holds few distinct label lists many times over
+(``PointSet.label_list`` shares one list per mask, and the keys of one
+topology share its ``opens``), so ``dump`` keeps the text of each label
+list it has encoded, keyed by the list's identity and its indent, and
+looks it up at every later occurrence.  An identity is safe as a key
+within one call: the payload holds every list it contains until the call
+returns, and the memo holds each list it keys as well, so no other object
+can take that identity; a payload is not mutated while it is written.  The
+memo lives for one call, so a list mutated between two calls is written
+with its new content, and it holds one text per distinct label list and
+indent.  A list of label lists, such as ``opens``, goes out in one loop
+with no Python call per item, one chunk per item; a dict's scalar members
+go out in their key's chunk.
 """
 
 from __future__ import annotations
 
+import collections
 from json.encoder import encode_basestring_ascii as _string
 
 __all__ = ["Shared", "dump", "dumps"]
@@ -86,6 +102,10 @@ def dump(obj, write) -> None:
     # payload being encoded now collects its runs, from chunks[start:]
     kept = kept_nl = kept_runs = runs = None
     start = 0
+    # per indent, the text of each label list met so far, by the list's id;
+    # ``held`` keeps each keyed list alive, so no id is reused in this call
+    texts = collections.defaultdict(dict)
+    held = []
 
     def flush():
         nonlocal start
@@ -94,6 +114,24 @@ def dump(obj, write) -> None:
             start = 0
         write("".join(chunks))
         chunks.clear()
+
+    def labels(items, nl):
+        """The text of the list or tuple *items* at indent *nl* if every
+        item is a string, else None; made once per list and indent."""
+        if not items:
+            return "[]"
+        memo = texts[nl]
+        text = memo.get(id(items))
+        if text is None:
+            inner = nl + "  "
+            try:
+                # one C call per item, one join
+                text = "[" + inner + ("," + inner).join(map(_string, items)) + nl + "]"
+            except TypeError:
+                return None
+            memo[id(items)] = text
+            held.append(items)
+        return text
 
     def value(v, nl):
         t = type(v)
@@ -133,15 +171,34 @@ def dump(obj, write) -> None:
         if not items:
             emit("[]")
             return
-        inner = nl + "  "
-        if type(items[0]) is str:
-            try:
-                # every label list: one C call per item, one join
-                emit("[" + inner + ("," + inner).join(map(_string, items)) + nl + "]")
+        first = type(items[0])
+        if first is str:
+            text = labels(items, nl)
+            if text is not None:
+                emit(text)
                 return
-            except TypeError:
-                pass
+        inner = nl + "  "
         sep = "," + inner
+        if first is list:
+            # a list of label lists, such as a space's opens: each item's
+            # text is looked up, or made once, and goes out as one chunk
+            memo = texts[inner]
+            got = list(map(memo.get, map(id, items)))
+            if None in got:
+                for i, text in enumerate(got):
+                    if text is None:
+                        item = items[i]
+                        if type(item) is not list or (text := labels(item, inner)) is None:
+                            break
+                        got[i] = text
+            if None not in got:
+                emit("[" + inner + got[0])
+                for lo in range(1, len(got), BATCH_CHUNKS):
+                    chunks.extend(map(sep.__add__, got[lo:lo + BATCH_CHUNKS]))
+                    if len(chunks) >= BATCH_CHUNKS:
+                        flush()
+                emit(nl + "]")
+                return
         lead = "[" + inner
         for item in items:
             emit(lead)
@@ -159,8 +216,23 @@ def dump(obj, write) -> None:
         sep = "," + inner
         lead = "{" + inner
         for k in sorted(d):
-            emit(lead + (_string(k) if type(k) is str else _key(k)) + ": ")
-            value(d[k], inner)
+            v = d[k]
+            t = type(v)
+            head = lead + (_string(k) if type(k) is str else _key(k)) + ": "
+            # a scalar member goes out in its key's chunk
+            if t is str:
+                emit(head + _string(v))
+            elif t is int:
+                emit(head + int.__repr__(v))
+            elif v is None:
+                emit(head + "null")
+            elif v is True:
+                emit(head + "true")
+            elif v is False:
+                emit(head + "false")
+            else:
+                emit(head)
+                value(v, inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:
                 flush()

@@ -1095,6 +1095,14 @@ def _separations(sp: Space, predicate: str) -> tuple:
     return tuple(_separating(sp, *SEPARATIONS[predicate]))
 
 
+@per_operator_class
+def _separation_witnesses(sp: Space, predicate: str) -> tuple:
+    """The witnesses ``mine`` reports for the named pair, one
+    ``{"subset": labels}`` per separating subset: built once per operator
+    class and shared, unmutated, by the hits of every space in it."""
+    return tuple({"subset": _labels(sp, a)} for a in _separations(sp, predicate))
+
+
 PREDICATE_NAMES = tuple(sorted(SEPARATIONS)) + tuple(f"fails:{cid}" for cid in CLAIM_IDS)
 
 
@@ -1123,8 +1131,8 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     the whole enumeration.
 
     It reads the walk (``enumerate_operations``), so a ``Space`` is built
-    per slice; the hits are read per operator class, and a space with a
-    hit gets one key, shared by all its hits."""
+    per slice; the hits, witness dicts included, are read per operator
+    class, and a space with a hit gets one key, shared by all its hits."""
     modes = parse_modes(op_mode)
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
         raise SizeTooLarge(f"mining supports ground sets of 1..{MAX_ENUMERATION_POINTS} points")
@@ -1144,7 +1152,7 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
         if claim_id is not None:
             witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
         else:
-            witnesses = [{"subset": _labels(sp, a)} for a in _separations(sp, predicate)]
+            witnesses = _separation_witnesses(sp, predicate)
         if witnesses:
             key = _row_key(sp, extension, op)
             out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)

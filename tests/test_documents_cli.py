@@ -182,6 +182,22 @@ def test_cli_verify_text_builds_no_machine_payload(capsys, monkeypatch):
     assert [code for code, _, _ in expected] == [0, 0]
 
 
+def test_cli_machine_output_builds_no_text_report(capsys, monkeypatch):
+    # each text report below prints witnesses through json.dumps
+    runs = (("verify", doc_path("example3_5")),
+            ("verify", "--enumerate", "2", "--ops", "all_tables", "--claims", "all"),
+            ("mine", "--n", "2", "--ops", "all_tables", "--predicate", "gamma_open_not_regular_open"))
+    expected = [run_cli(capsys, *argv, "--format", "machine") for argv in runs]
+    for argv in runs:
+        assert '{"subset": [' in run_cli(capsys, *argv)[1]
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("machine output built the text report")
+
+    monkeypatch.setattr(cli.json, "dumps", no_text)
+    assert [run_cli(capsys, *argv, "--format", "machine") for argv in runs] == expected
+
+
 def test_cli_verify_argument_validation(capsys):
     code, _, err = run_cli(capsys, "verify", "--enumerate", "2")
     assert code == 2 and "ops" in err

@@ -1,6 +1,7 @@
 """The machine output encoder against its oracle,
 ``json.dumps(obj, sort_keys=True, indent=2)``."""
 
+import copy
 import enum
 import random
 import json
@@ -23,6 +24,10 @@ class Label(str):
 
 class UserList(list):
     pass
+
+
+# one label list, met at several places and indents in a payload
+LABELS = ["a", "b"]
 
 
 def oracle(obj) -> str:
@@ -67,6 +72,14 @@ def test_matches_json_dumps(obj):
         [True, 1, False, 0, [True, False], {"k": True}],  # bools next to ints
         [2**64, -(2**64) - 1, 10**40],  # ints beyond 64 bits
         [0.1, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+        # label lists: one list at two indents and as a member, equal but
+        # distinct lists, and mixed lists that leave the label-list paths
+        {"x": LABELS, "y": [LABELS, {"z": [LABELS, LABELS]}], "w": [["a", "b"], ["a", "b"]]},
+        [["a"], [1]],
+        [["a"], "b"],
+        [[], ["a", 2]],
+        [LABELS, ("a",), LABELS, UserList(["b"]), {"k": LABELS}],
+        {"k": ["a", 1], "l": ["a", ["b"]]},
         {1: "x", 10: "y", 2: "z"},  # int keys sort as ints
         {3.5: 1, 0.25: 2},  # float, bool and None keys as json writes them
         {True: 1, False: 2},
@@ -80,6 +93,17 @@ def test_matches_json_dumps(obj):
 )
 def test_explicit_cases(obj):
     assert jsonout.dumps(obj) == oracle(obj)
+
+
+def test_a_label_text_lasts_one_call():
+    # the text of a label list is kept for one call: mutated between two
+    # calls, the list is encoded again with its new content
+    labels = ["a", "b"]
+    obj = {"opens": [[], labels, labels], "points": labels}
+    first = jsonout.dumps(obj)
+    assert first == oracle(obj)
+    labels.append("c")
+    assert jsonout.dumps(obj) == oracle(obj) != first
 
 
 @pytest.mark.parametrize("obj", [{1, 2}, {"a": [frozenset()]}, [object()], {(1,): 2}, {1: 1, "a": 2}])
@@ -179,7 +203,8 @@ def test_a_repeated_shared_payload_is_encoded_once(monkeypatch):
     once = strings([space])
     assert once > 0
     assert strings([space] * 24) == once
-    assert strings([dict(space)] * 24) == 24 * once
+    # the control: copies with fresh label lists are each encoded in full
+    assert strings([copy.deepcopy(space) for _ in range(24)]) == 24 * once
 
 
 def _mine_shaped(plain):

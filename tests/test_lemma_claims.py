@@ -61,26 +61,44 @@ LEMMA_CLAIMS = {
 
 
 def _breaks_monotonicity(table):
-    """Some A and point i with table[A] not inside table[A + {i}]; a chain
-    of one-point steps joins any subset to any superset."""
+    """Some covering pair (A, A + {i}) with table[A] not inside
+    table[A + {i}]; a chain of one-point steps joins any subset to any
+    superset.  Every covering pair is read: for each i, the subsets
+    without i and their partners are sliced out of the table side by
+    side, as strides or as blocks, whichever makes fewer slices."""
     size = len(table)
-    return any(table[a] & ~table[a | 1 << i]
-               for a in range(size) for i in range(size.bit_length() - 1))
+    for i in range(size.bit_length() - 1):
+        step = 1 << i
+        if 2 * step * step < size:
+            runs = (zip(table[r::2 * step], table[r + step::2 * step]) for r in range(step))
+        else:
+            runs = (zip(table[lo:lo + step], table[lo + step:lo + 2 * step])
+                    for lo in range(0, size, 2 * step))
+        if any([a & ~b for run in runs for a, b in run]):
+            return True
+    return False
 
 
 def _kernel_tables(sp):
     """Per subset K, the points at which the filterbase {K} converges and
     those at which it accumulates: K inside, or meeting, every
-    regular-open neighbourhood of the point."""
+    regular-open neighbourhood of the point.  Each neighbourhood is read
+    for every kernel that passed the ones before it."""
     n, full = sp.ground.n, sp.ground.full_mask
     ro = regular_open_family(sp)
-    tests = [[v for v in ro if v >> x & 1] for x in range(n)]
-    # K is inside t iff K misses the complement of t
-    outside = [[full ^ t for t in sets] for sets in tests]
-    conv, acc = [], []
-    for k in sp.ground.subsets():
-        conv.append(sum(1 << x for x in range(n) if not any(map(k.__and__, outside[x]))))
-        acc.append(sum(1 << x for x in range(n) if all(map(k.__and__, tests[x]))))
+    conv = [0] * (full + 1)
+    acc = [0] * (full + 1)
+    for x in range(n):
+        inside = meets = sp.ground.subsets()
+        for t in (v for v in ro if v >> x & 1):
+            # K is inside t iff K misses the complement of t
+            out = full ^ t
+            inside = [k for k in inside if not k & out]
+            meets = [k for k in meets if k & t]
+        for k in inside:
+            conv[k] |= 1 << x
+        for k in meets:
+            acc[k] |= 1 << x
     return conv, acc
 
 

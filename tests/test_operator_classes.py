@@ -416,3 +416,24 @@ def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
         tl.full_sweep(3, ("all_tables",), ("C-RO-INCL",), invariants=False)
     with pytest.raises(FinSpaceError, match="0x8"):
         tl.mine(3, ("all_tables",), "gamma_open_not_regular_open")
+
+
+def test_a_mine_builds_each_class_witnesses_once():
+    # the rows of one operator class get the same witness objects, and
+    # they equal a per-row build over the class's separating subsets
+    rows = [(ti, oi, sp) for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",))]
+    for predicate in sorted(tl.SEPARATIONS):
+        mined = collections.defaultdict(list)
+        for hit in tl.mine(3, ("all_tables",), predicate):
+            mined[hit.topology_index, hit.operation_index].append(hit.witness)
+        first = {}
+        shared = 0
+        for ti, oi, sp in rows:
+            witnesses = mined.pop((ti, oi), [])
+            assert witnesses == [{"subset": sp.ground.label_list(a)}
+                                 for a in tl._separations(sp, predicate)], (predicate, ti, oi)
+            seen = first.setdefault((sp.top, sp.int_g, sp.cl_g), witnesses)
+            if seen is not witnesses and witnesses:
+                assert list(map(id, witnesses)) == list(map(id, seen)), (predicate, ti, oi)
+                shared += 1
+        assert not mined and shared > 0, predicate

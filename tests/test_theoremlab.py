@@ -102,6 +102,11 @@ def test_one_space_payload_per_space(example3_5):
     # a key built afresh renders the same JSON values
     fresh = dataclasses.replace(example3_5.key)
     assert fresh.to_dict() is not spaces[0] and fresh.to_dict() == spaces[0]
+    # and shares its points and opens lists, as does a key of another
+    # operation on the same topology
+    other = dataclasses.replace(fresh, gamma_values=fresh.opens).to_dict()
+    for name in ("points", "opens"):
+        assert fresh.to_dict()[name] is spaces[0][name] is other[name]
 
 
 def test_bridge_pairings_on_examples(example3_2, example3_5):
