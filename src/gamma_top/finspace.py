@@ -120,7 +120,7 @@ def meeting_table(n: int, sets_at) -> tuple[int, ...]:
             if not m & bit:
                 miss[m] |= miss[m | bit]
         bit <<= 1
-    return tuple(full ^ m for m in miss)
+    return tuple(map(full.__xor__, miss))
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class PointSet:
 class Topology:
     """A validated family of open subsets over a ground set.
 
-    Two memo dicts live and die with the object: an equal but distinct
+    Three memo dicts live and die with the object: an equal but distinct
     topology shares nothing.  ``operator_tables`` maps each slice of an
     operation's values at the non-empty opens to the (int_g, cl_g, class
     memo) that ``gamma_core.Space`` built for it, so the tables are built
@@ -205,16 +205,28 @@ class Topology:
     share (``gamma_core.per_operator_class``); several slices can give one
     pair.  The two dicts are kept apart because they count different
     things: one entry per slice is one build of the tables, and one entry
-    per pair is one operator class, so each size reads as a count."""
+    per pair is one operator class, so each size reads as a count.
+    ``extensions`` maps each pivot branch, and each builtin or pivot
+    operation that a space on this object uses, to its values over
+    ``opens_sorted`` (``gamma_core``), so each is computed once per
+    topology."""
 
     ground: PointSet
     opens: frozenset[int]
     operator_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     operator_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    extensions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def opens_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens))
+
+    @cached_property
+    def opens_at_points(self) -> tuple[tuple[bool, ...], ...]:
+        """Per point x, whether each open of ``opens_sorted`` holds x: a
+        selector of x's open neighbourhoods for ``itertools.compress``."""
+        return tuple(tuple(bool(u >> x & 1) for u in self.opens_sorted)
+                     for x in range(self.ground.n))
 
     @cached_property
     def minimal_nbds(self) -> tuple[int, ...]:

@@ -25,12 +25,14 @@ determine each other (the lemma in ``Space``), so the tables are built
 once per distinct slice ``extension[1:]`` on a topology object, not once
 per space.  Two operations that differ only at the empty set share one
 slice: the 9,048 3-point table spaces give 1,131 slices, which give 507
-operator classes (below).  A sweep builds objects per slice as well.
-``operations_for`` lists each distinct extension once, with its
-operation, or with none for a table (its extension is its table, and
-``table_operation`` builds it on demand).  ``theoremlab``'s walk builds
-one ``Space`` per slice and reads every later operation of the slice
-through that space, checking only its value at the empty set.
+operator classes (below).  A sweep works per slice as well.
+``operations_for`` lists each distinct extension once: a builtin or
+pivot with its operation, and the tables as one ``TableBlock``, its
+slices and its values at the empty set listed apart (a table's
+extension is its table, and ``table_operation`` builds the operation on
+demand).  ``theoremlab``'s walk builds one ``Space`` per slice and reads
+every later operation of the slice through that space, checking only
+its value at the empty set.
 
 One memo holds what is computed from a space (``per_operator_class``).
 Every derived value, the open/regular operation flags included, reads
@@ -44,6 +46,7 @@ the operation's own values is the space's key, ``Space.key``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -89,14 +92,24 @@ class TableModeTooLarge(GammaError):
     pass
 
 
-# each pivot branch as a function of (topology, open set)
-_BRANCHES = {
-    "id": lambda top, v: v,
-    "cl": closure,
-    "intcl": lambda top, v: interior(top, closure(top, v)),
-}
 # a builtin kind is the pivot branch it applies to every open
 _BUILTIN_BRANCH = {"identity": "id", "closure": "cl", "int_closure": "intcl"}
+
+
+def _branch_values(top: Topology, branch: str) -> tuple[int, ...]:
+    """The values of a pivot branch over ``top.opens_sorted``: the opens
+    themselves (id), their closures (cl), or the interiors of those
+    closures (intcl).  Computed once per topology (``top.extensions``)."""
+    values = top.extensions.get(branch)
+    if values is None:
+        if branch == "id":
+            values = top.opens_sorted
+        elif branch == "cl":
+            values = tuple(closure(top, v) for v in top.opens_sorted)
+        else:
+            values = tuple(interior(top, c) for c in _branch_values(top, "cl"))
+        top.extensions[branch] = values
+    return values
 
 
 @dataclass(frozen=True)
@@ -147,13 +160,25 @@ class GammaOperation:
             if self._domain != opens:
                 raise InvalidOperation("table domain must be exactly the open sets")
             return self._values
-        if self.kind == "pivot":
-            bit = 1 << top.ground.index(self.pivot)
-            inside, outside = _BRANCHES[self.in_branch], _BRANCHES[self.out_branch]
-        else:
-            bit = 0
-            inside = outside = _BRANCHES[_BUILTIN_BRANCH[self.kind]]
-        return tuple((inside if v & bit else outside)(top, v) for v in opens)
+        if self.kind != "pivot":
+            return _branch_values(top, _BUILTIN_BRANCH[self.kind])
+        bit = 1 << top.ground.index(self.pivot)
+        inside = _branch_values(top, self.in_branch)
+        outside = _branch_values(top, self.out_branch)
+        return tuple(i if v & bit else o for v, i, o in zip(opens, inside, outside))
+
+
+def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
+    """``op.extension(top)``, computed once per topology for a builtin or
+    pivot that a space uses (``top.extensions``; ``operations_for`` puts
+    in the ones it keeps); a table's extension is its own values, checked
+    against the opens on every call."""
+    if op.kind == "table":
+        return op.extension(top)
+    ext = top.extensions.get(op)
+    if ext is None:
+        ext = top.extensions[op] = op.extension(top)
+    return ext
 
 
 @dataclass(frozen=True)
@@ -170,24 +195,45 @@ class SpaceKey:
         to every payload on this key.  Its label lists are shared with every
         other payload over the same points (``PointSet.label_list``), and
         its ``points`` and ``opens`` lists with every key on the same
-        topology (``_opens_lists``).  No caller mutates a result, and none
-        may.  It is a ``jsonout.Shared``, so machine output encodes it once
-        for the consecutive payloads that carry it."""
+        topology (``_opens_lists``).  A key made by ``of_slice`` takes the
+        label lists of its values off the empty set from its slice.  No
+        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
+        so machine output encodes it once for the consecutive payloads that
+        carry it."""
         payload = self.__dict__.get("_payload")
         if payload is None:
             points, opens = _opens_lists(self.points, self.opens)
-            lists = _ground(self.points).label_list
+            # a key of a slice lets its slice's lists go once it has a payload
+            tail = self.__dict__.pop("_tail", None)
+            if tail is None:
+                values = label_lists(self.points, self.gamma_values)
+            else:
+                # a concatenation is allocated to size, unlike [x, *tail]
+                values = [_ground(self.points).label_list(self.gamma_values[0])] + tail
             payload = Shared(
                 points=points,
                 opens=opens,
-                gamma={
-                    "kind": self.gamma_kind,
-                    "values": [lists(m) for m in self.gamma_values],
-                },
+                gamma={"kind": self.gamma_kind, "values": values},
             )
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload
+
+    @classmethod
+    def of_slice(cls, points, opens, gamma_kind, gamma_values, tail: list) -> SpaceKey:
+        """The key, with *tail* the label lists of ``gamma_values[1:]``
+        (``label_lists``): the keys of one slice share them, so they are
+        built once per slice, not once per key."""
+        key = cls(points, opens, gamma_kind, gamma_values)
+        object.__setattr__(key, "_tail", tail)
+        return key
+
+
+def label_lists(points: tuple[str, ...], masks) -> list:
+    """The shared label list (``PointSet.label_list``) of each of *masks*,
+    over the ground set with labels *points*."""
+    lists = _ground(points).label_list
+    return [lists(m) for m in masks]
 
 
 @functools.lru_cache(maxsize=1)
@@ -196,8 +242,7 @@ def _opens_lists(points: tuple[str, ...], opens: tuple[int, ...]) -> tuple[list,
     one topology.  A walk builds the keys of one topology before the next,
     so one entry serves every key on it."""
     ground = _ground(points)
-    lists = ground.label_list
-    return lists(ground.full_mask), [lists(m) for m in opens]
+    return ground.label_list(ground.full_mask), label_lists(points, opens)
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,11 +276,18 @@ class Space:
     tuple, and the tuples give every entry of the slice.  The tuples are
     therefore built only on a miss, to fill the tables.
 
-    So a sweep builds one space per slice (``theoremlab.enumerate_operations``)
+    So a sweep builds one space per slice (``theoremlab.enumerate_slices``)
     and checks a later operation of the slice at its one new value, the
     empty set's, against the ground set alone.  Its other values are the
     first space's, already checked on the same topology; and every value
-    contains the empty set, so that value is expansive.
+    contains the empty set, so that value is expansive.  A table block
+    (``operations_for``) lists the slices apart from the values at the
+    empty set: as the empty set is the first open, ``itertools.product``
+    puts its value outermost, so the table with value e there and slice s
+    elsewhere is row rank(e) * (number of slices) + rank(s) of the block.
+    The walk reads each slice once, with every value at the empty set
+    checked once per topology, and gives a row its index by that
+    arithmetic, so it visits only the rows that a caller reports.
     """
 
     ground: PointSet
@@ -246,19 +298,21 @@ class Space:
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
         opens = self.top.opens_sorted
-        extension = self.gamma.extension(self.top)
+        extension = _extension(self.top, self.gamma)
+        full = self.ground.full_mask
         for v, value in zip(opens, extension):
-            self.ground.check_mask(value)
+            if not 0 <= value <= full:
+                self.ground.check_mask(value)  # raises
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
         object.__setattr__(self, "extension", extension)
         tables = self.top.operator_tables.get(extension[1:])
         if tables is None:
-            nbds = [[value for u, value in zip(opens, extension) if u >> i & 1]
-                    for i in range(self.ground.n)]
+            nbds = [list(itertools.compress(extension, opens_at))
+                    for opens_at in self.top.opens_at_points]
             # expansiveness puts each point inside its values, so int_g(A) <= A
-            int_g = inside_table(self.ground.n, nbds)
-            cl_g = meeting_table(self.ground.n, nbds)
+            int_g = inside_table(len(nbds), nbds)
+            cl_g = meeting_table(len(nbds), nbds)
             class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
             tables = self.top.operator_tables[extension[1:]] = (int_g, cl_g, class_memo)
         int_g, cl_g, class_memo = tables
@@ -375,17 +429,53 @@ def is_open_operation(sp: Space) -> bool:
     return all(ig[g] == g for g in ig)
 
 
-def _table_extensions(top: Topology):
-    """Every expansive table's values over ``top.opens_sorted``, in the
-    order of ``itertools.product`` over the opens' sorted supersets (ground
-    sets of at most 3 points)."""
+def _table_options(top: Topology) -> list[list[int]]:
+    """Per open of ``top.opens_sorted``, its supersets ascending: the
+    values an expansive table takes there (ground sets of at most 3
+    points)."""
     if top.ground.n > MAX_TABLE_POINTS:
         raise TableModeTooLarge(
             f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
         )
     full = top.ground.full_mask
-    yield from itertools.product(*(sorted(v | s for s in submasks(full ^ v))
-                                   for v in top.opens_sorted))
+    return [sorted(v | s for s in submasks(full ^ v)) for v in top.opens_sorted]
+
+
+def _table_extensions(top: Topology):
+    """Every expansive table's values over ``top.opens_sorted``, in the
+    order of ``itertools.product`` over ``_table_options``."""
+    yield from itertools.product(*_table_options(top))
+
+
+def _product_rank(options, values) -> int | None:
+    """The position of *values* in ``itertools.product(*options)``, each
+    option list ascending; None if it is not there."""
+    rank = 0
+    for opts, x in zip(options, values):
+        i = bisect.bisect_left(opts, x)
+        if i == len(opts) or opts[i] != x:
+            return None
+        rank = rank * len(opts) + i
+    return rank
+
+
+@dataclass(frozen=True)
+class TableBlock:
+    """The ``all_tables`` rows over one topology, listed per slice.
+
+    ``itertools.product`` over the opens' supersets (``_table_extensions``)
+    puts the empty set, the first open, outermost.  So its row at position
+    rank(e) * len(slices) + rank(s) is the table with value e at the empty
+    set and slice s at the other opens: ``empties`` lists the values at
+    the empty set (every subset, ascending) and ``slices`` the slices, in
+    product order.  ``dropped`` lists ascending the positions of the rows
+    whose extension an earlier mode listed: they are not listed, and every
+    later row's operation index is its block offset plus its position,
+    less the dropped positions before it."""
+
+    empties: tuple[int, ...]
+    slices: tuple[tuple[int, ...], ...]
+    dropped: tuple[int, ...] = ()
 
 
 def table_operation(top: Topology, values) -> GammaOperation:
@@ -417,21 +507,37 @@ def enumerate_gamma_operations(top: Topology, mode: str):
     raise GammaError(f"unknown enumeration mode {mode!r}")
 
 
-def operations_for(top: Topology, modes) -> list[tuple[tuple[int, ...], GammaOperation | None]]:
-    """One ``(extension, operation)`` pair per distinct extension over
-    *top*: the modes' operations in turn, each kept only if no earlier one
-    has its extension.  An ``all_tables`` entry carries no operation
-    (``None``): its extension is its table, and ``table_operation`` builds
-    the operation when a caller needs one."""
+def operations_for(top: Topology, modes) -> list:
+    """The operations over *top*, one per distinct extension: the modes'
+    operations in turn, each kept only if no earlier one has its
+    extension.  A builtin or pivot is an ``(extension, operation)`` pair.
+    The ``all_tables`` mode lists one ``TableBlock``: its product runs over
+    the non-empty opens only (1,131 slices for the 9,048 3-point tables),
+    and the values at the empty set are listed once.  Its rows carry no
+    operation: a row's extension is its table, and ``table_operation``
+    builds the operation when a caller needs one.
+
+    A builtin or pivot is expansive, so its extension is a row of the
+    block: one after the block is never kept, and one before it drops
+    that row, so the block drops at most one row per builtin and pivot
+    kept.  A second ``all_tables`` lists nothing."""
     seen = set()
-    pairs = []
+    entries = []
+    options = None
     for mode in modes:
-        if mode == "all_tables":
-            found = ((ext, None) for ext in _table_extensions(top))
-        else:
-            found = ((op.extension(top), op) for op in enumerate_gamma_operations(top, mode))
-        for ext, op in found:
-            if ext not in seen:
-                seen.add(ext)
-                pairs.append((ext, op))
-    return pairs
+        if mode != "all_tables":
+            for op in enumerate_gamma_operations(top, mode):
+                ext = op.extension(top)
+                if ext not in seen and (options is None or _product_rank(options, ext) is None):
+                    seen.add(ext)
+                    # its space reads it back (``_extension``); a dropped
+                    # operation's is not kept
+                    top.extensions[op] = ext
+                    entries.append((ext, op))
+        elif options is None:
+            options = _table_options(top)
+            ranks = (_product_rank(options, ext) for ext in seen)
+            entries.append(TableBlock(tuple(options[0]),
+                                      tuple(itertools.product(*options[1:])),
+                                      tuple(sorted(r for r in ranks if r is not None))))
+    return entries

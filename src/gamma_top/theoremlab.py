@@ -19,18 +19,20 @@ set that is not gamma-open: the four read that set from one scan
 (``_first_ro_not_gamma_open``).  Sweeps run claims over full
 enumerations of (topology, operation) pairs; the miner searches the same
 enumerations for named separations or claim failures.  Both read the
-enumeration through one walk (``enumerate_operations``), which builds
-one ``Space`` per slice of operation values.  They read a claim row or a
-list of separating subsets once per operator class (``_outcomes``,
-``_separations``) and build a space's key only where they report the
-space; a sweep adds its tallies once per distinct status row.  The
-audits rebuild the four bundled example spaces and diff their published
-families against recomputation.
+enumeration through one walk (``enumerate_slices``), which builds one
+``Space`` per slice of operation values and groups the rows by slice.
+They look up a status row or the witnesses once per slice, and read a
+claim row or a list of separating subsets once per operator class
+(``_outcomes``, ``_separations``); they add the slice's row count to
+their tallies, and visit a row, to build its key, only where they
+report it.  The audits rebuild the four bundled example spaces and diff
+their published families against recomputation.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -49,8 +51,10 @@ from .finspace import (
 from .gamma_core import (
     Space,
     SpaceKey,
+    TableBlock,
     is_open_operation,
     is_regular_operation,
+    label_lists,
     operations_for,
     per_operator_class,
     table_operation,
@@ -829,32 +833,124 @@ def parse_modes(modes) -> tuple[str, ...]:
     return out
 
 
-def enumerate_operations(n: int, modes, topo_range=None):
-    """Yield ``(topology_index, operation_index, extension, operation,
-    space)`` over the enumeration, operations deduplicated by extension
-    within each topology (``operations_for``; *operation* is ``None`` for
-    a table).
+@dataclass
+class TopologyRows:
+    """One topology of the walk (``enumerate_slices``): its rows, in
+    groups with one slice each, and one ``Space`` per group.
 
-    *space* is the first space on the topology object with the slice
-    ``extension[1:]``, so it carries the operator class of this operation;
-    it is built once per slice, and a later operation of the slice is
-    range-checked at its value at the empty set alone, by the lemma in
-    ``Space``.  A row's own space is ``space`` when their extensions are
-    equal, and otherwise ``enumerate_spaces`` builds it."""
+    A builtin or pivot is a group of one row.  Each slice of a
+    ``TableBlock`` is a group: the tables with that slice and each listed
+    value at the empty set, but the dropped ones.  ``groups`` holds
+    ``(space, row count)`` per group, in the order of their first rows;
+    *space* is the first space on the topology with the group's slice.
+    ``rows`` and ``keys`` visit the rows of the groups asked for, in
+    operation index order, and no other row."""
+
+    index: int
+    groups: list
+    entries: list  # operations_for(top, modes)
+
+    def rows(self, chosen=None):
+        """Yield ``(operation index, extension, operation, group index)``
+        for each row of the groups in *chosen*, every group if None.  A
+        table row's index is read off its position in its block
+        (``TableBlock``), and its operation is None."""
+        oi = g = 0
+        for entry in self.entries:
+            if type(entry) is not TableBlock:
+                if chosen is None or g in chosen:
+                    yield oi, entry[0], entry[1], g
+                oi += 1
+                g += 1
+                continue
+            slices, dropped = entry.slices, entry.dropped
+            m = len(slices)
+            picked = [r for r in range(m) if chosen is None or g + r in chosen]
+            for rank, e in enumerate(entry.empties):
+                base = rank * m
+                for r in picked:
+                    p = base + r
+                    skip = 0
+                    if dropped:
+                        skip = bisect_left(dropped, p)
+                        if skip < len(dropped) and dropped[skip] == p:
+                            continue
+                    yield oi + p - skip, (e,) + slices[r], None, g + r
+            oi += len(entry.empties) * m - len(dropped)
+            g += m
+
+    def keys(self, chosen):
+        """Yield ``(operation index, group index, key)`` for each row of
+        the groups in *chosen*, in operation index order.  The keys of one
+        group share the label lists of its slice (``SpaceKey.of_slice``)."""
+        sp = self.groups[0][0]
+        points, opens = sp.ground.labels, sp.top.opens_sorted
+        tails = {}
+        for oi, extension, op, g in self.rows(chosen):
+            tail = tails.get(g)
+            if tail is None:
+                tail = tails[g] = label_lists(points, extension[1:])
+            yield oi, g, SpaceKey.of_slice(points, opens, "table" if op is None else op.kind,
+                                           extension, tail)
+
+
+def enumerate_slices(n: int, modes, topo_range=None):
+    """Yield one ``TopologyRows`` per topology of the enumeration (in
+    *topo_range*, if given), operations deduplicated by extension within
+    each topology (``operations_for``).
+
+    It builds one ``Space`` per slice, for the first row of the slice,
+    and reads every later row of the slice through it, by the lemma in
+    ``Space``: such a row differs from it at most at the empty set.  So a
+    table block's values at the empty set are range-checked once per
+    topology, and a builtin's or pivot's where it joins an earlier
+    slice."""
     modes = parse_modes(modes)
     for ti, top in enumerate(enumerate_topologies(n)):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
             continue
         ground = top.ground
+        entries = operations_for(top, modes)
         firsts = {}
-        for oi, (extension, op) in enumerate(operations_for(top, modes)):
-            sp = firsts.get(extension[1:])
-            if sp is None:
-                gamma = table_operation(top, extension) if op is None else op
-                sp = firsts[extension[1:]] = Space(ground, top, gamma)
-            else:
-                ground.check_mask(extension[0])
-            yield ti, oi, extension, op, sp
+        groups = []
+        for entry in entries:
+            if type(entry) is not TableBlock:
+                extension, op = entry
+                sp = firsts.get(extension[1:])
+                if sp is None:
+                    sp = firsts[extension[1:]] = Space(ground, top, op)
+                else:
+                    ground.check_mask(extension[0])
+                groups.append((sp, 1))
+                continue
+            empties, slices = entry.empties, entry.slices
+            for e in empties:
+                ground.check_mask(e)
+            # a slice's first row is at the first empty-set value: a
+            # dropped one has an earlier operation's slice
+            first, count = empties[0], len(empties)
+            drops = Counter(p % len(slices) for p in entry.dropped)
+            for r, s in enumerate(slices):
+                sp = firsts.get(s)
+                if sp is None:
+                    sp = firsts[s] = Space(ground, top, table_operation(top, (first,) + s))
+                groups.append((sp, count - drops[r]))
+        yield TopologyRows(ti, groups, entries)
+
+
+def enumerate_operations(n: int, modes, topo_range=None):
+    """Yield ``(topology_index, operation_index, extension, operation,
+    space)`` per row of the walk (``enumerate_slices``), in index order;
+    *operation* is ``None`` for a table.
+
+    *space* is the first space on the topology object with the slice
+    ``extension[1:]``, so it carries the operator class of this operation.
+    A row's own space is ``space`` when their extensions are equal, and
+    otherwise ``enumerate_spaces`` builds it."""
+    for walk in enumerate_slices(n, modes, topo_range):
+        groups = walk.groups
+        for oi, extension, op, g in walk.rows():
+            yield walk.index, oi, extension, op, groups[g][0]
 
 
 def enumerate_spaces(n: int, modes, topo_range=None):
@@ -972,10 +1068,12 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     Statuses and statistics are per operator class, so the pass counts
     the spaces per status tuple and per triple of statistics, and adds
     the counts to the tallies at the end.  It reads the walk
-    (``enumerate_operations``), so a ``Space`` is built per slice, not per
-    space.  Per space it touches only the class's failing rows and its
-    invariant violations; a space with either gets one key, shared by all
-    of them, with the space's indices."""
+    (``enumerate_slices``) one slice at a time: a ``Space`` is built, and
+    the status row, invariants and statistics looked up, once per slice,
+    and the counts grow by the slice's number of rows.  Only a slice with
+    failing rows or invariant violations has its rows visited, in index
+    order; each row gets one key, shared by all its failures and
+    violations, with the row's indices."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
@@ -989,25 +1087,33 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     }
     status_counts = Counter()
     stat_counts = Counter()
-    topologies = set()
-    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
-        topologies.add(ti)
-        statuses, failing = _status_row(sp, ids)
-        status_counts[statuses] += 1
-        key = _row_key(sp, extension, op) if failing else None
-        for cid, status, witness, notes in failing:
-            failures.append(Verdict(cid, key, status, witness,
-                                    dict(notes, topology_index=ti, operation_index=oi)))
-        if invariants:
-            broken = check_invariants(sp)
+    topologies = 0
+    for walk in enumerate_slices(n, modes, topo_range):
+        topologies += 1
+        ti = walk.index
+        # the failing rows and violations of each group that has either
+        reported = {}
+        for g, (sp, count) in enumerate(walk.groups):
+            statuses, failing = _status_row(sp, ids)
+            status_counts[statuses] += count
+            broken = ()
+            if invariants:
+                broken = check_invariants(sp)
+                closedness, idempotent, within = _space_discrepancies(sp)
+                # in the order of the statistics after "spaces"
+                stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += count
+            if failing or broken:
+                reported[g] = failing, broken
+        for oi, g, key in walk.keys(reported):
+            failing, broken = reported[g]
+            for cid, status, witness, notes in failing:
+                failures.append(Verdict(cid, key, status, witness,
+                                        dict(notes, topology_index=ti, operation_index=oi)))
             if broken:
-                space = (key or _row_key(sp, extension, op)).to_dict()
+                space = key.to_dict()
                 for item in broken:
                     violations.append(dict(item, space=space,
                                            topology_index=ti, operation_index=oi))
-            closedness, idempotent, within = _space_discrepancies(sp)
-            # in the order of the statistics after "spaces"
-            stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += 1
     for statuses, count in status_counts.items():
         for cid, status in zip(ids, statuses):
             tallies[cid][status] += count
@@ -1015,7 +1121,7 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
         for name, flag in zip(stats, (True, *flags)):
             stats[name] += flag * count
     spaces = status_counts.total()
-    claim_report = SweepReport(n, modes, ids, len(topologies), spaces, tallies, failures)
+    claim_report = SweepReport(n, modes, ids, topologies, spaces, tallies, failures)
     inv_report = InvariantReport(n, modes, spaces, violations, stats) if invariants else None
     return claim_report, inv_report
 
@@ -1130,9 +1236,11 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
     or for failures of one claim.  An empty result certifies absence over
     the whole enumeration.
 
-    It reads the walk (``enumerate_operations``), so a ``Space`` is built
-    per slice; the hits, witness dicts included, are read per operator
-    class, and a space with a hit gets one key, shared by all its hits."""
+    It reads the walk (``enumerate_slices``) one slice at a time: a
+    ``Space`` is built, and the hits looked up, once per slice; the hits,
+    witness dicts included, are built once per operator class.  Only a
+    slice with hits has its rows visited, in index order, and each row
+    gets one key, shared by all its hits."""
     modes = parse_modes(op_mode)
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
         raise SizeTooLarge(f"mining supports ground sets of 1..{MAX_ENUMERATION_POINTS} points")
@@ -1148,14 +1256,18 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
             f"unknown predicate {predicate!r}; known: {', '.join(PREDICATE_NAMES)}"
         )
     out = []
-    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
-        if claim_id is not None:
-            witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
-        else:
-            witnesses = _separation_witnesses(sp, predicate)
-        if witnesses:
-            key = _row_key(sp, extension, op)
-            out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)
+    for walk in enumerate_slices(n, modes, topo_range):
+        found = {}
+        for g, (sp, _) in enumerate(walk.groups):
+            if claim_id is not None:
+                witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
+            else:
+                witnesses = _separation_witnesses(sp, predicate)
+            if witnesses:
+                found[g] = witnesses
+        ti = walk.index
+        for oi, g, key in walk.keys(found):
+            out.extend(MinedWitness(ti, oi, key, witness) for witness in found[g])
     return out
 
 

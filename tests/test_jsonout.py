@@ -3,6 +3,7 @@
 
 import copy
 import enum
+import hashlib
 import random
 import json
 from collections import OrderedDict
@@ -32,6 +33,26 @@ LABELS = ["a", "b"]
 
 def oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def assert_same_text(got: str, want: str):
+    """Assert ``got == want`` on texts of megabytes, failing fast: pytest's
+    own report would diff the two texts, which takes minutes.  The lengths
+    and sha256 digests are compared first; on a mismatch the first offset
+    where the texts differ is found by bisection and reported."""
+    digests = [hashlib.sha256(t.encode("utf-8", "surrogatepass")).hexdigest() for t in (got, want)]
+    if len(got) == len(want) and digests[0] == digests[1] and got == want:
+        return
+    lo, hi = 0, min(len(got), len(want))
+    while lo < hi:  # got[:lo] == want[:lo]
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, sha256 "
+                f"{digests[0][:16]} and {digests[1][:16]}, first at offset {lo}: "
+                f"{got[lo:lo + 60]!r} instead of {want[lo:lo + 60]!r}")
 
 
 scalars = (
@@ -146,8 +167,8 @@ def test_dump_batches_join_to_the_same_bytes():
     jsonout.dump(obj, pieces.append)
     assert len(pieces) > 3
     assert all(type(p) is str and p for p in pieces)
-    assert "".join(pieces) == oracle(obj)
-    assert jsonout.dumps(obj) == "".join(pieces)
+    assert_same_text("".join(pieces), oracle(obj))
+    assert_same_text(jsonout.dumps(obj), "".join(pieces))
 
 
 def _space(points="abc", opens=(0, 1, 3, 7)):
@@ -178,7 +199,7 @@ def test_shared_payloads_match_json_dumps(name):
     pieces = []
     jsonout.dump(obj, pieces.append)
     assert all(type(p) is str and p for p in pieces)
-    assert "".join(pieces) == oracle(obj)
+    assert_same_text("".join(pieces), oracle(obj))
     if "repeats" in name:
         assert len(pieces) > 3
 
@@ -230,7 +251,7 @@ def test_replayed_payloads_keep_the_batches():
     replayed, plain = [], []
     jsonout.dump(_mine_shaped(False), replayed.append)
     jsonout.dump(_mine_shaped(True), plain.append)
-    assert "".join(replayed) == "".join(plain)
+    assert_same_text("".join(replayed), "".join(plain))
     assert len(plain) > 10
     assert abs(len(replayed) - len(plain)) <= 0.1 * len(plain)
     largest = max(map(len, plain))

@@ -23,6 +23,25 @@ from gamma_top.finspace import FinSpaceError, enumerate_topologies, open_nbds, v
 from gamma_top.gamma_core import Space, apply_gamma, operations_for, per_operator_class
 
 
+@pytest.fixture(scope="module")
+def walked():
+    """``walked(n, modes)``: one walk of an enumeration, shared by the
+    tests here that only read it: its topologies (``enumerate_slices``)
+    and its ``(ti, oi, space)`` rows (``enumerate_spaces``) over the same
+    spaces.  Tests that count builds or runs, or that need memos no other
+    pass has filled, walk afresh."""
+
+    @functools.cache
+    def build(n, modes):
+        walks = tuple(tl.enumerate_slices(n, modes))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tl, "enumerate_slices", lambda *args: iter(walks))
+            rows = tuple(tl.enumerate_spaces(n, modes))
+        return walks, rows
+
+    return build
+
+
 def _fresh(sp):
     """The same space on a topology object of its own, so with its own
     memo; the operation is kept, so the space payload is the same too."""
@@ -37,13 +56,14 @@ def _results(sp):
     )
 
 
-def _check_shared_equals_fresh(n, modes, stride):
-    """Every *stride*-th space, read after the first space of its class
-    filled the shared memo, against a fresh copy; returns how many of them
-    read a memo that another space filled."""
+def _check_shared_equals_fresh(rows, stride):
+    """Every *stride*-th space of the ``(ti, oi, space)`` *rows*, read
+    after the first space of its class filled the shared memo, against a
+    fresh copy; returns how many of them read a memo that another space
+    filled."""
     firsts = {}
     shared = 0
-    for i, (ti, oi, sp) in enumerate(tl.enumerate_spaces(n, modes)):
+    for i, (ti, oi, sp) in enumerate(rows):
         first = firsts.setdefault((ti, sp.int_g, sp.cl_g), sp)
         if i % stride:
             continue
@@ -51,14 +71,14 @@ def _check_shared_equals_fresh(n, modes, stride):
         _results(first)
         fresh = _fresh(sp)
         assert fresh._class_memo is not sp._class_memo
-        assert _results(sp) == _results(fresh), (n, ti, oi)
+        assert _results(sp) == _results(fresh), (ti, oi)
         shared += first is not sp
     return shared
 
 
-def test_shared_results_equal_fresh_ones():
-    assert _check_shared_equals_fresh(3, ("all_tables",), 29) > 100
-    assert _check_shared_equals_fresh(4, ("builtins", "pivots"), 19) > 0
+def test_shared_results_equal_fresh_ones(walked):
+    assert _check_shared_equals_fresh(walked(3, ("all_tables",))[1], 29) > 100
+    assert _check_shared_equals_fresh(walked(4, ("builtins", "pivots"))[1], 19) > 0
 
 
 def _stand_in(sp, **extra):
@@ -79,12 +99,12 @@ def _holds(value, target) -> bool:
     return False
 
 
-def test_class_memoised_code_reads_only_the_operators():
+def test_class_memoised_code_reads_only_the_operators(walked):
     spaces = [documents.load_bundled(name)
               for name in ("example3_2", "example3_5", "example3_16", "example3_17")]
-    spaces += [sp for i, (_, _, sp) in enumerate(tl.enumerate_spaces(3, ("all_tables",)))
+    spaces += [sp for i, (_, _, sp) in enumerate(walked(3, ("all_tables",))[1])
                if i % 601 == 0]
-    spaces += [sp for i, (_, _, sp) in enumerate(tl.enumerate_spaces(4, ("builtins", "pivots")))
+    spaces += [sp for i, (_, _, sp) in enumerate(walked(4, ("builtins", "pivots"))[1])
                if i % 397 == 0]
     for sp in spaces:
         stand_in = _stand_in(sp)
@@ -104,11 +124,12 @@ def test_class_memoised_code_reads_only_the_operators():
         assert not _holds(row, sentinel)
 
 
-def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
+def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walked):
     # the classes, and per claim those with a space that meets its hypotheses
+    _, rows = walked(3, ("all_tables",))
     classes = set()
     met = collections.defaultdict(set)
-    for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",)):
+    for ti, oi, sp in rows:
         cls = (ti, sp.int_g, sp.cl_g)
         classes.add(cls)
         for cid, claim in tl.CLAIMS.items():
@@ -120,7 +141,7 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
     # empty set is the first open and in no neighbourhood, those values are
     # the operation's values at the other opens
     first_with = {}
-    for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",)):
+    for ti, oi, sp in rows:
         first = first_with.setdefault((ti, sp.extension[1:]), sp)
         assert sp.int_g is first.int_g and sp.cl_g is first.cl_g
         assert sp._class_memo is first._class_memo
@@ -143,13 +164,17 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
     for name, flag in tl.SPACE_FLAGS.items():
         monkeypatch.setitem(tl.SPACE_FLAGS, name, counted(name, flag.__wrapped__))
 
+    # the per-class helpers a sweep and a mine look up, counted per lookup
     for module, name in ((gamma_core, "inside_table"), (gamma_core, "meeting_table"),
-                         (tl, "check_claim"), (tl, "_separating")):
+                         (tl, "check_claim"), (tl, "_separating"), (tl, "_status_row"),
+                         (tl, "_separation_witnesses")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name), memo=False))
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
     assert runs["inside_table"] == runs["meeting_table"] == 1131
+    # one lookup per slice, not one per row
+    assert runs["_status_row"] == 1131
     assert runs["check_claim"] == 507 * len(tl.CLAIM_IDS)
     assert runs["check_invariants"] == runs["_space_discrepancies"] == 507
     # every class tests both hypotheses once; no claim names the regular flag
@@ -166,14 +191,17 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch):
     runs.clear()
     tl.full_sweep(3, ("all_tables",), sweep_claims, invariants=False)
     assert runs["check_claim"] == 9126
+    assert runs["_status_row"] == 1131
     # and mine reads the same rows, and scans the subsets once per class
     runs.clear()
     assert len(tl.mine(3, ("all_tables",), "fails:C-RO-INCL")) == 576
     assert runs["check_claim"] == 507
+    assert runs["_status_row"] == 1131
     for predicate in tl.SEPARATIONS:
         runs.clear()
         tl.mine(3, ("all_tables",), predicate)
         assert runs["_separating"] == 507, predicate
+        assert runs["_separation_witnesses"] == 1131, predicate
 
 
 def test_equal_topology_objects_share_no_memo(example3_2):
@@ -192,8 +220,8 @@ def test_equal_topology_objects_share_no_memo(example3_2):
 
 
 def test_a_class_row_is_never_mutated(monkeypatch):
-    rows = list(tl.enumerate_operations(3, ("all_tables",)))
-    monkeypatch.setattr(tl, "enumerate_operations", lambda n, modes, topo_range=None: iter(rows))
+    walks = list(tl.enumerate_slices(3, ("all_tables",)))
+    monkeypatch.setattr(tl, "enumerate_slices", lambda n, modes, topo_range=None: iter(walks))
     ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
     first, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
     # the second sweep reads every row from the memos the first one filled
@@ -212,9 +240,10 @@ def test_a_class_row_is_never_mutated(monkeypatch):
         # the failures of one space share one key
         assert keys.setdefault(at, v.space) is v.space
     assert len(keys) < len(first.failures)
-    for *_, sp in rows:
-        for _, _, _, notes in tl._outcomes(sp, ids):
-            assert "topology_index" not in notes and "operation_index" not in notes
+    for walk in walks:
+        for sp, _ in walk.groups:
+            for _, _, _, notes in tl._outcomes(sp, ids):
+                assert "topology_index" not in notes and "operation_index" not in notes
 
 
 def _point_values(sp):
@@ -249,10 +278,10 @@ def _check_table_key(spaces):
     return entries
 
 
-def test_the_table_key_and_the_neighbourhood_values_determine_each_other():
-    three = [sp for _, _, sp in tl.enumerate_spaces(3, ("all_tables",))]
+def test_the_table_key_and_the_neighbourhood_values_determine_each_other(walked):
+    three = [sp for _, _, sp in walked(3, ("all_tables",))[1]]
     assert (len(three), _check_table_key(three)) == (9048, 1131)
-    four = [sp for _, _, sp in tl.enumerate_spaces(4, ("builtins", "pivots"))]
+    four = [sp for _, _, sp in walked(4, ("builtins", "pivots"))[1]]
     assert (len(four), _check_table_key(four)) == (2775, 2775)
     for name in documents.BUNDLED:
         doc = documents.load_bundled(name)
@@ -291,20 +320,17 @@ def _listed(report):
              v.witness) for v in report.failures]
 
 
-def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch):
-    # every pass below reads one list of walk rows, so the claims run once
-    walk = tl.enumerate_operations
-    listed = functools.cache(lambda n, modes: tuple(walk(n, modes)))
-
+def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch, walked):
+    # every pass below reads one walk, so the claims run once
     def replay(n, modes, topo_range=None):
         lo, hi = topo_range or (0, math.inf)
-        return (row for row in listed(n, tuple(modes)) if lo <= row[0] < hi)
+        return (w for w in walked(n, tuple(modes))[0] if lo <= w.index < hi)
 
-    monkeypatch.setattr(tl, "enumerate_operations", replay)
+    monkeypatch.setattr(tl, "enumerate_slices", replay)
     recounts = {}
     for n, modes, ids, cut in ((3, ("all_tables",), tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS, 13),
                                (4, ("builtins", "pivots"), tl.CLAIM_IDS, 150)):
-        tallies, failures, stats = recounts[n] = _recount(tl.enumerate_spaces(n, modes), ids)
+        tallies, failures, stats = recounts[n] = _recount(walked(n, modes)[1], ids)
         claims, invariants = tl.full_sweep(n, modes, ids)
         assert claims.spaces == stats["spaces"] == invariants.spaces
         assert claims.tallies == tallies
@@ -371,6 +397,25 @@ def test_the_walk_lists_the_per_operation_enumeration(n, modes):
         assert (sp.int_g, sp.cl_g) == (want.int_g, want.cl_g)
 
 
+def _walk_summary(walks):
+    """Per walked topology, its index, its rows and per group the row
+    count and the extension of the group's space: what two walks over
+    distinct topology objects share."""
+    return [(w.index, [(oi, ext, op) for oi, ext, op, _ in w.rows()],
+             [(count, sp.extension) for sp, count in w.groups]) for w in walks]
+
+
+def test_two_topology_ranges_joined_give_the_whole_walk():
+    # builtins first: table rows join their slices, and some are dropped
+    modes = ("builtins", "all_tables")
+    whole = _walk_summary(tl.enumerate_slices(3, modes))
+    head = _walk_summary(tl.enumerate_slices(3, modes, (0, 13)))
+    tail = _walk_summary(tl.enumerate_slices(3, modes, (13, 29)))
+    assert (len(head), len(tail)) == (13, 16)
+    assert head + tail == whole
+    assert sum(count for *_, groups in whole for count, _ in groups) == 9048
+
+
 def test_a_mixed_mode_sweep_tallies_what_a_per_operation_recount_finds():
     modes = ("builtins", "all_tables")
     ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
@@ -407,9 +452,10 @@ def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
     operations_for = tl.operations_for
 
     def with_a_bad_value(top, modes):
-        # a known slice, with the empty set's value outside the ground set
-        pairs = operations_for(top, modes)
-        return pairs + [((8,) + pairs[0][0][1:], None)]
+        # every slice of the table block gets one more row, whose value at
+        # the empty set is outside the ground set
+        (block,) = operations_for(top, modes)
+        return [dataclasses.replace(block, empties=block.empties + (8,))]
 
     monkeypatch.setattr(tl, "operations_for", with_a_bad_value)
     with pytest.raises(FinSpaceError, match="0x8"):
@@ -417,11 +463,20 @@ def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
     with pytest.raises(FinSpaceError, match="0x8"):
         tl.mine(3, ("all_tables",), "gamma_open_not_regular_open")
 
+    def with_a_bad_builtin(top, modes):
+        # a builtin with a known slice and a bad value at the empty set
+        pairs = operations_for(top, modes)
+        return pairs + [((8,) + pairs[0][0][1:], pairs[0][1])]
 
-def test_a_mine_builds_each_class_witnesses_once():
+    monkeypatch.setattr(tl, "operations_for", with_a_bad_builtin)
+    with pytest.raises(FinSpaceError, match="0x8"):
+        tl.mine(3, ("builtins",), "gamma_open_not_regular_open")
+
+
+def test_a_mine_builds_each_class_witnesses_once(walked):
     # the rows of one operator class get the same witness objects, and
     # they equal a per-row build over the class's separating subsets
-    rows = [(ti, oi, sp) for ti, oi, sp in tl.enumerate_spaces(3, ("all_tables",))]
+    rows = walked(3, ("all_tables",))[1]
     for predicate in sorted(tl.SEPARATIONS):
         mined = collections.defaultdict(list)
         for hit in tl.mine(3, ("all_tables",), predicate):
