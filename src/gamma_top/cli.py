@@ -17,9 +17,7 @@ leave partial stdout; the exit code still says what happened.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early
-(broken pipe, as a shell reports SIGPIPE).  GAMMA_TOP_THREADS sets
-the worker processes for the enumeration commands (default 1), capped at
-the CPU count and at the number of jobs.
+(broken pipe, as a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import sys
 
@@ -43,15 +40,6 @@ EXIT_INPUT = 2
 EXIT_MEMORY = 3
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
-
-
-def _threads() -> int:
-    raw = os.environ.get("GAMMA_TOP_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FinSpaceError(f"GAMMA_TOP_THREADS must be an integer, got {raw!r}")
-    return max(1, min(value, os.cpu_count() or 1))
 
 
 def _emit(payload: dict | None, text: str, fmt: str):
@@ -132,31 +120,9 @@ def cmd_analyze(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _over_topologies(job, n: int, *args) -> list:
-    """``job(n, *args, (lo, hi))`` over consecutive ranges of the n-point
-    topology enumeration, one range per worker, results in range order.
-    With one worker the single range runs in this process."""
-    total = sum(1 for _ in theoremlab.enumerate_topologies(n))
-    span = -(-total // min(_threads(), total))
-    jobs = [(n, *args, (lo, min(lo + span, total))) for lo in range(0, total, span)]
-    if len(jobs) == 1:
-        return [job(*jobs[0])]
-    with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-        return pool.starmap(job, jobs)
-
-
-def _sweep_job(n, modes, claims, topo_range) -> SweepReport:
-    return theoremlab.full_sweep(n, modes, claims, invariants=False, topo_range=topo_range)[0]
-
-
-def _mine_job(n, modes, predicate, topo_range) -> list:
-    return [w.to_dict() for w in theoremlab.mine(n, modes, predicate, topo_range)]
-
-
 def _verify_enumeration(args, claims) -> tuple[SweepReport, int]:
     modes = theoremlab.parse_modes(args.ops)
-    parts = _over_topologies(_sweep_job, args.enumerate, modes, claims)
-    report = functools.reduce(SweepReport.merge, parts)
+    report = theoremlab.full_sweep(args.enumerate, modes, claims, invariants=False)[0]
     safe_fails = sum(report.tallies[cid]["fails"] for cid in claims if cid in SAFE_CLAIMS)
     return report, EXIT_COUNTEREXAMPLE if safe_fails else EXIT_OK
 
@@ -237,8 +203,7 @@ def _mine_text(args, modes, found) -> str:
 
 def cmd_mine(args) -> int:
     modes = theoremlab.parse_modes(args.ops)
-    parts = _over_topologies(_mine_job, args.n, modes, args.predicate)
-    found = [w for part in parts for w in part]
+    found = [w.to_dict() for w in theoremlab.mine(args.n, modes, args.predicate)]
     payload = {
         "predicate": args.predicate,
         "n": args.n,

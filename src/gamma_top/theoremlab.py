@@ -18,15 +18,16 @@ beside it fail exactly where C-RO-INCL does, at its first regular-open
 set that is not gamma-open: the four read that set from one scan
 (``_first_ro_not_gamma_open``).  Sweeps run claims over full
 enumerations of (topology, operation) pairs; the miner searches the same
-enumerations for named separations or claim failures.  Both read the
-enumeration through one walk (``enumerate_slices``), which builds one
-``Space`` per slice of operation values and groups the rows by slice.
-They look up a status row or the witnesses once per slice, and read a
-claim row or a list of separating subsets once per operator class
-(``_outcomes``, ``_separations``); they add the slice's row count to
-their tallies, and visit a row, to build its key, only where they
-report it.  The audits rebuild the four bundled example spaces and diff
-their published families against recomputation.
+enumerations for named separations or claim failures.  Both, and the
+bridge report, read the enumeration through one walk
+(``enumerate_slices``), which builds one ``Space`` per slice of operation
+values and groups the rows by slice.  They look up a status row, the
+bridge verdicts or the witnesses once per slice, and read a claim row or
+a list of separating subsets once per operator class (``_outcomes``,
+``_separations``); they add the slice's row count to their tallies, and
+visit a row, to build its key, only where they report it.  The audits
+rebuild the four bundled example spaces and diff their published
+families against recomputation.
 """
 
 from __future__ import annotations
@@ -938,37 +939,18 @@ def enumerate_slices(n: int, modes, topo_range=None):
         yield TopologyRows(ti, groups, entries)
 
 
-def enumerate_operations(n: int, modes, topo_range=None):
-    """Yield ``(topology_index, operation_index, extension, operation,
-    space)`` per row of the walk (``enumerate_slices``), in index order;
-    *operation* is ``None`` for a table.
-
-    *space* is the first space on the topology object with the slice
-    ``extension[1:]``, so it carries the operator class of this operation.
-    A row's own space is ``space`` when their extensions are equal, and
-    otherwise ``enumerate_spaces`` builds it."""
-    for walk in enumerate_slices(n, modes, topo_range):
-        groups = walk.groups
+def enumerate_spaces(n: int, modes):
+    """Yield ``(topology_index, operation_index, space)`` per row of the
+    walk (``enumerate_slices``), in index order, one ``Space`` per row:
+    the row's group space where its extension is the row's, and otherwise
+    a new space, which differs from it at most at the empty set and so
+    shares its tables and memo."""
+    for walk in enumerate_slices(n, modes):
         for oi, extension, op, g in walk.rows():
-            yield walk.index, oi, extension, op, groups[g][0]
-
-
-def enumerate_spaces(n: int, modes, topo_range=None):
-    """Yield (topology_index, operation_index, space) over the enumeration
-    of ``enumerate_operations``, one ``Space`` per row: the row's slice
-    space where it is the row's own, and a new space, sharing that one's
-    tables and memo, where not."""
-    for ti, oi, extension, op, sp in enumerate_operations(n, modes, topo_range):
-        if sp.extension != extension:
-            sp = Space(sp.ground, sp.top, table_operation(sp.top, extension) if op is None else op)
-        yield ti, oi, sp
-
-
-def _row_key(sp: Space, extension: tuple, op) -> SpaceKey:
-    """The key of the space of a walk row: the topology of its slice space
-    *sp*, and its own operation kind and extension."""
-    return SpaceKey(sp.ground.labels, sp.top.opens_sorted,
-                    "table" if op is None else op.kind, extension)
+            sp = walk.groups[g][0]
+            if sp.extension != extension:
+                sp = Space(sp.ground, sp.top, table_operation(sp.top, extension) if op is None else op)
+            yield walk.index, oi, sp
 
 
 @per_operator_class
@@ -1014,6 +996,9 @@ def check_invariants(sp: Space) -> list:
 
 @dataclass
 class SweepReport:
+    """The claim tallies of one ``full_sweep``, and its failures in
+    (topology index, operation index) order."""
+
     n: int
     modes: tuple
     claim_ids: tuple
@@ -1031,16 +1016,6 @@ class SweepReport:
             "tallies": self.tallies,
             "failures": [v.to_dict() for v in self.failures],
         }
-
-    def merge(self, other: SweepReport) -> SweepReport:
-        """Fold in the report on the next topology range of the same sweep."""
-        self.topologies += other.topologies
-        self.spaces += other.spaces
-        for cid, tally in self.tallies.items():
-            for status in tally:
-                tally[status] += other.tallies[cid][status]
-        self.failures.extend(other.failures)
-        return self
 
 
 @dataclass
@@ -1073,7 +1048,8 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     and the counts grow by the slice's number of rows.  Only a slice with
     failing rows or invariant violations has its rows visited, in index
     order; each row gets one key, shared by all its failures and
-    violations, with the row's indices."""
+    violations, with the row's indices.  With *topo_range* ``(lo, hi)``
+    only the topologies of index lo to hi - 1 are walked."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
     tallies = {cid: {"holds": 0, "fails": 0, "hypotheses_not_met": 0} for cid in ids}
@@ -1147,7 +1123,13 @@ class BridgeReport:
 
 def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     """Evaluate the two bridge propositions under all four definitional
-    pairings over the enumeration, collecting failure counts and witnesses."""
+    pairings over the enumeration, collecting failure counts and the first
+    three witnesses of each.
+
+    It reads the walk (``enumerate_slices``) like ``full_sweep``: the
+    pairings once per slice, whose row count each failure count grows by.
+    Only the rows of a slice that fails where fewer than three witnesses
+    are held get a key, in index order, shared by all their witnesses."""
     modes = parse_modes(modes)
     pairings = {
         name: {
@@ -1157,23 +1139,27 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
         for name in PAIRINGS
     }
     spaces = 0
-    for ti, oi, extension, op, sp in enumerate_operations(n, modes):
-        spaces += 1
-        found = bridge_pairings(sp)
-        key = None
-        for name in PAIRINGS:
-            for prop in ("C-P4.10", "C-P4.11"):
-                witness = found[name][prop]
-                if witness is not None:
-                    entry = pairings[name][prop]
-                    entry["failures"] += 1
-                    if len(entry["witnesses"]) < 3:
-                        record = dict(witness)
-                        key = key or _row_key(sp, extension, op)
-                        record["space"] = key.to_dict()
-                        record["topology_index"] = ti
-                        record["operation_index"] = oi
-                        entry["witnesses"].append(record)
+    for walk in enumerate_slices(n, modes):
+        # per group, the (entry, witness) pairs of its failures that an
+        # entry short of three witnesses may still take
+        wanted = {}
+        for g, (sp, count) in enumerate(walk.groups):
+            spaces += count
+            found = bridge_pairings(sp)
+            for name in PAIRINGS:
+                for prop in ("C-P4.10", "C-P4.11"):
+                    witness = found[name][prop]
+                    if witness is not None:
+                        entry = pairings[name][prop]
+                        entry["failures"] += count
+                        if len(entry["witnesses"]) < 3:
+                            wanted.setdefault(g, []).append((entry, witness))
+        for oi, g, key in walk.keys(wanted):
+            for entry, witness in wanted[g]:
+                if len(entry["witnesses"]) < 3:
+                    entry["witnesses"].append(dict(witness, space=key.to_dict(),
+                                                   topology_index=walk.index,
+                                                   operation_index=oi))
     satisfying = [
         name
         for name in PAIRINGS
@@ -1231,19 +1217,22 @@ class MinedWitness:
         }
 
 
-def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
+def mine(n: int, op_mode, predicate: str) -> list:
     """Search the (topology, operation) enumeration for a named separation
     or for failures of one claim.  An empty result certifies absence over
     the whole enumeration.
 
-    It reads the walk (``enumerate_slices``) one slice at a time: a
-    ``Space`` is built, and the hits looked up, once per slice; the hits,
-    witness dicts included, are built once per operator class.  Only a
-    slice with hits has its rows visited, in index order, and each row
-    gets one key, shared by all its hits."""
+    It reads the whole walk (``enumerate_slices``) once, one slice at a
+    time: a ``Space`` is built, and the hits looked up, once per slice;
+    the hits, witness dicts included, are built once per operator class.
+    Only a slice with hits has its rows visited, in index order, and each
+    row gets one key, shared by all its hits."""
     modes = parse_modes(op_mode)
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
-        raise SizeTooLarge(f"mining supports ground sets of 1..{MAX_ENUMERATION_POINTS} points")
+        # checked before the predicate, with the walk's own message
+        raise SizeTooLarge(
+            f"exhaustive topology enumeration supports 1..{MAX_ENUMERATION_POINTS} points"
+        )
     if "all_tables" in modes and n > MAX_TABLE_POINTS:
         raise SizeTooLarge(f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets")
     claim_id = None
@@ -1256,7 +1245,7 @@ def mine(n: int, op_mode, predicate: str, topo_range=None) -> list:
             f"unknown predicate {predicate!r}; known: {', '.join(PREDICATE_NAMES)}"
         )
     out = []
-    for walk in enumerate_slices(n, modes, topo_range):
+    for walk in enumerate_slices(n, modes):
         found = {}
         for g, (sp, _) in enumerate(walk.groups):
             if claim_id is not None:

@@ -286,16 +286,18 @@ def test_cli_bad_inputs(capsys):
 
 
 def test_cli_threaded_run_matches_sequential(capsys, monkeypatch):
+    # GAMMA_TOP_THREADS once set a worker count.  Every command is now one
+    # walk in one process, so the variable is ignored, whatever it holds
     for args in (
         ("verify", "--enumerate", "2", "--ops", "builtins,pivots", "--format", "machine"),
         ("mine", "--n", "2", "--ops", "all_tables", "--predicate", "regular_open_not_gamma_open",
          "--format", "machine"),
     ):
-        monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
-        _, sequential, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("GAMMA_TOP_THREADS", "2")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert threaded == sequential
+        monkeypatch.delenv("GAMMA_TOP_THREADS", raising=False)
+        unset = run_cli(capsys, *args)
+        for value in ("2", "x"):
+            monkeypatch.setenv("GAMMA_TOP_THREADS", value)
+            assert run_cli(capsys, *args) == unset, value
 
 
 def test_cli_builds_its_parser_once(capsys):
@@ -320,28 +322,16 @@ def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatc
     code, _, err = run_cli(capsys, "analyze", doc_path("example3_2"))
     assert code == cli.EXIT_INTERRUPTED == 130
     assert code != cli.EXIT_COUNTEREXAMPLE
+    # and on the enumeration path, raised inside the sweep
+    enumeration = ("verify", "--enumerate", "2", "--ops", "builtins")
+    for error, want, message in ((MemoryError, cli.EXIT_MEMORY, "out of memory"),
+                                 (KeyboardInterrupt, cli.EXIT_INTERRUPTED, "interrupted")):
+        def raising(*args, **kwargs):
+            raise error
 
-
-def test_threads_capped_at_cpu_count(capsys, monkeypatch):
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "64")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli._threads() == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._threads() == 1
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "0")
-    assert cli._threads() == 1
-
-    # on one CPU a large setting runs serially: no pool is ever created
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was requested")
-
-    monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "64")
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    args = ("verify", "--enumerate", "2", "--ops", "builtins,pivots", "--format", "machine")
-    code, capped, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("GAMMA_TOP_THREADS", "1")
-    assert run_cli(capsys, *args) == (code, capped, "")
+        monkeypatch.setattr(theoremlab, "full_sweep", raising)
+        code, _, err = run_cli(capsys, *enumeration)
+        assert code == want and message in err, error
 
 
 @pytest.mark.parametrize("argv", [

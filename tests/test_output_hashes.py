@@ -1,8 +1,7 @@
 """The sha256 of stdout and the exit code of fast CLI commands, pinned.
 
-Refactors must leave the bytes of every command unchanged, with one worker
-and with two.  Regenerate a value only for an intended output change, and
-say why in CHANGES.md.
+Refactors must leave the bytes of every command unchanged.  Regenerate a
+value only for an intended output change, and say why in CHANGES.md.
 """
 
 import hashlib
@@ -18,28 +17,25 @@ def _cases():
                          ("sweep3-tables-all", "3", "all_tables"),
                          ("sweep4-all", "4", "builtins,pivots")):
         sweep = ("verify", "--enumerate", n, "--ops", ops, "--claims", "all", "--format", "machine")
-        for threads in ("1", "2"):
-            yield f"{name}-t{threads}", sweep, threads
+        yield f"{name}-t1", sweep
     bridge = ("verify", "--enumerate", "4", "--ops", "builtins,pivots",
               "--claims", "C-P4.10,C-P4.11,C-T4.13", "--format", "machine")
-    yield "sweep4-bridge-t1", bridge, "1"
+    yield "sweep4-bridge-t1", bridge
     for command in ("verify", "analyze"):
         for name in ("example3_2", "example3_5", "example3_16", "example3_17"):
             for fmt in ("machine", "text"):
                 path = str(documents.bundled_path(name))
-                yield f"{command}-{name}-{fmt}", (command, path, "--format", fmt), "1"
+                yield f"{command}-{name}-{fmt}", (command, path, "--format", fmt)
     for example in ("3.2", "3.5", "3.16", "3.17"):
-        yield f"audit-{example}", ("audit", "--example", example, "--format", "machine"), "1"
+        yield f"audit-{example}", ("audit", "--example", example, "--format", "machine")
     for predicate in sorted(theoremlab.SEPARATIONS):
         argv = ("mine", "--n", "3", "--ops", "builtins,pivots", "--predicate", predicate,
                 "--format", "machine")
-        for threads in ("1", "2"):
-            yield f"mine-{predicate}-t{threads}", argv, threads
+        yield f"mine-{predicate}-t1", argv
     for predicate in sorted(theoremlab.SEPARATIONS) + ["fails:C-RO-INCL"]:
         argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", predicate,
                 "--format", "machine")
-        for threads in ("1", "2") if predicate == "gamma_open_not_regular_open" else ("1",):
-            yield f"mine3-tables-{predicate}-t{threads}", argv, threads
+        yield f"mine3-tables-{predicate}-t1", argv
 
 
 CASES = list(_cases())
@@ -47,11 +43,8 @@ CASES = list(_cases())
 # case id -> (sha256 of stdout, exit code)
 GOLDEN = {
     "sweep3-all-t1": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
-    "sweep3-all-t2": ("0d823c2deb01e79c63e0497fdbb31f05b347c0207de89e6eae6db3a506dce919", 1),
     "sweep3-tables-all-t1": ("f2404cab7e74a0da01fdb31a475f175189252905cdb557aa377fbbc95652e848", 1),
-    "sweep3-tables-all-t2": ("f2404cab7e74a0da01fdb31a475f175189252905cdb557aa377fbbc95652e848", 1),
     "sweep4-all-t1": ("47b859671674120a9078f1c7ef6b7bf7ca5625c141baebe7207c293d07e1e3b0", 1),
-    "sweep4-all-t2": ("47b859671674120a9078f1c7ef6b7bf7ca5625c141baebe7207c293d07e1e3b0", 1),
     "sweep4-bridge-t1": ("7c8b3f78c45d8ce2f6b3d0b988e0cb6e8bcad24d59957ce345ccdd7db4cf21d8", 0),
     "verify-example3_2-machine": ("de685ca1a40fecbe85ba1fb7681f85397d3e39ca214d5259fcdaf9a5812b06c3", 0),
     "verify-example3_2-text": ("a693dc1a6bf0991728ee71db46245fb477bea7ca98eee45b12e921812d5973e7", 0),
@@ -74,17 +67,11 @@ GOLDEN = {
     "audit-3.16": ("9e198b0ec866db2065b0788041dca52c8daf183e5637aa7d544f7936f15a80c9", 0),
     "audit-3.17": ("8edecd0815cab04e6079d23164beb3d1406492357a0b9b6b5a2aeb6a47b78a98", 0),
     "mine-gamma_open_not_regular_open-t1": ("0ff1af1502b7ce4a2c40e26d13b81c0bed50daa1f9b0bacc57cfbcbc703d155d", 0),
-    "mine-gamma_open_not_regular_open-t2": ("0ff1af1502b7ce4a2c40e26d13b81c0bed50daa1f9b0bacc57cfbcbc703d155d", 0),
     "mine-gamma_open_not_theta_open-t1": ("c5bdc67c3769400ccc922e28c0a23236330d6ab4df90c0611da87bf0e68becd6", 0),
-    "mine-gamma_open_not_theta_open-t2": ("c5bdc67c3769400ccc922e28c0a23236330d6ab4df90c0611da87bf0e68becd6", 0),
     "mine-regular_open_not_clopen-t1": ("024d70b055434096c629d879a243c1aa3be79bf3c10d38a8405bacb3bd251744", 0),
-    "mine-regular_open_not_clopen-t2": ("024d70b055434096c629d879a243c1aa3be79bf3c10d38a8405bacb3bd251744", 0),
     "mine-regular_open_not_gamma_open-t1": ("f532080edd77d7466cfa6877c80ab34a15bee23e11e377a9a4f800ed12da7498", 0),
-    "mine-regular_open_not_gamma_open-t2": ("f532080edd77d7466cfa6877c80ab34a15bee23e11e377a9a4f800ed12da7498", 0),
     "mine-theta_open_not_regular_open-t1": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
-    "mine-theta_open_not_regular_open-t2": ("ee0b60751bae0de9ecb4be7f9613fa39fe8dc4805c21e14910b0e1b550bb20cc", 0),
     "mine3-tables-gamma_open_not_regular_open-t1": ("00ae3cfa5042b132ecf49d8f5505ce876ebb747b5c423e9cd8493b41b1ad7dd4", 0),
-    "mine3-tables-gamma_open_not_regular_open-t2": ("00ae3cfa5042b132ecf49d8f5505ce876ebb747b5c423e9cd8493b41b1ad7dd4", 0),
     "mine3-tables-gamma_open_not_theta_open-t1": ("cde6c94b5b2ab7e84aed38f8f34ff91f27a06f354cfdfcb7f5951fb7b401ef52", 0),
     "mine3-tables-regular_open_not_clopen-t1": ("61109fc5dcdbc9a7e809c5846611c4829ef2271da3c4162e1cac0303f5bac761", 0),
     "mine3-tables-regular_open_not_gamma_open-t1": ("365eb2a2a08fde84916b6fabda86450ce5deecd70a248bdca108d2858b0a45e3", 0),
@@ -93,9 +80,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case_id,argv,threads", CASES, ids=[c[0] for c in CASES])
-def test_output_bytes_and_exit_code(capsys, monkeypatch, case_id, argv, threads):
-    monkeypatch.setenv("GAMMA_TOP_THREADS", threads)
+@pytest.mark.parametrize("case_id,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_bytes_and_exit_code(capsys, case_id, argv):
     code = cli.main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (digest, code) == GOLDEN[case_id]
@@ -114,3 +100,13 @@ def test_sweep_fixture_bytes(sweep3, sweep4):
         payload = {"claims": claims.to_dict(), "invariants": invariants.to_dict()}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_FIXTURE_GOLDEN[name], name
+
+
+# sha256 of json.dumps(bridge_report(3).to_dict(), sort_keys=True): the
+# bridge report's failure counts and first witnesses per pairing
+BRIDGE_REPORT_GOLDEN = "b4ae36b0736718890be394f97bc749d0065c9bd945adf70789ed1bde54ced627"
+
+
+def test_bridge_report_bytes():
+    text = json.dumps(theoremlab.bridge_report(3).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BRIDGE_REPORT_GOLDEN
