@@ -101,9 +101,11 @@ def parse_space(text: str) -> Space:
                             _mask(ground, row["value"], "table value")))
         _require(len({m for m, _ in entries}) == len(entries),
                  "table lists an open set twice")
-        if sorted(m for m, _ in entries) != list(top.opens_sorted):
+        # no open twice, so the entries sort by their opens
+        entries.sort()
+        if tuple(m for m, _ in entries) != top.opens_sorted:
             raise DocumentSyntaxError("table must list exactly one entry per open set")
-        op = GammaOperation("table", table=tuple(entries))
+        op = GammaOperation("table", values=tuple(v for _, v in entries))
     else:
         raise DocumentSyntaxError(f"unknown gamma kind {kind!r}")
 
@@ -124,7 +126,7 @@ def space_to_document(sp: Space) -> dict:
             "kind": "table",
             "table": [
                 {"open": lists(m), "value": lists(v)}
-                for m, v in g.table
+                for m, v in zip(sp.top.opens_sorted, g.values)
             ],
         }
     else:

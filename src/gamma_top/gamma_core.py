@@ -26,13 +26,14 @@ once per distinct slice ``extension[1:]`` on a topology object, not once
 per space.  Two operations that differ only at the empty set share one
 slice: the 9,048 3-point table spaces give 1,131 slices, which give 507
 operator classes (below).  A sweep works per slice as well.
-``operations_for`` lists each distinct extension once: a builtin or
-pivot with its operation, and the tables as one ``TableBlock``, its
-slices and its values at the empty set listed apart (a table's
-extension is its table, and ``table_operation`` builds the operation on
-demand).  ``theoremlab``'s walk builds one ``Space`` per slice and reads
-every later operation of the slice through that space, checking only
-its value at the empty set.
+``operations_for`` lists each distinct extension once, in blocks
+(``OperationBlock``) that list the slices and the values at the empty
+set apart: a builtin or pivot is a block of one row with its operation,
+and the tables are one block without one (a table operation is its
+values over the sorted opens, so a row's values give it).
+``theoremlab``'s walk builds one ``Space`` per slice and reads every
+later operation of the slice through that space, checking only its
+value at the empty set.
 
 One memo holds what is computed from a space (``per_operator_class``).
 Every derived value, the open/regular operation flags included, reads
@@ -121,14 +122,14 @@ class GammaOperation:
     (interior of closure).  ``identity``, ``closure`` and ``int_closure``
     apply the branch id, cl or intcl to every open: a pivot whose two
     branches agree, so one branch table serves all four kinds.  ``table``
-    lists an explicit value per open set.
+    lists its ``values``, one per open of ``top.opens_sorted`` in order.
     """
 
     kind: str
     pivot: str | None = None
     in_branch: str | None = None
     out_branch: str | None = None
-    table: tuple[tuple[int, int], ...] | None = None
+    values: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -137,16 +138,10 @@ class GammaOperation:
             if self.pivot is None or self.in_branch not in BRANCHES or self.out_branch not in BRANCHES:
                 raise InvalidOperation("pivot operations need a pivot point and two branches")
         elif self.kind == "table":
-            if not self.table:
-                raise InvalidOperation("table operations need at least the empty set entry")
-            table = tuple(sorted(self.table))
-            object.__setattr__(self, "table", table)
-            # read once here: the domain, checked against the opens, and
-            # the values that ``extension`` returns (not dataclass fields,
-            # so equality and hash still read ``table`` alone)
-            domain, values = zip(*table)
-            object.__setattr__(self, "_domain", domain)
-            object.__setattr__(self, "_values", values)
+            values = tuple(self.values or ())
+            if not values:
+                raise InvalidOperation("table operations need at least the empty set's value")
+            object.__setattr__(self, "values", values)
         else:
             if self.pivot is not None or self.in_branch is not None or self.out_branch is not None:
                 raise InvalidOperation(f"{self.kind} operations take no extra fields")
@@ -154,12 +149,12 @@ class GammaOperation:
     def extension(self, top: Topology) -> tuple[int, ...]:
         """Raw values over ``top.opens_sorted`` (no expansiveness check
         here); two operations are the same map iff their extensions agree.
-        A table's sorted domain must be exactly the opens."""
+        A table's extension is its values, one per open."""
         opens = top.opens_sorted
         if self.kind == "table":
-            if self._domain != opens:
-                raise InvalidOperation("table domain must be exactly the open sets")
-            return self._values
+            if len(self.values) != len(opens):
+                raise InvalidOperation("a table operation takes one value per open set")
+            return self.values
         if self.kind != "pivot":
             return _branch_values(top, _BUILTIN_BRANCH[self.kind])
         bit = 1 << top.ground.index(self.pivot)
@@ -171,8 +166,8 @@ class GammaOperation:
 def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
     """``op.extension(top)``, computed once per topology for a builtin or
     pivot that a space uses (``top.extensions``; ``operations_for`` puts
-    in the ones it keeps); a table's extension is its own values, checked
-    against the opens on every call."""
+    in the ones it keeps); a table's extension is its own values, its
+    length checked against the opens on every call."""
     if op.kind == "table":
         return op.extension(top)
     ext = top.extensions.get(op)
@@ -183,7 +178,8 @@ def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SpaceKey:
-    """Enough data to rebuild a space bit-exactly (operation as a table)."""
+    """Enough data to rebuild a space bit-exactly (operation as a table:
+    ``gamma_values`` are its ``values``)."""
 
     points: tuple[str, ...]
     opens: tuple[int, ...]
@@ -280,13 +276,14 @@ class Space:
     and checks a later operation of the slice at its one new value, the
     empty set's, against the ground set alone.  Its other values are the
     first space's, already checked on the same topology; and every value
-    contains the empty set, so that value is expansive.  A table block
-    (``operations_for``) lists the slices apart from the values at the
-    empty set: as the empty set is the first open, ``itertools.product``
+    contains the empty set, so that value is expansive.  Each block of
+    ``operations_for`` lists its slices apart from its values at the
+    empty set: a builtin or pivot has one of each, and in the table
+    block, as the empty set is the first open, ``itertools.product``
     puts its value outermost, so the table with value e there and slice s
     elsewhere is row rank(e) * (number of slices) + rank(s) of the block.
     The walk reads each slice once, with every value at the empty set
-    checked once per topology, and gives a row its index by that
+    checked once per block, and gives a row its index by that
     arithmetic, so it visits only the rows that a caller reports.
     """
 
@@ -441,12 +438,6 @@ def _table_options(top: Topology) -> list[list[int]]:
     return [sorted(v | s for s in submasks(full ^ v)) for v in top.opens_sorted]
 
 
-def _table_extensions(top: Topology):
-    """Every expansive table's values over ``top.opens_sorted``, in the
-    order of ``itertools.product`` over ``_table_options``."""
-    yield from itertools.product(*_table_options(top))
-
-
 def _product_rank(options, values) -> int | None:
     """The position of *values* in ``itertools.product(*options)``, each
     option list ascending; None if it is not there."""
@@ -460,10 +451,14 @@ def _product_rank(options, values) -> int | None:
 
 
 @dataclass(frozen=True)
-class TableBlock:
-    """The ``all_tables`` rows over one topology, listed per slice.
+class OperationBlock:
+    """Operations over one topology, listed per slice: the walk's one
+    kind of entry (``operations_for``).
 
-    ``itertools.product`` over the opens' supersets (``_table_extensions``)
+    A kept builtin or pivot is a block of one row, with ``op`` the
+    operation.  The ``all_tables`` mode is one block with ``op`` None: a
+    row's operation is the table with the row's values.
+    ``itertools.product`` over the opens' supersets (``_table_options``)
     puts the empty set, the first open, outermost.  So its row at position
     rank(e) * len(slices) + rank(s) is the table with value e at the empty
     set and slice s at the other opens: ``empties`` lists the values at
@@ -476,11 +471,7 @@ class TableBlock:
     empties: tuple[int, ...]
     slices: tuple[tuple[int, ...], ...]
     dropped: tuple[int, ...] = ()
-
-
-def table_operation(top: Topology, values) -> GammaOperation:
-    """The table operation with *values* over ``top.opens_sorted``."""
-    return GammaOperation("table", table=tuple(zip(top.opens_sorted, values)))
+    op: GammaOperation | None = None
 
 
 def enumerate_gamma_operations(top: Topology, mode: str):
@@ -488,7 +479,9 @@ def enumerate_gamma_operations(top: Topology, mode: str):
 
     builtins    -> the three named operations, always all three;
     pivots      -> every pivot point x branch pair;
-    all_tables  -> every expansive table (ground sets of at most 3 points).
+    all_tables  -> every expansive table (ground sets of at most 3 points),
+                   in the order of ``itertools.product`` over
+                   ``_table_options``.
     """
     if mode == "builtins":
         yield GammaOperation("identity")
@@ -501,28 +494,28 @@ def enumerate_gamma_operations(top: Topology, mode: str):
                 yield GammaOperation("pivot", pivot=label, in_branch=in_b, out_branch=out_b)
         return
     if mode == "all_tables":
-        for values in _table_extensions(top):
-            yield table_operation(top, values)
+        for values in itertools.product(*_table_options(top)):
+            yield GammaOperation("table", values=values)
         return
     raise GammaError(f"unknown enumeration mode {mode!r}")
 
 
 def operations_for(top: Topology, modes) -> list:
-    """The operations over *top*, one per distinct extension: the modes'
-    operations in turn, each kept only if no earlier one has its
-    extension.  A builtin or pivot is an ``(extension, operation)`` pair.
-    The ``all_tables`` mode lists one ``TableBlock``: its product runs over
-    the non-empty opens only (1,131 slices for the 9,048 3-point tables),
-    and the values at the empty set are listed once.  Its rows carry no
-    operation: a row's extension is its table, and ``table_operation``
-    builds the operation when a caller needs one.
+    """The operations over *top*, one per distinct extension, as
+    ``OperationBlock`` entries: the modes' operations in turn, each kept
+    only if no earlier one has its extension.  A builtin or pivot is a
+    block of one row.  The ``all_tables`` mode lists one block: its
+    product runs over the non-empty opens only (1,131 slices for the
+    9,048 3-point tables), and the values at the empty set are listed
+    once.  Its rows carry no operation: a row's extension is its table's
+    values, and a caller that needs the operation builds it from them.
 
     A builtin or pivot is expansive, so its extension is a row of the
-    block: one after the block is never kept, and one before it drops
-    that row, so the block drops at most one row per builtin and pivot
-    kept.  A second ``all_tables`` lists nothing."""
+    table block: one after the block is never kept, and one before it
+    drops that row, so the block drops at most one row per builtin and
+    pivot kept.  A second ``all_tables`` lists nothing."""
     seen = set()
-    entries = []
+    blocks = []
     options = None
     for mode in modes:
         if mode != "all_tables":
@@ -533,11 +526,11 @@ def operations_for(top: Topology, modes) -> list:
                     # its space reads it back (``_extension``); a dropped
                     # operation's is not kept
                     top.extensions[op] = ext
-                    entries.append((ext, op))
+                    blocks.append(OperationBlock((ext[0],), (ext[1:],), op=op))
         elif options is None:
             options = _table_options(top)
             ranks = (_product_rank(options, ext) for ext in seen)
-            entries.append(TableBlock(tuple(options[0]),
-                                      tuple(itertools.product(*options[1:])),
-                                      tuple(sorted(r for r in ranks if r is not None))))
-    return entries
+            blocks.append(OperationBlock(tuple(options[0]),
+                                         tuple(itertools.product(*options[1:])),
+                                         tuple(sorted(r for r in ranks if r is not None))))
+    return blocks

@@ -50,15 +50,14 @@ from .finspace import (
     validate_topology,
 )
 from .gamma_core import (
+    GammaOperation,
     Space,
     SpaceKey,
-    TableBlock,
     is_open_operation,
     is_regular_operation,
     label_lists,
     operations_for,
     per_operator_class,
-    table_operation,
 )
 from .gamma_sets import (
     gamma_open_family,
@@ -127,7 +126,7 @@ NET_RESTRICTION_NOTE = (
 def rebuild_space(key: SpaceKey) -> Space:
     ground = PointSet(key.points)
     top = validate_topology(ground, key.opens)
-    return Space(ground, top, table_operation(top, key.gamma_values))
+    return Space(ground, top, GammaOperation("table", values=key.gamma_values))
 
 
 # -- verdicts -------------------------------------------------------------
@@ -839,9 +838,9 @@ class TopologyRows:
     """One topology of the walk (``enumerate_slices``): its rows, in
     groups with one slice each, and one ``Space`` per group.
 
-    A builtin or pivot is a group of one row.  Each slice of a
-    ``TableBlock`` is a group: the tables with that slice and each listed
-    value at the empty set, but the dropped ones.  ``groups`` holds
+    Each slice of an ``OperationBlock`` is a group: the block's rows with
+    that slice and each listed value at the empty set, but the dropped
+    ones.  A builtin or pivot is a group of one row.  ``groups`` holds
     ``(space, row count)`` per group, in the order of their first rows;
     *space* is the first space on the topology with the group's slice.
     ``rows`` and ``keys`` visit the rows of the groups asked for, in
@@ -849,25 +848,20 @@ class TopologyRows:
 
     index: int
     groups: list
-    entries: list  # operations_for(top, modes)
+    blocks: list  # operations_for(top, modes)
 
     def rows(self, chosen=None):
         """Yield ``(operation index, extension, operation, group index)``
         for each row of the groups in *chosen*, every group if None.  A
-        table row's index is read off its position in its block
-        (``TableBlock``), and its operation is None."""
+        row's index is read off its position in its block
+        (``OperationBlock``), and its operation is the block's: None for
+        a table."""
         oi = g = 0
-        for entry in self.entries:
-            if type(entry) is not TableBlock:
-                if chosen is None or g in chosen:
-                    yield oi, entry[0], entry[1], g
-                oi += 1
-                g += 1
-                continue
-            slices, dropped = entry.slices, entry.dropped
+        for block in self.blocks:
+            slices, dropped, op = block.slices, block.dropped, block.op
             m = len(slices)
             picked = [r for r in range(m) if chosen is None or g + r in chosen]
-            for rank, e in enumerate(entry.empties):
+            for rank, e in enumerate(block.empties):
                 base = rank * m
                 for r in picked:
                     p = base + r
@@ -876,8 +870,8 @@ class TopologyRows:
                         skip = bisect_left(dropped, p)
                         if skip < len(dropped) and dropped[skip] == p:
                             continue
-                    yield oi + p - skip, (e,) + slices[r], None, g + r
-            oi += len(entry.empties) * m - len(dropped)
+                    yield oi + p - skip, (e,) + slices[r], op, g + r
+            oi += len(block.empties) * m - len(dropped)
             g += m
 
     def keys(self, chosen):
@@ -903,40 +897,34 @@ def enumerate_slices(n: int, modes, topo_range=None):
     It builds one ``Space`` per slice, for the first row of the slice,
     and reads every later row of the slice through it, by the lemma in
     ``Space``: such a row differs from it at most at the empty set.  So a
-    table block's values at the empty set are range-checked once per
-    topology, and a builtin's or pivot's where it joins an earlier
-    slice."""
+    block's values at the empty set are range-checked once per block.
+    A slice's space takes the block's operation, or for the table block
+    the table of the slice's first row."""
     modes = parse_modes(modes)
     for ti, top in enumerate(enumerate_topologies(n)):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
             continue
         ground = top.ground
-        entries = operations_for(top, modes)
+        blocks = operations_for(top, modes)
         firsts = {}
         groups = []
-        for entry in entries:
-            if type(entry) is not TableBlock:
-                extension, op = entry
-                sp = firsts.get(extension[1:])
-                if sp is None:
-                    sp = firsts[extension[1:]] = Space(ground, top, op)
-                else:
-                    ground.check_mask(extension[0])
-                groups.append((sp, 1))
-                continue
-            empties, slices = entry.empties, entry.slices
+        for block in blocks:
+            empties, slices, op = block.empties, block.slices, block.op
             for e in empties:
                 ground.check_mask(e)
             # a slice's first row is at the first empty-set value: a
             # dropped one has an earlier operation's slice
-            first, count = empties[0], len(empties)
-            drops = Counter(p % len(slices) for p in entry.dropped)
-            for r, s in enumerate(slices):
+            first = empties[0]
+            counts = [len(empties)] * len(slices)
+            for p in block.dropped:
+                counts[p % len(slices)] -= 1
+            for s, count in zip(slices, counts):
                 sp = firsts.get(s)
                 if sp is None:
-                    sp = firsts[s] = Space(ground, top, table_operation(top, (first,) + s))
-                groups.append((sp, count - drops[r]))
-        yield TopologyRows(ti, groups, entries)
+                    gamma = op or GammaOperation("table", values=(first,) + s)
+                    sp = firsts[s] = Space(ground, top, gamma)
+                groups.append((sp, count))
+        yield TopologyRows(ti, groups, blocks)
 
 
 def enumerate_spaces(n: int, modes):
@@ -949,7 +937,7 @@ def enumerate_spaces(n: int, modes):
         for oi, extension, op, g in walk.rows():
             sp = walk.groups[g][0]
             if sp.extension != extension:
-                sp = Space(sp.ground, sp.top, table_operation(sp.top, extension) if op is None else op)
+                sp = Space(sp.ground, sp.top, op or GammaOperation("table", values=extension))
             yield walk.index, oi, sp
 
 

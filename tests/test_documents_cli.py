@@ -37,7 +37,7 @@ def test_round_trip_bundled():
 
 def test_round_trip_table_space():
     top = validate_topology(ABC, [0, 1, 7])
-    sp = Space(ABC, top, GammaOperation("table", table=((0, 0), (1, 3), (7, 7))))
+    sp = Space(ABC, top, GammaOperation("table", values=(0, 3, 7)))
     assert documents.parse_space(documents.serialize_space(sp)) == sp
 
 
@@ -112,6 +112,20 @@ def test_parse_rejects_wrong_shapes():
                 }
             )
         )
+    # one entry per open, but {b} is not open (in place of {a}), or {a}
+    # is listed twice (in place of X)
+    for listed in ([[], ["b"], ["a", "b"]], [[], ["a"], ["a"]]):
+        table = [{"open": m, "value": ["a", "b"]} for m in listed]
+        with pytest.raises(documents.DocumentSyntaxError):
+            documents.parse_space(
+                json.dumps(
+                    {
+                        "points": ["a", "b"],
+                        "opens": [[], ["a"], ["a", "b"]],
+                        "gamma": {"kind": "table", "table": table},
+                    }
+                )
+            )
 
 
 def test_cli_analyze_machine_output(capsys):

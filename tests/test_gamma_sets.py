@@ -155,9 +155,8 @@ def test_regular_open_need_not_be_gamma_open():
     # six-open topology with a table operation: {a} is a fixed point of
     # int_g(cl_g(.)) yet has no neighbourhood with value inside {a}
     top = validate_topology(ABC, [0b000, 0b001, 0b010, 0b011, 0b110, 0b111])
-    table = ((0b000, 0b000), (0b001, 0b101), (0b010, 0b010),
-             (0b011, 0b011), (0b110, 0b111), (0b111, 0b111))
-    sp = Space(ABC, top, GammaOperation("table", table=table))
+    values = (0b000, 0b101, 0b010, 0b011, 0b111, 0b111)
+    sp = Space(ABC, top, GammaOperation("table", values=values))
     assert is_gamma_regular_open(sp, m("a"))
     assert not is_gamma_open(sp, m("a"))
 
@@ -166,8 +165,8 @@ def test_theta_open_witness_space_on_discrete_topology():
     # discrete topology, almost-identity table: {a,b} is theta-open but its
     # gamma-closure is X, so it is not regular-open
     top = validate_topology(ABC, range(8))
-    table = tuple((v, 0b110 if v == 0b100 else v) for v in range(8))
-    sp = Space(ABC, top, GammaOperation("table", table=table))
+    values = tuple(0b110 if v == 0b100 else v for v in range(8))
+    sp = Space(ABC, top, GammaOperation("table", values=values))
     assert is_theta_open(sp, m("ab"))
     assert not is_gamma_regular_open(sp, m("ab"))
 

@@ -285,9 +285,10 @@ def test_the_table_key_and_the_neighbourhood_values_determine_each_other(walked)
     assert (len(four), _check_table_key(four)) == (2775, 2775)
     for name in documents.BUNDLED:
         doc = documents.load_bundled(name)
-        pairs = operations_for(doc.top, ("builtins", "pivots"))
-        assert [ext for ext, _ in pairs] == [op.extension(doc.top) for _, op in pairs]
-        spaces = [doc] + [Space(doc.ground, doc.top, op) for _, op in pairs]
+        blocks = operations_for(doc.top, ("builtins", "pivots"))
+        assert ([block.empties + block.slices[0] for block in blocks]
+                == [block.op.extension(doc.top) for block in blocks])
+        spaces = [doc] + [Space(doc.ground, doc.top, block.op) for block in blocks]
         assert _check_table_key(spaces) >= 2, name
 
 
@@ -466,8 +467,8 @@ def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
 
     def with_a_bad_builtin(top, modes):
         # a builtin with a known slice and a bad value at the empty set
-        pairs = operations_for(top, modes)
-        return pairs + [((8,) + pairs[0][0][1:], pairs[0][1])]
+        blocks = operations_for(top, modes)
+        return blocks + [dataclasses.replace(blocks[0], empties=(8,))]
 
     monkeypatch.setattr(tl, "operations_for", with_a_bad_builtin)
     with pytest.raises(FinSpaceError, match="0x8"):

@@ -110,3 +110,42 @@ BRIDGE_REPORT_GOLDEN = "b4ae36b0736718890be394f97bc749d0065c9bd945adf70789ed1bde
 def test_bridge_report_bytes():
     text = json.dumps(theoremlab.bridge_report(3).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BRIDGE_REPORT_GOLDEN
+
+
+# a 3-point table document whose operation is no builtin: {a} -> {a, c}
+# is neither the open, its closure X, nor the interior of that closure,
+# and the empty set goes to {b}
+TABLE_DOCUMENT = {
+    "points": ["a", "b", "c"],
+    "opens": [[], ["a"], ["a", "b"], ["a", "b", "c"]],
+    "gamma": {
+        "kind": "table",
+        "table": [
+            {"open": ["a", "b"], "value": ["a", "b"]},
+            {"open": [], "value": ["b"]},
+            {"open": ["a", "b", "c"], "value": ["a", "b", "c"]},
+            {"open": ["a"], "value": ["a", "c"]},
+        ],
+    },
+}
+
+# output -> (sha256 of the text, exit code; None for serialize_space)
+TABLE_DOCUMENT_GOLDEN = {
+    "analyze": ("82d618a97d20e92276a1ce601a46bd2db51e32923606cc1a76b68690e719f0be", 0),
+    "verify": ("5bec58f356faf4e01a7f30dd957a748252efee11bf0df7be7032c61a19ce12f9", 0),
+    "serialize": ("c036c6a13df36859b412a67ca544272f4154ef8d8abf6d56dc16994cd2292544", None),
+}
+
+
+def test_table_document_bytes(capsys, tmp_path):
+    text = json.dumps(TABLE_DOCUMENT)
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    got = {}
+    for name, argv in (("analyze", ("analyze", str(path), "--format", "machine")),
+                       ("verify", ("verify", str(path), "--claims", "all", "--format", "machine"))):
+        code = cli.main(list(argv))
+        got[name] = (hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest(), code)
+    serialized = documents.serialize_space(documents.parse_space(text))
+    got["serialize"] = (hashlib.sha256(serialized.encode("utf-8")).hexdigest(), None)
+    assert got == TABLE_DOCUMENT_GOLDEN

@@ -38,11 +38,11 @@ def spaces(draw):
             out_branch=draw(st.sampled_from(("id", "cl", "intcl"))),
         )
     elif kind == "table":
-        rows = []
+        values = []
         for v in top.opens_sorted:
             extra = draw(st.integers(0, ground.full_mask)) & ground.full_mask & ~v
-            rows.append((v, v | extra))
-        op = GammaOperation("table", table=tuple(rows))
+            values.append(v | extra)
+        op = GammaOperation("table", values=tuple(values))
     else:
         op = GammaOperation(kind)
     return Space(ground, top, op)
