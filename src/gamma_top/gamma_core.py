@@ -61,7 +61,7 @@ from .finspace import (
     meeting_table,
     submasks,
 )
-from .jsonout import Shared
+from .jsonout import Framed, Shared
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -132,19 +132,25 @@ class GammaOperation:
     values: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        """Each kind takes its own fields and refuses the others', so two
+        equal maps of one kind are one key of ``top.extensions``."""
         if self.kind not in KINDS:
             raise InvalidOperation(f"unknown operation kind {self.kind!r}")
-        if self.kind == "pivot":
-            if self.pivot is None or self.in_branch not in BRANCHES or self.out_branch not in BRANCHES:
-                raise InvalidOperation("pivot operations need a pivot point and two branches")
-        elif self.kind == "table":
+        pivot_fields = (self.pivot, self.in_branch, self.out_branch)
+        if self.kind == "table":
+            if pivot_fields != (None, None, None):
+                raise InvalidOperation("table operations take no pivot or branches")
             values = tuple(self.values or ())
             if not values:
                 raise InvalidOperation("table operations need at least the empty set's value")
             object.__setattr__(self, "values", values)
-        else:
-            if self.pivot is not None or self.in_branch is not None or self.out_branch is not None:
-                raise InvalidOperation(f"{self.kind} operations take no extra fields")
+        elif self.values is not None:
+            raise InvalidOperation(f"{self.kind} operations take no values")
+        elif self.kind == "pivot":
+            if self.pivot is None or self.in_branch not in BRANCHES or self.out_branch not in BRANCHES:
+                raise InvalidOperation("pivot operations need a pivot point and two branches")
+        elif pivot_fields != (None, None, None):
+            raise InvalidOperation(f"{self.kind} operations take no extra fields")
 
     def extension(self, top: Topology) -> tuple[int, ...]:
         """Raw values over ``top.opens_sorted`` (no expansiveness check
@@ -191,37 +197,59 @@ class SpaceKey:
         to every payload on this key.  Its label lists are shared with every
         other payload over the same points (``PointSet.label_list``), and
         its ``points`` and ``opens`` lists with every key on the same
-        topology (``_opens_lists``).  A key made by ``of_slice`` takes the
-        label lists of its values off the empty set from its slice.  No
-        caller mutates a result, and none may.  It is a ``jsonout.Shared``,
-        so machine output encodes it once for the consecutive payloads that
+        topology (``_opens_lists``).  No caller mutates a result, and none
+        may.  A key made by ``of_slice`` takes everything but the label
+        list of its value at the empty set from its group's frame, and its
+        payload is a ``jsonout.Framed`` on that frame, scoped by the
+        topology's ``opens`` list: machine output writes the frame's text
+        once per group and indent, and each key as that text around its
+        value at the empty set.  Any other key's payload is a
+        ``jsonout.Shared``, encoded once for the consecutive payloads that
         carry it."""
         payload = self.__dict__.get("_payload")
         if payload is None:
-            points, opens = _opens_lists(self.points, self.opens)
-            # a key of a slice lets its slice's lists go once it has a payload
-            tail = self.__dict__.pop("_tail", None)
-            if tail is None:
+            # a key of a slice lets its frame go once it has a payload
+            frame = self.__dict__.pop("_frame", None)
+            if frame is None:
+                points, opens = _opens_lists(self.points, self.opens)
                 values = label_lists(self.points, self.gamma_values)
+                payload = Shared()
             else:
-                # a concatenation is allocated to size, unlike [x, *tail]
-                values = [_ground(self.points).label_list(self.gamma_values[0])] + tail
-            payload = Shared(
-                points=points,
-                opens=opens,
-                gamma={"kind": self.gamma_kind, "values": values},
-            )
+                points, opens = frame["points"], frame["opens"]
+                fill = _ground(self.points).label_list(self.gamma_values[0])
+                # a copy is allocated to size, unlike [fill, *tail]
+                values = frame["gamma"]["values"].copy()
+                values[0] = fill
+                payload = Framed()
+                payload.frame, payload.fill, payload.scope = frame, fill, opens
+            payload.update(points=points, opens=opens,
+                           gamma={"kind": self.gamma_kind, "values": values})
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload
 
+    @staticmethod
+    def slice_frame(points, opens, gamma_kind, gamma_values) -> dict:
+        """The frame (``jsonout.Framed``) of the keys of one group: one
+        slice, ``gamma_values[1:]``, and one kind.  It is a payload with
+        ``Framed.HOLE`` for the label list of the value at the empty set.
+        By the lemma in ``Space`` the keys of a slice differ at most there;
+        the kind is part of the frame, because a builtin's group and table
+        rows may share a slice.  Its label lists are built once per group,
+        not once per key."""
+        points_list, opens_list = _opens_lists(points, opens)
+        values = label_lists(points, gamma_values)
+        values[0] = Framed.HOLE
+        return {"gamma": {"kind": gamma_kind, "values": values},
+                "opens": opens_list, "points": points_list}
+
     @classmethod
-    def of_slice(cls, points, opens, gamma_kind, gamma_values, tail: list) -> SpaceKey:
-        """The key, with *tail* the label lists of ``gamma_values[1:]``
-        (``label_lists``): the keys of one slice share them, so they are
-        built once per slice, not once per key."""
+    def of_slice(cls, points, opens, gamma_kind, gamma_values, frame: dict) -> SpaceKey:
+        """The key, with *frame* its group's ``slice_frame``: the keys of
+        one group share it, so it is built once per group, not once per
+        key, and machine output writes its text once per group."""
         key = cls(points, opens, gamma_kind, gamma_values)
-        object.__setattr__(key, "_tail", tail)
+        object.__setattr__(key, "_frame", frame)
         return key
 
 

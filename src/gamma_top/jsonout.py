@@ -30,6 +30,23 @@ with its new content, and it holds one text per distinct label list and
 indent.  A list of label lists, such as ``opens``, goes out in one loop
 with no Python call per item, one chunk per item; a dict's scalar members
 go out in their key's chunk.
+
+A ``Framed`` dict is one of many payloads that are equal but at one place,
+such as the spaces of one slice, which differ only in the value at the
+empty set.  Its ``frame`` is that shared shape, a value holding
+``Framed.HOLE`` once where the payload holds its ``fill``.  Lemma: the
+text of a value is the concatenation of the texts of its parts, each at
+the indent its depth sets, so the payload's text is the frame's text
+with the hole's text replaced by the fill's text at the hole's indent.
+``dump`` cuts the frame's text at the hole once per frame and indent, and
+writes each payload as three chunks: the text before the hole, the
+fill's text and the text after it; the two halves are shared strings.
+It keeps the halves of the frames met since the payloads' ``scope``
+last changed, and drops them all when a payload of another scope comes,
+so memory stays bounded by one scope's frames; every output places the
+payloads of one scope next to each other.  A frame is keyed by its
+identity, which is safe because each entry holds its frame; a frame
+without exactly one hole is no frame, and the payload is encoded in full.
 """
 
 from __future__ import annotations
@@ -37,7 +54,7 @@ from __future__ import annotations
 import collections
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["Shared", "dump", "dumps"]
+__all__ = ["Framed", "Shared", "dump", "dumps"]
 
 # chunks joined into one ``write`` call; a chunk is a token or a label list
 BATCH_CHUNKS = 4096
@@ -51,6 +68,31 @@ class Shared(dict):
     encoding it again; json and every other reader see a plain dict."""
 
     __slots__ = ()  # no per-instance __dict__: as small as a dict
+
+
+class _Hole:
+    """The mark of the fill's place in a frame; a copy or pickle of it is
+    itself, so a copied frame keeps its hole."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_HOLE"
+
+
+_HOLE = _Hole()
+
+
+class Framed(dict):
+    """A dict equal to its ``frame`` but at the frame's one ``HOLE``, where
+    it holds ``fill``; the payloads that share a frame also share their
+    ``scope``, and no one mutates any of them once built.  ``dump`` may
+    write the frame's text around the fill's instead of encoding the dict;
+    json and every other reader see a plain dict."""
+
+    __slots__ = ("frame", "fill", "scope")
+
+    HOLE = _HOLE
 
 
 def _float(v: float) -> str:
@@ -106,14 +148,29 @@ def dump(obj, write) -> None:
     # ``held`` keeps each keyed list alive, so no id is reused in this call
     texts = collections.defaultdict(dict)
     held = []
+    # per (frame id, indent), for the frames of the current scope: the text
+    # before the hole, the hole's indent, the text after it, the chunks the
+    # frame took beyond those two, and the frame; ``holes`` collects the
+    # (chunk index, indent) of each hole met, and no batch is written while
+    # ``framing`` frames are being encoded
+    halves = {}
+    scope = None
+    holes = []
+    framing = 0
+    # chunks that the halves written since the last flush stand for, beyond
+    # their own two: a batch is cut at the size it would have had unframed
+    weight = 0
 
     def flush():
-        nonlocal start
+        nonlocal start, weight
+        if framing:
+            return
         if runs is not None:
             runs.append(chunks[start:])
             start = 0
         write("".join(chunks))
         chunks.clear()
+        weight = 0
 
     def labels(items, nl):
         """The text of the list or tuple *items* at indent *nl* if every
@@ -151,6 +208,8 @@ def dump(obj, write) -> None:
             emit("false")
         elif t is float:
             emit(_float(v))
+        elif t is Framed:
+            framed(v, nl)
         elif t is Shared:
             shared(v, nl)
         # subclasses, in the order json tests them
@@ -164,6 +223,8 @@ def dump(obj, write) -> None:
             array(v, nl)
         elif isinstance(v, dict):
             obj_(v, nl)
+        elif v is _HOLE:
+            holes.append((len(chunks), nl))
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -255,6 +316,37 @@ def dump(obj, write) -> None:
             obj_(d, nl)
             runs.append(chunks[start:])
             kept, kept_nl, kept_runs, runs = d, nl, runs, None
+
+    def framed(d, nl):
+        nonlocal scope, framing, weight
+        if d.scope is not scope:
+            # drop the last scope's halves first: one scope's at a time
+            halves.clear()
+            scope = d.scope
+        frame = d.frame
+        cut = halves.get((id(frame), nl))
+        if cut is None:
+            mark, seen = len(chunks), len(holes)
+            framing += 1
+            value(frame, nl)
+            framing -= 1
+            found = holes[seen:]
+            del holes[seen:]
+            if len(found) != 1:
+                del chunks[mark:]
+                obj_(d, nl)
+                return
+            pos, inner = found[0]
+            cut = halves[(id(frame), nl)] = (
+                "".join(chunks[mark:pos]), inner, "".join(chunks[pos:]),
+                len(chunks) - mark - 2, frame)
+            del chunks[mark:]
+        emit(cut[0])
+        value(d.fill, cut[1])
+        emit(cut[2])
+        weight += cut[3]
+        if len(chunks) + weight >= BATCH_CHUNKS:
+            flush()
 
     value(obj, "\n")
     flush()

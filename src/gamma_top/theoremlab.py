@@ -55,7 +55,6 @@ from .gamma_core import (
     SpaceKey,
     is_open_operation,
     is_regular_operation,
-    label_lists,
     operations_for,
     per_operator_class,
 )
@@ -877,16 +876,19 @@ class TopologyRows:
     def keys(self, chosen):
         """Yield ``(operation index, group index, key)`` for each row of
         the groups in *chosen*, in operation index order.  The keys of one
-        group share the label lists of its slice (``SpaceKey.of_slice``)."""
+        group share its frame (``SpaceKey.slice_frame``): by the lemma in
+        ``Space`` they differ only at the empty set, and a group has one
+        kind, so machine output writes the rest of their text once per
+        group.  The keys of one topology come out next to each other."""
         sp = self.groups[0][0]
         points, opens = sp.ground.labels, sp.top.opens_sorted
-        tails = {}
+        frames = {}
         for oi, extension, op, g in self.rows(chosen):
-            tail = tails.get(g)
-            if tail is None:
-                tail = tails[g] = label_lists(points, extension[1:])
-            yield oi, g, SpaceKey.of_slice(points, opens, "table" if op is None else op.kind,
-                                           extension, tail)
+            kind = "table" if op is None else op.kind
+            frame = frames.get(g)
+            if frame is None:
+                frame = frames[g] = SpaceKey.slice_frame(points, opens, kind, extension)
+            yield oi, g, SpaceKey.of_slice(points, opens, kind, extension, frame)
 
 
 def enumerate_slices(n: int, modes, topo_range=None):

@@ -86,6 +86,28 @@ def test_table_domain_must_match_opens():
         Space(ABC, top, GammaOperation("table", values=(0, 7)))
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "identity", "values": (5,)},
+    {"kind": "closure", "values": ()},
+    {"kind": "int_closure", "pivot": "a"},
+    {"kind": "pivot", "pivot": "a", "in_branch": "id", "out_branch": "cl", "values": (1,)},
+    {"kind": "table", "values": (0, 7), "pivot": "a"},
+    {"kind": "table", "values": (0, 7), "in_branch": "id"},
+    {"kind": "table", "values": (0, 7), "out_branch": "cl"},
+])
+def test_each_kind_refuses_the_other_kinds_fields(fields):
+    with pytest.raises(InvalidOperation):
+        GammaOperation(**fields)
+
+
+def test_every_bundled_document_still_parses():
+    # each kind's own fields are still accepted, and a round trip through
+    # the document format keeps the operation
+    for name in documents.BUNDLED:
+        sp = documents.load_bundled(name)
+        assert documents.parse_space(documents.serialize_space(sp)).gamma == sp.gamma
+
+
 def test_the_table_cache_never_skips_validation():
     top = validate_topology(ABC, [0, m("a"), 7])
     good = Space(ABC, top, GammaOperation("table", values=(0, m("ab"), 7)))

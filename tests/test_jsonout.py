@@ -175,13 +175,43 @@ def _space(points="abc", opens=(0, 1, 3, 7)):
     return theoremlab.SpaceKey(tuple(points), opens, "table", opens).to_dict()
 
 
+def _group(empties, rest, opens=(0, 1, 3, 7), kind="table", points="abc"):
+    """The payloads of the slice keys of one group: the value at the empty
+    set is each of *empties* in turn, the values at the other opens *rest*."""
+    points = tuple(points)
+    frame = theoremlab.SpaceKey.slice_frame(points, opens, kind, (empties[0],) + rest)
+    return [theoremlab.SpaceKey.of_slice(points, opens, kind, (e,) + rest, frame).to_dict()
+            for e in empties]
+
+
 def _shared_cases():
     a = _space()
     b = jsonout.Shared({"b": [1, ["x"]], "c": {}})
     big = jsonout.Shared(
         {"rows": [{"i": i, "l": ["a", "b"][: i % 3]} for i in range(2 * jsonout.BATCH_CHUNKS)]}
     )
+    g1 = _group((0, 2, 4, 6), (1, 3, 7))
+    g2 = _group((5, 2, 0), (3, 7, 7))
+    # another topology, then the first again: its halves are made anew
+    other = _group((0, 1), (2, 7), opens=(0, 2, 7))
+    # frames that are no frames, with no hole or two, are encoded in full;
+    # a deep copy keeps its hole
+    holeless = jsonout.Framed(a)
+    holeless.frame, holeless.fill, holeless.scope = dict(a), [], None
+    twice = copy.copy(g1[1])
+    twice.frame = [jsonout.Framed.HOLE, jsonout.Framed.HOLE]
     return {
+        "two groups interleaved": [g1[0], g2[0], g1[1], g2[1], g1[2], g2[2], g1[3]],
+        "topology A, B, A": [g1[0], other[0], other[1], g1[1], {"x": [g1[2]]}, g1[3]],
+        "one open beyond the empty set": _group((0, 1, 2, 3), (7,), opens=(0, 7)),
+        "kinds": [_group((3, 0), (3, 7), opens=(0, 3, 7), kind=kind)[i]
+                  for kind in ("table", "identity", "pivot") for i in (0, 1)],
+        # the value at the empty set's label list is also an item of opens
+        "fill also an open": _group((0, 1, 3, 7), (1, 3, 7)),
+        "framed in shared": [jsonout.Shared({"s": g1[0], "t": [g1[1], g1[0]]}), g1[2]],
+        "framed at depths": {"a": g1[0], "b": [[g1[1]], {"c": g1[0]}], "d": g2},
+        "framed repeats": g1 * (3 * jsonout.BATCH_CHUNKS // 20),
+        "not frames": [holeless, twice, copy.deepcopy(g1[2]), g1[2]],
         "verify": {"verdicts": [{"claim": f"C-{i}", "space": a} for i in range(24)]},
         "two depths": {"a": a, "deeper": [{"x": [a, a]}], "z": a},
         "interleaved": [a, b, a, b, b, a],
@@ -228,6 +258,41 @@ def test_a_repeated_shared_payload_is_encoded_once(monkeypatch):
     assert strings([copy.deepcopy(space) for _ in range(24)]) == 24 * once
 
 
+def test_a_frame_text_lasts_one_call():
+    # the halves of a frame are kept for one call: mutated between two
+    # calls, frame and payloads are encoded again with their new content
+    group = _group((0, 4), (1, 3, 7))
+    first = jsonout.dumps(group)
+    assert_same_text(first, oracle(group))
+    for space in group:
+        space["gamma"]["kind"] = space.frame["gamma"]["kind"] = "changed"
+    assert_same_text(jsonout.dumps(group), oracle(group))
+    assert jsonout.dumps(group) != first
+
+
+def test_the_keys_of_a_group_are_encoded_once(monkeypatch):
+    group = _group((0, 2, 4, 6), (1, 3, 7))
+    assert all(type(space) is jsonout.Framed for space in group)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return json.encoder.encode_basestring_ascii(s)
+
+    monkeypatch.setattr(jsonout, "_string", counting)
+
+    def strings(obj):
+        calls.clear()
+        jsonout.dumps(obj)
+        return len(calls)
+
+    once = strings(group)
+    assert once > 0
+    assert strings(group * 24) == once
+    # the control: plain copies with the same label lists repeat their keys
+    assert strings([dict(space) for space in group] * 24) > 24 * len(group)
+
+
 def _mine_shaped(plain):
     """Mined witnesses, one to three per space, each space's in a row."""
     rng = random.Random(3)
@@ -256,3 +321,33 @@ def test_replayed_payloads_keep_the_batches():
     assert abs(len(replayed) - len(plain)) <= 0.1 * len(plain)
     largest = max(map(len, plain))
     assert abs(max(map(len, replayed)) - largest) <= 0.1 * largest
+
+
+def _mine_shaped_slices(plain):
+    """Mined witnesses on slice keys: one group of one to three keys per
+    topology, each key's in a row."""
+    rng = random.Random(3)
+    records = []
+    for ti in range(1000):
+        opens = tuple(sorted({0, 7} | {rng.randrange(8) for _ in range(3)}))
+        for oi, space in enumerate(_group(tuple(range(1 + ti % 3)), opens[1:], opens=opens)):
+            records.append({
+                "operation_index": oi,
+                "space": dict(space) if plain else space,
+                "topology_index": ti,
+                "witness": {"subset": ["a", "b", "c"][: oi + 1]},
+            })
+    return records
+
+
+def test_framed_payloads_keep_the_batches():
+    # a framed space counts as the chunks of its frame, not as its three:
+    # the writes and their sizes stay near those of plain copies
+    framed, plain = [], []
+    jsonout.dump(_mine_shaped_slices(False), framed.append)
+    jsonout.dump(_mine_shaped_slices(True), plain.append)
+    assert_same_text("".join(framed), "".join(plain))
+    assert len(plain) > 10
+    assert abs(len(framed) - len(plain)) <= 0.25 * len(plain)
+    largest = max(map(len, plain))
+    assert abs(max(map(len, framed)) - largest) <= 0.25 * largest

@@ -36,6 +36,11 @@ def _cases():
         argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", predicate,
                 "--format", "machine")
         yield f"mine3-tables-{predicate}-t1", argv
+    # mixed modes: a builtin's one-row group and table rows on one topology
+    yield "mine3-mixed-t1", ("mine", "--n", "3", "--ops", "builtins,all_tables",
+                             "--predicate", "gamma_open_not_regular_open", "--format", "machine")
+    yield "sweep3-mixed-all-t1", ("verify", "--enumerate", "3", "--ops", "all_tables,builtins",
+                                  "--claims", "all", "--format", "machine")
 
 
 CASES = list(_cases())
@@ -77,6 +82,8 @@ GOLDEN = {
     "mine3-tables-regular_open_not_gamma_open-t1": ("365eb2a2a08fde84916b6fabda86450ce5deecd70a248bdca108d2858b0a45e3", 0),
     "mine3-tables-theta_open_not_regular_open-t1": ("8d22d6345346918bc0efdb5ced8ab7c07b8522f9f70588f32ddd65e4149681d4", 0),
     "mine3-tables-fails:C-RO-INCL-t1": ("fd401a13261555af544bd95db0cb368201f9df708f610a9cc5d52327528b971a", 0),
+    "mine3-mixed-t1": ("a38eb545a29bf6892cd1f3fb9f4510920e7e77febe0ad083e0d77a7432713ec2", 0),
+    "sweep3-mixed-all-t1": ("e034c2e6957ce9d99624f40a8b97561aeb77176f168d287401e1b2276f1ad540", 1),
 }
 
 
