@@ -9,12 +9,12 @@ With ``--format machine`` stdout is the payload as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it (keys sorted,
 two-space indent, ASCII escapes) plus one trailing newline.  The payload
 is built in full first; ``jsonout.dump`` then writes it to stdout in
-batches, so the text is never held whole.  The space that consecutive
-verdicts or witnesses carry is one shared dict, encoded once and its text
-replayed at each later occurrence; the spaces of one slice share a frame,
-whose text is written once around each space's value at the empty set.
-Tier-1 pins these bytes against ``json.dumps``.  An error while writing (a closed pipe, a full disk) can
-leave partial stdout; the exit code still says what happened.
+batches, so the text is never held whole.  Every space a payload carries
+is framed: the spaces of one slice, or the one space of a document's
+verdicts, share a frame, whose text is written once around each space's
+value at the empty set.  Tier-1 pins these bytes against ``json.dumps``.
+An error while writing (a closed pipe, a full disk) can leave partial
+stdout; the exit code still says what happened.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early

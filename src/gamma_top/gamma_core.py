@@ -61,7 +61,7 @@ from .finspace import (
     meeting_table,
     submasks,
 )
-from .jsonout import Framed, Shared
+from .jsonout import Framed
 
 KINDS = ("identity", "closure", "int_closure", "pivot", "table")
 BRANCHES = ("id", "cl", "intcl")
@@ -198,32 +198,26 @@ class SpaceKey:
         other payload over the same points (``PointSet.label_list``), and
         its ``points`` and ``opens`` lists with every key on the same
         topology (``_opens_lists``).  No caller mutates a result, and none
-        may.  A key made by ``of_slice`` takes everything but the label
-        list of its value at the empty set from its group's frame, and its
-        payload is a ``jsonout.Framed`` on that frame, scoped by the
-        topology's ``opens`` list: machine output writes the frame's text
-        once per group and indent, and each key as that text around its
-        value at the empty set.  Any other key's payload is a
-        ``jsonout.Shared``, encoded once for the consecutive payloads that
-        carry it."""
+        may.  The payload is a ``jsonout.Framed`` on its group's frame
+        (``slice_frame``), scoped by the topology's ``opens`` list: it takes
+        everything but the label list of its value at the empty set from
+        the frame, and machine output writes the frame's text once per
+        group and indent, and each key as that text around its value at the
+        empty set.  A key made by ``of_slice`` shares its group's frame; any
+        other key, such as a document's, is a group of one and makes its own,
+        so the verdicts that carry it write its text once."""
         payload = self.__dict__.get("_payload")
         if payload is None:
             # a key of a slice lets its frame go once it has a payload
-            frame = self.__dict__.pop("_frame", None)
-            if frame is None:
-                points, opens = _opens_lists(self.points, self.opens)
-                values = label_lists(self.points, self.gamma_values)
-                payload = Shared()
-            else:
-                points, opens = frame["points"], frame["opens"]
-                fill = _ground(self.points).label_list(self.gamma_values[0])
-                # a copy is allocated to size, unlike [fill, *tail]
-                values = frame["gamma"]["values"].copy()
-                values[0] = fill
-                payload = Framed()
-                payload.frame, payload.fill, payload.scope = frame, fill, opens
-            payload.update(points=points, opens=opens,
-                           gamma={"kind": self.gamma_kind, "values": values})
+            frame = self.__dict__.pop("_frame", None) or self.slice_frame(
+                self.points, self.opens, self.gamma_kind, self.gamma_values)
+            fill = _ground(self.points).label_list(self.gamma_values[0])
+            # a copy is allocated to size, unlike [fill, *tail]
+            values = frame["gamma"]["values"].copy()
+            values[0] = fill
+            payload = Framed(points=frame["points"], opens=frame["opens"],
+                             gamma={"kind": self.gamma_kind, "values": values})
+            payload.frame, payload.fill, payload.scope = frame, fill, frame["opens"]
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload

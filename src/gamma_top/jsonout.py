@@ -9,13 +9,6 @@ of about ``BATCH_CHUNKS`` chunks and cut between items, so a large value is
 written without ever being held whole as text.  ``dumps`` joins those
 batches.  Tier-1 checks the bytes against ``json.dumps`` on generated values.
 
-A ``Shared`` dict is one a payload holds in several places, such as the
-space every verdict on it carries.  ``dump`` keeps the chunks of the last
-``Shared`` it encoded and replays them when the same object comes back at
-the same indent, so a payload met k times with no other ``Shared`` in
-between is encoded once.  Only one is kept, so memory stays bounded by one
-payload; every output places the payloads on one space next to each other.
-
 A label list is a list or tuple of strings, such as a space's points or
 one of its opens.  Output holds few distinct label lists many times over
 (``PointSet.label_list`` shares one list per mask, and the keys of one
@@ -28,23 +21,27 @@ can take that identity; a payload is not mutated while it is written.  The
 memo lives for one call, so a list mutated between two calls is written
 with its new content, and it holds one text per distinct label list and
 indent.  A list of label lists, such as ``opens``, goes out in one loop
-with no Python call per item, one chunk per item; a dict's scalar members
-go out in their key's chunk.
+with no Python call per item, one chunk per item; a label list in any
+other list goes out in its lead's chunk, and a dict's scalar members in
+their key's chunk.
 
 A ``Framed`` dict is one of many payloads that are equal but at one place,
-such as the spaces of one slice, which differ only in the value at the
-empty set.  Its ``frame`` is that shared shape, a value holding
-``Framed.HOLE`` once where the payload holds its ``fill``.  Lemma: the
-text of a value is the concatenation of the texts of its parts, each at
-the indent its depth sets, so the payload's text is the frame's text
-with the hole's text replaced by the fill's text at the hole's indent.
-``dump`` cuts the frame's text at the hole once per frame and indent, and
-writes each payload as three chunks: the text before the hole, the
-fill's text and the text after it; the two halves are shared strings.
-It keeps the halves of the frames met since the payloads' ``scope``
-last changed, and drops them all when a payload of another scope comes,
-so memory stays bounded by one scope's frames; every output places the
-payloads of one scope next to each other.  A frame is keyed by its
+such as the space every verdict on a document carries, or the spaces of
+one slice, which differ only in the value at the empty set.  Its ``frame``
+is that shared shape, a value holding ``Framed.HOLE`` once where the
+payload holds its ``fill``.  Lemma: the text of a value is the
+concatenation of the texts of its parts, each at the indent its depth
+sets, so the payload's text is the frame's text with the hole's text
+replaced by the fill's text at the hole's indent.  ``dump`` cuts the
+frame's text at the hole once per frame and indent, keeps each half as
+runs of at most ``BATCH_CHUNKS`` chunks, each joined once, and writes each
+payload as the runs before the hole, the fill's text and the runs after
+it; each run counts as the chunks it joins when batches are cut, so a
+batch holds about as much text as unframed, and a frame of any size
+streams.  It keeps the halves of the frames met since the payloads'
+``scope`` last changed, and drops them all when a payload of another scope
+comes, so memory stays bounded by one scope's frames; every output places
+the payloads of one scope next to each other.  A frame is keyed by its
 identity, which is safe because each entry holds its frame; a frame
 without exactly one hole is no frame, and the payload is encoded in full.
 """
@@ -54,20 +51,12 @@ from __future__ import annotations
 import collections
 from json.encoder import encode_basestring_ascii as _string
 
-__all__ = ["Framed", "Shared", "dump", "dumps"]
+__all__ = ["Framed", "dump", "dumps"]
 
 # chunks joined into one ``write`` call; a chunk is a token or a label list
 BATCH_CHUNKS = 4096
 
 _INF = float("inf")
-
-
-class Shared(dict):
-    """A dict that a payload holds in several places and nobody mutates
-    once built.  ``dump`` may write its earlier text again instead of
-    encoding it again; json and every other reader see a plain dict."""
-
-    __slots__ = ()  # no per-instance __dict__: as small as a dict
 
 
 class _Hole:
@@ -139,35 +128,28 @@ def dump(obj, write) -> None:
     been written."""
     chunks = []
     emit = chunks.append
-    # the Shared replayed, its indent, and the chunk runs of its first
-    # encoding (each flush inside it ends a run); ``runs`` is where the
-    # payload being encoded now collects its runs, from chunks[start:]
-    kept = kept_nl = kept_runs = runs = None
-    start = 0
     # per indent, the text of each label list met so far, by the list's id;
     # ``held`` keeps each keyed list alive, so no id is reused in this call
     texts = collections.defaultdict(dict)
     held = []
-    # per (frame id, indent), for the frames of the current scope: the text
-    # before the hole, the hole's indent, the text after it, the chunks the
-    # frame took beyond those two, and the frame; ``holes`` collects the
-    # (chunk index, indent) of each hole met, and no batch is written while
+    # per (frame id, indent), for the frames of the current scope: the runs
+    # before the hole, the hole's indent, the runs after it, and the frame;
+    # a run is the text of at most BATCH_CHUNKS chunks and the number of
+    # chunks beyond one that it joins.  ``holes`` collects the (chunk
+    # index, indent) of each hole met, and no batch is written while
     # ``framing`` frames are being encoded
     halves = {}
     scope = None
     holes = []
     framing = 0
-    # chunks that the halves written since the last flush stand for, beyond
-    # their own two: a batch is cut at the size it would have had unframed
+    # chunks that the runs written since the last flush stand for, beyond
+    # one each: a batch is cut at the size it would have had unframed
     weight = 0
 
     def flush():
-        nonlocal start, weight
+        nonlocal weight
         if framing:
             return
-        if runs is not None:
-            runs.append(chunks[start:])
-            start = 0
         write("".join(chunks))
         chunks.clear()
         weight = 0
@@ -180,6 +162,8 @@ def dump(obj, write) -> None:
         memo = texts[nl]
         text = memo.get(id(items))
         if text is None:
+            if type(items[0]) is not str:
+                return None
             inner = nl + "  "
             try:
                 # one C call per item, one join
@@ -210,8 +194,6 @@ def dump(obj, write) -> None:
             emit(_float(v))
         elif t is Framed:
             framed(v, nl)
-        elif t is Shared:
-            shared(v, nl)
         # subclasses, in the order json tests them
         elif isinstance(v, str):
             emit(_string(v))
@@ -229,18 +211,13 @@ def dump(obj, write) -> None:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     def array(items, nl):
-        if not items:
-            emit("[]")
+        text = labels(items, nl)
+        if text is not None:
+            emit(text)
             return
-        first = type(items[0])
-        if first is str:
-            text = labels(items, nl)
-            if text is not None:
-                emit(text)
-                return
         inner = nl + "  "
         sep = "," + inner
-        if first is list:
+        if type(items[0]) is list:
             # a list of label lists, such as a space's opens: each item's
             # text is looked up, or made once, and goes out as one chunk
             memo = texts[inner]
@@ -262,8 +239,12 @@ def dump(obj, write) -> None:
                 return
         lead = "[" + inner
         for item in items:
-            emit(lead)
-            value(item, inner)
+            # a label list goes out in its lead's chunk
+            if type(item) is list and (text := labels(item, inner)) is not None:
+                emit(lead + text)
+            else:
+                emit(lead)
+                value(item, inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:
                 flush()
@@ -299,26 +280,28 @@ def dump(obj, write) -> None:
                 flush()
         emit(nl + "}")
 
-    def shared(d, nl):
-        nonlocal kept, kept_nl, kept_runs, runs, start
-        if d is kept and nl == kept_nl:
-            for run in kept_runs:
-                chunks.extend(run)
-                if len(chunks) >= BATCH_CHUNKS:
-                    flush()
-        elif runs is not None:
-            # inside a payload being recorded: its runs take this one in
-            obj_(d, nl)
-        else:
-            # drop the kept payload first: one payload's chunks at a time
-            kept = kept_runs = None
-            runs, start = [], len(chunks)
-            obj_(d, nl)
-            runs.append(chunks[start:])
-            kept, kept_nl, kept_runs, runs = d, nl, runs, None
+    def runs(lo):
+        """Take ``chunks[lo:]`` as runs, BATCH_CHUNKS at a time from the
+        end, each joined as its chunks are let go: no more than one run of
+        a frame's text is held twice."""
+        cut = []
+        while len(chunks) > lo:
+            at = max(lo, len(chunks) - BATCH_CHUNKS)
+            cut.append(("".join(chunks[at:]), len(chunks) - at - 1))
+            del chunks[at:]
+        cut.reverse()
+        return cut
+
+    def replay(half):
+        nonlocal weight
+        for text, extra in half:
+            emit(text)
+            weight += extra
+            if len(chunks) + weight >= BATCH_CHUNKS:
+                flush()
 
     def framed(d, nl):
-        nonlocal scope, framing, weight
+        nonlocal scope, framing
         if d.scope is not scope:
             # drop the last scope's halves first: one scope's at a time
             halves.clear()
@@ -337,16 +320,17 @@ def dump(obj, write) -> None:
                 obj_(d, nl)
                 return
             pos, inner = found[0]
-            cut = halves[(id(frame), nl)] = (
-                "".join(chunks[mark:pos]), inner, "".join(chunks[pos:]),
-                len(chunks) - mark - 2, frame)
-            del chunks[mark:]
-        emit(cut[0])
-        value(d.fill, cut[1])
-        emit(cut[2])
-        weight += cut[3]
-        if len(chunks) + weight >= BATCH_CHUNKS:
-            flush()
+            after = runs(pos)
+            cut = halves[(id(frame), nl)] = (runs(mark), inner, after, frame)
+        replay(cut[0])
+        fill, inner = d.fill, cut[1]
+        # a label list goes out as one chunk, as in a list
+        if type(fill) is list and (text := labels(fill, inner)) is not None:
+            emit(text)
+        else:
+            value(fill, inner)
+        replay(cut[2])
 
     value(obj, "\n")
-    flush()
+    if chunks:
+        flush()

@@ -466,8 +466,10 @@ DISCRETE16_MACHINE_SHA256 = "d51255ab9d7fedbdd28c1c535637592ffd33bee5262700cf028
 def test_discrete_sixteen_point_machine_verify_streams(discrete16, tmp_path):
     # about 535 MB of machine output, written in batches as it is encoded,
     # so it fits under the 1 GiB limit; the test hashes the stream rather
-    # than holding it.  The space is encoded once and replayed for the
-    # other 23 verdicts; the run takes about 5 s, within its own 60 s budget.
+    # than holding it.  The space is one framed payload: its frame's text
+    # is cut at the hole once, kept as batch-sized runs, and written around
+    # the space's value at the empty set in each of the 24 verdicts; the run
+    # takes about 3 s, within its own 60 s budget.
     env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
     sha = hashlib.sha256()
     start = time.perf_counter()
