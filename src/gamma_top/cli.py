@@ -17,8 +17,9 @@ An error while writing (a closed pipe, a full disk) can leave partial
 stdout; the exit code still says what happened.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
-2 input error, 3 out of memory, 130 interrupted, 141 stdout closed early
-(broken pipe, as a shell reports SIGPIPE).
+2 input error, 3 out of memory, 70 internal error (a bug; the traceback
+goes to stderr), 130 interrupted, 141 stdout closed early (broken pipe,
+as a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from . import documents, jsonout, theoremlab
 from .finspace import FinSpaceError
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_MEMORY = 3
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of sysexits.h
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
@@ -299,6 +302,10 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception:
+        # a bug, not a finding: never the counterexample code
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .finspace import (
     MAX_TABLE_POINTS,
     PointSet,
@@ -185,12 +185,14 @@ def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SpaceKey:
     """Enough data to rebuild a space bit-exactly (operation as a table:
-    ``gamma_values`` are its ``values``)."""
+    ``gamma_values`` are its ``values``), and the frame of its group
+    (``slice_frame``), if a walk made it."""
 
     points: tuple[str, ...]
     opens: tuple[int, ...]
     gamma_kind: str
     gamma_values: tuple[int, ...]
+    frame: dict | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """The space as JSON values, built on first use and then returned
@@ -198,18 +200,17 @@ class SpaceKey:
         other payload over the same points (``PointSet.label_list``), and
         its ``points`` and ``opens`` lists with every key on the same
         topology (``_opens_lists``).  No caller mutates a result, and none
-        may.  The payload is a ``jsonout.Framed`` on its group's frame
-        (``slice_frame``), scoped by the topology's ``opens`` list: it takes
-        everything but the label list of its value at the empty set from
-        the frame, and machine output writes the frame's text once per
-        group and indent, and each key as that text around its value at the
-        empty set.  A key made by ``of_slice`` shares its group's frame; any
-        other key, such as a document's, is a group of one and makes its own,
-        so the verdicts that carry it write its text once."""
+        may.  The payload is a ``jsonout.Framed`` on its group's frame,
+        scoped by the topology's ``opens`` list: it takes everything but the
+        label list of its value at the empty set from the frame, and machine
+        output writes the frame's text once per group and indent, and each
+        key as that text around its value at the empty set.  The keys of one
+        walk group share its ``frame``; any other key, such as a document's,
+        is a group of one and makes its own, so the verdicts that carry it
+        write its text once."""
         payload = self.__dict__.get("_payload")
         if payload is None:
-            # a key of a slice lets its frame go once it has a payload
-            frame = self.__dict__.pop("_frame", None) or self.slice_frame(
+            frame = self.frame or self.slice_frame(
                 self.points, self.opens, self.gamma_kind, self.gamma_values)
             fill = _ground(self.points).label_list(self.gamma_values[0])
             # a copy is allocated to size, unlike [fill, *tail]
@@ -236,15 +237,6 @@ class SpaceKey:
         values[0] = Framed.HOLE
         return {"gamma": {"kind": gamma_kind, "values": values},
                 "opens": opens_list, "points": points_list}
-
-    @classmethod
-    def of_slice(cls, points, opens, gamma_kind, gamma_values, frame: dict) -> SpaceKey:
-        """The key, with *frame* its group's ``slice_frame``: the keys of
-        one group share it, so it is built once per group, not once per
-        key, and machine output writes its text once per group."""
-        key = cls(points, opens, gamma_kind, gamma_values)
-        object.__setattr__(key, "_frame", frame)
-        return key
 
 
 def label_lists(points: tuple[str, ...], masks) -> list:

@@ -21,11 +21,12 @@ enumerations of (topology, operation) pairs; the miner searches the same
 enumerations for named separations or claim failures.  Both, and the
 bridge report, read the enumeration through one walk
 (``enumerate_slices``), which builds one ``Space`` per slice of operation
-values and groups the rows by slice.  They look up a status row, the
-bridge verdicts or the witnesses once per slice, and read a claim row or
-a list of separating subsets once per operator class (``_outcomes``,
-``_separations``); they add the slice's row count to their tallies, and
-visit a row, to build its key, only where they report it.  The audits
+values and groups the rows by slice, and through its one report loop
+(``TopologyRows.report``).  They look up a status row, the bridge
+verdicts or the witnesses once per slice, each computed once per
+operator class (``_status_row``, ``bridge_pairings``, ``_separations``);
+they add the slice's row count to their tallies, and the loop visits a
+row, to build its key, only where they report it.  The audits
 rebuild the four bundled example spaces and diff their published
 families against recomputation.
 """
@@ -100,13 +101,14 @@ CLAIMS: dict[str, Claim] = {}
 
 
 def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
-    """Register the decorated checker as claim *cid*, memoised per
-    operator class: a checker reads the operators, never the operation's
-    values.  ``check_claim`` tests the hypotheses first, through the flags
-    of ``SPACE_FLAGS``, which are memoised per class too."""
+    """Register the decorated checker as claim *cid*.  A checker reads the
+    operators, never the operation's values, but is not memoised itself:
+    a sweep or a mine runs it once per operator class, under
+    ``_status_row``, and ``run_suite`` once per space.  ``check_claim``
+    tests the hypotheses first, through the flags of ``SPACE_FLAGS``,
+    which are memoised per class."""
 
     def register(check):
-        check = per_operator_class(check)
         CLAIMS[cid] = Claim(cid, tier, hypotheses, statement, check)
         return check
 
@@ -751,24 +753,17 @@ def check_claim(sp: Space, claim_id: str) -> Verdict:
 
 
 @per_operator_class
-def _outcomes(sp: Space, ids: tuple) -> tuple:
-    """The (claim id, status, witness, notes) row of each claim in *ids*,
-    shared by the operator class: ``check_claim`` reads the space's key,
-    and the row keeps no part of it.  Witness and notes are shared too,
-    so a caller copies before it adds anything."""
-    rows = []
-    for cid in ids:
-        verdict = check_claim(sp, cid)
-        rows.append((cid, verdict.status, verdict.witness, verdict.notes))
-    return tuple(rows)
-
-
-@per_operator_class
 def _status_row(sp: Space, ids: tuple) -> tuple:
-    """``(statuses, failing rows)`` of ``_outcomes``: a sweep counts the
-    spaces per status tuple and reads only the failing rows per space."""
-    rows = _outcomes(sp, ids)
-    return tuple(row[1] for row in rows), tuple(row for row in rows if row[1] == "fails")
+    """``(statuses, failing rows)`` of the claims in *ids*: a sweep counts
+    the spaces per status tuple and reads only the failing rows, each
+    ``(claim id, status, witness, notes)``, per space.  Shared by the
+    operator class: ``check_claim`` reads the space's key, and a row keeps
+    no part of it.  Witness and notes are shared too, so a caller copies
+    before it adds anything."""
+    verdicts = [check_claim(sp, cid) for cid in ids]
+    return (tuple(v.status for v in verdicts),
+            tuple((v.claim_id, v.status, v.witness, v.notes)
+                  for v in verdicts if v.status == "fails"))
 
 
 # -- per-space report ------------------------------------------------------
@@ -842,7 +837,8 @@ class TopologyRows:
     ones.  A builtin or pivot is a group of one row.  ``groups`` holds
     ``(space, row count)`` per group, in the order of their first rows;
     *space* is the first space on the topology with the group's slice.
-    ``rows`` and ``keys`` visit the rows of the groups asked for, in
+    Every sweep, mine and bridge report reads the walk through
+    ``report``, which visits the rows of the groups that it reports, in
     operation index order, and no other row."""
 
     index: int
@@ -873,22 +869,28 @@ class TopologyRows:
             oi += len(block.empties) * m - len(dropped)
             g += m
 
-    def keys(self, chosen):
-        """Yield ``(operation index, group index, key)`` for each row of
-        the groups in *chosen*, in operation index order.  The keys of one
-        group share its frame (``SpaceKey.slice_frame``): by the lemma in
-        ``Space`` they differ only at the empty set, and a group has one
-        kind, so machine output writes the rest of their text once per
-        group.  The keys of one topology come out next to each other."""
+    def report(self, look):
+        """Call ``look(space, row count)`` once per group, in group order;
+        then yield ``(operation index, key, hit)`` for each row of a group
+        whose hit, the value of ``look``, is truthy, in operation index
+        order.  The keys of one group share its frame
+        (``SpaceKey.slice_frame``): by the lemma in ``Space`` they differ
+        only at the empty set, and a group has one kind, so machine output
+        writes the rest of their text once per group."""
+        hits = {}
+        for g, (sp, count) in enumerate(self.groups):
+            hit = look(sp, count)
+            if hit:
+                hits[g] = hit
         sp = self.groups[0][0]
         points, opens = sp.ground.labels, sp.top.opens_sorted
         frames = {}
-        for oi, extension, op, g in self.rows(chosen):
+        for oi, extension, op, g in self.rows(hits):
             kind = "table" if op is None else op.kind
             frame = frames.get(g)
             if frame is None:
                 frame = frames[g] = SpaceKey.slice_frame(points, opens, kind, extension)
-            yield oi, g, SpaceKey.of_slice(points, opens, kind, extension, frame)
+            yield oi, SpaceKey(points, opens, kind, extension, frame), hits[g]
 
 
 def enumerate_slices(n: int, modes, topo_range=None):
@@ -901,7 +903,8 @@ def enumerate_slices(n: int, modes, topo_range=None):
     ``Space``: such a row differs from it at most at the empty set.  So a
     block's values at the empty set are range-checked once per block.
     A slice's space takes the block's operation, or for the table block
-    the table of the slice's first row."""
+    the table of the slice's first row.  ``full_sweep``, ``mine`` and
+    ``bridge_report`` read each topology through ``TopologyRows.report``."""
     modes = parse_modes(modes)
     for ti, top in enumerate(enumerate_topologies(n)):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
@@ -934,7 +937,9 @@ def enumerate_spaces(n: int, modes):
     walk (``enumerate_slices``), in index order, one ``Space`` per row:
     the row's group space where its extension is the row's, and otherwise
     a new space, which differs from it at most at the empty set and so
-    shares its tables and memo."""
+    shares its tables and memo.  No command reads it; it stays here
+    because the benchmark's verify workload draws its documents from it,
+    and the tests use it as the per-space oracle of the walk."""
     for walk in enumerate_slices(n, modes):
         for oi, extension, op, g in walk.rows():
             sp = walk.groups[g][0]
@@ -1054,24 +1059,23 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     status_counts = Counter()
     stat_counts = Counter()
     topologies = 0
+
+    def look(sp, count):
+        """Count the group; its failing rows and violations, if any."""
+        statuses, failing = _status_row(sp, ids)
+        status_counts[statuses] += count
+        broken = ()
+        if invariants:
+            broken = check_invariants(sp)
+            closedness, idempotent, within = _space_discrepancies(sp)
+            # in the order of the statistics after "spaces"
+            stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += count
+        return (failing, broken) if failing or broken else None
+
     for walk in enumerate_slices(n, modes, topo_range):
         topologies += 1
         ti = walk.index
-        # the failing rows and violations of each group that has either
-        reported = {}
-        for g, (sp, count) in enumerate(walk.groups):
-            statuses, failing = _status_row(sp, ids)
-            status_counts[statuses] += count
-            broken = ()
-            if invariants:
-                broken = check_invariants(sp)
-                closedness, idempotent, within = _space_discrepancies(sp)
-                # in the order of the statistics after "spaces"
-                stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += count
-            if failing or broken:
-                reported[g] = failing, broken
-        for oi, g, key in walk.keys(reported):
-            failing, broken = reported[g]
+        for oi, key, (failing, broken) in walk.report(look):
             for cid, status, witness, notes in failing:
                 failures.append(Verdict(cid, key, status, witness,
                                         dict(notes, topology_index=ti, operation_index=oi)))
@@ -1129,23 +1133,27 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
         for name in PAIRINGS
     }
     spaces = 0
+
+    def look(sp, count):
+        """Count the group's failures; the (entry, witness) pairs of those
+        that an entry short of three witnesses may still take."""
+        nonlocal spaces
+        spaces += count
+        found = bridge_pairings(sp)
+        wanted = []
+        for name in PAIRINGS:
+            for prop in ("C-P4.10", "C-P4.11"):
+                witness = found[name][prop]
+                if witness is not None:
+                    entry = pairings[name][prop]
+                    entry["failures"] += count
+                    if len(entry["witnesses"]) < 3:
+                        wanted.append((entry, witness))
+        return wanted
+
     for walk in enumerate_slices(n, modes):
-        # per group, the (entry, witness) pairs of its failures that an
-        # entry short of three witnesses may still take
-        wanted = {}
-        for g, (sp, count) in enumerate(walk.groups):
-            spaces += count
-            found = bridge_pairings(sp)
-            for name in PAIRINGS:
-                for prop in ("C-P4.10", "C-P4.11"):
-                    witness = found[name][prop]
-                    if witness is not None:
-                        entry = pairings[name][prop]
-                        entry["failures"] += count
-                        if len(entry["witnesses"]) < 3:
-                            wanted.setdefault(g, []).append((entry, witness))
-        for oi, g, key in walk.keys(wanted):
-            for entry, witness in wanted[g]:
+        for oi, key, wanted in walk.report(look):
+            for entry, witness in wanted:
                 if len(entry["witnesses"]) < 3:
                     entry["witnesses"].append(dict(witness, space=key.to_dict(),
                                                    topology_index=walk.index,
@@ -1234,19 +1242,17 @@ def mine(n: int, op_mode, predicate: str) -> list:
         raise UnknownPredicate(
             f"unknown predicate {predicate!r}; known: {', '.join(PREDICATE_NAMES)}"
         )
+
+    def look(sp, _):
+        if claim_id is not None:
+            return [row[2] for row in _status_row(sp, (claim_id,))[1]]
+        return _separation_witnesses(sp, predicate)
+
     out = []
     for walk in enumerate_slices(n, modes):
-        found = {}
-        for g, (sp, _) in enumerate(walk.groups):
-            if claim_id is not None:
-                witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
-            else:
-                witnesses = _separation_witnesses(sp, predicate)
-            if witnesses:
-                found[g] = witnesses
         ti = walk.index
-        for oi, g, key in walk.keys(found):
-            out.extend(MinedWitness(ti, oi, key, witness) for witness in found[g])
+        for oi, key, witnesses in walk.report(look):
+            out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)
     return out
 
 

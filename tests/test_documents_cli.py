@@ -348,6 +348,21 @@ def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatc
         assert code == want and message in err, error
 
 
+def test_cli_internal_error_is_not_a_counterexample(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    # a file command, and the enumeration path, raised inside the sweep
+    monkeypatch.setattr(theoremlab, "run_suite", broken)
+    monkeypatch.setattr(theoremlab, "full_sweep", broken)
+    for argv in (("verify", doc_path("example3_2")),
+                 ("verify", "--enumerate", "2", "--ops", "builtins")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_SOFTWARE == 70, argv
+        assert code != cli.EXIT_COUNTEREXAMPLE
+        assert "Traceback" in err and "TypeError: a bug" in err, argv
+
+
 @pytest.mark.parametrize("argv", [
     # about 172 KB of output, more than a pipe holds: the writer meets the closed pipe
     pytest.param(("verify", "--enumerate", "3", "--ops", "builtins,pivots", "--claims", "all"),

@@ -189,7 +189,7 @@ def _group(empties, rest, opens=(0, 1, 3, 7), kind="table", points="abc"):
     set is each of *empties* in turn, the values at the other opens *rest*."""
     points = tuple(points)
     frame = theoremlab.SpaceKey.slice_frame(points, opens, kind, (empties[0],) + rest)
-    return [theoremlab.SpaceKey.of_slice(points, opens, kind, (e,) + rest, frame).to_dict()
+    return [theoremlab.SpaceKey(points, opens, kind, (e,) + rest, frame).to_dict()
             for e in empties]
 
 

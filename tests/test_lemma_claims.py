@@ -403,6 +403,6 @@ def test_lemma_decided_checkers_do_not_scan():
     # C-RO-INCL and the three ED claims read R0, whose helper holds their
     # only scan; C-RO-INCL's second part holds by expansiveness
     for cid in (*LEMMA_CLAIMS, *OPEN_ED_CLAIMS, "C-RO-INCL", *ED_CLAIM_ORACLES):
-        assert _loops(tl.CLAIMS[cid].check.__wrapped__) == 0, cid
+        assert _loops(tl.CLAIMS[cid].check) == 0, cid
     assert _loops(tl._fails_at_r0) == 0
     assert _loops(tl._first_ro_not_gamma_open) == 1

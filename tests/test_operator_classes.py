@@ -1,5 +1,5 @@
-"""Claim verdicts, families, flags, invariants, discrepancy statistics,
-sweep rows and separations are memoised per operator class: the spaces on
+"""Families, flags, invariants, discrepancy statistics, the claim rows of
+a sweep and separations are memoised per operator class: the spaces on
 one ``Topology`` object with equal int_g and cl_g tables share them
 (``gamma_core.per_operator_class``).  The tables themselves are built once
 per slice ``extension[1:]``, the operation's values at the non-empty
@@ -119,8 +119,8 @@ def test_class_memoised_code_reads_only_the_operators(walked):
         # a sweep row reads the key through check_claim and keeps none of it
         sentinel = object()
         keyed = _stand_in(sp, key=sentinel)
-        row = tl._outcomes(keyed, tl.CLAIM_IDS)
-        assert row == tl._outcomes(sp, tl.CLAIM_IDS)
+        row = tl._status_row(keyed, tl.CLAIM_IDS)
+        assert row == tl._status_row(sp, tl.CLAIM_IDS)
         assert not _holds(row, sentinel)
 
 
@@ -157,7 +157,8 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
         return per_operator_class(run) if memo else run
 
     for cid, claim in tl.CLAIMS.items():
-        check = counted(cid, claim.check.__wrapped__)
+        # a checker has no memo of its own: _status_row runs it once per class
+        check = counted(cid, claim.check, memo=False)
         monkeypatch.setitem(tl.CLAIMS, cid, dataclasses.replace(claim, check=check))
     for name in ("check_invariants", "_space_discrepancies"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name).__wrapped__))
@@ -213,8 +214,8 @@ def test_equal_topology_objects_share_no_memo(example3_2):
     # a space on the same object with the same operators shares the memo
     same = Space(first.ground, first.top, first.gamma)
     assert same._class_memo is first._class_memo
-    check = tl.CLAIMS["C-T3.8"].check
-    assert check(same) is check(first)
+    ids = tl.CLAIM_IDS
+    assert tl._status_row(same, ids) is tl._status_row(first, ids)
     # the key reads the operation, so it stays per space
     assert same.key is not first.key and same.key == first.key
 
@@ -240,10 +241,14 @@ def test_a_class_row_is_never_mutated(monkeypatch):
         # the failures of one space share one key
         assert keys.setdefault(at, v.space) is v.space
     assert len(keys) < len(first.failures)
+    # the memoised failing rows, and the notes every claim gives on every
+    # group space, holding rows included
     for walk in walks:
         for sp, _ in walk.groups:
-            for _, _, _, notes in tl._outcomes(sp, ids):
-                assert "topology_index" not in notes and "operation_index" not in notes
+            notes = [row[3] for row in tl._status_row(sp, ids)[1]]
+            notes += [tl.check_claim(sp, cid).notes for cid in ids]
+            for note in notes:
+                assert "topology_index" not in note and "operation_index" not in note
 
 
 def _point_values(sp):
@@ -322,16 +327,25 @@ def _listed(report):
 
 
 def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch, walked):
-    # every pass below reads one walk, so the claims run once
+    sweep_ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
+    cases = ((3, ("all_tables",), sweep_ids, 13),
+             (4, ("builtins", "pivots"), tl.CLAIM_IDS, 150),
+             # table rows join a builtin's slice, and the tables equal to
+             # a builtin are dropped
+             (3, ("builtins", "all_tables"), sweep_ids, 13))
+    # every pass below reads one walk, so the claims run once; each walk
+    # is built before the replay stands in for the real one
+    for n, modes, _, _ in cases:
+        walked(n, modes)
+
     def replay(n, modes, topo_range=None):
         lo, hi = topo_range or (0, math.inf)
         return (w for w in walked(n, tuple(modes))[0] if lo <= w.index < hi)
 
     monkeypatch.setattr(tl, "enumerate_slices", replay)
     recounts = {}
-    for n, modes, ids, cut in ((3, ("all_tables",), tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS, 13),
-                               (4, ("builtins", "pivots"), tl.CLAIM_IDS, 150)):
-        tallies, failures, stats = recounts[n] = _recount(walked(n, modes)[1], ids)
+    for n, modes, ids, cut in cases:
+        tallies, failures, stats = recounts[n, modes] = _recount(walked(n, modes)[1], ids)
         claims, invariants = tl.full_sweep(n, modes, ids)
         assert claims.spaces == stats["spaces"] == invariants.spaces
         assert claims.tallies == tallies
@@ -344,11 +358,12 @@ def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch, w
         assert head.spaces + tail.spaces == claims.spaces
         assert _listed(head) + _listed(tail) == failures
     # mine reads the same rows: the spaces where C-RO-INCL fails
-    hits = tl.mine(3, ("all_tables",), "fails:C-RO-INCL")
-    tallies, failures, _ = recounts[3]
-    assert len(hits) == tallies["C-RO-INCL"]["fails"] == 576
-    assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in hits] == [
-        f[1:] for f in failures if f[0] == "C-RO-INCL"]
+    for modes in (("all_tables",), ("builtins", "all_tables")):
+        hits = tl.mine(3, modes, "fails:C-RO-INCL")
+        tallies, failures, _ = recounts[3, modes]
+        assert len(hits) == tallies["C-RO-INCL"]["fails"] == 576, modes
+        assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in hits] == [
+            f[1:] for f in failures if f[0] == "C-RO-INCL"], modes
 
 
 def _oracle_rows(n, modes):

@@ -123,6 +123,37 @@ def test_bridge_pairings_on_examples(example3_2, example3_5):
         assert pairing_data["gamma_open_cl+standard"]["C-P4.11"] is None
 
 
+@pytest.mark.parametrize("n, modes", [
+    (3, ("builtins", "pivots")),
+    (2, ("all_tables",)),
+    # table rows join a builtin's slice, and the tables equal to a builtin
+    # are dropped
+    (3, ("builtins", "all_tables")),
+])
+def test_a_bridge_report_counts_what_a_per_space_recount_finds(n, modes):
+    report = tl.bridge_report(n, modes)
+    recount = {name: {prop: {"failures": 0, "witnesses": []} for prop in ("C-P4.10", "C-P4.11")}
+               for name in tl.PAIRINGS}
+    spaces = 0
+    for ti, oi, sp in tl.enumerate_spaces(n, modes):
+        spaces += 1
+        found = tl.bridge_pairings(sp)
+        for name in tl.PAIRINGS:
+            for prop, entry in recount[name].items():
+                witness = found[name][prop]
+                if witness is None:
+                    continue
+                entry["failures"] += 1
+                # the first three failing rows in (ti, oi) order
+                if len(entry["witnesses"]) < 3:
+                    entry["witnesses"].append(dict(witness, space=sp.key.to_dict(),
+                                                   topology_index=ti, operation_index=oi))
+    assert report.spaces == spaces
+    assert report.pairings == recount
+    # the recount is not vacuous
+    assert any(entry["witnesses"] for props in recount.values() for entry in props.values())
+
+
 def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example3_2, monkeypatch):
     # every real table is monotone: force a break at {a,b}, whose value
     # {a} no longer contains the value {b} of its subset {b}.  Results are
