@@ -12,9 +12,12 @@ is built in full first; ``jsonout.dump`` then writes it to stdout in
 batches, so the text is never held whole.  Every space a payload carries
 is framed: the spaces of one slice, or the one space of a document's
 verdicts, share a frame, whose text is written once around each space's
-value at the empty set.  Tier-1 pins these bytes against ``json.dumps``.
-An error while writing (a closed pipe, a full disk) can leave partial
-stdout; the exit code still says what happened.
+value at the empty set; and the records ``mine`` reports on one witness
+and one group of more than one row (a table slice) share a frame, written
+once around each record's operation index and value at the empty set.
+Tier-1 pins these bytes against ``json.dumps``.  An error while writing
+(a closed pipe, a full disk) can leave partial stdout; the exit code
+still says what happened.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 70 internal error (a bug; the traceback
@@ -35,7 +38,9 @@ from . import documents, jsonout, theoremlab
 from .finspace import FinSpaceError
 from .gamma_core import GammaError
 from .gamma_sets import FLAG_NAMES, classify_subset, gamma_open_family, regular_open_family, theta_families
-from .theoremlab import SAFE_CLAIMS, SweepReport, UnknownClaim, UnknownExample, UnknownPredicate
+from .theoremlab import (
+    SAFE_CLAIMS, SweepReport, UnknownClaim, UnknownExample, UnknownMode, UnknownPredicate,
+)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -58,7 +63,11 @@ def _emit(payload: dict | None, text: str, fmt: str):
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return documents.parse_space(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise documents.DocumentSyntaxError(f"document is not UTF-8 text: {exc.reason}") from None
+    return documents.parse_space(text)
 
 
 def _fam(sp, masks) -> str:
@@ -292,8 +301,9 @@ def main(argv=None) -> int:
         # the reader is gone; the flush at shutdown must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    # each its own class: a bare ValueError is a bug, not bad input
     except (documents.DocumentError, FinSpaceError, GammaError,
-            UnknownClaim, UnknownExample, UnknownPredicate, OSError, ValueError) as exc:
+            UnknownClaim, UnknownExample, UnknownMode, UnknownPredicate, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

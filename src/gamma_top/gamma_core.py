@@ -182,7 +182,7 @@ def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
     return ext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceKey:
     """Enough data to rebuild a space bit-exactly (operation as a table:
     ``gamma_values`` are its ``values``), and the frame of its group
@@ -193,6 +193,8 @@ class SpaceKey:
     gamma_kind: str
     gamma_values: tuple[int, ...]
     frame: dict | None = field(default=None, compare=False, repr=False)
+    # the payload, built by the first ``to_dict``
+    _payload: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """The space as JSON values, built on first use and then returned
@@ -208,7 +210,7 @@ class SpaceKey:
         walk group share its ``frame``; any other key, such as a document's,
         is a group of one and makes its own, so the verdicts that carry it
         write its text once."""
-        payload = self.__dict__.get("_payload")
+        payload = self._payload
         if payload is None:
             frame = self.frame or self.slice_frame(
                 self.points, self.opens, self.gamma_kind, self.gamma_values)
@@ -218,7 +220,7 @@ class SpaceKey:
             values[0] = fill
             payload = Framed(points=frame["points"], opens=frame["opens"],
                              gamma={"kind": self.gamma_kind, "values": values})
-            payload.frame, payload.fill, payload.scope = frame, fill, frame["opens"]
+            payload.frame, payload.fill, payload.scope = frame, (fill,), frame["opens"]
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload

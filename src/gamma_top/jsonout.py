@@ -25,25 +25,31 @@ with no Python call per item, one chunk per item; a label list in any
 other list goes out in its lead's chunk, and a dict's scalar members in
 their key's chunk.
 
-A ``Framed`` dict is one of many payloads that are equal but at one place,
-such as the space every verdict on a document carries, or the spaces of
-one slice, which differ only in the value at the empty set.  Its ``frame``
-is that shared shape, a value holding ``Framed.HOLE`` once where the
-payload holds its ``fill``.  Lemma: the text of a value is the
-concatenation of the texts of its parts, each at the indent its depth
-sets, so the payload's text is the frame's text with the hole's text
-replaced by the fill's text at the hole's indent.  ``dump`` cuts the
-frame's text at the hole once per frame and indent, keeps each half as
+A ``Framed`` dict is one of many payloads that are equal but at a few
+places, such as the space every verdict on a document carries, the spaces
+of one slice, which differ only in the value at the empty set, or the
+records ``mine`` reports on one slice and witness, which differ only in
+their operation index and that value.  Its ``frame`` is that shared shape,
+a value holding ``Framed.HOLE`` at each such place, and its ``fill`` a
+tuple holding the payload's value at each hole, in the order json writes
+them.  Lemma: the text of a value is the concatenation of the texts of its
+parts, each at the indent its depth sets, so the payload's text is the
+frame's text with the text of each of its k holes replaced by the text of
+the matching fill at that hole's indent.  ``dump`` cuts the frame's text at
+its holes once per frame and indent into k + 1 parts, keeps each part as
 runs of at most ``BATCH_CHUNKS`` chunks, each joined once, and writes each
-payload as the runs before the hole, the fill's text and the runs after
-it; each run counts as the chunks it joins when batches are cut, so a
-batch holds about as much text as unframed, and a frame of any size
-streams.  It keeps the halves of the frames met since the payloads'
-``scope`` last changed, and drops them all when a payload of another scope
-comes, so memory stays bounded by one scope's frames; every output places
-the payloads of one scope next to each other.  A frame is keyed by its
-identity, which is safe because each entry holds its frame; a frame
-without exactly one hole is no frame, and the payload is encoded in full.
+payload as the runs of the first part, then each fill's text followed by
+the runs of the next part.  When batches are cut, each run counts as the
+chunks it joins, and the first run after a hole one fewer, since unframed
+the fill would join the chunk before the hole; so a batch holds about as
+much text as unframed, and a frame of any size streams.  It keeps the
+parts of the frames met since the payloads' ``scope`` last changed, and
+drops them all when a payload of another scope comes, so memory stays
+bounded by one scope's frames; every output places the payloads of one
+scope next to each other.  A frame is keyed by its identity, which is
+safe because each entry holds its frame; a payload whose frame has
+another number of holes than it has fills is no framed payload, and is
+encoded in full.
 """
 
 from __future__ import annotations
@@ -73,11 +79,12 @@ _HOLE = _Hole()
 
 
 class Framed(dict):
-    """A dict equal to its ``frame`` but at the frame's one ``HOLE``, where
-    it holds ``fill``; the payloads that share a frame also share their
-    ``scope``, and no one mutates any of them once built.  ``dump`` may
-    write the frame's text around the fill's instead of encoding the dict;
-    json and every other reader see a plain dict."""
+    """A dict equal to its ``frame`` but at the frame's ``HOLE``s, where it
+    holds the items of the tuple ``fill``, in the order json writes them;
+    the payloads that share a frame also share their ``scope``, and no one
+    mutates any of them once built.  ``dump`` may write the frame's text
+    around the fills' instead of encoding the dict; json and every other
+    reader see a plain dict."""
 
     __slots__ = ("frame", "fill", "scope")
 
@@ -133,12 +140,13 @@ def dump(obj, write) -> None:
     texts = collections.defaultdict(dict)
     held = []
     # per (frame id, indent), for the frames of the current scope: the runs
-    # before the hole, the hole's indent, the runs after it, and the frame;
-    # a run is the text of at most BATCH_CHUNKS chunks and the number of
-    # chunks beyond one that it joins.  ``holes`` collects the (chunk
-    # index, indent) of each hole met, and no batch is written while
-    # ``framing`` frames are being encoded
-    halves = {}
+    # of the part before the first hole, a (hole's indent, runs of the part
+    # after it) step per hole, and the frame; a run is the text of at most
+    # BATCH_CHUNKS chunks and the number of chunks beyond one that it
+    # joins.  ``holes`` collects the (chunk index, indent) of each hole
+    # met, and no batch is written while ``framing`` frames are being
+    # encoded
+    parts = {}
     scope = None
     holes = []
     framing = 0
@@ -182,6 +190,8 @@ def dump(obj, write) -> None:
             array(v, nl)
         elif t is dict:
             obj_(v, nl)
+        elif t is Framed:
+            framed(v, nl)
         elif t is int:
             emit(int.__repr__(v))
         elif v is None:
@@ -192,8 +202,9 @@ def dump(obj, write) -> None:
             emit("false")
         elif t is float:
             emit(_float(v))
-        elif t is Framed:
-            framed(v, nl)
+        elif v is _HOLE and framing:
+            # outside a frame a hole is no JSON value, and raises below
+            holes.append((len(chunks), nl))
         # subclasses, in the order json tests them
         elif isinstance(v, str):
             emit(_string(v))
@@ -205,8 +216,6 @@ def dump(obj, write) -> None:
             array(v, nl)
         elif isinstance(v, dict):
             obj_(v, nl)
-        elif v is _HOLE:
-            holes.append((len(chunks), nl))
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -292,9 +301,9 @@ def dump(obj, write) -> None:
         cut.reverse()
         return cut
 
-    def replay(half):
+    def replay(part):
         nonlocal weight
-        for text, extra in half:
+        for text, extra in part:
             emit(text)
             weight += extra
             if len(chunks) + weight >= BATCH_CHUNKS:
@@ -303,33 +312,48 @@ def dump(obj, write) -> None:
     def framed(d, nl):
         nonlocal scope, framing
         if d.scope is not scope:
-            # drop the last scope's halves first: one scope's at a time
-            halves.clear()
+            # drop the last scope's parts first: one scope's at a time
+            parts.clear()
             scope = d.scope
         frame = d.frame
-        cut = halves.get((id(frame), nl))
-        if cut is None:
+        entry = parts.get((id(frame), nl))
+        if entry is None:
             mark, seen = len(chunks), len(holes)
             framing += 1
             value(frame, nl)
             framing -= 1
             found = holes[seen:]
             del holes[seen:]
-            if len(found) != 1:
-                del chunks[mark:]
-                obj_(d, nl)
-                return
-            pos, inner = found[0]
-            after = runs(pos)
-            cut = halves[(id(frame), nl)] = (runs(mark), inner, after, frame)
-        replay(cut[0])
-        fill, inner = d.fill, cut[1]
-        # a label list goes out as one chunk, as in a list
-        if type(fill) is list and (text := labels(fill, inner)) is not None:
-            emit(text)
-        else:
-            value(fill, inner)
-        replay(cut[2])
+            # cut from the last hole back, each part's chunks let go as
+            # they are joined.  A fill goes out as one chunk, which
+            # unframed would join the chunk before it (its key's or its
+            # lead's), so the first run after each hole counts one less
+            steps = []
+            for pos, inner in reversed(found):
+                part = runs(pos)
+                if part:
+                    part[0] = (part[0][0], part[0][1] - 1)
+                steps.append((inner, part))
+            steps.reverse()
+            entry = parts[(id(frame), nl)] = (runs(mark), steps, frame)
+        first, steps, _ = entry
+        fills = d.fill
+        if len(fills) != len(steps):
+            obj_(d, nl)
+            return
+        replay(first)
+        i = 0
+        for inner, part in steps:
+            fill = fills[i]
+            i += 1
+            # a label list goes out as one chunk, as in a list; an int too
+            if type(fill) is list and (text := labels(fill, inner)) is not None:
+                emit(text)
+            elif type(fill) is int:
+                emit(int.__repr__(fill))
+            else:
+                value(fill, inner)
+            replay(part)
 
     value(obj, "\n")
     if chunks:

@@ -349,18 +349,39 @@ def test_cli_out_of_memory_and_interrupt_have_their_own_codes(capsys, monkeypatc
 
 
 def test_cli_internal_error_is_not_a_counterexample(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("a bug")
+    # a ValueError too: bad input raises its own subclass, so a bare one is a bug
+    for error in (TypeError, ValueError):
+        def broken(*args, **kwargs):
+            raise error("a bug")
 
-    # a file command, and the enumeration path, raised inside the sweep
-    monkeypatch.setattr(theoremlab, "run_suite", broken)
-    monkeypatch.setattr(theoremlab, "full_sweep", broken)
-    for argv in (("verify", doc_path("example3_2")),
-                 ("verify", "--enumerate", "2", "--ops", "builtins")):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == cli.EXIT_SOFTWARE == 70, argv
-        assert code != cli.EXIT_COUNTEREXAMPLE
-        assert "Traceback" in err and "TypeError: a bug" in err, argv
+        # a file command, and the enumeration path, raised inside the sweep
+        monkeypatch.setattr(theoremlab, "run_suite", broken)
+        monkeypatch.setattr(theoremlab, "full_sweep", broken)
+        for argv in (("verify", doc_path("example3_2")),
+                     ("verify", "--enumerate", "2", "--ops", "builtins")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == cli.EXIT_SOFTWARE == 70, (error, argv)
+            assert code != cli.EXIT_COUNTEREXAMPLE
+            assert "Traceback" in err and f"{error.__name__}: a bug" in err, (error, argv)
+
+
+def test_cli_unknown_operation_mode_is_an_input_error(capsys):
+    for argv in (("verify", "--enumerate", "2", "--ops", "bogus"),
+                 ("verify", "--enumerate", "2", "--ops", ","),
+                 ("mine", "--n", "2", "--ops", "builtins,bogus", "--predicate", "regular_open_not_clopen"),
+                 ("mine", "--n", "2", "--ops", ",", "--predicate", "regular_open_not_clopen")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_INPUT, ""), argv
+        assert err.startswith("error:") and "operation mode" in err, argv
+
+
+def test_cli_non_utf8_document_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"points": ["\xe9"]}')
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (cli.EXIT_INPUT, ""), command
+        assert err.startswith("error: document is not UTF-8 text"), command
 
 
 @pytest.mark.parametrize("argv", [

@@ -127,7 +127,9 @@ def test_a_label_text_lasts_one_call():
     assert jsonout.dumps(obj) == oracle(obj) != first
 
 
-@pytest.mark.parametrize("obj", [{1, 2}, {"a": [frozenset()]}, [object()], {(1,): 2}, {1: 1, "a": 2}])
+# the last: a hole outside any frame
+@pytest.mark.parametrize("obj", [{1, 2}, {"a": [frozenset()]}, [object()], {(1,): 2}, {1: 1, "a": 2},
+                                 [1, jsonout.Framed.HOLE]])
 def test_unsupported_types_raise(obj):
     with pytest.raises(TypeError):
         jsonout.dumps(obj)
@@ -178,10 +180,24 @@ def _space(points="abc", opens=(0, 1, 3, 7)):
 
 def _framed(payload, frame, fill, scope=None):
     """*payload* as a ``Framed`` on *frame*, which holds ``Framed.HOLE``
-    where *payload* holds *fill*."""
+    where *payload* holds the items of the tuple *fill*, in json order."""
     framed = jsonout.Framed(payload)
     framed.frame, framed.fill, framed.scope = frame, fill, scope
     return framed
+
+
+def _records(keys, witnesses, ti=0):
+    """The records ``mine`` reports on the slice *keys* (the payloads of
+    ``_group``), one per key and witness in that order, framed by witness
+    as ``mine`` frames a group of more than one row: the record frame
+    holds ``Framed.HOLE`` at the operation index and the slice frame as
+    the space."""
+    hole = jsonout.Framed.HOLE
+    frames = [{"operation_index": hole, "space": keys[0].frame, "topology_index": ti,
+               "witness": w} for w in witnesses]
+    return [_framed({"operation_index": oi, "space": key, "topology_index": ti, "witness": w},
+                    frame, (oi,) + key.fill, key.scope)
+            for oi, key in enumerate(keys) for w, frame in zip(witnesses, frames)]
 
 
 def _group(empties, rest, opens=(0, 1, 3, 7), kind="table", points="abc"):
@@ -196,20 +212,32 @@ def _group(empties, rest, opens=(0, 1, 3, 7), kind="table", points="abc"):
 def _shared_cases():
     hole = jsonout.Framed.HOLE
     a = _space()
-    b = _framed({"b": [1, ["x"]], "c": {}}, {"b": hole, "c": {}}, [1, ["x"]])
+    b = _framed({"b": [1, ["x"]], "c": {}}, {"b": hole, "c": {}}, ([1, ["x"]],))
     # a frame of several runs on each side of its hole
     rows = [{"i": i, "l": ["a", "b"][: i % 3]} for i in range(2 * jsonout.BATCH_CHUNKS)]
     half = jsonout.BATCH_CHUNKS
-    big = _framed({"rows": rows}, {"rows": rows[:half] + [hole] + rows[half + 1:]}, rows[half])
-    # a frame that is all hole: both halves are empty
-    empty = _framed({}, hole, {})
+    big = _framed({"rows": rows}, {"rows": rows[:half] + [hole] + rows[half + 1:]}, (rows[half],))
+    # a frame that is all hole: both parts are empty
+    empty = _framed({}, hole, ({},))
+    # two holes in one dict, the second a label list
+    pair_frame = {"i": hole, "l": hole, "x": [1]}
+    pairs = [_framed({"i": i, "l": LABELS[:i], "x": [1]}, pair_frame, (i, LABELS[:i]))
+             for i in range(3)]
+    # holes at two depths: a dict value and a list item
+    deep_frame = {"a": hole, "b": [{"c": [0, hole, 2]}, "d"]}
+    deep = [_framed({"a": a, "b": [{"c": [0, i, 2]}, "d"]}, deep_frame, (a, i)) for i in (1, 5)]
+    # more holes than fills, and fewer: no frames
+    more = _framed({"i": 1, "l": ["a"], "x": [1]}, pair_frame, (1,))
+    fewer = _framed({"i": 1, "l": ["a"], "x": [1]}, pair_frame, (1, ["a"], 2))
+    # no holes and no fills: the frame's text is the payload's
+    still = _framed({"x": [1, "y"]}, {"x": [1, "y"]}, ())
     g1 = _group((0, 2, 4, 6), (1, 3, 7))
     g2 = _group((5, 2, 0), (3, 7, 7))
-    # another topology, then the first again: its halves are made anew
+    # another topology, then the first again: its parts are made anew
     other = _group((0, 1), (2, 7), opens=(0, 2, 7))
-    # frames that are no frames, with no hole or two, are encoded in full;
-    # a deep copy keeps its hole
-    holeless = _framed(a, dict(a), [])
+    # frames with no hole or two for one fill are no frames, and are
+    # encoded in full; a deep copy keeps its hole
+    holeless = _framed(a, dict(a), ([],))
     twice = copy.copy(g1[1])
     twice.frame = [hole, hole]
     return {
@@ -222,14 +250,21 @@ def _shared_cases():
         "fill also an open": _group((0, 1, 3, 7), (1, 3, 7)),
         # a slice key's payload inside another frame
         "framed in shared": [_framed({"s": g1[0], "t": [g1[1], g1[0]]},
-                                     {"s": g1[0], "t": [g1[1], hole]}, g1[0]), g1[2]],
+                                     {"s": g1[0], "t": [g1[1], hole]}, (g1[0],)), g1[2]],
         "framed at depths": {"a": g1[0], "b": [[g1[1]], {"c": g1[0]}], "d": g2},
         "framed repeats": g1 * (3 * jsonout.BATCH_CHUNKS // 20),
         "not frames": [holeless, twice, copy.deepcopy(g1[2]), g1[2]],
+        "two holes": [pairs[0], pairs[1], {"k": pairs[2]}, pairs[1]],
+        "holes at two depths": [deep[0], {"x": deep[1]}, deep[1], deep[0]],
+        # a group's records on two witnesses alternate, as mine writes them
+        "record frames interleaved": {"witnesses": _records(g1, [{"subset": ["a"]},
+                                                                  {"subset": LABELS}])},
+        "fills not matching holes": [more, pairs[1], fewer, pairs[1], more],
+        "no holes": [still, {"k": still}, still],
         "verify": {"verdicts": [{"claim": f"C-{i}", "space": a} for i in range(24)]},
         "two depths": {"a": a, "deeper": [{"x": [a, a]}], "z": a},
         "interleaved": [a, b, a, b, b, a],
-        "nested": [_framed({"inner": a, "again": a}, {"inner": hole, "again": a}, a), a, {"inner": a}],
+        "nested": [_framed({"inner": a, "again": a}, {"inner": hole, "again": a}, (a,)), a, {"inner": a}],
         "empty": [empty, empty, {"e": empty}],
         "root": a,
         "small repeats": [a] * (3 * jsonout.BATCH_CHUNKS // 10),
@@ -278,7 +313,7 @@ def test_a_repeated_shared_payload_is_encoded_once(monkeypatch):
 
 
 def test_a_frame_text_lasts_one_call():
-    # the halves of a frame are kept for one call: mutated between two
+    # the parts of a frame are kept for one call: mutated between two
     # calls, frame and payloads are encoded again with their new content
     group = _group((0, 4), (1, 3, 7))
     first = jsonout.dumps(group)
@@ -359,14 +394,31 @@ def _mine_shaped_slices(plain):
     return records
 
 
+def _mine_shaped_records(plain):
+    """Mined witnesses as ``mine`` frames a group of more than one row:
+    one group of one to three keys and one or two witnesses per topology,
+    each key's records in a row, one record frame per witness."""
+    rng = random.Random(3)
+    records = []
+    for ti in range(1000):
+        opens = tuple(sorted({0, 7} | {rng.randrange(8) for _ in range(3)}))
+        keys = _group(tuple(range(1 + ti % 3)), opens[1:], opens=opens)
+        witnesses = [{"subset": ["a", "b", "c"][: k + 1]} for k in range(1 + ti % 2)]
+        for record in _records(keys, witnesses, ti):
+            records.append(dict(record, space=dict(record["space"])) if plain else record)
+    return records
+
+
 def test_framed_payloads_keep_the_batches():
-    # a framed space counts as the chunks of its frame, not as its three:
-    # the writes and their sizes stay those of plain copies
-    framed, plain = [], []
-    jsonout.dump(_mine_shaped_slices(False), framed.append)
-    jsonout.dump(_mine_shaped_slices(True), plain.append)
-    assert_same_text("".join(framed), "".join(plain))
-    assert len(plain) > 10
-    assert abs(len(framed) - len(plain)) <= 0.1 * len(plain)
-    largest = max(map(len, plain))
-    assert abs(max(map(len, framed)) - largest) <= 0.1 * largest
+    # a framed space counts as the chunks of its frame, not as its three,
+    # and a framed record as those of its frame, not as its runs: the
+    # writes and their sizes stay those of plain copies
+    for shaped in (_mine_shaped_slices, _mine_shaped_records):
+        framed, plain = [], []
+        jsonout.dump(shaped(False), framed.append)
+        jsonout.dump(shaped(True), plain.append)
+        assert_same_text("".join(framed), "".join(plain))
+        assert len(plain) > 10
+        assert abs(len(framed) - len(plain)) <= 0.1 * len(plain), shaped.__name__
+        largest = max(map(len, plain))
+        assert abs(max(map(len, framed)) - largest) <= 0.1 * largest, shaped.__name__

@@ -36,6 +36,14 @@ def _cases():
         argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", predicate,
                 "--format", "machine")
         yield f"mine3-tables-{predicate}-t1", argv
+    # the text report reads the records that machine output writes framed
+    yield "mine3-tables-gamma_open_not_theta_open-text", (
+        "mine", "--n", "3", "--ops", "all_tables", "--predicate", "gamma_open_not_theta_open",
+        "--format", "text")
+    # every builtin and pivot row is a group of one: plain records only
+    yield "mine4-regular_open_not_clopen-t1", ("mine", "--n", "4", "--ops", "builtins,pivots",
+                                               "--predicate", "regular_open_not_clopen",
+                                               "--format", "machine")
     # mixed modes: a builtin's one-row group and table rows on one topology
     yield "mine3-mixed-t1", ("mine", "--n", "3", "--ops", "builtins,all_tables",
                              "--predicate", "gamma_open_not_regular_open", "--format", "machine")
@@ -82,6 +90,8 @@ GOLDEN = {
     "mine3-tables-regular_open_not_gamma_open-t1": ("365eb2a2a08fde84916b6fabda86450ce5deecd70a248bdca108d2858b0a45e3", 0),
     "mine3-tables-theta_open_not_regular_open-t1": ("8d22d6345346918bc0efdb5ced8ab7c07b8522f9f70588f32ddd65e4149681d4", 0),
     "mine3-tables-fails:C-RO-INCL-t1": ("fd401a13261555af544bd95db0cb368201f9df708f610a9cc5d52327528b971a", 0),
+    "mine3-tables-gamma_open_not_theta_open-text": ("4bfee069b5afdcf97653c0c67fb3879bfaecb56c26a42937d60a69060d956090", 0),
+    "mine4-regular_open_not_clopen-t1": ("201cd58c282083f41377edb3090ae5bc2e6296a8a67bb30363635ddd68ea0e8a", 0),
     "mine3-mixed-t1": ("a38eb545a29bf6892cd1f3fb9f4510920e7e77febe0ad083e0d77a7432713ec2", 0),
     "sweep3-mixed-all-t1": ("e034c2e6957ce9d99624f40a8b97561aeb77176f168d287401e1b2276f1ad540", 1),
 }

@@ -4,7 +4,7 @@ import pytest
 
 from gamma_top.finspace import PointSet, SizeTooLarge, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space
-from gamma_top import theoremlab as tl
+from gamma_top import jsonout, theoremlab as tl
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -201,6 +201,27 @@ def test_mine_is_superset_stable():
         return (w.space.opens, w.space.gamma_values, tuple(w.witness["subset"]))
 
     assert {signature(w) for w in small} <= {signature(w) for w in large}
+
+
+def test_mine_frames_the_records_of_groups_of_more_than_one_row():
+    # a table slice is a group of several rows: its records are framed,
+    # one frame per group and witness; a builtin is a group of one row
+    found = tl.mine(3, "builtins,all_tables", "gamma_open_not_regular_open")
+    kinds = {"table": 0, "builtin": 0}
+    frames = {}
+    for w in found:
+        record = w.to_dict()
+        assert record == {"topology_index": w.topology_index, "operation_index": w.operation_index,
+                          "space": w.space.to_dict(), "witness": w.witness}
+        framed = type(record) is jsonout.Framed
+        assert framed == (w.space.gamma_kind == "table")
+        kinds["table" if framed else "builtin"] += 1
+        if framed:
+            assert record.fill == (w.operation_index, w.space.to_dict()["gamma"]["values"][0])
+            assert record.frame["space"] is w.space.frame
+            shared = frames.setdefault((id(w.space.frame), id(w.witness)), record.frame)
+            assert record.frame is shared
+    assert kinds["table"] > len(frames) > 0 and kinds["builtin"] > 0
 
 
 def test_mine_guards():
