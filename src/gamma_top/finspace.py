@@ -347,13 +347,17 @@ def enumerate_topologies(n: int):
     """Yield every labelled topology on *n* points exactly once.
 
     Topologies are produced in ascending order of their sorted open-set
-    tuples, so enumeration indices are stable across runs.
+    tuples, so enumeration indices are stable across runs.  *n* is checked
+    at the call, before the first topology is asked for.
     """
     if not 1 <= n <= MAX_ENUMERATION_POINTS:
         raise SizeTooLarge(
             f"exhaustive topology enumeration supports 1..{MAX_ENUMERATION_POINTS} points"
         )
-    ground = PointSet(DEFAULT_LABELS[:n])
-    families = sorted(_upsets(rows, n) for rows in _directed_preorders(n))
-    for fam in families:
-        yield Topology(ground, frozenset(fam))
+
+    def topologies():
+        ground = PointSet(DEFAULT_LABELS[:n])
+        for fam in sorted(_upsets(rows, n) for rows in _directed_preorders(n)):
+            yield Topology(ground, frozenset(fam))
+
+    return topologies()

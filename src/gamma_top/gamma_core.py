@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from .finspace import (
     MAX_TABLE_POINTS,
     PointSet,
+    SizeTooLarge,
     Topology,
     closure,
     inside_table,
@@ -89,8 +90,8 @@ class InvalidOperation(GammaError):
     pass
 
 
-class TableModeTooLarge(GammaError):
-    pass
+class TableModeTooLarge(GammaError, SizeTooLarge):
+    """Tables are enumerated over at most ``MAX_TABLE_POINTS`` points."""
 
 
 # a builtin kind is the pivot branch it applies to every open
@@ -442,14 +443,20 @@ def is_open_operation(sp: Space) -> bool:
     return all(ig[g] == g for g in ig)
 
 
+def check_table_points(n: int) -> None:
+    """Raise ``TableModeTooLarge`` unless tables over *n* points are
+    enumerated."""
+    if n > MAX_TABLE_POINTS:
+        raise TableModeTooLarge(
+            f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
+        )
+
+
 def _table_options(top: Topology) -> list[list[int]]:
     """Per open of ``top.opens_sorted``, its supersets ascending: the
     values an expansive table takes there (ground sets of at most 3
     points)."""
-    if top.ground.n > MAX_TABLE_POINTS:
-        raise TableModeTooLarge(
-            f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets"
-        )
+    check_table_points(top.ground.n)
     full = top.ground.full_mask
     return [sorted(v | s for s in submasks(full ^ v)) for v in top.opens_sorted]
 

@@ -20,10 +20,8 @@ returns, and the memo holds each list it keys as well, so no other object
 can take that identity; a payload is not mutated while it is written.  The
 memo lives for one call, so a list mutated between two calls is written
 with its new content, and it holds one text per distinct label list and
-indent.  A list of label lists, such as ``opens``, goes out in one loop
-with no Python call per item, one chunk per item; a label list in any
-other list goes out in its lead's chunk, and a dict's scalar members in
-their key's chunk.
+indent.  Each list item and dict member goes out one way: its lead (the
+item's separator, or the member's key) as one chunk, then its value.
 
 A ``Framed`` dict is one of many payloads that are equal but at a few
 places, such as the space every verdict on a document carries, the spaces
@@ -40,16 +38,14 @@ its holes once per frame and indent into k + 1 parts, keeps each part as
 runs of at most ``BATCH_CHUNKS`` chunks, each joined once, and writes each
 payload as the runs of the first part, then each fill's text followed by
 the runs of the next part.  When batches are cut, each run counts as the
-chunks it joins, and the first run after a hole one fewer, since unframed
-the fill would join the chunk before the hole; so a batch holds about as
-much text as unframed, and a frame of any size streams.  It keeps the
-parts of the frames met since the payloads' ``scope`` last changed, and
-drops them all when a payload of another scope comes, so memory stays
-bounded by one scope's frames; every output places the payloads of one
-scope next to each other.  A frame is keyed by its identity, which is
-safe because each entry holds its frame; a payload whose frame has
-another number of holes than it has fills is no framed payload, and is
-encoded in full.
+chunks it joins, so a batch holds about as much text as unframed, and a
+frame of any size streams.  It keeps the parts of the frames met since
+the payloads' ``scope`` last changed, and drops them all when a payload
+of another scope comes, so memory stays bounded by one scope's frames;
+every output places the payloads of one scope next to each other.  A
+frame is keyed by its identity, which is safe because each entry holds
+its frame; a payload whose frame has another number of holes than it
+has fills is no framed payload, and is encoded in full.
 """
 
 from __future__ import annotations
@@ -226,34 +222,10 @@ def dump(obj, write) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        if type(items[0]) is list:
-            # a list of label lists, such as a space's opens: each item's
-            # text is looked up, or made once, and goes out as one chunk
-            memo = texts[inner]
-            got = list(map(memo.get, map(id, items)))
-            if None in got:
-                for i, text in enumerate(got):
-                    if text is None:
-                        item = items[i]
-                        if type(item) is not list or (text := labels(item, inner)) is None:
-                            break
-                        got[i] = text
-            if None not in got:
-                emit("[" + inner + got[0])
-                for lo in range(1, len(got), BATCH_CHUNKS):
-                    chunks.extend(map(sep.__add__, got[lo:lo + BATCH_CHUNKS]))
-                    if len(chunks) >= BATCH_CHUNKS:
-                        flush()
-                emit(nl + "]")
-                return
         lead = "[" + inner
         for item in items:
-            # a label list goes out in its lead's chunk
-            if type(item) is list and (text := labels(item, inner)) is not None:
-                emit(lead + text)
-            else:
-                emit(lead)
-                value(item, inner)
+            emit(lead)
+            value(item, inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:
                 flush()
@@ -267,23 +239,8 @@ def dump(obj, write) -> None:
         sep = "," + inner
         lead = "{" + inner
         for k in sorted(d):
-            v = d[k]
-            t = type(v)
-            head = lead + (_string(k) if type(k) is str else _key(k)) + ": "
-            # a scalar member goes out in its key's chunk
-            if t is str:
-                emit(head + _string(v))
-            elif t is int:
-                emit(head + int.__repr__(v))
-            elif v is None:
-                emit(head + "null")
-            elif v is True:
-                emit(head + "true")
-            elif v is False:
-                emit(head + "false")
-            else:
-                emit(head)
-                value(v, inner)
+            emit(lead + (_string(k) if type(k) is str else _key(k)) + ": ")
+            value(d[k], inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:
                 flush()
@@ -325,15 +282,8 @@ def dump(obj, write) -> None:
             found = holes[seen:]
             del holes[seen:]
             # cut from the last hole back, each part's chunks let go as
-            # they are joined.  A fill goes out as one chunk, which
-            # unframed would join the chunk before it (its key's or its
-            # lead's), so the first run after each hole counts one less
-            steps = []
-            for pos, inner in reversed(found):
-                part = runs(pos)
-                if part:
-                    part[0] = (part[0][0], part[0][1] - 1)
-                steps.append((inner, part))
+            # they are joined
+            steps = [(inner, runs(pos)) for pos, inner in reversed(found)]
             steps.reverse()
             entry = parts[(id(frame), nl)] = (runs(mark), steps, frame)
         first, steps, _ = entry
@@ -346,7 +296,7 @@ def dump(obj, write) -> None:
         for inner, part in steps:
             fill = fills[i]
             i += 1
-            # a label list goes out as one chunk, as in a list; an int too
+            # a label list or an int is the one chunk value() would make
             if type(fill) is list and (text := labels(fill, inner)) is not None:
                 emit(text)
             elif type(fill) is int:

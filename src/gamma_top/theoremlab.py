@@ -42,10 +42,7 @@ from functools import lru_cache, partial
 
 from . import documents
 from .finspace import (
-    MAX_ENUMERATION_POINTS,
-    MAX_TABLE_POINTS,
     PointSet,
-    SizeTooLarge,
     bits_of,
     enumerate_topologies,
     validate_topology,
@@ -54,6 +51,7 @@ from .gamma_core import (
     GammaOperation,
     Space,
     SpaceKey,
+    check_table_points,
     is_open_operation,
     is_regular_operation,
     operations_for,
@@ -909,9 +907,20 @@ def enumerate_slices(n: int, modes, topo_range=None):
     block's values at the empty set are range-checked once per block.
     A slice's space takes the block's operation, or for the table block
     the table of the slice's first row.  ``full_sweep``, ``mine`` and
-    ``bridge_report`` read each topology through ``TopologyRows.report``."""
+    ``bridge_report`` read each topology through ``TopologyRows.report``.
+
+    The modes, *n* and the table limit are checked at the call, before
+    the first topology is asked for."""
     modes = parse_modes(modes)
-    for ti, top in enumerate(enumerate_topologies(n)):
+    tops = enumerate_topologies(n)
+    if "all_tables" in modes:
+        check_table_points(n)
+    return _walk(tops, modes, topo_range)
+
+
+def _walk(tops, modes, topo_range):
+    """The walk ``enumerate_slices`` returns, over the topologies *tops*."""
+    for ti, top in enumerate(tops):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
             continue
         ground = top.ground
@@ -1260,14 +1269,8 @@ def mine(n: int, op_mode, predicate: str) -> list:
     ``mine --n 4 --ops builtins,pivots --format machine`` from about 211
     to 261 ms on ``gamma_open_not_regular_open`` and from 184 to 218 ms
     on ``regular_open_not_clopen`` (medians of 6, 2-core VM)."""
-    modes = parse_modes(op_mode)
-    if not 1 <= n <= MAX_ENUMERATION_POINTS:
-        # checked before the predicate, with the walk's own message
-        raise SizeTooLarge(
-            f"exhaustive topology enumeration supports 1..{MAX_ENUMERATION_POINTS} points"
-        )
-    if "all_tables" in modes and n > MAX_TABLE_POINTS:
-        raise SizeTooLarge(f"table enumeration is limited to {MAX_TABLE_POINTS}-point ground sets")
+    # the walk checks its sizes at the call, before the predicate is read
+    walks = enumerate_slices(n, op_mode)
     claim_id = None
     if predicate.startswith("fails:"):
         claim_id = predicate[len("fails:"):]
@@ -1288,7 +1291,7 @@ def mine(n: int, op_mode, predicate: str) -> list:
         return (witnesses, count) if witnesses else None
 
     out = []
-    for walk in enumerate_slices(n, modes):
+    for walk in walks:
         ti = walk.index
         # per group frame's id, the group's record frames, which hold it
         records = {}

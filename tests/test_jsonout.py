@@ -285,6 +285,77 @@ def test_shared_payloads_match_json_dumps(name):
         assert len(pieces) > 3
 
 
+# a fill: any value, and label lists (one shared, as keys share theirs),
+# ints, dicts and nested lists in particular
+fills = (values | st.just(LABELS) | st.lists(st.text(max_size=3), min_size=1, max_size=4)
+         | st.integers() | st.dictionaries(st.text(max_size=4), values, max_size=3)
+         | st.lists(st.lists(st.text(max_size=3), max_size=3), max_size=3))
+
+
+def _punch(v, draw):
+    """A frame of *v*: *v* with about one in four of its list items and
+    dict members (drawn) replaced by ``Framed.HOLE``, so that a frame has
+    parts of several chunks, whose weight the batches must count."""
+    def hole():
+        return draw(st.integers(0, 3)) == 3
+
+    if isinstance(v, dict):
+        return {k: jsonout.Framed.HOLE if hole() else _punch(x, draw) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return type(v)(jsonout.Framed.HOLE if hole() else _punch(x, draw) for x in v)
+    return v
+
+
+def _fill(frame, fill):
+    """*frame* with each hole replaced by a call of *fill*, in the order
+    json writes them."""
+    if frame is jsonout.Framed.HOLE:
+        return fill()
+    if isinstance(frame, dict):
+        return {k: _fill(frame[k], fill) for k in sorted(frame)}
+    if isinstance(frame, (list, tuple)):
+        return type(frame)(_fill(x, fill) for x in frame)
+    return frame
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), values, max_size=5), st.data())
+def test_framed_payloads_match_json_dumps(root, data):
+    frame = _punch(root, data.draw)
+    holes = []
+    _fill(frame, lambda: holes.append(None))
+    # payloads on one frame, each with its own fills
+    framed = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        fill = tuple(data.draw(fills) for _ in holes)
+        framed.append(_framed(_fill(frame, iter(fill).__next__), frame, fill))
+    obj = [framed, {"k": framed[-1]}] + framed
+    assert_same_text(jsonout.dumps(obj), oracle(obj))
+    # copies enough for a few batches (a line is about two chunks): a
+    # framed payload counts as the chunks it stands for, so framed and
+    # plain copies take as many writes, give or take the last one, since a
+    # framed batch is cut at the end of a run, not of an item
+    reps = 3 * jsonout.BATCH_CHUNKS // (2 * oracle(framed).count("\n") + 2) + 1
+    pieces, plain = [], []
+    jsonout.dump(framed * reps, pieces.append)
+    jsonout.dump([dict(f) for f in framed] * reps, plain.append)
+    assert_same_text("".join(pieces), "".join(plain))
+    assert abs(len(pieces) - len(plain)) <= 1, (len(pieces), len(plain))
+
+
+def test_a_list_of_label_lists_streams():
+    # the shape of a 16-point space's opens: many distinct label lists in
+    # one list, bare and as a member of a frame
+    opens = [[f"p{i}", f"q{i % 7}"][: 1 + i % 2] for i in range(3 * jsonout.BATCH_CHUNKS)]
+    hole = jsonout.Framed.HOLE
+    space = _framed({"opens": opens, "v": LABELS}, {"opens": opens, "v": hole}, (LABELS,))
+    for obj in (opens, space, [space, space]):
+        pieces = []
+        jsonout.dump(obj, pieces.append)
+        assert_same_text("".join(pieces), oracle(obj))
+        assert len(pieces) > 3
+
+
 def test_a_repeated_shared_payload_is_encoded_once(monkeypatch):
     # a document's key is a group of one: the space its 24 verdicts carry
     # is one framed payload, written as its frame's text around its fill

@@ -28,6 +28,7 @@ def _cases():
                 yield f"{command}-{name}-{fmt}", (command, path, "--format", fmt)
     for example in ("3.2", "3.5", "3.16", "3.17"):
         yield f"audit-{example}", ("audit", "--example", example, "--format", "machine")
+        yield f"audit-{example}-text", ("audit", "--example", example, "--format", "text")
     for predicate in sorted(theoremlab.SEPARATIONS):
         argv = ("mine", "--n", "3", "--ops", "builtins,pivots", "--predicate", predicate,
                 "--format", "machine")
@@ -79,6 +80,10 @@ GOLDEN = {
     "audit-3.5": ("64c2a48851ef513f8fd73a5f2b9f7b31b2fb130afcbcd078a0a8fc93cffc5bbf", 0),
     "audit-3.16": ("9e198b0ec866db2065b0788041dca52c8daf183e5637aa7d544f7936f15a80c9", 0),
     "audit-3.17": ("8edecd0815cab04e6079d23164beb3d1406492357a0b9b6b5a2aeb6a47b78a98", 0),
+    "audit-3.2-text": ("84490eb739abfd0e131c484ec8e2f5c965941c137f1c0159bb33fba20ccbb7e8", 0),
+    "audit-3.5-text": ("d161960242e5a91cccf2ea39e23f7cd6826526434749000f627732ad5e728eb1", 0),
+    "audit-3.16-text": ("5fefa14f330280e7f4d1e4fd50132195518d1e03ab86f6a87316e4598605eb1c", 0),
+    "audit-3.17-text": ("a751593c1ad2d9bc1513367b98e8acbb4e12d3cb409783d31a79863042815549", 0),
     "mine-gamma_open_not_regular_open-t1": ("0ff1af1502b7ce4a2c40e26d13b81c0bed50daa1f9b0bacc57cfbcbc703d155d", 0),
     "mine-gamma_open_not_theta_open-t1": ("c5bdc67c3769400ccc922e28c0a23236330d6ab4df90c0611da87bf0e68becd6", 0),
     "mine-regular_open_not_clopen-t1": ("024d70b055434096c629d879a243c1aa3be79bf3c10d38a8405bacb3bd251744", 0),
@@ -99,6 +104,23 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case_id,argv", CASES, ids=[c[0] for c in CASES])
 def test_output_bytes_and_exit_code(capsys, case_id, argv):
+    code = cli.main(list(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (digest, code) == GOLDEN[case_id]
+
+
+TEXT_CASES = [case for case in CASES if case[1][0] in ("mine", "audit") and case[1][-1] == "text"]
+
+
+@pytest.mark.parametrize("case_id,argv", TEXT_CASES, ids=[c[0] for c in TEXT_CASES])
+def test_text_output_builds_no_records(monkeypatch, capsys, case_id, argv):
+    # each format builds only what it prints: text reads the hits and the
+    # audit, never the machine records built from them
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_dict called for text output")
+
+    monkeypatch.setattr(theoremlab.MinedWitness, "to_dict", refuse)
+    monkeypatch.setattr(theoremlab.ExampleAudit, "to_dict", refuse)
     code = cli.main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (digest, code) == GOLDEN[case_id]

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from gamma_top.finspace import PointSet, SizeTooLarge, validate_topology
-from gamma_top.gamma_core import GammaOperation, Space
+from gamma_top.gamma_core import GammaOperation, Space, TableModeTooLarge
 from gamma_top import jsonout, theoremlab as tl
 
 ABC = PointSet(("a", "b", "c"))
@@ -233,6 +233,17 @@ def test_mine_guards():
         tl.mine(5, "builtins", "gamma_open_not_regular_open")
     with pytest.raises(SizeTooLarge):
         tl.mine(4, "all_tables", "gamma_open_not_regular_open")
+
+
+def test_the_walk_checks_its_limits_at_the_call():
+    # no topology is asked for: the limits hold before iteration starts
+    with pytest.raises(SizeTooLarge, match="1..4 points"):
+        tl.enumerate_slices(5, "builtins")
+    with pytest.raises(TableModeTooLarge, match="3-point ground sets"):
+        tl.enumerate_slices(4, "builtins,all_tables")
+    with pytest.raises(tl.UnknownMode):
+        tl.enumerate_slices(3, "bogus")
+    assert issubclass(TableModeTooLarge, SizeTooLarge)
 
 
 def test_mine_empty_result_is_fine():
