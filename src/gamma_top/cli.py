@@ -7,22 +7,26 @@
 
 With ``--format machine`` stdout is the payload as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it (keys sorted,
-two-space indent, ASCII escapes) plus one trailing newline.  The payload
-is built in full first; ``jsonout.dump`` then writes it to stdout in
-batches, so the text is never held whole.  Every space a payload carries
-is framed: the spaces of one slice, or the one space of a document's
-verdicts, share a frame, whose text is written once around each space's
-value at the empty set; and the records ``mine`` reports on one witness
-and one group of more than one row (a table slice) share a frame, written
-once around each record's operation index and value at the empty set.
-Tier-1 pins these bytes against ``json.dumps``.  An error while writing
-(a closed pipe, a full disk) can leave partial stdout; the exit code
-still says what happened.
+two-space indent, ASCII escapes) plus one trailing newline.
+``jsonout.dump`` writes the payload to stdout in batches, so the text is
+never held whole.  The rows of ``mine`` and of ``analyze`` are an
+iterator in the payload: each record or classification row is made as it
+is written and let go once written, and ``mine`` lets each hit go with
+it.  Every space a payload carries is framed: the spaces of one slice, or
+the one space of a document's verdicts, share a frame, whose text is
+written once around each space's value at the empty set; and the records
+``mine`` reports on one witness and one group of more than one row (a
+table slice) share a frame, written once around each record's operation
+index and value at the empty set.  Tier-1 pins these bytes against
+``json.dumps``.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 70 internal error (a bug; the traceback
 goes to stderr), 130 interrupted, 141 stdout closed early (broken pipe,
-as a shell reports SIGPIPE).
+as a shell reports SIGPIPE).  Output is written as it is made, so any
+code but 0 and 1 can come after partial stdout: an error while writing
+(a closed pipe, a full disk), and also a bug (70) or running out of
+memory (3) while a row is made.  The exit code still says what happened.
 """
 
 from __future__ import annotations
@@ -77,9 +81,15 @@ def _fam(sp, masks) -> str:
 # -- analyze -----------------------------------------------------------------
 
 def _analyze_payload(sp) -> dict:
+    """The machine payload; its classification rows are made as they are
+    written, one per subset, and let go once written."""
     theta_closed, theta_open = theta_families(sp)
-    table = [classify_subset(sp, m) for m in sp.ground.subsets()]
     lists = sp.ground.label_list
+
+    def row(m):
+        c = classify_subset(sp, m)
+        return {"subset": lists(m), "flags": c.flags, "witnesses": c.witnesses}
+
     return {
         "space": documents.space_to_document(sp),
         "flags": theoremlab.space_flags(sp),
@@ -90,18 +100,11 @@ def _analyze_payload(sp) -> dict:
             "theta_open": [lists(m) for m in theta_open],
             "theta_closed": [lists(m) for m in theta_closed],
         },
-        "classification": [
-            {
-                "subset": lists(c.subset),
-                "flags": c.flags,
-                "witnesses": c.witnesses,
-            }
-            for c in table
-        ],
+        "classification": map(row, sp.ground.subsets()),
     }
 
 
-def _analyze_text(sp, payload: dict) -> str:
+def _analyze_text(sp) -> str:
     lines = []
     lines.append(f"points: {', '.join(sp.ground.labels)}")
     lines.append(f"opens:        {_fam(sp, sp.top.opens_sorted)}")
@@ -110,24 +113,25 @@ def _analyze_text(sp, payload: dict) -> str:
     theta_closed, theta_open = theta_families(sp)
     lines.append(f"theta-open:   {_fam(sp, theta_open)}")
     lines.append(f"theta-closed: {_fam(sp, theta_closed)}")
-    for name, value in payload["flags"].items():
+    for name, value in theoremlab.space_flags(sp).items():
         lines.append(f"{name}: {'yes' if value else 'no'}")
     lines.append("")
     width = max(12, sp.ground.n * 2 + 3)
     lines.append("subset".ljust(width) + " ".join(f.rjust(len(f)) for f in FLAG_NAMES))
-    for row in payload["classification"]:
-        cell = "{" + ",".join(row["subset"]) + "}"
-        marks = " ".join(
-            ("yes" if row["flags"][f] else "no").rjust(len(f)) for f in FLAG_NAMES
-        )
-        lines.append(cell.ljust(width) + marks)
+    for m in sp.ground.subsets():
+        flags = classify_subset(sp, m).flags
+        marks = " ".join(("yes" if flags[f] else "no").rjust(len(f)) for f in FLAG_NAMES)
+        lines.append(sp.ground.format(m).ljust(width) + marks)
     return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args) -> int:
     sp = _load(args.file)
-    payload = _analyze_payload(sp)
-    _emit(payload, _analyze_text(sp, payload), args.format)
+    # each format builds only what it prints
+    if args.format == "machine":
+        _emit(_analyze_payload(sp), None, "machine")
+    else:
+        _emit(None, _analyze_text(sp), "text")
     return EXIT_OK
 
 
@@ -214,22 +218,29 @@ def _mine_text(args, modes, found) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _taken(items: list):
+    """The items of *items* in order, each taken out of the list as it is
+    handed on, so the list holds none that has been handed on."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def cmd_mine(args) -> int:
     modes = theoremlab.parse_modes(args.ops)
     found = theoremlab.mine(args.n, modes, args.predicate)
     # each format builds only what it prints: text its lines from the hits,
-    # machine the records, which replace the hits before they are written
-    # (holding both peaked 0.9 MiB higher on the largest n=3 table mine)
+    # machine the records, each made as it is written; the hit, with its
+    # key and the payload cached on that key, is let go once written
     if args.format == "text":
         _emit(None, _mine_text(args, modes, found), "text")
         return EXIT_OK
-    found = [w.to_dict() for w in found]
     payload = {
         "predicate": args.predicate,
         "n": args.n,
         "modes": list(modes),
         "count": len(found),
-        "witnesses": found,
+        "witnesses": map(theoremlab.MinedWitness.to_dict, _taken(found)),
     }
     _emit(payload, None, "machine")
     return EXIT_OK

@@ -9,19 +9,29 @@ of about ``BATCH_CHUNKS`` chunks and cut between items, so a large value is
 written without ever being held whole as text.  ``dumps`` joins those
 batches.  Tier-1 checks the bytes against ``json.dumps`` on generated values.
 
+An iterator, such as a ``map`` or a generator, is written as the array of
+its items.  It is consumed once, as it is written, so a payload whose rows
+are an iterator makes each row when it is written and need not hold it
+afterwards.  An empty one is written ``[]``.  Lists and tuples are the
+arrays json knows; an iterator is looked for after every type json
+writes.
+
 A label list is a list or tuple of strings, such as a space's points or
 one of its opens.  Output holds few distinct label lists many times over
 (``PointSet.label_list`` shares one list per mask, and the keys of one
 topology share its ``opens``), so ``dump`` keeps the text of each label
 list it has encoded, keyed by the list's identity and its indent, and
-looks it up at every later occurrence.  An identity is safe as a key
-within one call: the payload holds every list it contains until the call
-returns, and the memo holds each list it keys as well, so no other object
-can take that identity; a payload is not mutated while it is written.  The
-memo lives for one call, so a list mutated between two calls is written
-with its new content, and it holds one text per distinct label list and
-indent.  Each list item and dict member goes out one way: its lead (the
-item's separator, or the member's key) as one chunk, then its value.
+looks it up at every later occurrence.  Lemma: an identity is a safe key
+within one call if the memo holds each object it keys.  No other object
+can then take a keyed identity before the call returns, whether or not
+the payload still holds the first (it need not: an iterator's items are
+let go once written), and a payload is not mutated while it is written.
+The label memo holds each list it keys (``held``), and the frame memo
+below holds each frame.  The memo lives for one call, so a list mutated
+between two calls is written with its new content, and it holds one text
+per distinct label list and indent.  Each list item and dict member goes
+out one way: its lead (the item's separator, or the member's key) as one
+chunk, then its value.
 
 A ``Framed`` dict is one of many payloads that are equal but at a few
 places, such as the space every verdict on a document carries, the spaces
@@ -43,14 +53,17 @@ frame of any size streams.  It keeps the parts of the frames met since
 the payloads' ``scope`` last changed, and drops them all when a payload
 of another scope comes, so memory stays bounded by one scope's frames;
 every output places the payloads of one scope next to each other.  A
-frame is keyed by its identity, which is safe because each entry holds
-its frame; a payload whose frame has another number of holes than it
-has fills is no framed payload, and is encoded in full.
+frame is keyed by its identity, which the lemma makes safe, because each
+entry holds its frame.  A frame is written again once its scope's parts
+are dropped, so it holds no iterator; a fill may.  A payload whose frame
+has another number of holes than it has fills is no framed payload, and
+is encoded in full.
 """
 
 from __future__ import annotations
 
 import collections
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 
 __all__ = ["Framed", "dump", "dumps"]
@@ -127,8 +140,9 @@ def dump(obj, write) -> None:
 
     Supports what json supports by default: dict, list, tuple, str, int,
     float (NaN and infinities as ``NaN``/``Infinity``), True, False and
-    None; anything else raises TypeError, after the batches before it have
-    been written."""
+    None, and any iterator as the list of its items; anything else raises
+    TypeError after the batches before it have been written, and an error
+    an iterator raises comes out the same way."""
     chunks = []
     emit = chunks.append
     # per indent, the text of each label list met so far, by the list's id;
@@ -212,24 +226,30 @@ def dump(obj, write) -> None:
             array(v, nl)
         elif isinstance(v, dict):
             obj_(v, nl)
+        elif isinstance(v, Iterator):
+            items(v, nl)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    def array(items, nl):
-        text = labels(items, nl)
+    def array(seq, nl):
+        text = labels(seq, nl)
         if text is not None:
             emit(text)
-            return
+        else:
+            items(seq, nl)
+
+    def items(iterable, nl):
+        """The array of the items of *iterable*, taken once."""
         inner = nl + "  "
         sep = "," + inner
         lead = "[" + inner
-        for item in items:
+        for item in iterable:
             emit(lead)
             value(item, inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:
                 flush()
-        emit(nl + "]")
+        emit(nl + "]" if lead is sep else "[]")
 
     def obj_(d, nl):
         if not d:

@@ -4,17 +4,19 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
 import gamma_top
-from gamma_top import cli, documents, theoremlab
+from gamma_top import cli, documents, jsonout, theoremlab
 from gamma_top.finspace import MAX_POINTS, PointSet, validate_topology
 from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space
 from gamma_top.gamma_sets import gamma_open_family
 from gamma_top.theoremlab import CONDITIONED_CLAIMS, parse_claims
+from test_output_hashes import GOLDEN
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -365,6 +367,33 @@ def test_cli_internal_error_is_not_a_counterexample(capsys, monkeypatch):
             assert "Traceback" in err and f"{error.__name__}: a bug" in err, (error, argv)
 
 
+def test_cli_internal_error_after_output_began(capsys, monkeypatch):
+    # machine mine makes each record as it is written, so a bug met on the
+    # third record comes after stdout has begun: the exit code still says
+    # it, and what was written is a prefix of the pinned output
+    argv = ("mine", "--n", "3", "--ops", "builtins,pivots",
+            "--predicate", "gamma_open_not_regular_open", "--format", "machine")
+    code, pinned, _ = run_cli(capsys, *argv)
+    assert (hashlib.sha256(pinned.encode()).hexdigest(), code) == GOLDEN["mine-gamma_open_not_regular_open-t1"]
+    to_dict = theoremlab.MinedWitness.to_dict
+    made = []
+
+    def third_fails(hit):
+        made.append(None)
+        if len(made) == 3:
+            raise RuntimeError("a bug")
+        return to_dict(hit)
+
+    monkeypatch.setattr(theoremlab.MinedWitness, "to_dict", third_fails)
+    # batches of a few chunks, so the first records reach stdout before the third is made
+    monkeypatch.setattr(jsonout, "BATCH_CHUNKS", 8)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert "Traceback" in err and "RuntimeError: a bug" in err
+    assert '"topology_index"' in out and pinned.startswith(out) and len(out) < len(pinned)
+    assert len(made) == 3
+
+
 def test_cli_unknown_operation_mode_is_an_input_error(capsys):
     for argv in (("verify", "--enumerate", "2", "--ops", "bogus"),
                  ("verify", "--enumerate", "2", "--ops", ","),
@@ -513,38 +542,89 @@ def test_discrete_sixteen_point_document_finishes(discrete16, kind, argv):
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DISCRETE16_VERIFY_SHA256
 
 
+# Run by _peak_rss: it forks the CLI, reaps it with os.wait4 and writes its
+# ru_maxrss (KiB on Linux) as the last line of stderr.  A child's ru_maxrss
+# counts the resident set of the process it was forked from, so the CLI is
+# forked from this small process, not from the test run, which holds every
+# session fixture.
+_PEAK_RSS_LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.executable, [sys.executable, "-m", "gamma_top.cli", *sys.argv[1:]])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _peak_rss(argv):
+    """Run the CLI with *argv* in a child under the 1 GiB address-space
+    limit, hashing its stdout as it streams rather than holding it.  Assert
+    that it exits 0 within 60 s; return the sha256 of its stdout and its
+    peak RSS in MiB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
+    sha = hashlib.sha256()
+    start = time.perf_counter()
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
+                                stdout=subprocess.PIPE, stderr=err, env=env,
+                                preexec_fn=_limit_address_space)
+        with proc.stdout:
+            for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+                sha.update(block)
+        code = proc.wait()
+        err.seek(0)
+        *messages, peak = err.read().decode().splitlines()
+        assert code == 0, "\n".join(messages)
+    assert time.perf_counter() - start < 60
+    return sha.hexdigest(), int(peak) / 1024
+
+
 # sha256 of the machine stdout of verify --claims all on the identity document
 DISCRETE16_MACHINE_SHA256 = "d51255ab9d7fedbdd28c1c535637592ffd33bee5262700cf028dbd46eebd6a44"
 
 
-def test_discrete_sixteen_point_machine_verify_streams(discrete16, tmp_path):
+def test_discrete_sixteen_point_machine_verify_streams(discrete16):
     # about 535 MB of machine output, written in batches as it is encoded,
-    # so it fits under the 1 GiB limit; the test hashes the stream rather
-    # than holding it.  The space is one framed payload: its frame's text
-    # is cut at the hole once, kept as batch-sized runs, and written around
-    # the space's value at the empty set in each of the 24 verdicts; the run
-    # takes about 3 s, within its own 60 s budget.  The child is reaped
-    # with os.wait4 for its peak RSS, about 94 MiB: joining a separator to
-    # each label list of the opens costs some 18 MiB more.
-    env = dict(os.environ, PYTHONPATH=str(Path(gamma_top.__file__).parent.parent))
-    sha = hashlib.sha256()
-    start = time.perf_counter()
-    with open(tmp_path / "stderr", "w+b") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "gamma_top.cli", "verify", str(discrete16["identity"]),
-             "--claims", "all", "--format", "machine"],
-            stdout=subprocess.PIPE, stderr=err, env=env, preexec_fn=_limit_address_space,
-        )
-        with proc.stdout:
-            for block in iter(lambda: proc.stdout.read(1 << 20), b""):
-                sha.update(block)
-        _, status, usage = os.wait4(proc.pid, 0)
-        code = proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        assert code == 0, err.read().decode()
-    assert time.perf_counter() - start < 60
-    assert sha.hexdigest() == DISCRETE16_MACHINE_SHA256
-    assert usage.ru_maxrss / 1024 < 110  # KiB on Linux
+    # so it fits under the 1 GiB limit.  The space is one framed payload:
+    # its frame's text is cut at the hole once, kept as batch-sized runs,
+    # and written around the space's value at the empty set in each of the
+    # 24 verdicts; the run takes about 3 s, and its peak RSS is about
+    # 94 MiB: joining a separator to each label list of the opens costs
+    # some 18 MiB more.
+    sha, peak = _peak_rss(["verify", str(discrete16["identity"]), "--claims", "all",
+                           "--format", "machine"])
+    assert sha == DISCRETE16_MACHINE_SHA256
+    assert peak < 110
+
+
+# sha256 of the machine stdout of analyze on the identity document
+DISCRETE16_ANALYZE_SHA256 = "d4a7d57de3203571b9b9b293079520783ec704af1c4ac460ea68ce8c8e0482bb"
+
+
+def test_discrete_sixteen_point_machine_analyze_streams(discrete16):
+    # 78 MB: each of the 65,536 classification rows is made as it is
+    # written and let go once written, about 87 MiB peak RSS; built in
+    # full before writing, with the text report besides, it peaked at
+    # about 165 MiB
+    sha, peak = _peak_rss(["analyze", str(discrete16["identity"]), "--format", "machine"])
+    assert sha == DISCRETE16_ANALYZE_SHA256
+    assert peak < 110
+
+
+def test_table_mine_machine_streams():
+    # 15 MB of 12,144 records: each is made as it is written, and its hit
+    # is let go with it, about 22 MiB peak RSS; with every record built
+    # before the first byte it peaked at about 28 MiB
+    argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", "gamma_open_not_theta_open",
+            "--format", "machine")
+    sha, peak = _peak_rss(argv)
+    assert sha == GOLDEN["mine3-tables-gamma_open_not_theta_open-t1"][0]
+    assert peak < 25
 
 
 def test_sixteen_point_non_topology_is_refused_quickly(tmp_path):

@@ -6,6 +6,7 @@ import enum
 import hashlib
 import random
 import json
+import weakref
 from collections import OrderedDict
 
 import hypothesis.strategies as st
@@ -75,10 +76,24 @@ values = st.recursive(
 )
 
 
+def _lazy(v, draw):
+    """*v* with some of its lists and tuples (drawn) as iterators over
+    their items, which are made lazy in turn."""
+    if isinstance(v, dict):
+        return {k: _lazy(x, draw) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        items = [_lazy(x, draw) for x in v]
+        return iter(items) if draw(st.booleans()) else type(v)(items)
+    return v
+
+
 @settings(max_examples=400, deadline=None)
-@given(values)
-def test_matches_json_dumps(obj):
-    assert jsonout.dumps(obj) == oracle(obj)
+@given(values, st.data())
+def test_matches_json_dumps(obj, data):
+    want = oracle(obj)
+    assert jsonout.dumps(obj) == want
+    # an iterator is written as the list of its items
+    assert jsonout.dumps(_lazy(obj, data.draw)) == want
 
 
 @pytest.mark.parametrize(
@@ -331,6 +346,7 @@ def test_framed_payloads_match_json_dumps(root, data):
         framed.append(_framed(_fill(frame, iter(fill).__next__), frame, fill))
     obj = [framed, {"k": framed[-1]}] + framed
     assert_same_text(jsonout.dumps(obj), oracle(obj))
+    assert_same_text(jsonout.dumps(iter([iter(framed), {"k": framed[-1]}, *framed])), oracle(obj))
     # copies enough for a few batches (a line is about two chunks): a
     # framed payload counts as the chunks it stands for, so framed and
     # plain copies take as many writes, give or take the last one, since a
@@ -493,3 +509,95 @@ def test_framed_payloads_keep_the_batches():
         assert abs(len(framed) - len(plain)) <= 0.1 * len(plain), shaped.__name__
         largest = max(map(len, plain))
         assert abs(max(map(len, framed)) - largest) <= 0.1 * largest, shaped.__name__
+
+
+def _iterator_cases():
+    """name -> (payload, the same payload with iterators for some lists)."""
+    g1 = _group((0, 2, 4, 6), (1, 3, 7))
+    other = _group((0, 1), (2, 7), opens=(0, 2, 7))
+    records = _records(g1, [{"subset": ["a"]}, {"subset": LABELS}])
+    across = [g1[0], other[0], other[1], g1[1], g1[2]]
+    many = [{"i": i, "l": LABELS[: i % 3]} for i in range(3 * jsonout.BATCH_CHUNKS)]
+    return {
+        "empty": ([], iter([])),
+        "empty map": ({"a": [], "b": [[]]}, {"a": map(str, ()), "b": iter([(x for x in ())])}),
+        "label list items": (LABELS, iter(LABELS)),
+        "label lists": ([LABELS, ["a"], LABELS, []], iter([LABELS, ["a"], LABELS, []])),
+        "a group's keys": (g1, (key for key in g1)),
+        "framed on one scope": ({"w": records}, {"w": iter(records)}),
+        "framed across scopes": (across, iter(across)),
+        "nested": ([[1, [2, []]], [[0], [1], [2]]],
+                   iter([iter([1, iter([2, iter([])])]), map(lambda x: iter([x]), range(3))])),
+        "more than a batch": (many, iter(many)),
+        "more than a batch of framed": (_mine_shaped_records(False),
+                                        iter(_mine_shaped_records(False))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_iterator_cases()))
+def test_an_iterator_writes_as_its_list(name):
+    plain, lazy = _iterator_cases()[name]
+    pieces = []
+    jsonout.dump(lazy, pieces.append)
+    assert all(type(p) is str and p for p in pieces)
+    assert_same_text("".join(pieces), jsonout.dumps(plain))
+    assert_same_text("".join(pieces), oracle(plain))
+
+
+def test_an_iterator_is_taken_once():
+    class Counted:
+        def __init__(self, items):
+            self.items = iter(items)
+            self.pulls = 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            self.pulls += 1
+            return next(self.items)
+
+    rows = [{"i": i} for i in range(5)]
+    counted = Counted(rows)
+    assert jsonout.dumps({"rows": counted}) == oracle({"rows": rows})
+    # five items and the one StopIteration, nothing pulled twice
+    assert counted.pulls == 6
+
+
+class Row(dict):
+    """A dict that a weak reference can follow."""
+
+
+def test_an_iterator_s_items_are_let_go_once_written():
+    # each row is made when it is written: the writer holds the one being
+    # written, and no earlier one
+    alive = most = 0
+
+    def let_go():
+        nonlocal alive
+        alive -= 1
+
+    def rows():
+        nonlocal alive, most
+        for i in range(3 * jsonout.BATCH_CHUNKS):
+            row = Row(i=i, labels=LABELS)
+            weakref.finalize(row, let_go)
+            alive += 1
+            most = max(most, alive)
+            yield row
+            del row
+
+    plain = [dict(i=i, labels=LABELS) for i in range(3 * jsonout.BATCH_CHUNKS)]
+    assert_same_text(jsonout.dumps({"rows": rows()}), oracle({"rows": plain}))
+    assert most == 2
+
+
+def test_an_iterator_error_comes_out_after_the_batches_before_it():
+    def rows():
+        yield from range(3 * jsonout.BATCH_CHUNKS)
+        raise RuntimeError("a bug")
+
+    pieces = []
+    with pytest.raises(RuntimeError, match="a bug"):
+        jsonout.dump([0, rows()], pieces.append)
+    assert pieces and oracle([0, list(range(3 * jsonout.BATCH_CHUNKS))]).startswith("".join(pieces))
