@@ -12,8 +12,9 @@ two-space indent, ASCII escapes) plus one trailing newline.
 never held whole.  The rows of ``mine`` and of ``analyze`` are an
 iterator in the payload: each record or classification row is made as it
 is written and let go once written, and ``mine`` lets each hit go with
-it.  Every space a payload carries is framed: the spaces of one slice, or
-the one space of a document's verdicts, share a frame, whose text is
+it.  Text ``analyze`` writes each line as it makes it.  Every space a
+payload carries is framed: the spaces of one slice, or the one space of
+a document's verdicts, share a frame, whose text is
 written once around each space's value at the empty set; and the records
 ``mine`` reports on one witness and one group of more than one row (a
 table slice) share a frame, written once around each record's operation
@@ -104,34 +105,34 @@ def _analyze_payload(sp) -> dict:
     }
 
 
-def _analyze_text(sp) -> str:
-    lines = []
-    lines.append(f"points: {', '.join(sp.ground.labels)}")
-    lines.append(f"opens:        {_fam(sp, sp.top.opens_sorted)}")
-    lines.append(f"gamma-open:   {_fam(sp, gamma_open_family(sp))}")
-    lines.append(f"regular-open: {_fam(sp, regular_open_family(sp))}")
+def _analyze_lines(sp):
+    """The text report, one line at a time: each classification row is
+    made as it is written and let go once written."""
+    yield f"points: {', '.join(sp.ground.labels)}\n"
+    yield f"opens:        {_fam(sp, sp.top.opens_sorted)}\n"
+    yield f"gamma-open:   {_fam(sp, gamma_open_family(sp))}\n"
+    yield f"regular-open: {_fam(sp, regular_open_family(sp))}\n"
     theta_closed, theta_open = theta_families(sp)
-    lines.append(f"theta-open:   {_fam(sp, theta_open)}")
-    lines.append(f"theta-closed: {_fam(sp, theta_closed)}")
+    yield f"theta-open:   {_fam(sp, theta_open)}\n"
+    yield f"theta-closed: {_fam(sp, theta_closed)}\n"
     for name, value in theoremlab.space_flags(sp).items():
-        lines.append(f"{name}: {'yes' if value else 'no'}")
-    lines.append("")
+        yield f"{name}: {'yes' if value else 'no'}\n"
+    yield "\n"
     width = max(12, sp.ground.n * 2 + 3)
-    lines.append("subset".ljust(width) + " ".join(f.rjust(len(f)) for f in FLAG_NAMES))
+    yield "subset".ljust(width) + " ".join(f.rjust(len(f)) for f in FLAG_NAMES) + "\n"
     for m in sp.ground.subsets():
         flags = classify_subset(sp, m).flags
         marks = " ".join(("yes" if flags[f] else "no").rjust(len(f)) for f in FLAG_NAMES)
-        lines.append(sp.ground.format(m).ljust(width) + marks)
-    return "\n".join(lines) + "\n"
+        yield sp.ground.format(m).ljust(width) + marks + "\n"
 
 
 def cmd_analyze(args) -> int:
     sp = _load(args.file)
-    # each format builds only what it prints
+    # each format builds only what it prints, row by row
     if args.format == "machine":
         _emit(_analyze_payload(sp), None, "machine")
     else:
-        _emit(None, _analyze_text(sp), "text")
+        sys.stdout.writelines(_analyze_lines(sp))
     return EXIT_OK
 
 

@@ -9,8 +9,10 @@ listing is reproducible run to run.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 MAX_POINTS = 16
 
@@ -76,25 +78,82 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+@cache
+def _layout(n: int) -> tuple[int, tuple[int, ...], int]:
+    """For the tables over n points: the lane width in bytes (one for
+    n <= 8, two up to 16 points), per point b the packed mask of the
+    lanes whose index lacks bit b, and the packed int with every lane the
+    full mask.  Each mask is built from a byte pattern, not summed from
+    shifted lanes."""
+    width = 1 if n <= 8 else 2
+    size = 1 << n
+    lane = b"\xff" * width
+    low = tuple(int.from_bytes((lane * (1 << b) + bytes(width << b)) * (size >> b + 1), "little")
+                for b in range(n))
+    full = int.from_bytes(((1 << n) - 1).to_bytes(width, "little") * size, "little")
+    return width, low, full
+
+
+def closed_lanes(n: int, marks: list, supersets: bool) -> int:
+    """The subset-closure kernel.  *marks* holds 2**n point masks indexed
+    by subset; they are packed into one int, one per lane of ``_layout``'s
+    width, lane m holding entry m.  Then, for each point b in turn, every
+    entry whose index lacks b is ORed into the entry with b added
+    (*supersets* true), or the other way round: one shift by 2**b lanes,
+    one mask of whole lanes and one OR on the packed int, n steps in all.
+    Unpack the result with ``unpack_lanes``.
+
+    Lemma (lanes): every entry is a point mask below 2**n, which fits its
+    lane, and an OR of two of them is one too, so no step carries out of
+    a lane; a shift by 2**b lanes moves lane m onto lane m + 2**b, and the
+    mask keeps whole lanes.  So each step does to every entry at once
+    what the entry-by-entry closure does to each: the closure commutes
+    with packing."""
+    width, low, _ = _layout(n)
+    if width == 1:
+        packed = int.from_bytes(bytes(marks), "little")
+    else:
+        lanes = array("H", marks)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        packed = int.from_bytes(lanes.tobytes(), "little")
+    shift = width << 3
+    for mask in low:
+        if supersets:
+            packed |= (packed & mask) << shift
+        else:
+            packed |= (packed >> shift) & mask
+        shift <<= 1
+    return packed
+
+
+def unpack_lanes(n: int, packed: int, flip: bool = False) -> tuple[int, ...]:
+    """The entries of a packed table (``closed_lanes``) in subset order,
+    each complemented within the ground set if *flip*."""
+    width, _, full = _layout(n)
+    if flip:
+        packed ^= full
+    raw = packed.to_bytes(width << n, "little")
+    if width == 1:
+        return tuple(raw)
+    lanes = array("H", raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return tuple(lanes)
+
+
 def inside_table(n: int, sets_at) -> tuple[int, ...]:
     """Per subset A of an n-point ground set, the mask of the points x that
     own a set of ``sets_at[x]`` inside A.
 
     Each point is marked at its own sets, then every entry is ORed into its
-    supersets, one bit at a time: n * 2**n steps for the whole table."""
-    size = 1 << n
-    table = [0] * size
+    supersets (``closed_lanes``)."""
+    marks = [0] * (1 << n)
     for x, sets in enumerate(sets_at):
         bit = 1 << x
         for s in sets:
-            table[s] |= bit
-    bit = 1
-    while bit < size:
-        for m in range(bit, size):
-            if m & bit:
-                table[m] |= table[m ^ bit]
-        bit <<= 1
-    return tuple(table)
+            marks[s] |= bit
+    return unpack_lanes(n, closed_lanes(n, marks, True))
 
 
 def meeting_table(n: int, sets_at) -> tuple[int, ...]:
@@ -102,25 +161,18 @@ def meeting_table(n: int, sets_at) -> tuple[int, ...]:
     of whose sets in ``sets_at[x]`` meet A.
 
     x misses A exactly when one of its sets lies inside the complement of
-    A, so each point is marked at the complements of its sets, and every
-    entry is ORed into its subsets: n * 2**n steps for the whole table.
-    This pass is kept apart from ``inside_table`` so that the duality of
-    the two tables stays something to check, not a consequence of sharing
-    code."""
-    size = 1 << n
-    full = size - 1
-    miss = [0] * size
+    A, so each point is marked at the complements of its sets, every entry
+    is ORed into its subsets (``closed_lanes``), and the table is the
+    complement of what that gives.  This pass is kept apart from
+    ``inside_table`` so that the duality of the two tables stays something
+    to check, not a consequence of sharing a pass."""
+    full = (1 << n) - 1
+    misses = [0] * (1 << n)
     for x, sets in enumerate(sets_at):
         bit = 1 << x
         for s in sets:
-            miss[full ^ s] |= bit
-    bit = 1
-    while bit < size:
-        for m in range(size - bit):
-            if not m & bit:
-                miss[m] |= miss[m | bit]
-        bit <<= 1
-    return tuple(map(full.__xor__, miss))
+            misses[full ^ s] |= bit
+    return unpack_lanes(n, closed_lanes(n, misses, False), flip=True)
 
 
 @dataclass(frozen=True)
@@ -196,37 +248,25 @@ class PointSet:
 class Topology:
     """A validated family of open subsets over a ground set.
 
-    Three memo dicts live and die with the object: an equal but distinct
-    topology shares nothing.  ``operator_tables`` maps each slice of an
-    operation's values at the non-empty opens to the (int_g, cl_g, class
-    memo) that ``gamma_core.Space`` built for it, so the tables are built
-    once per slice.  ``operator_memos`` maps each (int_g, cl_g) pair of
-    tables to the memo that the spaces on this object with those operators
-    share (``gamma_core.per_operator_class``); several slices can give one
-    pair.  The two dicts are kept apart because they count different
-    things: one entry per slice is one build of the tables, and one entry
-    per pair is one operator class, so each size reads as a count.
-    ``extensions`` maps each pivot branch, and each builtin or pivot
-    operation that a space on this object uses, to its values over
-    ``opens_sorted`` (``gamma_core``), so each is computed once per
-    topology."""
+    Two memo dicts live and die with the object: an equal but distinct
+    topology shares nothing.  ``operator_memos`` maps each operator class
+    of the spaces on this object, keyed by its two packed operator tables
+    (``closed_lanes``), to its (int_g, cl_g, class memo): the unpacked
+    tables and the memo shared by every space of the class
+    (``gamma_core.per_operator_class``), so one entry is one class and its
+    tables are unpacked once.  ``extensions`` maps each pivot branch, and
+    each builtin or pivot operation that a space on this object uses, to
+    its values over ``opens_sorted`` (``gamma_core``), so each is computed
+    once per topology."""
 
     ground: PointSet
     opens: frozenset[int]
-    operator_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     operator_memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     extensions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def opens_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens))
-
-    @cached_property
-    def opens_at_points(self) -> tuple[tuple[bool, ...], ...]:
-        """Per point x, whether each open of ``opens_sorted`` holds x: a
-        selector of x's open neighbourhoods for ``itertools.compress``."""
-        return tuple(tuple(bool(u >> x & 1) for u in self.opens_sorted)
-                     for x in range(self.ground.n))
 
     @cached_property
     def minimal_nbds(self) -> tuple[int, ...]:

@@ -10,22 +10,24 @@ the one axiom).  From it we derive:
   values meeting A.
 
 Both operators are tables over all 2**n subsets, filled from the
-per-point neighbourhood values (``nbds``, per point x the values at the
-opens containing x) and from nothing else.  ``int_g``: each point is
-marked at each of its neighbourhood values, then every entry is ORed
-into its supersets.  ``cl_g`` comes from its own definition, not as the
-dual of ``int_g``: a point is missing from cl_g(A) iff one of its values
-is disjoint from A, so each point is marked at the complements of its
-values and every entry is ORed into its subsets.  The duality between
-the two operators is therefore a checked property, not an
-implementation shortcut.
+operation's values at the opens and from nothing else.  ``int_g``: each
+open U marks its value with the points of U (each point at each of its
+neighbourhood values), then every entry is ORed into its supersets.
+``cl_g`` comes from its own definition, not as the dual of ``int_g``: a
+point is missing from cl_g(A) iff one of its values is disjoint from A,
+so each open U marks the complement of its value with the points of U,
+and every entry is ORed into its subsets.  Both passes are the one
+packed kernel ``finspace.closed_lanes``, run once per table and per
+space.  The duality between the two operators is therefore a checked
+property, not an implementation shortcut.
 
-Those values and the operation's values at the non-empty opens
-determine each other (the lemma in ``Space``), so the tables are built
-once per distinct slice ``extension[1:]`` on a topology object, not once
-per space.  Two operations that differ only at the empty set share one
-slice: the 9,048 3-point table spaces give 1,131 slices, which give 507
-operator classes (below).  A sweep works per slice as well.
+The two packed tables are the key of the space's operator class (below)
+in its topology's ``operator_memos``, so the tuples ``int_g`` and
+``cl_g`` are unpacked once per class, not once per space: the 9,048
+3-point table spaces fall into 507 classes.  Two operations that differ
+only at the empty set have equal tables, as the empty set is in no
+point's neighbourhood, and share one slice ``extension[1:]``: the 9,048
+table spaces give 1,131 slices.  A sweep works per slice.
 ``operations_for`` lists each distinct extension once, in blocks
 (``OperationBlock``) that list the slices and the values at the empty
 set apart: a builtin or pivot is a block of one row with its operation,
@@ -40,9 +42,9 @@ Every derived value, the open/regular operation flags included, reads
 only the ground set, the topology and the two operator tables, so it is
 a function of the space's *operator class* (topology, int_g, cl_g) and
 is kept once per class: in a memo owned by the ``Topology`` object,
-shared by every space on that object with equal tables.  The 9,048
-3-point table spaces fall into 507 classes.  The one value that reads
-the operation's own values is the space's key, ``Space.key``.
+shared by every space on that object with equal tables.  The one value
+that reads the operation's own values is the space's key,
+``Space.key``.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ from .finspace import (
     PointSet,
     SizeTooLarge,
     Topology,
+    closed_lanes,
     closure,
-    inside_table,
     interior,
-    meeting_table,
     submasks,
+    unpack_lanes,
 )
 from .jsonout import Framed
 
@@ -274,20 +276,22 @@ class Space:
     ``Topology`` object with equal operators.
 
     Each value is checked for this space, against the ground set and for
-    expansiveness.  Then the tables and the memo come from the topology's
-    ``operator_tables`` entry for ``extension[1:]``, the values at every
-    open but the empty set, made by the first space with that slice: of
-    the 9,048 3-point table spaces, 1,131 build tables, and they fall into
-    507 classes.
+    expansiveness, and marks the two tables (module docstring).  Then the
+    two packed tables (``finspace.closed_lanes``) are the key of the
+    topology's ``operator_memos`` entry, (int_g, cl_g, class memo), made
+    by the first space of the class: of the 9,048 3-point table spaces,
+    all pack their tables, and only the 507 that open a class unpack
+    them.
 
-    Lemma: on one topology, two operations have equal slices iff they
-    have equal per-point neighbourhood values, the one input of the
-    tables.  The empty set is the first of the sorted opens, and its
-    value is in no point's values.  Every other open U contains some
-    point x, and the value at U sits at a fixed position in x's tuple
-    (the rank of U among the opens at x).  So the slice gives every
-    tuple, and the tuples give every entry of the slice.  The tuples are
-    therefore built only on a miss, to fill the tables.
+    Lemma: on one topology, two operations have equal slices
+    ``extension[1:]`` iff they have equal per-point neighbourhood values.
+    The empty set is the first of the sorted opens, and its value is in
+    no point's values.  Every other open U contains some point x, and the
+    value at U sits at a fixed position in x's tuple (the rank of U among
+    the opens at x).  So the slice gives every tuple, and the tuples give
+    every entry of the slice.  The tables read only those values, so the
+    operations of one slice are of one class; the memo needs no slice,
+    and the lemma serves the walk's check at the empty set alone.
 
     So a sweep builds one space per slice (``theoremlab.enumerate_slices``)
     and checks a later operation of the slice at its one new value, the
@@ -314,21 +318,26 @@ class Space:
         opens = self.top.opens_sorted
         extension = _extension(self.top, self.gamma)
         full = self.ground.full_mask
+        # each open U marks its value for int_g, and the complement of its
+        # value for the misses of cl_g, with every point of U at once; a
+        # value is checked before it marks anything
+        inside = [0] * (full + 1)
+        misses = [0] * (full + 1)
         for v, value in zip(opens, extension):
             if not 0 <= value <= full:
                 self.ground.check_mask(value)  # raises
             if v & ~value:
                 raise GammaNotExpansive(self.ground, v, value)
+            inside[value] |= v
+            misses[full ^ value] |= v
         object.__setattr__(self, "extension", extension)
-        tables = self.top.operator_tables.get(extension[1:])
+        n = self.ground.n
+        key = (closed_lanes(n, inside, True), closed_lanes(n, misses, False))
+        tables = self.top.operator_memos.get(key)
         if tables is None:
-            nbds = [list(itertools.compress(extension, opens_at))
-                    for opens_at in self.top.opens_at_points]
             # expansiveness puts each point inside its values, so int_g(A) <= A
-            int_g = inside_table(len(nbds), nbds)
-            cl_g = meeting_table(len(nbds), nbds)
-            class_memo = self.top.operator_memos.setdefault((int_g, cl_g), {})
-            tables = self.top.operator_tables[extension[1:]] = (int_g, cl_g, class_memo)
+            tables = self.top.operator_memos[key] = (
+                unpack_lanes(n, key[0]), unpack_lanes(n, key[1], flip=True), {})
         int_g, cl_g, class_memo = tables
         object.__setattr__(self, "int_g", int_g)
         object.__setattr__(self, "cl_g", cl_g)

@@ -950,10 +950,12 @@ def enumerate_spaces(n: int, modes):
     """Yield ``(topology_index, operation_index, space)`` per row of the
     walk (``enumerate_slices``), in index order, one ``Space`` per row:
     the row's group space where its extension is the row's, and otherwise
-    a new space, which differs from it at most at the empty set and so
-    shares its tables and memo.  No command reads it; it stays here
-    because the benchmark's verify workload draws its documents from it,
-    and the tests use it as the per-space oracle of the walk."""
+    a new space.  The new space differs from the group's at most at the
+    empty set, so it packs equal tables and finds the group's class in
+    ``operator_memos``: it shares its tables and memo, and unpacks
+    nothing.  No command reads it; it stays here because the benchmark's
+    verify workload draws its documents from it, and the tests use it as
+    the per-space oracle of the walk."""
     for walk in enumerate_slices(n, modes):
         for oi, extension, op, g in walk.rows():
             sp = walk.groups[g][0]

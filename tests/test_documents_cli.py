@@ -616,6 +616,19 @@ def test_discrete_sixteen_point_machine_analyze_streams(discrete16):
     assert peak < 110
 
 
+# sha256 of the text stdout of analyze on the identity document (16,777,585 bytes)
+DISCRETE16_ANALYZE_TEXT_SHA256 = "95ba9d9712225defe4ad65961925f339a4622a4e0b45e727ad6e75c434f8cc95"
+
+
+def test_discrete_sixteen_point_text_analyze_streams(discrete16):
+    # each of the 65,536 lines is written as it is made, about 58 MiB peak
+    # RSS; with every line and their 16.8 MB join built before the first
+    # byte it peaked at about 113 MiB
+    sha, peak = _peak_rss(["analyze", str(discrete16["identity"])])
+    assert sha == DISCRETE16_ANALYZE_TEXT_SHA256
+    assert peak < 80
+
+
 def test_table_mine_machine_streams():
     # 15 MB of 12,144 records: each is made as it is written, and its hit
     # is let go with it, about 22 MiB peak RSS; with every record built

@@ -111,9 +111,9 @@ def test_every_bundled_document_still_parses():
 def test_the_table_cache_never_skips_validation():
     top = validate_topology(ABC, [0, m("a"), 7])
     good = Space(ABC, top, GammaOperation("table", values=(0, m("ab"), 7)))
-    assert len(top.operator_tables) == 1
-    # the table key leaves out the value at the empty set, so this table's
-    # slice is the cached one: its mask is checked all the same
+    assert len(top.operator_memos) == 1
+    # each table below has the cached class wherever its values are valid:
+    # its masks are checked all the same
     with pytest.raises(FinSpaceError):
         Space(ABC, top, GammaOperation("table", values=(8, m("ab"), 7)))
     with pytest.raises(GammaNotExpansive) as err:
@@ -123,11 +123,21 @@ def test_the_table_cache_never_skips_validation():
     # open, is the document parser's check)
     with pytest.raises(InvalidOperation):
         Space(ABC, top, GammaOperation("table", values=(0, m("ab"), 7, 7)))
-    # the failed spaces added nothing, and an equal space reads the entry
-    assert len(top.operator_tables) == 1
+    # the failed spaces added nothing, and a space of the class reads the entry
+    assert len(top.operator_memos) == 1
     again = Space(ABC, top, GammaOperation("table", values=(1, m("ab"), 7)))
     assert again.int_g is good.int_g and again.cl_g is good.cl_g
     assert again._class_memo is good._class_memo
+    # one entry per class, not per slice: on {a} and {b} the value at {a,b}
+    # holds a value at {a} or at {b}, so it changes neither operator
+    top = validate_topology(ABC, [0, m("a"), m("b"), m("ab"), 7])
+    first = Space(ABC, top, GammaOperation("table", values=(0, m("a"), m("b"), m("ab"), 7)))
+    second = Space(ABC, top, GammaOperation("table", values=(0, m("a"), m("b"), 7, 7)))
+    assert first.extension[1:] != second.extension[1:]
+    assert second.int_g is first.int_g and second._class_memo is first._class_memo
+    other = Space(ABC, top, GammaOperation("table", values=(0, m("ac"), m("b"), 7, 7)))
+    assert other.int_g != first.int_g
+    assert len(top.operator_memos) == 2
 
 
 def test_regular_and_open_flags(example3_2, example3_5, example3_17):

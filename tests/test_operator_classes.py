@@ -1,13 +1,14 @@
 """Families, flags, invariants, discrepancy statistics, the claim rows of
 a sweep and separations are memoised per operator class: the spaces on
 one ``Topology`` object with equal int_g and cl_g tables share them
-(``gamma_core.per_operator_class``).  The tables themselves are built once
-per slice ``extension[1:]``, the operation's values at the non-empty
-opens.  These tests check that sharing changes no result, that the shared
-code reads nothing of the operation but its two operators, that the slice
-and the per-point neighbourhood values determine each other, how often
-the shared code runs, and that a sweep's per-class tallies equal a
-per-space recount."""
+(``gamma_core.per_operator_class``).  Every space packs its two tables
+(``finspace.closed_lanes``), and the packed pair is the key of its class,
+whose tables are unpacked once.  These tests check that sharing changes
+no result, that the shared code reads nothing of the operation but its
+two operators, that the slice ``extension[1:]`` (the operation's values
+at the non-empty opens) and the per-point neighbourhood values determine
+each other, how often the shared code runs, and that a sweep's per-class
+tallies equal a per-space recount."""
 
 import collections
 import dataclasses
@@ -137,9 +138,9 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
                 met[cid].add(cls)
     assert len(classes) == 507
 
-    # two spaces with equal neighbourhood values share their tables; as the
-    # empty set is the first open and in no neighbourhood, those values are
-    # the operation's values at the other opens
+    # two spaces with one slice have equal neighbourhood values, as the
+    # empty set is the first open and in no neighbourhood, so they are of
+    # one class and share its tables
     first_with = {}
     for ti, oi, sp in rows:
         first = first_with.setdefault((ti, sp.extension[1:]), sp)
@@ -150,9 +151,9 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     runs = collections.Counter()
 
     def counted(name, body, memo=True):
-        def run(*args):
+        def run(*args, **kwargs):
             runs[name] += 1
-            return body(*args)
+            return body(*args, **kwargs)
 
         return per_operator_class(run) if memo else run
 
@@ -165,15 +166,18 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     for name, flag in tl.SPACE_FLAGS.items():
         monkeypatch.setitem(tl.SPACE_FLAGS, name, counted(name, flag.__wrapped__))
 
-    # the per-class helpers a sweep and a mine look up, counted per lookup
-    for module, name in ((gamma_core, "inside_table"), (gamma_core, "meeting_table"),
+    # the kernel, the unpacking and the per-class helpers a sweep and a
+    # mine look up, counted per lookup
+    for module, name in ((gamma_core, "closed_lanes"), (gamma_core, "unpack_lanes"),
                          (tl, "check_claim"), (tl, "_separating"), (tl, "_status_row"),
                          (tl, "_separation_witnesses")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name), memo=False))
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
-    assert runs["inside_table"] == runs["meeting_table"] == 1131
+    # each slice space packs both tables; a class unpacks them once
+    assert runs["closed_lanes"] == 2 * 1131
+    assert runs["unpack_lanes"] == 2 * 507
     # one lookup per slice, not one per row
     assert runs["_status_row"] == 1131
     assert runs["check_claim"] == 507 * len(tl.CLAIM_IDS)
@@ -260,34 +264,36 @@ def _point_values(sp):
 
 def _check_table_key(spaces):
     """On each topology object, equal slices ``extension[1:]`` iff equal
-    per-point values; each slice builds its own tables, shared by every
-    space with that slice, and is the topology's only entry for them.
-    *spaces* must be every space built on their topology objects.
-    Returns the number of table entries."""
+    per-point values (the lemma in ``Space`` that the walk's check at the
+    empty set rests on); the spaces of one operator class share its tables
+    and memo, and the topology holds one memo entry per class.  *spaces*
+    must be every space built on their topology objects.  Returns the
+    number of classes."""
     by_top = collections.defaultdict(list)
     for sp in spaces:
         by_top[id(sp.top)].append(sp)
-    entries = 0
+    classes = 0
     for group in by_top.values():
         slice_of, values_of, first = {}, {}, {}
         for sp in group:
             values, key = _point_values(sp), sp.extension[1:]
             assert slice_of.setdefault(values, key) == key
             assert values_of.setdefault(key, values) == values
-            same = first.setdefault(key, sp)
-            assert sp.int_g is same.int_g and sp._class_memo is same._class_memo
-        # a key that merges two slices, or splits one, builds fewer or more tables
+            same = first.setdefault((sp.int_g, sp.cl_g), sp)
+            assert sp.int_g is same.int_g and sp.cl_g is same.cl_g
+            assert sp._class_memo is same._class_memo
+        # a key that merges two classes, or splits one, unpacks fewer or more tables
         assert len({id(sp.int_g) for sp in group}) == len(first)
-        assert len(group[0].top.operator_tables) == len(first)
-        entries += len(first)
-    return entries
+        assert len(group[0].top.operator_memos) == len(first)
+        classes += len(first)
+    return classes
 
 
 def test_the_table_key_and_the_neighbourhood_values_determine_each_other(walked):
     three = [sp for _, _, sp in walked(3, ("all_tables",))[1]]
-    assert (len(three), _check_table_key(three)) == (9048, 1131)
+    assert (len(three), _check_table_key(three)) == (9048, 507)
     four = [sp for _, _, sp in walked(4, ("builtins", "pivots"))[1]]
-    assert (len(four), _check_table_key(four)) == (2775, 2775)
+    assert (len(four), _check_table_key(four)) == (2775, 2321)
     for name in documents.BUNDLED:
         doc = documents.load_bundled(name)
         blocks = operations_for(doc.top, ("builtins", "pivots"))
