@@ -249,15 +249,15 @@ class Topology:
     """A validated family of open subsets over a ground set.
 
     Two memo dicts live and die with the object: an equal but distinct
-    topology shares nothing.  ``operator_memos`` maps each operator class
-    of the spaces on this object, keyed by its two packed operator tables
-    (``closed_lanes``), to its (int_g, cl_g, class memo): the unpacked
-    tables and the memo shared by every space of the class
-    (``gamma_core.per_operator_class``), so one entry is one class and its
-    tables are unpacked once.  ``extensions`` maps each pivot branch, and
-    each builtin or pivot operation that a space on this object uses, to
-    its values over ``opens_sorted`` (``gamma_core``), so each is computed
-    once per topology."""
+    topology shares nothing.  ``operator_memos`` maps the two packed
+    operator tables (``closed_lanes``) of the spaces on this object to
+    their ``gamma_core.OperatorClass``, which holds the unpacked tables
+    and every value derived from them, shared by every space of the
+    class: one entry is one class, and its tables are unpacked once.  A
+    class holds no reference back to the topology.  ``extensions`` maps
+    each pivot branch, and each builtin or pivot operation that a space on
+    this object uses, to its values over ``opens_sorted``
+    (``gamma_core``), so each is computed once per topology."""
 
     ground: PointSet
     opens: frozenset[int]

@@ -21,13 +21,13 @@ packed kernel ``finspace.closed_lanes``, run once per table and per
 space.  The duality between the two operators is therefore a checked
 property, not an implementation shortcut.
 
-The two packed tables are the key of the space's operator class (below)
-in its topology's ``operator_memos``, so the tuples ``int_g`` and
-``cl_g`` are unpacked once per class, not once per space: the 9,048
-3-point table spaces fall into 507 classes.  Two operations that differ
-only at the empty set have equal tables, as the empty set is in no
-point's neighbourhood, and share one slice ``extension[1:]``: the 9,048
-table spaces give 1,131 slices.  A sweep works per slice.
+The two packed tables are the key of the space's operator class
+(``OperatorClass``) in its topology's ``operator_memos``, so the tuples
+``int_g`` and ``cl_g`` are unpacked once per class, not once per space:
+the 9,048 3-point table spaces fall into 507 classes.  Two operations
+that differ only at the empty set have equal tables, as the empty set is
+in no point's neighbourhood, and share one slice ``extension[1:]``: the
+9,048 table spaces give 1,131 slices.  A sweep works per slice.
 ``operations_for`` lists each distinct extension once, in blocks
 (``OperationBlock``) that list the slices and the values at the empty
 set apart: a builtin or pivot is a block of one row with its operation,
@@ -37,14 +37,16 @@ values over the sorted opens, so a row's values give it).
 later operation of the slice through that space, checking only its
 value at the empty set.
 
-One memo holds what is computed from a space (``per_operator_class``).
-Every derived value, the open/regular operation flags included, reads
-only the ground set, the topology and the two operator tables, so it is
-a function of the space's *operator class* (topology, int_g, cl_g) and
-is kept once per class: in a memo owned by the ``Topology`` object,
-shared by every space on that object with equal tables.  The one value
-that reads the operation's own values is the space's key,
-``Space.key``.
+Every value derived from a space but its key, the open/regular
+operation flags and the bridge pairings included, reads only the ground
+set, the opens and the two operator tables, so it is a function of the
+space's operator class (topology, int_g, cl_g).  ``OperatorClass`` holds
+those four, one object per class on a ``Topology`` object, shared by
+every space of the class (``Space.cls``), and keeps each shared derived
+value as a ``functools.cached_property``.  The one value
+that reads the operation's own values is the space's key, ``Space.key``.
+The functions here and in ``gamma_sets`` that take a space read its
+class.
 """
 
 from __future__ import annotations
@@ -53,14 +55,19 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import and_
+
 from .finspace import (
     MAX_TABLE_POINTS,
     PointSet,
     SizeTooLarge,
     Topology,
+    bits_of,
     closed_lanes,
     closure,
+    inside_table,
     interior,
+    meeting_table,
     submasks,
     unpack_lanes,
 )
@@ -272,16 +279,15 @@ class Space:
 
     ``int_g`` and ``cl_g`` hold the two operators, indexed by subset mask;
     ``extension`` holds the operation's values over the sorted opens.
-    ``_class_memo`` is the memo shared with the spaces on the same
-    ``Topology`` object with equal operators.
+    ``cls`` is the space's ``OperatorClass``, shared with the spaces on
+    the same ``Topology`` object with equal operators.
 
     Each value is checked for this space, against the ground set and for
     expansiveness, and marks the two tables (module docstring).  Then the
     two packed tables (``finspace.closed_lanes``) are the key of the
-    topology's ``operator_memos`` entry, (int_g, cl_g, class memo), made
-    by the first space of the class: of the 9,048 3-point table spaces,
-    all pack their tables, and only the 507 that open a class unpack
-    them.
+    topology's ``operator_memos`` entry, the class, made by the first
+    space of the class: of the 9,048 3-point table spaces, all pack their
+    tables, and only the 507 that open a class unpack them.
 
     Lemma: on one topology, two operations have equal slices
     ``extension[1:]`` iff they have equal per-point neighbourhood values.
@@ -290,7 +296,7 @@ class Space:
     value at U sits at a fixed position in x's tuple (the rank of U among
     the opens at x).  So the slice gives every tuple, and the tuples give
     every entry of the slice.  The tables read only those values, so the
-    operations of one slice are of one class; the memo needs no slice,
+    operations of one slice are of one class; the class needs no slice,
     and the lemma serves the walk's check at the empty set alone.
 
     So a sweep builds one space per slice (``theoremlab.enumerate_slices``)
@@ -333,15 +339,14 @@ class Space:
         object.__setattr__(self, "extension", extension)
         n = self.ground.n
         key = (closed_lanes(n, inside, True), closed_lanes(n, misses, False))
-        tables = self.top.operator_memos.get(key)
-        if tables is None:
+        cls = self.top.operator_memos.get(key)
+        if cls is None:
             # expansiveness puts each point inside its values, so int_g(A) <= A
-            tables = self.top.operator_memos[key] = (
-                unpack_lanes(n, key[0]), unpack_lanes(n, key[1], flip=True), {})
-        int_g, cl_g, class_memo = tables
-        object.__setattr__(self, "int_g", int_g)
-        object.__setattr__(self, "cl_g", cl_g)
-        object.__setattr__(self, "_class_memo", class_memo)
+            cls = self.top.operator_memos[key] = OperatorClass(
+                self.ground, self.top.opens, unpack_lanes(n, key[0]), unpack_lanes(n, key[1], flip=True))
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "int_g", cls.int_g)
+        object.__setattr__(self, "cl_g", cls.cl_g)
 
     @functools.cached_property
     def key(self) -> SpaceKey:
@@ -371,85 +376,354 @@ def gamma_closure(sp: Space, a: int) -> int:
     return sp.cl_g[a]
 
 
-_MISSING = object()
+class OperatorClass:
+    """The operator class of the spaces on one ``Topology`` object with
+    equal operator tables: the ground set, the opens, and the tables
+    ``int_g`` and ``cl_g``.  The values derived from them that callers
+    share (families, flags, the theta and filterbase tables, the bridge
+    pairings) are ``cached_property`` here, computed by the first space of
+    the class that asks and read by the others; claim checkers, invariants
+    and statistics take the class as their argument.
+
+    Lemma: a value that reads only the ground set, the opens and the two
+    tables takes one value on the spaces of one class, as they give the
+    same four.  A property here can read nothing else: the class holds no
+    ``gamma``, ``extension`` or ``key``.  Nor does it hold the topology,
+    which holds it (``Topology.operator_memos``): that cycle would keep the
+    class, with every table it has cached, alive past its last space,
+    until a garbage collection."""
+
+    def __init__(self, ground: PointSet, opens: frozenset, int_g: tuple, cl_g: tuple):
+        self.ground = ground
+        self.opens = opens
+        self.int_g = int_g
+        self.cl_g = cl_g
+
+    @functools.cached_property
+    def gamma_open(self) -> tuple[int, ...]:
+        """All fixed points of gamma_interior, ascending."""
+        return tuple(m for m, gi in enumerate(self.int_g) if gi == m)
+
+    @functools.cached_property
+    def regular_open(self) -> tuple[int, ...]:
+        """The sets A with int_g(cl_g(A)) = A, ascending."""
+        ig = self.int_g
+        return tuple(m for m, c in enumerate(self.cl_g) if ig[c] == m)
+
+    @functools.cached_property
+    def regular_operation(self) -> bool:
+        """True iff any two neighbourhood values are refined by a third:
+        for every x and opens U, V at x there is an open W at x with
+        value(W) inside value(U) & value(V).
+
+        On finitely many values that holds iff one value at x lies inside
+        their meet K_x (fold the refinement over the values; the converse is
+        plain), i.e. iff x is in int_g(K_x): the finite-directedness fact of
+        the tail/range lemma below.  Lemma: x is in int_g(A) iff some value
+        at x lies inside A, so those A are the supersets of the values at x
+        and K_x is their meet: y is in K_x iff x is not in
+        int_g(X - {y})."""
+        n, ig = self.ground.n, self.int_g
+        full = self.ground.full_mask
+        co_points = [ig[full ^ 1 << y] for y in range(n)]
+        for x in range(n):
+            kernel = sum(1 << y for y, c in enumerate(co_points) if not c >> x & 1)
+            if not ig[kernel] >> x & 1:
+                return False
+        return True
+
+    @functools.cached_property
+    def open_operation(self) -> bool:
+        """True iff every neighbourhood value holds a gamma-open
+        neighbourhood of the point: for every x and open U at x, a gamma-open
+        V with x in V inside value(U).
+
+        Lemma: that holds iff int_g(A) is gamma-open for every A.  As x is in
+        int_g(A) iff some value at x lies inside A, the largest gamma-open
+        subset G(A) of A is inside int_g(A).  If the operation is open, a
+        value(U) inside A at x holds a gamma-open V at x, inside G(A): so
+        int_g(A) = G(A).  Conversely x is in int_g(value(U)), a gamma-open
+        set inside value(U)."""
+        ig = self.int_g
+        return all(ig[g] == g for g in ig)
+
+    @functools.cached_property
+    def extremally_disconnected(self) -> bool:
+        """True iff the gamma-closure of every gamma-open set is gamma-open."""
+        ig, cg = self.int_g, self.cl_g
+        return all(ig[cg[u]] == cg[u] for u in self.gamma_open)
+
+    @functools.cached_property
+    def theta_env(self) -> tuple:
+        """Per point, the gamma-closures of its gamma-open neighbourhoods."""
+        family, cg = self.gamma_open, self.cl_g
+        return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(self.ground.n))
+
+    @functools.cached_property
+    def theta_closure(self) -> tuple[int, ...]:
+        """The theta closure over every subset, indexed by mask: the points
+        x such that the gamma-closure of every gamma-open set at x meets
+        the subset (a ``meeting_table``)."""
+        return meeting_table(self.ground.n, self.theta_env)
+
+    @functools.cached_property
+    def theta_families(self) -> tuple:
+        """(theta_closed, theta_open): fixed points of the theta closure and
+        their complements, both ascending."""
+        full = self.ground.full_mask
+        closed = tuple(m for m, t in enumerate(self.theta_closure) if t == m)
+        # complements of an ascending family, ascending
+        return closed, tuple(full ^ m for m in reversed(closed))
+
+    @functools.cached_property
+    def principal_verdicts(self) -> dict:
+        """Per test family, the ``PrincipalVerdicts`` of every one-member
+        filterbase {M}: against regular-open neighbourhoods
+        (``regular_open``) and against gamma-closures of gamma-open ones
+        (``gamma_open_cl``).
+
+        {M} converges at x iff M is inside K_x, the meet of x's test sets; it
+        accumulates at x iff M meets each of them.  Two tables indexed by M
+        hold the point masks of both verdicts.  M <= K_x iff the complement of
+        K_x lies inside the complement of M, so ``converges`` is one
+        ``inside_table`` pass over the complements of the K_x, read backwards.
+        Against the gamma-closures of x's gamma-open neighbourhoods,
+        accumulation is the definition of x in the theta closure of M, so the
+        ``gamma_open_cl`` accumulation table is ``theta_closure``, read
+        rather than built again."""
+        n, full = self.ground.n, self.ground.full_mask
+        ro = self.regular_open
+        ro_tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
+        verdicts = {}
+        for family, tests, accumulates in (
+                ("regular_open", ro_tests, meeting_table(n, ro_tests)),
+                ("gamma_open_cl", self.theta_env, self.theta_closure)):
+            # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
+            outside = [(full ^ functools.reduce(and_, sets, full),) for sets in tests]
+            verdicts[family] = PrincipalVerdicts(inside_table(n, outside)[::-1], accumulates)
+        return verdicts
+
+    @functools.cached_property
+    def bridge_pairings(self) -> dict:
+        """First mismatch witness per (test family, accumulation reading)
+        pairing, for the net/tail-filterbase bridge and for the
+        filterbase/constructed-net bridge.  Verdicts are mask expressions over
+        the per-subset ``principal_verdicts`` tables.  The witnesses are the
+        first failing net of the oracle's ``enumerate_nets`` and the first
+        failing filterbase of its ``enumerate_filterbases``, in the orders of
+        ``tests/test_bridge_oracle.py``, found without enumerating either:
+        the first ``_first_nets`` row whose class fails, and
+        ``_filterbase_witness``."""
+        verdicts = self.principal_verdicts
+        net_tables = verdicts["gamma_open_cl"]
+        mismatch = {}
+        result = {}
+        for pairing in PAIRINGS:
+            fam, reading = pairing.split("+")
+            mismatch[pairing] = functools.partial(_class_mismatch, verdicts[fam], net_tables, reading)
+            literal = net_tables.converges if reading == "literal" else None
+            witness = _filterbase_witness(self, mismatch[pairing], literal)
+            result[pairing] = {"C-P4.10": None, "C-P4.11": witness}
+
+        # a net class (T, R) is the class of the base {T, R}: a pairing with no
+        # failing filterbase has no failing net
+        pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
+        if pending:
+            for row in _first_nets(self.ground.n):
+                for pairing in list(pending):
+                    hit = mismatch[pairing](row[0], row[1])
+                    if hit is not None:
+                        result[pairing]["C-P4.10"] = _first_net_witness(self, row, *hit)
+                        pending.remove(pairing)
+                if not pending:
+                    break
+        return result
 
 
-def per_operator_class(fn):
-    """Decorate ``fn(sp, *args)`` to run once per operator class and
-    argument tuple.
-
-    For the functions that read only ``sp.ground``, ``sp.top``, ``sp.int_g``,
-    ``sp.cl_g`` and other such functions.  Lemma: such a function takes
-    equal values on two spaces with the same topology object and equal
-    operator tables (by induction on the depth of its calls; the ground
-    set is the topology's).  So the first space of a class computes the
-    value and the others read it.
-
-    The value is kept in the class memo under the returned wrapper and
-    the arguments.  This is the only code that reads or writes the memo.
-    Arguments are positional only: a keyword call raises ``TypeError``,
-    and so does decorating a function with defaulted parameters, which
-    would give ``f(sp)`` and ``f(sp, default)`` two entries."""
-    if fn.__defaults__ or fn.__kwdefaults__:
-        raise TypeError(f"{fn.__qualname__}: a memoised function takes no defaults")
-
-    @functools.wraps(fn)
-    def once_per_args(sp, *args):
-        # a wrong argument count makes the call below raise before
-        # anything is stored
-        key = (once_per_args,) + args
-        memo = sp._class_memo
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(sp, *args)
-        return value
-
-    return once_per_args
-
-
-@per_operator_class
 def gamma_open_family(sp: Space) -> tuple[int, ...]:
-    """All fixed points of gamma_interior, ascending."""
-    return tuple(m for m, gi in enumerate(sp.int_g) if gi == m)
+    """All fixed points of gamma_interior, ascending (``OperatorClass``)."""
+    return sp.cls.gamma_open
 
 
-@per_operator_class
 def is_regular_operation(sp: Space) -> bool:
-    """True iff any two neighbourhood values are refined by a third:
-    for every x and opens U, V at x there is an open W at x with
-    value(W) inside value(U) & value(V).
-
-    On finitely many values that holds iff one value at x lies inside
-    their meet K_x (fold the refinement over the values; the converse is
-    plain), i.e. iff x is in int_g(K_x): the finite-directedness fact of
-    the tail/range lemma in ``theoremlab``.  Lemma: x is in int_g(A) iff
-    some value at x lies inside A, so those A are the supersets of the
-    values at x and K_x is their meet: y is in K_x iff x is not in
-    int_g(X - {y})."""
-    n, ig = sp.ground.n, sp.int_g
-    full = sp.ground.full_mask
-    co_points = [ig[full ^ 1 << y] for y in range(n)]
-    for x in range(n):
-        kernel = sum(1 << y for y, c in enumerate(co_points) if not c >> x & 1)
-        if not ig[kernel] >> x & 1:
-            return False
-    return True
+    """``OperatorClass.regular_operation`` of the space's class."""
+    return sp.cls.regular_operation
 
 
-@per_operator_class
 def is_open_operation(sp: Space) -> bool:
-    """True iff every neighbourhood value holds a gamma-open
-    neighbourhood of the point: for every x and open U at x, a gamma-open
-    V with x in V inside value(U).
+    """``OperatorClass.open_operation`` of the space's class."""
+    return sp.cls.open_operation
 
-    Lemma: that holds iff int_g(A) is gamma-open for every A.  As x is in
-    int_g(A) iff some value at x lies inside A, the largest gamma-open
-    subset G(A) of A is inside int_g(A).  If the operation is open, a
-    value(U) inside A at x holds a gamma-open V at x, inside G(A): so
-    int_g(A) = G(A).  Conversely x is in int_g(value(U)), a gamma-open
-    set inside value(U)."""
-    ig = sp.int_g
-    return all(ig[g] == g for g in ig)
+
+@dataclass(frozen=True)
+class PrincipalVerdicts:
+    """The verdicts of every one-member filterbase {M} against one test
+    family."""
+
+    converges: tuple  # per subset M, the points x with M <= K_x
+    accumulates: tuple  # per subset M, the points at which {M} accumulates
+
+
+# -- the bridge pairings ---------------------------------------------------
+
+NET_SIZE_CAP = 3
+PAIRINGS = (
+    "regular_open+standard",
+    "regular_open+literal",
+    "gamma_open_cl+standard",
+    "gamma_open_cl+literal",
+)
+DEFAULT_PAIRING = "regular_open+standard"
+
+
+# Filterbase convergence and accumulation test against regular-open
+# neighbourhoods; net convergence and accumulation test against
+# gamma-closures of gamma-open neighbourhoods.  Both test families are kept
+# (``PAIRINGS``) because the two do not coincide in general (they do at
+# every point of an open ED space, by the open + ED lemma in ``theoremlab``,
+# (c)); the bridge claims compare all pairings.
+#
+# Lemma (tail/range classes).  Let v be a net on a finite directed preorder
+# D, and write up(i) = {j : i <= j}.  The top class top(D) = {t : i <= t for
+# every i} is non-empty: folding upper bounds over the finitely many
+# elements yields one above all of them.  Every up(i) contains top(D), and
+# up(t) = top(D) for t in top(D).  Put T = v(top(D)), the eventual tail, and
+# R = v(D), the range.  For a test set C:
+#
+# * v is eventually in C (some up(i) maps into C) iff T is inside C:
+#   take i in top(D) one way, use v(up(i)) >= T the other;
+# * v is frequently in C (every up(i) meets v^-1(C)) iff T meets C:
+#   every up(i) contains top(D), and up(t) = top(D);
+# * every index lands in C iff R is inside C.
+#
+# So net convergence, cofinal accumulation and literal accumulation depend
+# on (T, R) alone.  The tail filterbase {v(up(i))} has T = v(up(t)) as a
+# member contained in every other one, so its kernel is T; its union is R
+# because i is in up(i).  On a finite set directedness puts the kernel K of
+# any filterbase into the family, below every member, so the filterbase
+# converges to / accumulates at a test set iff K is inside / meets it: its
+# verdicts depend on K alone.  It is maximal iff |K| = 1, hence a net is
+# universal iff |T| = 1.  The constructed net of a filterbase F, on its
+# (point, member) pairs ordered by reverse member inclusion, has as top
+# class the pairs with member K: tail K, range the union of F.  Lastly
+# every pair {} != T <= R is realised by a net on |R| indices (T as a tied
+# top class, one index below it per point of R - T), so the nets on at
+# most k indices realise exactly the classes with |R| <= k.
+#
+# So each bridge verdict is a mask expression over the per-subset
+# ``principal_verdicts`` tables of one-member bases.  With F the test
+# family and G the gamma-closures, a class (T, R) disagrees at
+# F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
+# G.accumulates[T] under the cofinal reading and G.converges[R] under the
+# literal one; the first failing point is the lowest set bit.  Only the
+# literal reading depends on R.  G.converges[R] is the meet of
+# G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
+# one-point extension does: n * 2**n steps decide every T.  Net classes
+# are filterbase classes (the class of the base {T, R}), so when no
+# filterbase disagrees, no net does either.  Witnesses are built from
+# their classes too (``_first_nets``): nothing here enumerates nets,
+# directed sets or filterbases.  ``tests/test_bridge_oracle.py`` does,
+# over the literal objects of ``tests/literal_convergence.py``.
+
+
+def _class_mismatch(fb, net, reading: str, t: int, r: int):
+    """The first point ``(x, part)`` at which the filterbase verdicts
+    (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
+    *net* of gamma-closures) disagree, or None.  By the tail/range lemma
+    this decides every net and filterbase of the class."""
+    conv = fb.converges[t] ^ net.converges[t]
+    # every index lands in each closure iff {R} converges
+    net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
+    bad = conv | (fb.accumulates[t] ^ net_acc)
+    if not bad:
+        return None
+    x = (bad & -bad).bit_length() - 1
+    return x, "convergence" if conv >> x & 1 else "accumulation"
+
+
+@functools.lru_cache(maxsize=None)
+def _first_nets(n: int) -> tuple:
+    """``(T, R, size, top, values)`` for each class with |R| <=
+    ``NET_SIZE_CAP``, in the order in which the oracle enumeration
+    (``tests/test_bridge_oracle.py``) first realises it, with that first
+    net: ``values`` on the directed set S(size, top) below.
+
+    Lemma.  The oracle lists directed sets by size k, then by canonical
+    form, the least tuple of up-set rows over relabellings; on each, the
+    values in lexicographic order.
+
+    * Every up-set holds the top class, so with top size t row 0 is at
+      least 2**t - 1, with equality iff indices 0..t-1 are the top class,
+      which a relabelling attains.  So for each k the directed sets come
+      in ascending t.
+    * Row i >= t then holds the top class and i, so the first directed
+      set of each (k, t) is S(k, t): t indices tied on top, and every
+      other index below them only.  This is the lemma's canonical net.
+    * A class depends on the values on the top class (T) and on all
+      indices (R) only, so a later directed set of the same (k, t),
+      relabelled to top class 0..t-1, realises only classes that S(k, t)
+      does with the same values.
+    * The t top indices cover T and the other k - t cover R - T, so the
+      first shape to realise (T, R) is S(|R|, |T|), with least values T
+      ascending, then R - T ascending.
+
+    So the rows are generated directly, in the order above:
+    ``itertools.combinations`` lists T, then R - T, lexicographically."""
+    rows = []
+    for size in range(1, NET_SIZE_CAP + 1):
+        for top in range(1, size + 1):
+            for head in itertools.combinations(range(n), top):
+                t = sum(1 << p for p in head)
+                rest = [p for p in range(n) if not t >> p & 1]
+                for tail in itertools.combinations(rest, size - top):
+                    rows.append((t, t | sum(1 << p for p in tail), size, top, head + tail))
+    return tuple(rows)
+
+
+def _first_net_witness(cls: OperatorClass, row, x: int, part: str) -> dict:
+    """The witness of a ``_first_nets`` row: its net on S(size, top), where
+    i <= j iff i == j or j is in the top class 0..top-1."""
+    _, _, size, top, values = row
+    return {
+        "directed_set": {
+            "size": size,
+            "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top],
+        },
+        "values": [cls.ground.labels[p] for p in values],
+        "point": cls.ground.labels[x],
+        "part": part,
+    }
+
+
+def _filterbase_witness(cls: OperatorClass, mismatch, net_converges) -> dict | None:
+    """The first failing filterbase in the order of the oracle's
+    ``enumerate_filterbases`` (``tests/test_bridge_oracle.py``), in closed
+    form.  Bases come kernel-first, and for one kernel K the base
+    {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
+    in ascending order (class (K, U)); larger bases only repeat those
+    classes.  When (K, K) holds, (K, U) fails only under the literal
+    reading, and exactly when the net's ``converges[U]`` differs from
+    ``converges[K]``: the first such U is K plus the lowest point whose
+    one-point extension changes it (*net_converges* is None under the
+    cofinal reading, where U never matters)."""
+    full = cls.ground.full_mask
+    for k in range(1, full + 1):
+        members = (k,)
+        hit = mismatch(k, k)
+        if hit is None and net_converges is not None:
+            u = next((k | 1 << p for p in bits_of(full ^ k)
+                      if net_converges[k | 1 << p] != net_converges[k]), None)
+            if u is not None:
+                members = (k, u)
+                hit = mismatch(k, u)
+        if hit is not None:
+            x, part = hit
+            return {
+                "part": part,
+                "filterbase": [cls.ground.label_list(m) for m in members],
+                "point": cls.ground.labels[x],
+            }
+    return None
 
 
 def check_table_points(n: int) -> None:

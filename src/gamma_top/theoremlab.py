@@ -1,10 +1,12 @@
 """Claim catalog and exhaustive verification machinery.
 
-Every claim is a decidable statement about one finite space.  A claim
-checker quantifies over the space's subsets, subset families, or the
-classes of filterbases and small nets (the tail/range lemma above
-C-T4.3; no net is enumerated) and returns holds / fails-with-witness, or
-reports that the space does not meet the claim's hypotheses.  Ten claims
+Every claim is a decidable statement about one finite space, and reads
+only the space's operator class (``gamma_core.OperatorClass``), which a
+checker takes in its place.  A claim checker quantifies over the
+subsets, subset families, or the classes of filterbases and small nets
+(the tail/range lemma in ``gamma_core``; no net is enumerated) and
+returns holds / fails-with-witness; ``check_claim`` reports instead that
+the class does not meet the claim's hypotheses.  Ten claims
 are theorems of every finite space.  Each follows from the laws that
 ``check_invariants`` checks (cl_g extensive, int_g contractive, the two
 dual) or from a ``meeting_table`` being monotone, by the lemma in its
@@ -22,11 +24,13 @@ enumerations for named separations or claim failures.  Both, and the
 bridge report, read the enumeration through one walk
 (``enumerate_slices``), which builds one ``Space`` per slice of operation
 values and groups the rows by slice, and through its one report loop
-(``TopologyRows.report``).  They look up a status row, the bridge
-verdicts or the witnesses once per slice, each computed once per
-operator class (``_status_row``, ``bridge_pairings``, ``_separations``);
-they add the slice's row count to their tallies, and the loop visits a
-row, to build its key, only where they report it.  The audits
+(``TopologyRows.report``).  The loop makes one row per operator class of
+a topology, kept in a dict for that topology alone: a sweep's statuses
+(``check_claim``) with its invariants and statistics, the bridge
+verdicts, or a mine's witnesses (``check_claim`` or ``_separations``).
+They look a row up once per slice and add the slice's row count to
+their tallies, and the loop visits a row, to build its key, only where
+they report it.  The audits
 rebuild the four bundled example spaces and diff their published
 families against recomputation.
 """
@@ -38,36 +42,21 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
+from operator import attrgetter
 
 from . import documents
-from .finspace import (
-    PointSet,
-    bits_of,
-    enumerate_topologies,
-    validate_topology,
-)
+from .finspace import PointSet, enumerate_topologies, validate_topology
 from .gamma_core import (
+    DEFAULT_PAIRING,
+    NET_SIZE_CAP,
+    PAIRINGS,
     GammaOperation,
+    OperatorClass,
     Space,
     SpaceKey,
     check_table_points,
-    is_open_operation,
-    is_regular_operation,
     operations_for,
-    per_operator_class,
-)
-from .gamma_sets import (
-    gamma_open_family,
-    is_gamma_clopen,
-    is_gamma_open,
-    is_gamma_regular_open,
-    is_extremally_disconnected,
-    is_theta_open,
-    principal_verdicts,
-    regular_open_family,
-    theta_closure_table,
-    theta_families,
 )
 from .jsonout import Framed
 
@@ -104,12 +93,12 @@ CLAIMS: dict[str, Claim] = {}
 
 
 def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
-    """Register the decorated checker as claim *cid*.  A checker reads the
-    operators, never the operation's values, but is not memoised itself:
-    a sweep or a mine runs it once per operator class, under
-    ``_status_row``, and ``run_suite`` once per space.  ``check_claim``
-    tests the hypotheses first, through the flags of ``SPACE_FLAGS``,
-    which are memoised per class."""
+    """Register the decorated checker as claim *cid*.  A checker takes an
+    operator class, so it never reads the operation's values, and keeps
+    no memo: ``check_claim``, the one path to it, runs it once per space
+    for ``run_suite`` and once per operator class of a topology for a
+    sweep or a mine.  ``check_claim`` tests the hypotheses first, through
+    the class's flags (``SPACE_FLAGS``)."""
 
     def register(check):
         CLAIMS[cid] = Claim(cid, tier, hypotheses, statement, check)
@@ -118,7 +107,6 @@ def _claim(cid: str, tier: str, hypotheses: tuple, statement: str):
     return register
 
 
-NET_SIZE_CAP = 3
 NET_RESTRICTION_NOTE = (
     "nets quantified over directed sets with at most "
     f"{NET_SIZE_CAP} elements; universality via tail-filterbase maximality"
@@ -170,19 +158,10 @@ class VerificationReport:
         }
 
 
-def _labels(sp: Space, mask: int) -> list:
-    """A shared, read-only label list (``PointSet.label_list``)."""
-    return sp.ground.label_list(mask)
-
-
-def _lowest_point(mask: int) -> int:
-    """The position of the lowest point in a non-empty mask."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _separating(sp: Space, has, lacks):
-    """The subsets with property *has* and without *lacks*, ascending."""
-    return (a for a in sp.ground.subsets() if has(sp, a) and not lacks(sp, a))
+def _labels(cls: OperatorClass, mask: int) -> list:
+    """A shared, read-only label list (``PointSet.label_list``) over the
+    ground set of *cls*, an operator class or a space."""
+    return cls.ground.label_list(mask)
 
 
 def _monotonicity_break(table):
@@ -234,28 +213,29 @@ def _monotonicity_break(table):
 #       too.  It keeps its scan: it has no hypotheses, and fails off ED as
 #       well.
 
-def _first_ro_not_gamma_open(sp: Space):
+def _first_ro_not_gamma_open(cls: OperatorClass):
     """R0 of the ED lemma: the first regular-open set, ascending, that is
     not gamma-open; None when there is none."""
-    ig = sp.int_g
-    return next((a for a in regular_open_family(sp) if ig[a] != a), None)
+    ig = cls.int_g
+    return next((a for a in cls.regular_open if ig[a] != a), None)
 
 
-def _fails_at_r0(sp: Space, **fields):
+def _fails_at_r0(cls: OperatorClass, **fields):
     """Fails with witness {"subset": R0, **fields}; holds without R0."""
-    r0 = _first_ro_not_gamma_open(sp)
+    r0 = _first_ro_not_gamma_open(cls)
     if r0 is None:
         return "holds", None, {}
-    return "fails", {"subset": _labels(sp, r0), **fields}, {}
+    return "fails", {"subset": _labels(cls, r0), **fields}, {}
 
 
 # Lemma (open operation + ED).  The five claims that assume an open
 # operation on an extremally disconnected space (C-T3.9-CONV, C-T3.14 and
 # C-T3.15-A/B/C) hold on every such space, and their checkers return
 # "holds" without a scan.  Under an open operation int_g(A) is the largest
-# gamma-open subset of A (``is_open_operation``).  So, by duality, cl_g(A)
-# is the smallest gamma-closed superset of A, and cl_g is idempotent.  ED
-# adds that cl_g(U) is gamma-open for every gamma-open U.  Then:
+# gamma-open subset of A (``OperatorClass.open_operation``).  So, by
+# duality, cl_g(A) is the smallest gamma-closed superset of A, and cl_g is
+# idempotent.  ED adds that cl_g(U) is gamma-open for every gamma-open U.
+# Then:
 #
 # (a) The regular-open sets, the gamma-clopen sets and the sets cl_g(U)
 #     with U gamma-open are one family.  A regular-open R = int_g(cl_g(R))
@@ -268,20 +248,20 @@ def _fails_at_r0(sp: Space, **fields):
 # (c) At each point x, the theta test sets cl_g(U), U gamma-open at x, are
 #     the regular-open sets at x: each is one by (a) and holds x, as cl_g
 #     is extensive; a regular-open R at x is gamma-open, with cl_g(R) = R.
-#     So ``theta_closure_table(sp)`` is
-#     ``principal_verdicts(sp, "regular_open").accumulates``.
+#     So ``cls.theta_closure`` is
+#     ``cls.principal_verdicts["regular_open"].accumulates``.
 
 
 @_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")
-def _check_ro_incl(sp: Space):
+def _check_ro_incl(cls: OperatorClass):
     """The first part fails exactly at R0 (ED lemma), by definition.  A
     gamma-open A is open: each x in A has an open U at x with
     U <= value(U) <= A (expansiveness)."""
-    return _fails_at_r0(sp, part="regular_open_not_gamma_open")
+    return _fails_at_r0(cls, part="regular_open_not_gamma_open")
 
 
 @_claim("C-P3.4-FWD", "other", (), "gamma-clopen implies gamma-regular-open")
-def _check_p34_fwd(sp: Space):
+def _check_p34_fwd(cls: OperatorClass):
     """Holds on every space: A = int_g(A) = cl_g(A) gives
     int_g(cl_g(A)) = int_g(A) = A."""
     return "holds", None, {}
@@ -289,13 +269,13 @@ def _check_p34_fwd(sp: Space):
 
 @_claim("C-P3.4-CONV", "conditioned", ("extremally_disconnected",),
         "gamma-regular-open implies gamma-clopen")
-def _check_p34_conv(sp: Space):
+def _check_p34_conv(cls: OperatorClass):
     """Fails first at R0, or holds (ED lemma, (i))."""
-    return _fails_at_r0(sp)
+    return _fails_at_r0(cls)
 
 
 @_claim("C-T3.6", "safe", (), "clopen implies cl.int-fixed implies complement regular-open")
-def _check_t36(sp: Space):
+def _check_t36(cls: OperatorClass):
     """Holds on every space.  A clopen A gives cl_g(int_g(A)) = cl_g(A) = A.
     If cl_g(int_g(A)) = A, duality (int_g(B) = X - cl_g(X - B)) gives
     int_g(cl_g(X - A)) = X - cl_g(int_g(A)) = X - A."""
@@ -304,18 +284,18 @@ def _check_t36(sp: Space):
 
 @_claim("C-T3.7", "conditioned", ("extremally_disconnected",),
         "complement regular-open implies regular-open implies clopen")
-def _check_t37(sp: Space):
+def _check_t37(cls: OperatorClass):
     """Fails first at R0, regular-open and not clopen, or holds (ED lemma,
     (iv)).  R0's complement is not regular-open, so the first part holds
     there."""
-    return _fails_at_r0(sp, part="regular_open_to_clopen")
+    return _fails_at_r0(cls, part="regular_open_to_clopen")
 
 
 @_claim("C-T3.8", "conditioned", ("extremally_disconnected",),
         "clopen, cl.int-fixed, complement regular-open and regular-open coincide")
-def _check_t38(sp: Space):
+def _check_t38(cls: OperatorClass):
     """Fails first at R0, with R0's four flags, or holds (ED lemma, (iv))."""
-    return _fails_at_r0(sp, clopen=False, cl_int_fixed=False,
+    return _fails_at_r0(cls, clopen=False, cl_int_fixed=False,
                         complement_regular_open=False, regular_open=True)
 
 
@@ -327,18 +307,18 @@ _CL_IDEMPOTENT_NOTES = {"cl_gamma_idempotent": True}
 
 @_claim("C-T3.9-FWD", "conditioned", ("open_operation",),
         "if cl_g(A) is regular-open then A is gamma-open")
-def _check_t39_fwd(sp: Space):
+def _check_t39_fwd(cls: OperatorClass):
     notes = _CL_IDEMPOTENT_NOTES
-    ig, cg = sp.int_g, sp.cl_g
+    ig, cg = cls.int_g, cls.cl_g
     for a, c in enumerate(cg):
         if ig[cg[c]] == c and ig[a] != a:
-            return "fails", {"subset": _labels(sp, a)}, notes
+            return "fails", {"subset": _labels(cls, a)}, notes
     return "holds", None, notes
 
 
 @_claim("C-T3.9-CONV", "conditioned", ("open_operation", "extremally_disconnected"),
         "if A is gamma-open then cl_g(A) is regular-open")
-def _check_t39_conv(sp: Space):
+def _check_t39_conv(cls: OperatorClass):
     """Holds (open + ED lemma): cl_g(A) is gamma-open by ED and equals
     cl_g(cl_g(A)), so int_g(cl_g(cl_g(A))) = cl_g(A)."""
     return "holds", None, _CL_IDEMPOTENT_NOTES
@@ -346,24 +326,24 @@ def _check_t39_conv(sp: Space):
 
 @_claim("C-C3.10", "conditioned", ("extremally_disconnected",),
         "cl_g(int_g(A)) is regular-open for every A")
-def _check_c310(sp: Space):
-    ig, cg = sp.int_g, sp.cl_g
-    for a in sp.ground.subsets():
+def _check_c310(cls: OperatorClass):
+    ig, cg = cls.int_g, cls.cl_g
+    for a in cls.ground.subsets():
         c = cg[ig[a]]
         if ig[cg[c]] != c:
-            return "fails", {"subset": _labels(sp, a)}, {}
+            return "fails", {"subset": _labels(cls, a)}, {}
     return "holds", None, {}
 
 
 @_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
-def _check_p313_1(sp: Space):
+def _check_p313_1(cls: OperatorClass):
     """Holds on every space: the theta closure is a ``meeting_table``, and
     a set that meets A meets every superset of A."""
     return "holds", None, {}
 
 
 @_claim("C-P3.13-2", "safe", (), "intersections of theta-closed families are theta-closed")
-def _check_p313_2(sp: Space):
+def _check_p313_2(cls: OperatorClass):
     """Holds on every space: the theta closure is monotone (C-P3.13-1) and
     extensive (every point x of A lies in each gamma-closure of a
     gamma-open set at x, which so meets A).  So V = the intersection of
@@ -375,7 +355,7 @@ def _check_p313_2(sp: Space):
 
 @_claim("C-T3.14", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta closure equals the meet of theta-closed supersets and of regular-open supersets")
-def _check_t314(sp: Space):
+def _check_t314(cls: OperatorClass):
     """Holds (open + ED lemma): by (c) and (b), x is outside thetacl(A) iff
     a regular-open superset of A misses x, so thetacl(A) is the meet of the
     regular-open supersets.  So it is a theta-closed superset of A
@@ -386,14 +366,14 @@ def _check_t314(sp: Space):
 
 @_claim("C-T3.15-A", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta-closure membership tests against regular-open neighbourhoods")
-def _check_t315a(sp: Space):
+def _check_t315a(cls: OperatorClass):
     """Holds (open + ED lemma): (c)."""
     return "holds", None, {}
 
 
 @_claim("C-T3.15-B", "conditioned", ("open_operation", "extremally_disconnected"),
         "theta-open means every point has a regular-open neighbourhood inside")
-def _check_t315b(sp: Space):
+def _check_t315b(cls: OperatorClass):
     """Holds (open + ED lemma): by (c), x is outside thetacl(X - A) iff
     some regular-open neighbourhood of x lies inside A."""
     return "holds", None, {}
@@ -401,7 +381,7 @@ def _check_t315b(sp: Space):
 
 @_claim("C-T3.15-C", "conditioned", ("open_operation", "extremally_disconnected"),
         "regular-open coincides with theta-clopen")
-def _check_t315c(sp: Space):
+def _check_t315c(cls: OperatorClass):
     """Holds (open + ED lemma).  For x outside a regular-open R, X - R is a
     regular-open neighbourhood of x (b) missing R: so R, and X - R, are
     theta-closed.  Conversely cl_g <= thetacl (``_space_discrepancies``),
@@ -410,72 +390,24 @@ def _check_t315c(sp: Space):
 
 
 @_claim("C-CHAIN-RO-TO", "other", (), "regular-open implies theta-open")
-def _check_chain_ro_to(sp: Space):
-    for a in _separating(sp, is_gamma_regular_open, is_theta_open):
-        return "fails", {"subset": _labels(sp, a)}, {}
+def _check_chain_ro_to(cls: OperatorClass):
+    full, theta = cls.ground.full_mask, cls.theta_closure
+    for a in cls.regular_open:
+        if theta[full ^ a] != full ^ a:
+            return "fails", {"subset": _labels(cls, a)}, {}
     return "holds", None, {}
 
 
 @_claim("C-CHAIN-TO-GO", "other", (), "theta-open implies gamma-open")
-def _check_chain_to_go(sp: Space):
+def _check_chain_to_go(cls: OperatorClass):
     """Holds on every space: cl_g(B) <= thetacl(B) (``_space_discrepancies``)
     and cl_g is extensive.  So thetacl(X - A) = X - A forces
     cl_g(X - A) = X - A, and duality gives int_g(A) = X - cl_g(X - A) = A."""
     return "holds", None, {}
 
 
-# Filterbase convergence and accumulation test against regular-open
-# neighbourhoods; net convergence and accumulation test against
-# gamma-closures of gamma-open neighbourhoods.  Both test families are kept
-# (``PAIRINGS``) because the two do not coincide in general (they do at
-# every point of an open ED space, by the open + ED lemma, (c)); the bridge
-# claims compare all pairings.
-#
-# Lemma (tail/range classes).  Let v be a net on a finite directed preorder
-# D, and write up(i) = {j : i <= j}.  The top class top(D) = {t : i <= t for
-# every i} is non-empty: folding upper bounds over the finitely many
-# elements yields one above all of them.  Every up(i) contains top(D), and
-# up(t) = top(D) for t in top(D).  Put T = v(top(D)), the eventual tail, and
-# R = v(D), the range.  For a test set C:
-#
-# * v is eventually in C (some up(i) maps into C) iff T is inside C:
-#   take i in top(D) one way, use v(up(i)) >= T the other;
-# * v is frequently in C (every up(i) meets v^-1(C)) iff T meets C:
-#   every up(i) contains top(D), and up(t) = top(D);
-# * every index lands in C iff R is inside C.
-#
-# So net convergence, cofinal accumulation and literal accumulation depend
-# on (T, R) alone.  The tail filterbase {v(up(i))} has T = v(up(t)) as a
-# member contained in every other one, so its kernel is T; its union is R
-# because i is in up(i).  On a finite set directedness puts the kernel K of
-# any filterbase into the family, below every member, so the filterbase
-# converges to / accumulates at a test set iff K is inside / meets it: its
-# verdicts depend on K alone.  It is maximal iff |K| = 1, hence a net is
-# universal iff |T| = 1.  The constructed net of a filterbase F, on its
-# (point, member) pairs ordered by reverse member inclusion, has as top
-# class the pairs with member K: tail K, range the union of F.  Lastly
-# every pair {} != T <= R is realised by a net on |R| indices (T as a tied
-# top class, one index below it per point of R - T), so the nets on at
-# most k indices realise exactly the classes with |R| <= k.
-#
-# So each bridge verdict is a mask expression over the per-subset
-# ``principal_verdicts`` tables of one-member bases.  With F the test
-# family and G the gamma-closures, a class (T, R) disagrees at
-# F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
-# G.accumulates[T] under the cofinal reading and G.converges[R] under the
-# literal one; the first failing point is the lowest set bit.  Only the
-# literal reading depends on R.  G.converges[R] is the meet of
-# G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
-# one-point extension does: n * 2**n steps decide every T.  Net classes
-# are filterbase classes (the class of the base {T, R}), so when no
-# filterbase disagrees, no net does either.  Witnesses are built from
-# their classes too (``_first_nets``): nothing here enumerates nets,
-# directed sets or filterbases.  ``tests/test_bridge_oracle.py`` does,
-# over the literal objects of ``tests/literal_convergence.py``.
-
-
 @_claim("C-T4.3", "safe", (), "filterbase convergence implies accumulation")
-def _check_t43(sp: Space):
+def _check_t43(cls: OperatorClass):
     """Holds on every space.  A filterbase's verdicts are those of its
     kernel K, which is not empty (the tail/range lemma).  If it
     converges at x then K <= K_x, the meet of x's test sets: every test
@@ -485,7 +417,7 @@ def _check_t43(sp: Space):
 
 @_claim("C-T4.4", "safe", (),
         "accumulation passes from a subordinate filterbase to the coarser one")
-def _check_t44(sp: Space):
+def _check_t44(cls: OperatorClass):
     """Holds on every space.  A filterbase accumulates where its kernel
     does, and a subordinate base has its kernel inside the coarse one's.
     The accumulation table is a ``meeting_table``, so it is monotone."""
@@ -493,7 +425,7 @@ def _check_t44(sp: Space):
 
 
 @_claim("C-T4.5", "safe", (), "for maximal filterbases accumulation and convergence coincide")
-def _check_t45(sp: Space):
+def _check_t45(cls: OperatorClass):
     """Holds on every space.  A maximal filterbase has a one-point kernel
     {p}, and {p} accumulates at x iff p is in every test set of x, iff p is
     in K_x, the meet of those sets, iff {p} converges at x."""
@@ -501,7 +433,7 @@ def _check_t45(sp: Space):
 
 
 @_claim("C-P4.7-EQ", "safe", (), "the five cover/accumulation conditions all hold")
-def _check_p47(sp: Space):
+def _check_p47(cls: OperatorClass):
     """Holds on every space.  The conditions are: (1) every gamma-open
     cover has a subfamily whose gamma-closures cover; (2) every
     gamma-closed family with empty intersection has a subfamily with
@@ -520,155 +452,16 @@ def _check_p47(sp: Space):
     return "holds", None, {"cl_mode_conditions": (True,) * 5}
 
 
-PAIRINGS = (
-    "regular_open+standard",
-    "regular_open+literal",
-    "gamma_open_cl+standard",
-    "gamma_open_cl+literal",
-)
-DEFAULT_PAIRING = "regular_open+standard"
-
-
-def _class_mismatch(fb, net, reading: str, t: int, r: int):
-    """The first point ``(x, part)`` at which the filterbase verdicts
-    (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
-    *net* of gamma-closures) disagree, or None.  By the tail/range lemma
-    this decides every net and filterbase of the class."""
-    conv = fb.converges[t] ^ net.converges[t]
-    # every index lands in each closure iff {R} converges
-    net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
-    bad = conv | (fb.accumulates[t] ^ net_acc)
-    if not bad:
-        return None
-    x = _lowest_point(bad)
-    return x, "convergence" if conv >> x & 1 else "accumulation"
-
-
-@lru_cache(maxsize=None)
-def _first_nets(n: int) -> tuple:
-    """``(T, R, size, top, values)`` for each class with |R| <=
-    ``NET_SIZE_CAP``, in the order in which the oracle enumeration
-    (``tests/test_bridge_oracle.py``) first realises it, with that first
-    net: ``values`` on the directed set S(size, top) below.
-
-    Lemma.  The oracle lists directed sets by size k, then by canonical
-    form, the least tuple of up-set rows over relabellings; on each, the
-    values in lexicographic order.
-
-    * Every up-set holds the top class, so with top size t row 0 is at
-      least 2**t - 1, with equality iff indices 0..t-1 are the top class,
-      which a relabelling attains.  So for each k the directed sets come
-      in ascending t.
-    * Row i >= t then holds the top class and i, so the first directed
-      set of each (k, t) is S(k, t): t indices tied on top, and every
-      other index below them only.  This is the lemma's canonical net.
-    * A class depends on the values on the top class (T) and on all
-      indices (R) only, so a later directed set of the same (k, t),
-      relabelled to top class 0..t-1, realises only classes that S(k, t)
-      does with the same values.
-    * The t top indices cover T and the other k - t cover R - T, so the
-      first shape to realise (T, R) is S(|R|, |T|), with least values T
-      ascending, then R - T ascending.
-
-    So the rows are generated directly, in the order above:
-    ``itertools.combinations`` lists T, then R - T, lexicographically."""
-    rows = []
-    for size in range(1, NET_SIZE_CAP + 1):
-        for top in range(1, size + 1):
-            for head in itertools.combinations(range(n), top):
-                t = sum(1 << p for p in head)
-                rest = [p for p in range(n) if not t >> p & 1]
-                for tail in itertools.combinations(rest, size - top):
-                    rows.append((t, t | sum(1 << p for p in tail), size, top, head + tail))
-    return tuple(rows)
-
-
-def _first_net_witness(sp: Space, row, x: int, part: str) -> dict:
-    """The witness of a ``_first_nets`` row: its net on S(size, top), where
-    i <= j iff i == j or j is in the top class 0..top-1."""
-    _, _, size, top, values = row
-    return {
-        "directed_set": {
-            "size": size,
-            "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top],
-        },
-        "values": [sp.ground.labels[p] for p in values],
-        "point": sp.ground.labels[x],
-        "part": part,
-    }
-
-
-def _filterbase_witness(sp: Space, mismatch, net_converges) -> dict | None:
-    """The first failing filterbase in the order of the oracle's
-    ``enumerate_filterbases`` (``tests/test_bridge_oracle.py``), in closed
-    form.  Bases come kernel-first, and for one kernel K the base
-    {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
-    in ascending order (class (K, U)); larger bases only repeat those
-    classes.  When (K, K) holds, (K, U) fails only under the literal
-    reading, and exactly when the net's ``converges[U]`` differs from
-    ``converges[K]``: the first such U is K plus the lowest point whose
-    one-point extension changes it (*net_converges* is None under the
-    cofinal reading, where U never matters)."""
-    full = sp.ground.full_mask
-    for k in range(1, full + 1):
-        members = (k,)
-        hit = mismatch(k, k)
-        if hit is None and net_converges is not None:
-            u = next((k | 1 << p for p in bits_of(full ^ k)
-                      if net_converges[k | 1 << p] != net_converges[k]), None)
-            if u is not None:
-                members = (k, u)
-                hit = mismatch(k, u)
-        if hit is not None:
-            x, part = hit
-            return {
-                "part": part,
-                "filterbase": [_labels(sp, m) for m in members],
-                "point": sp.ground.labels[x],
-            }
-    return None
-
-
-@per_operator_class
 def bridge_pairings(sp: Space) -> dict:
-    """First mismatch witness per (test family, accumulation reading)
-    pairing, for the net/tail-filterbase bridge and for the
-    filterbase/constructed-net bridge.  Verdicts are mask expressions over
-    the per-subset ``principal_verdicts`` tables.  The witnesses are the
-    first failing net of the oracle's ``enumerate_nets`` and the first
-    failing filterbase of its ``enumerate_filterbases``, in the orders of
-    ``tests/test_bridge_oracle.py``, found without enumerating either:
-    the first ``_first_nets`` row whose class fails, and
-    ``_filterbase_witness``."""
-    net_tables = principal_verdicts(sp, "gamma_open_cl")
-    mismatch = {}
-    result = {}
-    for pairing in PAIRINGS:
-        fam, reading = pairing.split("+")
-        mismatch[pairing] = partial(_class_mismatch, principal_verdicts(sp, fam), net_tables, reading)
-        literal = net_tables.converges if reading == "literal" else None
-        witness = _filterbase_witness(sp, mismatch[pairing], literal)
-        result[pairing] = {"C-P4.10": None, "C-P4.11": witness}
-
-    # a net class (T, R) is the class of the base {T, R}: a pairing with no
-    # failing filterbase has no failing net
-    pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
-    if pending:
-        for row in _first_nets(sp.ground.n):
-            for pairing in list(pending):
-                hit = mismatch[pairing](row[0], row[1])
-                if hit is not None:
-                    result[pairing]["C-P4.10"] = _first_net_witness(sp, row, *hit)
-                    pending.remove(pairing)
-            if not pending:
-                break
-    return result
+    """The bridge pairings of the space's operator class
+    (``OperatorClass.bridge_pairings``)."""
+    return sp.cls.bridge_pairings
 
 
-def _bridge_verdict(sp: Space, prop: str):
+def _bridge_verdict(cls: OperatorClass, prop: str):
     """The verdict on bridge proposition *prop* under the default pairing;
     the notes give its verdict under every pairing."""
-    pairings = bridge_pairings(sp)
+    pairings = cls.bridge_pairings
     witness = pairings[DEFAULT_PAIRING][prop]
     notes = {
         "default_pairing": DEFAULT_PAIRING,
@@ -681,18 +474,18 @@ def _bridge_verdict(sp: Space, prop: str):
 
 
 @_claim("C-P4.10", "other", (), "net verdicts match tail-filterbase verdicts")
-def _check_p410(sp: Space):
-    return _bridge_verdict(sp, "C-P4.10")
+def _check_p410(cls: OperatorClass):
+    return _bridge_verdict(cls, "C-P4.10")
 
 
 @_claim("C-P4.11", "other", (), "filterbase verdicts match constructed-net verdicts")
-def _check_p411(sp: Space):
-    return _bridge_verdict(sp, "C-P4.11")
+def _check_p411(cls: OperatorClass):
+    return _bridge_verdict(cls, "C-P4.11")
 
 
 @_claim("C-T4.13", "other", (),
         "cover condition, net accumulation and universal-net convergence agree")
-def _check_t413(sp: Space):
+def _check_t413(cls: OperatorClass):
     """Holds on every space.  The cover condition is C-P4.7-EQ's (1).  By
     the tail/range lemma a net accumulates at x iff its tail T
     does as a kernel, and nets within the cap realise every |T| <= cap.
@@ -728,53 +521,36 @@ def parse_claims(claims) -> tuple[str, ...]:
     return ids
 
 
-# the space-level flags, in the order ``analyze`` prints them; claim
-# hypotheses name them too
-SPACE_FLAGS = {
-    "extremally_disconnected": is_extremally_disconnected,
-    "regular_operation": is_regular_operation,
-    "open_operation": is_open_operation,
-}
+# the space-level flags, in the order ``analyze`` prints them: properties
+# of the operator class, which claim hypotheses name too
+SPACE_FLAGS = ("extremally_disconnected", "regular_operation", "open_operation")
 
 
 def space_flags(sp: Space) -> dict:
     """The space-level flags that ``analyze`` and the audits report."""
-    return {name: flag(sp) for name, flag in SPACE_FLAGS.items()}
+    return {name: getattr(sp.cls, name) for name in SPACE_FLAGS}
 
 
-def check_claim(sp: Space, claim_id: str) -> Verdict:
+def check_claim(cls: OperatorClass, claim_id: str) -> tuple:
+    """``(status, witness, notes)`` of one claim on an operator class: the
+    one path from a claim to its verdict, which ``run_suite`` runs once per
+    space and a sweep or a mine once per class.  The hypotheses are the
+    class's flags (``SPACE_FLAGS``), tested first.  Witness and notes may
+    be shared, so a caller copies before it adds anything."""
     try:
         claim = CLAIMS[claim_id]
     except KeyError:
         raise UnknownClaim(f"unknown claim {claim_id!r}") from None
-    key = sp.key
-    unmet = [h for h in claim.hypotheses if not SPACE_FLAGS[h](sp)]
+    unmet = [h for h in claim.hypotheses if not getattr(cls, h)]
     if unmet:
-        return Verdict(claim_id, key, "hypotheses_not_met", None, {"unmet": unmet})
-    status, witness, notes = claim.check(sp)
-    return Verdict(claim_id, key, status, witness, notes)
-
-
-@per_operator_class
-def _status_row(sp: Space, ids: tuple) -> tuple:
-    """``(statuses, failing rows)`` of the claims in *ids*: a sweep counts
-    the spaces per status tuple and reads only the failing rows, each
-    ``(claim id, status, witness, notes)``, per space.  Shared by the
-    operator class: ``check_claim`` reads the space's key, and a row keeps
-    no part of it.  Witness and notes are shared too, so a caller copies
-    before it adds anything."""
-    verdicts = [check_claim(sp, cid) for cid in ids]
-    return (tuple(v.status for v in verdicts),
-            tuple((v.claim_id, v.status, v.witness, v.notes)
-                  for v in verdicts if v.status == "fails"))
+        return "hypotheses_not_met", None, {"unmet": unmet}
+    return claim.check(cls)
 
 
 # -- per-space report ------------------------------------------------------
 
-@per_operator_class
-def _space_discrepancies(sp: Space) -> list:
-    """Three statistics, each decided by a lemma; shared by the operator
-    class, so a caller copies before it adds anything.  Tier-1 checks them
+def _space_discrepancies(cls: OperatorClass) -> list:
+    """Three statistics, each decided by a lemma.  Tier-1 checks them
     against the literal scans over every subset.
 
     * ``closedness_definitions``: cl_g(A) = A iff X - A is gamma-open
@@ -782,17 +558,18 @@ def _space_discrepancies(sp: Space) -> list:
     * ``cl_gamma_idempotent``: by the same duality cl_g(A) =
       X - int_g(X - A), so cl_g(cl_g(A)) = X - int_g(int_g(X - A)).  Hence
       cl_g is idempotent iff int_g is, iff the operation is open
-      (``is_open_operation``).  Only a space that is not open is scanned,
-      for the first A in mask order with cl_g(cl_g(A)) != cl_g(A).
+      (``OperatorClass.open_operation``).  Only a class that is not open
+      is scanned, for the first A in mask order with
+      cl_g(cl_g(A)) != cl_g(A).
     * ``cl_gamma_within_theta_closure``: take x in cl_g(A) and a gamma-open
       U at x.  Then x is in int_g(U), so some value at x lies inside U.
       That value meets A, so cl_g(U), which contains U, meets A.  So x is
       in thetacl(A): cl_g(A) is always inside thetacl(A).
     """
     witness = None
-    if not is_open_operation(sp):
-        cg = sp.cl_g
-        witness = _labels(sp, next(a for a, c in enumerate(cg) if cg[c] != c))
+    if not cls.open_operation:
+        cg = cls.cl_g
+        witness = _labels(cls, next(a for a, c in enumerate(cg) if cg[c] != c))
     return [
         {"kind": "closedness_definitions", "agree": True, "agreement_rate": 1.0, "witness": None},
         {"kind": "cl_gamma_idempotent", "holds": witness is None, "witness": witness},
@@ -803,7 +580,8 @@ def _space_discrepancies(sp: Space) -> list:
 def run_suite(sp: Space, claim_ids=None) -> VerificationReport:
     """Check claims in catalog order on one space."""
     ids = CLAIM_IDS if claim_ids is None else tuple(claim_ids)
-    verdicts = [check_claim(sp, cid) for cid in ids]
+    key, cls = sp.key, sp.cls
+    verdicts = [Verdict(cid, key, *check_claim(cls, cid)) for cid in ids]
     counts = {
         "claims": len(verdicts),
         "holds": sum(v.status == "holds" for v in verdicts),
@@ -811,7 +589,7 @@ def run_suite(sp: Space, claim_ids=None) -> VerificationReport:
         "hypotheses_not_met": sum(v.status == "hypotheses_not_met" for v in verdicts),
         "spaces": 1,
     }
-    return VerificationReport(verdicts, _space_discrepancies(sp), counts)
+    return VerificationReport(verdicts, _space_discrepancies(cls), counts)
 
 
 # -- enumeration sweeps ----------------------------------------------------
@@ -872,17 +650,23 @@ class TopologyRows:
             oi += len(block.empties) * m - len(dropped)
             g += m
 
-    def report(self, look):
-        """Call ``look(space, row count)`` once per group, in group order;
-        then yield ``(operation index, key, hit)`` for each row of a group
-        whose hit, the value of ``look``, is truthy, in operation index
-        order.  The keys of one group share its frame
+    def report(self, class_row, look):
+        """Call ``class_row(cls)`` once per operator class of the groups'
+        spaces, keeping its value, the class's row, in a dict for this
+        topology alone, and ``look(class's row, row count)`` once per group,
+        in group order; then yield ``(operation index, key, hit)`` for each
+        row of a group whose hit, the value of ``look``, is truthy, in
+        operation index order.  The keys of one group share its frame
         (``SpaceKey.slice_frame``): by the lemma in ``Space`` they differ
         only at the empty set, and a group has one kind, so machine output
         writes the rest of their text once per group."""
+        class_rows = {}
         hits = {}
         for g, (sp, count) in enumerate(self.groups):
-            hit = look(sp, count)
+            found = class_rows.get(sp.cls)
+            if found is None:
+                found = class_rows[sp.cls] = class_row(sp.cls)
+            hit = look(found, count)
             if hit:
                 hits[g] = hit
         sp = self.groups[0][0]
@@ -952,8 +736,7 @@ def enumerate_spaces(n: int, modes):
     the row's group space where its extension is the row's, and otherwise
     a new space.  The new space differs from the group's at most at the
     empty set, so it packs equal tables and finds the group's class in
-    ``operator_memos``: it shares its tables and memo, and unpacks
-    nothing.  No command reads it; it stays here because the benchmark's
+    ``operator_memos``: it shares its class, and unpacks nothing.  No command reads it; it stays here because the benchmark's
     verify workload draws its documents from it, and the tests use it as
     the per-space oracle of the walk."""
     for walk in enumerate_slices(n, modes):
@@ -964,44 +747,42 @@ def enumerate_spaces(n: int, modes):
             yield walk.index, oi, sp
 
 
-@per_operator_class
-def check_invariants(sp: Space) -> list:
-    """Structural laws every space must satisfy; returns violations,
-    shared by the operator class, so a caller copies before it adds
-    anything."""
-    full = sp.ground.full_mask
+def check_invariants(cls: OperatorClass) -> list:
+    """Structural laws every space must satisfy, checked on its operator
+    class; returns violations."""
+    full = cls.ground.full_mask
     bad = []
 
     def hit(name, **witness):
         bad.append({"invariant": name, "witness": witness})
 
-    ig, cg = sp.int_g, sp.cl_g
-    theta = theta_closure_table(sp)
-    for a in sp.ground.subsets():
+    ig, cg = cls.int_g, cls.cl_g
+    theta = cls.theta_closure
+    for a in cls.ground.subsets():
         gi = ig[a]
         if gi != full ^ cg[full ^ a]:
-            hit("int_cl_duality", subset=_labels(sp, a))
+            hit("int_cl_duality", subset=_labels(cls, a))
         if gi & ~a:
-            hit("int_gamma_contractive", subset=_labels(sp, a))
+            hit("int_gamma_contractive", subset=_labels(cls, a))
         if a & ~cg[a]:
-            hit("cl_gamma_extensive", subset=_labels(sp, a))
+            hit("cl_gamma_extensive", subset=_labels(cls, a))
         if a & ~theta[a]:
-            hit("thetacl_extensive", subset=_labels(sp, a))
+            hit("thetacl_extensive", subset=_labels(cls, a))
     for name, table in (("int_gamma_monotone", ig), ("cl_gamma_monotone", cg),
                         ("thetacl_monotone", theta)):
         pair = _monotonicity_break(table)
         if pair is not None:
-            hit(name, subset=_labels(sp, pair[0]), superset=_labels(sp, pair[1]))
-    gopen = set(gamma_open_family(sp))
-    for a in regular_open_family(sp):
+            hit(name, subset=_labels(cls, pair[0]), superset=_labels(cls, pair[1]))
+    gopen = set(cls.gamma_open)
+    for a in cls.regular_open:
         if a not in gopen:
-            hit("regular_open_in_gamma_open", subset=_labels(sp, a))
-    for a in sorted(gopen):
-        if not sp.top.is_open(a):
-            hit("gamma_open_in_opens", subset=_labels(sp, a))
-    for a in theta_families(sp)[1]:
+            hit("regular_open_in_gamma_open", subset=_labels(cls, a))
+    for a in cls.gamma_open:
+        if a not in cls.opens:
+            hit("gamma_open_in_opens", subset=_labels(cls, a))
+    for a in cls.theta_families[1]:
         if a not in gopen:
-            hit("theta_open_implies_gamma_open", subset=_labels(sp, a))
+            hit("theta_open_implies_gamma_open", subset=_labels(cls, a))
     return bad
 
 
@@ -1055,11 +836,15 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     the spaces per status tuple and per triple of statistics, and adds
     the counts to the tallies at the end.  It reads the walk
     (``enumerate_slices``) one slice at a time: a ``Space`` is built, and
-    the status row, invariants and statistics looked up, once per slice,
-    and the counts grow by the slice's number of rows.  Only a slice with
-    failing rows or invariant violations has its rows visited, in index
-    order; each row gets one key, shared by all its failures and
-    violations, with the row's indices.  With *topo_range* ``(lo, hi)``
+    the class's row looked up, once per slice, and the counts grow by the
+    slice's number of rows.  A class's row, made once per topology
+    (``TopologyRows.report``), holds its statuses from ``check_claim``,
+    its failing rows ``(claim id, status, witness, notes)``, and with
+    *invariants* its violations and statistics; witnesses and notes are
+    shared by the rows of the class, so they are copied before anything
+    is added.  Only a slice with failing rows or invariant violations has
+    its rows visited, in index order; each row gets one key, shared by
+    all its failures and violations, with the row's indices.  With *topo_range* ``(lo, hi)``
     only the topologies of index lo to hi - 1 are walked."""
     modes = parse_modes(modes)
     ids = parse_claims(claim_ids)
@@ -1072,26 +857,33 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
         "cl_gamma_within_theta_closure_everywhere": 0,
         "closedness_definitions_agree_everywhere": 0,
     }
-    status_counts = Counter()
-    stat_counts = Counter()
+    # the spaces per status tuple and tuple of statistics
+    counts = Counter()
     topologies = 0
 
-    def look(sp, count):
+    def class_row(cls):
+        results = [check_claim(cls, cid) for cid in ids]
+        statuses = tuple(status for status, _, _ in results)
+        failing = tuple((cid, *result) for cid, result in zip(ids, results)
+                        if result[0] == "fails")
+        if not invariants:
+            # no statistics and no violations: the invariant report is not made
+            return (statuses, ()), failing, ()
+        closedness, idempotent, within = _space_discrepancies(cls)
+        # in the order of the statistics after "spaces"
+        flags = idempotent["holds"], within["holds"], closedness["agree"]
+        return (statuses, flags), failing, check_invariants(cls)
+
+    def look(row, count):
         """Count the group; its failing rows and violations, if any."""
-        statuses, failing = _status_row(sp, ids)
-        status_counts[statuses] += count
-        broken = ()
-        if invariants:
-            broken = check_invariants(sp)
-            closedness, idempotent, within = _space_discrepancies(sp)
-            # in the order of the statistics after "spaces"
-            stat_counts[idempotent["holds"], within["holds"], closedness["agree"]] += count
+        counted, failing, broken = row
+        counts[counted] += count
         return (failing, broken) if failing or broken else None
 
     for walk in enumerate_slices(n, modes, topo_range):
         topologies += 1
         ti = walk.index
-        for oi, key, (failing, broken) in walk.report(look):
+        for oi, key, (failing, broken) in walk.report(class_row, look):
             for cid, status, witness, notes in failing:
                 failures.append(Verdict(cid, key, status, witness,
                                         dict(notes, topology_index=ti, operation_index=oi)))
@@ -1100,13 +892,12 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
                 for item in broken:
                     violations.append(dict(item, space=space,
                                            topology_index=ti, operation_index=oi))
-    for statuses, count in status_counts.items():
+    for (statuses, flags), count in counts.items():
         for cid, status in zip(ids, statuses):
             tallies[cid][status] += count
-    for flags, count in stat_counts.items():
         for name, flag in zip(stats, (True, *flags)):
             stats[name] += flag * count
-    spaces = status_counts.total()
+    spaces = counts.total()
     claim_report = SweepReport(n, modes, ids, topologies, spaces, tallies, failures)
     inv_report = InvariantReport(n, modes, spaces, violations, stats) if invariants else None
     return claim_report, inv_report
@@ -1137,7 +928,8 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     three witnesses of each.
 
     It reads the walk (``enumerate_slices``) like ``full_sweep``: the
-    pairings once per slice, whose row count each failure count grows by.
+    class's pairings (``OperatorClass.bridge_pairings``) once per slice,
+    whose row count each failure count grows by.
     Only the rows of a slice that fails where fewer than three witnesses
     are held get a key, in index order, shared by all their witnesses."""
     modes = parse_modes(modes)
@@ -1150,12 +942,11 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     }
     spaces = 0
 
-    def look(sp, count):
+    def look(found, count):
         """Count the group's failures; the (entry, witness) pairs of those
         that an entry short of three witnesses may still take."""
         nonlocal spaces
         spaces += count
-        found = bridge_pairings(sp)
         wanted = []
         for name in PAIRINGS:
             for prop in ("C-P4.10", "C-P4.11"):
@@ -1168,7 +959,7 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
         return wanted
 
     for walk in enumerate_slices(n, modes):
-        for oi, key, wanted in walk.report(look):
+        for oi, key, wanted in walk.report(attrgetter("bridge_pairings"), look):
             for entry, witness in wanted:
                 if len(entry["witnesses"]) < 3:
                     entry["witnesses"].append(dict(witness, space=key.to_dict(),
@@ -1185,28 +976,30 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
 
 # -- mining ----------------------------------------------------------------
 
+# the families of an operator class, ascending, that the separations and
+# the audits name
+_FAMILIES = {
+    "gamma_open": attrgetter("gamma_open"),
+    "regular_open": attrgetter("regular_open"),
+    "theta_open": lambda cls: cls.theta_families[1],
+    "clopen": lambda cls: tuple(a for a in cls.gamma_open if cls.cl_g[a] == a),
+}
+
+# each separation: the sets of its first family that its second lacks
 SEPARATIONS = {
-    "gamma_open_not_regular_open": (is_gamma_open, is_gamma_regular_open),
-    "theta_open_not_regular_open": (is_theta_open, is_gamma_regular_open),
-    "gamma_open_not_theta_open": (is_gamma_open, is_theta_open),
-    "regular_open_not_clopen": (is_gamma_regular_open, is_gamma_clopen),
-    "regular_open_not_gamma_open": (is_gamma_regular_open, is_gamma_open),
+    "gamma_open_not_regular_open": ("gamma_open", "regular_open"),
+    "theta_open_not_regular_open": ("theta_open", "regular_open"),
+    "gamma_open_not_theta_open": ("gamma_open", "theta_open"),
+    "regular_open_not_clopen": ("regular_open", "clopen"),
+    "regular_open_not_gamma_open": ("regular_open", "gamma_open"),
 }
 
 
-@per_operator_class
-def _separations(sp: Space, predicate: str) -> tuple:
-    """The subsets that separate the named pair, ascending: a predicate
-    reads the operators, so the tuple is shared by the operator class."""
-    return tuple(_separating(sp, *SEPARATIONS[predicate]))
-
-
-@per_operator_class
-def _separation_witnesses(sp: Space, predicate: str) -> tuple:
-    """The witnesses ``mine`` reports for the named pair, one
-    ``{"subset": labels}`` per separating subset: built once per operator
-    class and shared, unmutated, by the hits of every space in it."""
-    return tuple({"subset": _labels(sp, a)} for a in _separations(sp, predicate))
+def _separations(cls: OperatorClass, predicate: str) -> tuple:
+    """The subsets that separate the named pair, ascending."""
+    has, lacks = SEPARATIONS[predicate]
+    lacking = set(_FAMILIES[lacks](cls))
+    return tuple(a for a in _FAMILIES[has](cls) if a not in lacking)
 
 
 PREDICATE_NAMES = tuple(sorted(SEPARATIONS)) + tuple(f"fails:{cid}" for cid in CLAIM_IDS)
@@ -1257,7 +1050,9 @@ def mine(n: int, op_mode, predicate: str) -> list:
 
     It reads the whole walk (``enumerate_slices``) once, one slice at a
     time: a ``Space`` is built, and the hits looked up, once per slice;
-    the hits, witness dicts included, are built once per operator class.
+    the witnesses, dicts included, are made once per operator class of a
+    topology (``TopologyRows.report``), from ``_separations`` or
+    ``check_claim``, and shared, unmutated, by the hits of its spaces.
     Only a slice with hits has its rows visited, in index order, and each
     row gets one key, shared by all its hits.
 
@@ -1283,13 +1078,15 @@ def mine(n: int, op_mode, predicate: str) -> list:
             f"unknown predicate {predicate!r}; known: {', '.join(PREDICATE_NAMES)}"
         )
 
-    def look(sp, count):
+    def class_witnesses(cls):
+        if claim_id is None:
+            return tuple({"subset": _labels(cls, a)} for a in _separations(cls, predicate))
+        status, witness, _ = check_claim(cls, claim_id)
+        return (witness,) if status == "fails" else ()
+
+    def look(witnesses, count):
         # a group's hit: its witnesses, and its row count, which decides
         # whether its records are framed
-        if claim_id is not None:
-            witnesses = [row[2] for row in _status_row(sp, (claim_id,))[1]]
-        else:
-            witnesses = _separation_witnesses(sp, predicate)
         return (witnesses, count) if witnesses else None
 
     out = []
@@ -1297,7 +1094,7 @@ def mine(n: int, op_mode, predicate: str) -> list:
         ti = walk.index
         # per group frame's id, the group's record frames, which hold it
         records = {}
-        for oi, key, (witnesses, count) in walk.report(look):
+        for oi, key, (witnesses, count) in walk.report(class_witnesses, look):
             if count == 1:
                 out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)
                 continue
@@ -1349,13 +1146,6 @@ _QUALITATIVE = {
     "3.17": ("gamma_open_not_theta_open", ("a",)),
 }
 
-_FAMILY_FNS = {
-    "gamma_open": gamma_open_family,
-    "regular_open": regular_open_family,
-    "theta_open": lambda sp: theta_families(sp)[1],
-}
-
-
 @dataclass
 class FamilyDiff:
     name: str
@@ -1404,7 +1194,7 @@ def audit_example(which: str) -> ExampleAudit:
     diffs = []
     for name, printed in _PRINTED[which].items():
         printed_masks = sorted(sp.ground.mask_of(t) for t in printed)
-        recomputed = list(_FAMILY_FNS[name](sp))
+        recomputed = list(_FAMILIES[name](sp.cls))
         diffs.append(
             FamilyDiff(
                 name=name,
@@ -1420,7 +1210,7 @@ def audit_example(which: str) -> ExampleAudit:
             )
         )
     sep_name, printed_witness = _QUALITATIVE[which]
-    found = _separations(sp, sep_name)
+    found = _separations(sp.cls, sep_name)
     qualitative = {
         "separation": sep_name,
         "printed_witness": list(printed_witness),

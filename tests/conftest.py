@@ -68,8 +68,8 @@ def enumeration():
     """``enumeration(n, modes)``: the spaces of one enumeration and one
     space per operator class, built once per session.  The oracles read
     only the topology and the operator tables, so a class's first space
-    stands for the others.  Tests that count builds or patch memoised
-    code enumerate afresh instead."""
+    stands for the others.  Tests that count builds or patch class values
+    enumerate afresh instead."""
 
     @functools.cache
     def build(n, modes):

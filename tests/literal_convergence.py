@@ -4,9 +4,9 @@ Filterbases, directed sets and nets are objects here, and every verdict
 reads its definition: the operators and test families point by point
 (``Oracle``), convergence and accumulation member by member and index by
 index.  No code in ``gamma_top`` uses this module: the package decides
-section 4 per class, through the tables of ``gamma_sets.principal_verdicts``
-and the tail/range lemma in ``theoremlab``, and the tests compare those
-tables with this model."""
+section 4 per class, through the tables of
+``OperatorClass.principal_verdicts`` and the tail/range lemma in
+``gamma_core``, and the tests compare those tables with this model."""
 
 from __future__ import annotations
 

@@ -4,7 +4,7 @@ every filterbase.  The enumeration lives here as the oracle: no code in
 ``gamma_top`` enumerates nets, directed sets or filterbases.  Each net and
 base is judged by the literal model of ``literal_convergence``, against
 test sets computed point by point, so no verdict reads the
-``principal_verdicts`` tables that ``theoremlab.bridge_pairings`` reads.
+``principal_verdicts`` tables that ``OperatorClass.bridge_pairings`` reads.
 Its orders fix the witnesses: the first failing net of ``enumerate_nets``
 within ``NET_SIZE_CAP`` and the first failing filterbase of
 ``enumerate_filterbases``."""
@@ -16,10 +16,9 @@ from functools import lru_cache, partial
 
 import pytest
 
-from gamma_top import documents
+from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
 from gamma_top.finspace import PointSet, _directed_preorders, bits_of, submasks
-from gamma_top.gamma_sets import principal_verdicts
 
 from literal_convergence import (
     DirectedSet,
@@ -212,8 +211,7 @@ def oracle_t413(sp):
 
 def _assert_matches_oracle(sp):
     assert tl.bridge_pairings(sp) == oracle_bridge_pairings(sp)
-    verdict = tl.check_claim(sp, "C-T4.13")
-    assert (verdict.status, verdict.witness, verdict.notes) == oracle_t413(sp)
+    assert tl.check_claim(sp.cls, "C-T4.13") == oracle_t413(sp)
 
 
 @pytest.mark.parametrize("name", sorted(documents.BUNDLED))
@@ -234,7 +232,7 @@ def test_three_point_builtin_and_pivot_spaces_match_oracle(enumeration):
     statuses = set()
     for sp in spaces:
         _assert_matches_oracle(sp)
-        statuses.add(tl.check_claim(sp, "C-P4.10").status)
+        statuses.add(tl.check_claim(sp.cls, "C-P4.10")[0])
     # the sample exercises witnesses, not only agreement on "holds"
     assert statuses == {"holds", "fails"}
 
@@ -287,7 +285,7 @@ def test_directed_set_enumeration_counts():
     assert len(list(enumerate_nets(ABC, 3))) == 1 * 3 + 2 * 9 + 5 * 27
 
 
-# -- the shape lemma of theoremlab._first_nets ---------------------------------
+# -- the shape lemma of gamma_core._first_nets ---------------------------------
 
 def _shape(size, top):
     """S(size, top): indices 0..top-1 tied on top, every other one below
@@ -329,10 +327,10 @@ def oracle_first_nets(n, cap):
 
 @pytest.mark.parametrize("cap", [3, 4])
 def test_first_nets_list_each_class_once_in_oracle_order(cap, monkeypatch):
-    monkeypatch.setattr(tl, "NET_SIZE_CAP", cap)
+    monkeypatch.setattr(gamma_core, "NET_SIZE_CAP", cap)
     counts = []
     for n in (1, 2, 3, 4):
-        rows = list(tl._first_nets.__wrapped__(n))
+        rows = list(gamma_core._first_nets.__wrapped__(n))
         assert rows == oracle_first_nets(n, cap)
         classes = {(t, r) for r in range(1, 1 << n) if bin(r).count("1") <= cap
                    for t in submasks(r) if t}
@@ -348,11 +346,12 @@ def test_every_operator_class_names_the_oracles_first_failing_net(enumeration):
     assert (len(small), len(four)) == (507, 2321)
     failing = 0
     for sp in small + four:
-        net_tables = principal_verdicts(sp, "gamma_open_cl")
+        net_tables = sp.cls.principal_verdicts["gamma_open_cl"]
         found = tl.bridge_pairings(sp)
         for pairing in tl.PAIRINGS:
             fam, reading = pairing.split("+")
-            mismatch = partial(tl._class_mismatch, principal_verdicts(sp, fam), net_tables, reading)
+            mismatch = partial(gamma_core._class_mismatch, sp.cls.principal_verdicts[fam],
+                               net_tables, reading)
             expected = next((_net_witness(sp, net, *hit) for net, t, r, _, _ in _oracle_net_rows(sp.ground)
                              if (hit := mismatch(t, r)) is not None), None)
             assert found[pairing]["C-P4.10"] == expected, (sp.key, pairing)

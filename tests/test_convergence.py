@@ -172,6 +172,6 @@ def test_space_conditions_all_hold(example3_2, example3_5):
     for sp in (example3_2, example3_5, indiscrete):
         # no subfamily fold finds a failing cover or closed family
         assert oracle_conditions(sp, "dual") == oracle_conditions(sp, "cl") == (None, None)
-        verdict = theoremlab.check_claim(sp, "C-P4.7-EQ")
-        assert verdict.status == "holds" and verdict.witness is None
-        assert verdict.notes == {"cl_mode_conditions": (True,) * 5}
+        status, witness, notes = theoremlab.check_claim(sp.cls, "C-P4.7-EQ")
+        assert status == "holds" and witness is None
+        assert notes == {"cl_mode_conditions": (True,) * 5}

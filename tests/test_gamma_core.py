@@ -1,3 +1,6 @@
+import collections
+import functools
+
 import pytest
 
 from gamma_top import documents
@@ -16,6 +19,7 @@ from gamma_top.gamma_core import (
     GammaOperation,
     InvalidOperation,
     NotAnOpenSet,
+    OperatorClass,
     Space,
     TableModeTooLarge,
     apply_gamma,
@@ -25,7 +29,6 @@ from gamma_top.gamma_core import (
     is_open_operation,
     is_regular_operation,
     operations_for,
-    per_operator_class,
 )
 from gamma_top.theoremlab import NET_SIZE_CAP, bridge_pairings, check_invariants
 
@@ -127,14 +130,14 @@ def test_the_table_cache_never_skips_validation():
     assert len(top.operator_memos) == 1
     again = Space(ABC, top, GammaOperation("table", values=(1, m("ab"), 7)))
     assert again.int_g is good.int_g and again.cl_g is good.cl_g
-    assert again._class_memo is good._class_memo
+    assert again.cls is good.cls
     # one entry per class, not per slice: on {a} and {b} the value at {a,b}
     # holds a value at {a} or at {b}, so it changes neither operator
     top = validate_topology(ABC, [0, m("a"), m("b"), m("ab"), 7])
     first = Space(ABC, top, GammaOperation("table", values=(0, m("a"), m("b"), m("ab"), 7)))
     second = Space(ABC, top, GammaOperation("table", values=(0, m("a"), m("b"), 7, 7)))
     assert first.extension[1:] != second.extension[1:]
-    assert second.int_g is first.int_g and second._class_memo is first._class_memo
+    assert second.int_g is first.int_g and second.cls is first.cls
     other = Space(ABC, top, GammaOperation("table", values=(0, m("ac"), m("b"), 7, 7)))
     assert other.int_g != first.int_g
     assert len(top.operator_memos) == 2
@@ -224,47 +227,51 @@ def test_pivot_branches_follow_membership(example3_17):
     assert apply_gamma(example3_17, m("ac")) == m("ac")  # b outside: identity
 
 
-def test_per_operator_class_runs_once_per_class_and_arguments():
-    calls = []
+def test_per_operator_class_runs_once_per_class_and_arguments(monkeypatch):
+    runs = collections.Counter()
+    names = [name for name, value in vars(OperatorClass).items()
+             if isinstance(value, functools.cached_property)]
+    assert len(names) == 10
+    for name in names:
+        def counted(cls, name=name, body=vars(OperatorClass)[name].func):
+            runs[name] += 1
+            return body(cls)
 
-    @per_operator_class
-    def family(sp):
-        calls.append(("family", sp))
-        return object()
-
-    @per_operator_class
-    def table(sp, mode):
-        calls.append(mode)
-        return object()
-
-    first, second = documents.load_bundled("example3_2"), documents.load_bundled("example3_5")
-    assert family(first) is family(first) is not family(second)
-    value = table(first, "dual")
-    assert table(first, "dual") is value
-    assert table(first, "cl") is table(first, "cl") is not value
-    assert table(second, "dual") is not value
-    assert calls == [("family", first), ("family", second), "dual", "cl", "dual"]
-    # arguments are positional only: a keyword call raises and stores nothing
-    memo_before = dict(second._class_memo)
-    with pytest.raises(TypeError):
-        table(second, mode="cl")
-    assert second._class_memo == memo_before and len(calls) == 5
-    # a defaulted parameter would give f(sp) and f(sp, default) two entries
-    with pytest.raises(TypeError, match="takes no defaults"):
-        @per_operator_class
-        def defaulted(sp, mode="dual"):
-            return mode
+        prop = functools.cached_property(counted)
+        prop.__set_name__(OperatorClass, name)
+        monkeypatch.setattr(OperatorClass, name, prop)
+    # two spaces of one class, which differ at the empty set, and one of another
+    top = validate_topology(ABC, [0, m("a"), m("b"), m("ab"), 7])
+    first = Space(ABC, top, GammaOperation("table", values=(0, m("a"), m("b"), m("ab"), 7)))
+    second = Space(ABC, top, GammaOperation("table", values=(m("c"), m("a"), m("b"), m("ab"), 7)))
+    other = Space(ABC, top, GammaOperation("table", values=(0, m("ac"), m("b"), 7, 7)))
+    assert first.cls is second.cls is not other.cls
+    for sp in (first, second, other, first):
+        for name in names:
+            assert getattr(sp.cls, name) is getattr(sp.cls, name)
+    assert runs == {name: 2 for name in names}
+    # a class value reads nothing of the operation: the class has none of it
+    for cls in (first.cls, other.cls):
+        for attr in ("gamma", "extension", "key", "top"):
+            assert not hasattr(cls, attr), attr
+    # a value that once took an argument is one property keyed by it: both
+    # test families' principal verdicts come from the one run counted above
+    verdicts = first.cls.principal_verdicts
+    assert set(verdicts) == {"regular_open", "gamma_open_cl"}
+    assert second.cls.principal_verdicts["gamma_open_cl"] is verdicts["gamma_open_cl"]
+    assert runs["principal_verdicts"] == 2
 
 
 def test_memoised_functions_take_the_space_alone():
     sp = documents.load_bundled("example3_5")
-    assert bridge_pairings(sp) is bridge_pairings(sp)
+    assert bridge_pairings(sp) is bridge_pairings(sp) is sp.cls.bridge_pairings
     # nets are capped at NET_SIZE_CAP, and no call may ask for another cap
     with pytest.raises(TypeError):
         bridge_pairings(sp, NET_SIZE_CAP)
-    assert check_invariants(sp) is check_invariants(sp)
+    # the invariants read the operator class alone
+    assert check_invariants(sp.cls) == check_invariants(sp.cls) == []
     with pytest.raises(TypeError):
-        check_invariants(sp, "dual")
+        check_invariants(sp.cls, "dual")
 
 
 def _per_open_value(op, top, v):

@@ -32,9 +32,7 @@ from gamma_top.gamma_sets import (
     is_gamma_open,
     is_gamma_regular_open,
     is_theta_open,
-    principal_verdicts,
     regular_open_family,
-    theta_closure_table,
 )
 
 from test_bridge_oracle import oracle_t413
@@ -107,7 +105,7 @@ def oracle_lemma_failures(sp, nets=True):
     which enumerates nets, only with *nets*."""
     full = sp.ground.full_mask
     ig, cg = sp.int_g, sp.cl_g
-    theta = theta_closure_table(sp)
+    theta = sp.cls.theta_closure
     failed = set()
     for a in sp.ground.subsets():
         clopen, fixed = is_gamma_clopen(sp, a), cg[ig[a]] == a
@@ -143,8 +141,7 @@ def oracle_lemma_failures(sp, nets=True):
 
 def _assert_lemma_claims_hold(sp):
     for cid, notes in LEMMA_CLAIMS.items():
-        verdict = tl.check_claim(sp, cid)
-        assert (verdict.status, verdict.witness, verdict.notes) == ("holds", None, notes), cid
+        assert tl.check_claim(sp.cls, cid) == ("holds", None, notes), cid
 
 
 def _small(enumeration):
@@ -212,7 +209,7 @@ def open_ed_lemma_failures(sp):
         tests = {cg[u] for u in gamma_open_family(sp) if u >> x & 1}
         if tests != {r for r in regular if r >> x & 1}:
             failed.add("c")
-    if theta_closure_table(sp) != principal_verdicts(sp, "regular_open").accumulates:
+    if sp.cls.theta_closure != sp.cls.principal_verdicts["regular_open"].accumulates:
         failed.add("c")
     return failed
 
@@ -255,7 +252,7 @@ def test_open_ed_spaces_fail_only_t39_fwd(enumeration):
         fails = 0
         for sp in spaces_n:
             for cid in tl.CLAIM_IDS:
-                status = tl.check_claim(sp, cid).status
+                status = tl.check_claim(sp.cls, cid)[0]
                 if cid == "C-T3.9-FWD":
                     fails += status == "fails"
                 else:
@@ -318,16 +315,16 @@ def _assert_ed_claims_match_the_scans(sp):
     verdict, and fails exactly where C-RO-INCL does, at R0; C-CHAIN-RO-TO
     fails first at R0 too (part (v)).  Returns whether R0 exists."""
     assert is_extremally_disconnected(sp)
-    r0 = tl._first_ro_not_gamma_open(sp)
+    r0 = tl._first_ro_not_gamma_open(sp.cls)
     subset = None if r0 is None else tl._labels(sp, r0)
-    ro_incl = tl.check_claim(sp, "C-RO-INCL")
-    assert (ro_incl.witness or {}).get("subset") == subset
+    ro_status, ro_witness, _ = tl.check_claim(sp.cls, "C-RO-INCL")
+    assert (ro_witness or {}).get("subset") == subset
     for cid, oracle in ED_CLAIM_ORACLES.items():
-        verdict = tl.check_claim(sp, cid)
-        assert (verdict.status, verdict.witness, verdict.notes) == oracle(sp), cid
-        assert verdict.status == ro_incl.status, cid
-        assert (verdict.witness or {}).get("subset") == subset, cid
-    chain = tl.check_claim(sp, "C-CHAIN-RO-TO").witness
+        status, witness, notes = tl.check_claim(sp.cls, cid)
+        assert (status, witness, notes) == oracle(sp), cid
+        assert status == ro_status, cid
+        assert (witness or {}).get("subset") == subset, cid
+    chain = tl.check_claim(sp.cls, "C-CHAIN-RO-TO")[1]
     assert chain == (None if r0 is None else {"subset": subset})
     return r0 is not None
 
@@ -354,7 +351,7 @@ def test_ed_claims_match_their_scans_on_every_ed_class(enumeration):
     # in spaces: C-T3.8 fails on 192 of the 8,472 ED table spaces at n = 3
     # and on 148 of the 1,555 ED spaces at n = 4
     for n, modes, ed, fails in ((3, "all_tables", 8472, 192), (4, "builtins,pivots", 1555, 148)):
-        statuses = collections.Counter(tl.check_claim(sp, "C-T3.8").status
+        statuses = collections.Counter(tl.check_claim(sp.cls, "C-T3.8")[0]
                                        for sp in enumeration(n, modes).spaces)
         assert statuses["holds"] + statuses["fails"] == ed
         assert statuses["fails"] == fails
@@ -382,7 +379,7 @@ def test_t39_fwd_holds_on_open_classes_exactly_when_dense_sets_are_gamma_open(en
     for n, modes in ((3, "all_tables"), (4, "builtins,pivots")):
         for sp in enumeration(n, modes).classes:
             if is_open_operation(sp):
-                status = tl.check_claim(sp, "C-T3.9-FWD").status
+                status = tl.check_claim(sp.cls, "C-T3.9-FWD")[0]
                 assert (status == "holds") == _dense_sets_are_gamma_open(sp), sp.key
                 seen[n, status] += 1
     # 223 open classes (5,672 spaces) at n = 3, 1,561 (1,943 spaces) at n = 4

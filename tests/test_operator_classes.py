@@ -1,27 +1,31 @@
-"""Families, flags, invariants, discrepancy statistics, the claim rows of
-a sweep and separations are memoised per operator class: the spaces on
-one ``Topology`` object with equal int_g and cl_g tables share them
-(``gamma_core.per_operator_class``).  Every space packs its two tables
-(``finspace.closed_lanes``), and the packed pair is the key of its class,
-whose tables are unpacked once.  These tests check that sharing changes
-no result, that the shared code reads nothing of the operation but its
-two operators, that the slice ``extension[1:]`` (the operation's values
-at the non-empty opens) and the per-point neighbourhood values determine
-each other, how often the shared code runs, and that a sweep's per-class
+"""Families, flags, the theta and filterbase tables and the bridge
+pairings are values of the operator class (``gamma_core.OperatorClass``):
+the spaces on one ``Topology`` object with equal int_g and cl_g tables
+share one class, and with it every value.  Claims, invariants,
+discrepancy statistics and separations take the class, and a sweep or a
+mine makes each class's row once per topology.  Every space packs its
+two tables (``finspace.closed_lanes``), and the packed pair is the key of
+its class, whose tables are unpacked once.  These tests check that
+sharing changes no result, that the per-class code reads nothing of the
+operation but its two operators, that the slice ``extension[1:]`` (the
+operation's values at the non-empty opens) and the per-point
+neighbourhood values determine each other, how often the per-class code
+runs, that no class outlives its spaces, and that a sweep's per-class
 tallies equal a per-space recount."""
 
 import collections
 import dataclasses
 import functools
+import gc
 import math
-from types import SimpleNamespace
+import weakref
 
 import pytest
 
 from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
 from gamma_top.finspace import FinSpaceError, enumerate_topologies, open_nbds, validate_topology
-from gamma_top.gamma_core import Space, apply_gamma, operations_for, per_operator_class
+from gamma_top.gamma_core import OperatorClass, Space, apply_gamma, operations_for
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,7 @@ def walked():
     """``walked(n, modes)``: one walk of an enumeration, shared by the
     tests here that only read it: its topologies (``enumerate_slices``)
     and its ``(ti, oi, space)`` rows (``enumerate_spaces``) over the same
-    spaces.  Tests that count builds or runs, or that need memos no other
+    spaces.  Tests that count builds or runs, or that need classes no other
     pass has filled, walk afresh."""
 
     @functools.cache
@@ -44,23 +48,23 @@ def walked():
 
 
 def _fresh(sp):
-    """The same space on a topology object of its own, so with its own
-    memo; the operation is kept, so the space payload is the same too."""
+    """The same space on a topology object of its own, so with a class of
+    its own; the operation is kept, so the space payload is the same too."""
     return Space(sp.ground, validate_topology(sp.ground, sp.top.opens), sp.gamma)
 
 
 def _results(sp):
     return (
         tl.run_suite(sp, tl.CLAIM_IDS).to_dict(),
-        tl.check_invariants(sp),
-        tl._space_discrepancies(sp),
+        tl.check_invariants(sp.cls),
+        tl._space_discrepancies(sp.cls),
     )
 
 
 def _check_shared_equals_fresh(rows, stride):
     """Every *stride*-th space of the ``(ti, oi, space)`` *rows*, read
-    after the first space of its class filled the shared memo, against a
-    fresh copy; returns how many of them read a memo that another space
+    after the first space of its class filled the class's values, against
+    a fresh copy; returns how many of them read values that another space
     filled."""
     firsts = {}
     shared = 0
@@ -68,10 +72,10 @@ def _check_shared_equals_fresh(rows, stride):
         first = firsts.setdefault((ti, sp.int_g, sp.cl_g), sp)
         if i % stride:
             continue
-        assert sp._class_memo is first._class_memo
+        assert sp.cls is first.cls
         _results(first)
         fresh = _fresh(sp)
-        assert fresh._class_memo is not sp._class_memo
+        assert fresh.cls is not sp.cls
         assert _results(sp) == _results(fresh), (ti, oi)
         shared += first is not sp
     return shared
@@ -83,10 +87,12 @@ def test_shared_results_equal_fresh_ones(walked):
 
 
 def _stand_in(sp, **extra):
-    """The ground set, topology and operator tables of *sp*, with an empty
-    memo: no ``gamma`` or ``extension``, and no ``key`` unless given."""
-    return SimpleNamespace(ground=sp.ground, top=sp.top, int_g=sp.int_g, cl_g=sp.cl_g,
-                           _class_memo={}, **extra)
+    """A class of its own with the ground set, opens and operator tables
+    of *sp*, and nothing computed yet: no ``gamma`` or ``extension``, and
+    no ``key`` unless given."""
+    cls = OperatorClass(sp.ground, sp.top.opens, sp.int_g, sp.cl_g)
+    vars(cls).update(extra)
+    return cls
 
 
 def _holds(value, target) -> bool:
@@ -101,6 +107,7 @@ def _holds(value, target) -> bool:
 
 
 def test_class_memoised_code_reads_only_the_operators(walked):
+    ids = tl.CLAIM_IDS
     spaces = [documents.load_bundled(name)
               for name in ("example3_2", "example3_5", "example3_16", "example3_17")]
     spaces += [sp for i, (_, _, sp) in enumerate(walked(3, ("all_tables",))[1])
@@ -111,17 +118,18 @@ def test_class_memoised_code_reads_only_the_operators(walked):
         stand_in = _stand_in(sp)
         for cid, claim in tl.CLAIMS.items():
             # a checker that reads the operation raises AttributeError here
-            assert claim.check(stand_in) == claim.check(sp), cid
-        assert tl.check_invariants(stand_in) == tl.check_invariants(sp)
-        assert tl._space_discrepancies(stand_in) == tl._space_discrepancies(sp)
-        assert tl.space_flags(stand_in) == tl.space_flags(sp)
+            assert claim.check(stand_in) == claim.check(sp.cls), cid
+        assert tl.check_invariants(stand_in) == tl.check_invariants(sp.cls)
+        assert tl._space_discrepancies(stand_in) == tl._space_discrepancies(sp.cls)
+        assert ({name: getattr(stand_in, name) for name in tl.SPACE_FLAGS}
+                == tl.space_flags(sp))
         for predicate in tl.SEPARATIONS:
-            assert tl._separations(stand_in, predicate) == tl._separations(sp, predicate)
-        # a sweep row reads the key through check_claim and keeps none of it
+            assert tl._separations(stand_in, predicate) == tl._separations(sp.cls, predicate)
+        # a class given a key keeps none of it in a claim's row
         sentinel = object()
         keyed = _stand_in(sp, key=sentinel)
-        row = tl._status_row(keyed, tl.CLAIM_IDS)
-        assert row == tl._status_row(sp, tl.CLAIM_IDS)
+        row = [tl.check_claim(keyed, cid) for cid in ids]
+        assert row == [tl.check_claim(sp.cls, cid) for cid in ids]
         assert not _holds(row, sentinel)
 
 
@@ -134,7 +142,7 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
         cls = (ti, sp.int_g, sp.cl_g)
         classes.add(cls)
         for cid, claim in tl.CLAIMS.items():
-            if all(tl.SPACE_FLAGS[h](sp) for h in claim.hypotheses):
+            if all(getattr(sp.cls, h) for h in claim.hypotheses):
                 met[cid].add(cls)
     assert len(classes) == 507
 
@@ -145,33 +153,39 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     for ti, oi, sp in rows:
         first = first_with.setdefault((ti, sp.extension[1:]), sp)
         assert sp.int_g is first.int_g and sp.cl_g is first.cl_g
-        assert sp._class_memo is first._class_memo
+        assert sp.cls is first.cls
     assert len(first_with) == 1131
 
     runs = collections.Counter()
 
-    def counted(name, body, memo=True):
+    def counted(name, body):
         def run(*args, **kwargs):
             runs[name] += 1
             return body(*args, **kwargs)
 
-        return per_operator_class(run) if memo else run
+        return run
 
     for cid, claim in tl.CLAIMS.items():
-        # a checker has no memo of its own: _status_row runs it once per class
-        check = counted(cid, claim.check, memo=False)
+        # a checker has no memo of its own: a sweep runs it once per class
+        check = counted(cid, claim.check)
         monkeypatch.setitem(tl.CLAIMS, cid, dataclasses.replace(claim, check=check))
-    for name in ("check_invariants", "_space_discrepancies"):
-        monkeypatch.setattr(tl, name, counted(name, getattr(tl, name).__wrapped__))
-    for name, flag in tl.SPACE_FLAGS.items():
-        monkeypatch.setitem(tl.SPACE_FLAGS, name, counted(name, flag.__wrapped__))
+    for name in tl.SPACE_FLAGS:
+        flag = functools.cached_property(counted(name, vars(OperatorClass)[name].func))
+        flag.__set_name__(OperatorClass, name)
+        monkeypatch.setattr(OperatorClass, name, flag)
 
-    # the kernel, the unpacking and the per-class helpers a sweep and a
-    # mine look up, counted per lookup
+    # the kernel, the unpacking and the per-class code a sweep and a mine
+    # run, counted per call, and the per-slice lookups of a class's row
     for module, name in ((gamma_core, "closed_lanes"), (gamma_core, "unpack_lanes"),
-                         (tl, "check_claim"), (tl, "_separating"), (tl, "_status_row"),
-                         (tl, "_separation_witnesses")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name), memo=False))
+                         (tl, "check_claim"), (tl, "check_invariants"),
+                         (tl, "_space_discrepancies"), (tl, "_separations")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = tl.TopologyRows.report
+
+    def counted_report(walk, class_row, look):
+        return report(walk, class_row, counted("lookup", look))
+
+    monkeypatch.setattr(tl.TopologyRows, "report", counted_report)
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
@@ -179,7 +193,7 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     assert runs["closed_lanes"] == 2 * 1131
     assert runs["unpack_lanes"] == 2 * 507
     # one lookup per slice, not one per row
-    assert runs["_status_row"] == 1131
+    assert runs["lookup"] == 1131
     assert runs["check_claim"] == 507 * len(tl.CLAIM_IDS)
     assert runs["check_invariants"] == runs["_space_discrepancies"] == 507
     # every class tests both hypotheses once; no claim names the regular flag
@@ -196,17 +210,46 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     runs.clear()
     tl.full_sweep(3, ("all_tables",), sweep_claims, invariants=False)
     assert runs["check_claim"] == 9126
-    assert runs["_status_row"] == 1131
-    # and mine reads the same rows, and scans the subsets once per class
+    assert runs["lookup"] == 1131
+    # and mine reads the same rows, and scans the families once per class
     runs.clear()
     assert len(tl.mine(3, ("all_tables",), "fails:C-RO-INCL")) == 576
     assert runs["check_claim"] == 507
-    assert runs["_status_row"] == 1131
+    assert runs["lookup"] == 1131
     for predicate in tl.SEPARATIONS:
         runs.clear()
         tl.mine(3, ("all_tables",), predicate)
-        assert runs["_separating"] == 507, predicate
-        assert runs["_separation_witnesses"] == 1131, predicate
+        assert runs["_separations"] == 507, predicate
+        assert runs["lookup"] == 1131, predicate
+
+
+def _live_classes() -> int:
+    return sum(isinstance(obj, OperatorClass) for obj in gc.get_objects())
+
+
+def test_no_operator_class_outlives_its_spaces():
+    # reference counting alone must free every class: a class that held
+    # its topology, which holds it, or a module-level cache of a class
+    # value would keep classes alive with the collector off
+    gc.collect()
+    gc.disable()
+    try:
+        live = _live_classes()
+        sp = documents.parse_space(documents.serialize_space(documents.load_bundled("example3_5")))
+        cls = weakref.ref(sp.cls)
+        report = tl.run_suite(sp)
+        assert report.counts["claims"] == 24
+        del sp, report
+        assert cls() is None
+        assert _live_classes() == live
+        claims, invariants = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
+        assert claims.spaces == invariants.spaces == 9048
+        assert _live_classes() == live
+        for predicate in ("fails:C-RO-INCL", *tl.SEPARATIONS):
+            assert tl.mine(3, ("all_tables",), predicate)
+            assert _live_classes() == live, predicate
+    finally:
+        gc.enable()
 
 
 def test_equal_topology_objects_share_no_memo(example3_2):
@@ -214,12 +257,12 @@ def test_equal_topology_objects_share_no_memo(example3_2):
     second = _fresh(example3_2)
     assert first.top == second.top and first.top is not second.top
     tl.run_suite(first)
-    assert first._class_memo and not second._class_memo
-    # a space on the same object with the same operators shares the memo
+    assert first.cls is not second.cls
+    assert "bridge_pairings" in vars(first.cls) and "bridge_pairings" not in vars(second.cls)
+    # a space on the same object with the same operators shares the class
     same = Space(first.ground, first.top, first.gamma)
-    assert same._class_memo is first._class_memo
-    ids = tl.CLAIM_IDS
-    assert tl._status_row(same, ids) is tl._status_row(first, ids)
+    assert same.cls is first.cls
+    assert same.cls.bridge_pairings is first.cls.bridge_pairings
     # the key reads the operation, so it stays per space
     assert same.key is not first.key and same.key == first.key
 
@@ -229,7 +272,7 @@ def test_a_class_row_is_never_mutated(monkeypatch):
     monkeypatch.setattr(tl, "enumerate_slices", lambda n, modes, topo_range=None: iter(walks))
     ids = tl.SAFE_CLAIMS + tl.CONDITIONED_CLAIMS
     first, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
-    # the second sweep reads every row from the memos the first one filled
+    # the second sweep reads every class value that the first one computed
     second, _ = tl.full_sweep(3, ("all_tables",), ids, invariants=False)
     assert first.to_dict() == second.to_dict()
     failures = [v for v in first.failures if v.claim_id == "C-RO-INCL"]
@@ -245,12 +288,10 @@ def test_a_class_row_is_never_mutated(monkeypatch):
         # the failures of one space share one key
         assert keys.setdefault(at, v.space) is v.space
     assert len(keys) < len(first.failures)
-    # the memoised failing rows, and the notes every claim gives on every
-    # group space, holding rows included
+    # the notes every claim gives on every group's class, failing or not
     for walk in walks:
         for sp, _ in walk.groups:
-            notes = [row[3] for row in tl._status_row(sp, ids)[1]]
-            notes += [tl.check_claim(sp, cid).notes for cid in ids]
+            notes = [tl.check_claim(sp.cls, cid)[2] for cid in ids]
             for note in notes:
                 assert "topology_index" not in note and "operation_index" not in note
 
@@ -266,7 +307,7 @@ def _check_table_key(spaces):
     """On each topology object, equal slices ``extension[1:]`` iff equal
     per-point values (the lemma in ``Space`` that the walk's check at the
     empty set rests on); the spaces of one operator class share its tables
-    and memo, and the topology holds one memo entry per class.  *spaces*
+    and class, and the topology holds one entry per class.  *spaces*
     must be every space built on their topology objects.  Returns the
     number of classes."""
     by_top = collections.defaultdict(list)
@@ -281,7 +322,7 @@ def _check_table_key(spaces):
             assert values_of.setdefault(key, values) == values
             same = first.setdefault((sp.int_g, sp.cl_g), sp)
             assert sp.int_g is same.int_g and sp.cl_g is same.cl_g
-            assert sp._class_memo is same._class_memo
+            assert sp.cls is same.cls
         # a key that merges two classes, or splits one, unpacks fewer or more tables
         assert len({id(sp.int_g) for sp in group}) == len(first)
         assert len(group[0].top.operator_memos) == len(first)
@@ -313,11 +354,11 @@ def _recount(spaces, ids):
     stats = collections.Counter()
     for ti, oi, sp in spaces:
         for cid in ids:
-            verdict = tl.check_claim(sp, cid)
-            tallies[cid][verdict.status] += 1
-            if verdict.status == "fails":
-                failures.append((cid, ti, oi, verdict.space, verdict.witness))
-        disc = {d["kind"]: d for d in tl._space_discrepancies(sp)}
+            status, witness, _ = tl.check_claim(sp.cls, cid)
+            tallies[cid][status] += 1
+            if status == "fails":
+                failures.append((cid, ti, oi, sp.key, witness))
+        disc = {d["kind"]: d for d in tl._space_discrepancies(sp.cls)}
         stats["spaces"] += 1
         stats["cl_gamma_idempotent_everywhere"] += disc["cl_gamma_idempotent"]["holds"]
         stats["cl_gamma_within_theta_closure_everywhere"] += disc[
@@ -509,7 +550,7 @@ def test_a_mine_builds_each_class_witnesses_once(walked):
         for ti, oi, sp in rows:
             witnesses = mined.pop((ti, oi), [])
             assert witnesses == [{"subset": sp.ground.label_list(a)}
-                                 for a in tl._separations(sp, predicate)], (predicate, ti, oi)
+                                 for a in tl._separations(sp.cls, predicate)], (predicate, ti, oi)
             seen = first.setdefault((sp.top, sp.int_g, sp.cl_g), witnesses)
             if seen is not witnesses and witnesses:
                 assert list(map(id, witnesses)) == list(map(id, seen)), (predicate, ti, oi)

@@ -28,7 +28,6 @@ from gamma_top.gamma_sets import (
     gamma_open_family,
     is_extremally_disconnected,
     regular_open_family,
-    theta_closure_table,
     theta_families,
 )
 
@@ -108,7 +107,7 @@ def oracle_t314(sp):
     full = sp.ground.full_mask
     closed, _ = theta_families(sp)
     ro = regular_open_family(sp)
-    for a, t in enumerate(theta_closure_table(sp)):
+    for a, t in enumerate(sp.cls.theta_closure):
         for part, family in (("theta_closed_supersets", closed), ("regular_open_supersets", ro)):
             meet = full
             for v in family:
@@ -126,7 +125,7 @@ def oracle_t314(sp):
 
 def oracle_t315a(sp):
     ro = regular_open_family(sp)
-    for a, t in enumerate(theta_closure_table(sp)):
+    for a, t in enumerate(sp.cls.theta_closure):
         for i in range(sp.ground.n):
             bit = 1 << i
             if bool(t & bit) != all(v & a for v in ro if v & bit):
@@ -136,7 +135,7 @@ def oracle_t315a(sp):
 
 def oracle_t315b(sp):
     full = sp.ground.full_mask
-    theta = theta_closure_table(sp)
+    theta = sp.cls.theta_closure
     ro = regular_open_family(sp)
     for a in sp.ground.subsets():
         rhs = all(any(v >> i & 1 and v & ~a == 0 for v in ro) for i in range(sp.ground.n) if a >> i & 1)
@@ -148,7 +147,7 @@ def oracle_t315b(sp):
 def oracle_t315c(sp):
     full = sp.ground.full_mask
     ig, cg = sp.int_g, sp.cl_g
-    theta = theta_closure_table(sp)
+    theta = sp.cls.theta_closure
     for a in sp.ground.subsets():
         lhs = ig[cg[a]] == a
         rhs = theta[full ^ a] == full ^ a and theta[a] == a
@@ -209,7 +208,7 @@ def oracle_discrepancies(sp):
     disagree = [m for m in sp.ground.subsets()
                 if (ig[full ^ m] == full ^ m) != (cg[m] & ~m == 0)]
     idem = oracle_cl_idempotence_notes(sp)
-    theta = theta_closure_table(sp)
+    theta = sp.cls.theta_closure
     bad = [m for m in sp.ground.subsets() if cg[m] & ~theta[m]]
     return [
         {
@@ -251,19 +250,19 @@ def _assert_matches_oracle(sp):
     for cid, oracle in CLAIM_ORACLES.items():
         assert tl.CLAIMS[cid].hypotheses == ("open_operation", "extremally_disconnected")
         expected = oracle(sp)
-        verdict = tl.check_claim(sp, cid)
+        verdict = tl.check_claim(sp.cls, cid)
         if open_ed:
-            assert (verdict.status, verdict.witness, verdict.notes) == expected, cid
+            assert verdict == expected, cid
         else:
-            assert verdict.status == "hypotheses_not_met", cid
+            assert verdict[0] == "hypotheses_not_met", cid
         statuses[cid] = expected[0], open_ed
-    assert tl.CLAIMS["C-P3.13-2"].check(sp) == oracle_p313_2(sp, theta_closure_table(sp)) \
+    assert tl.CLAIMS["C-P3.13-2"].check(sp.cls) == oracle_p313_2(sp, sp.cls.theta_closure) \
         == ("holds", None, {})
     for mode in ("dual", "cl"):
         assert oracle_conditions(sp, mode) == (None, None)
     assert is_open_operation(sp) == oracle_open_operation(sp)
     assert is_regular_operation(sp) == oracle_regular_operation(sp)
-    assert tl._space_discrepancies(sp) == oracle_discrepancies(sp)
+    assert tl._space_discrepancies(sp.cls) == oracle_discrepancies(sp)
     return statuses
 
 
@@ -327,18 +326,18 @@ def test_discrepancies_and_t39_notes_match_the_scans(enumeration):
     opens = collections.Counter()
     noted = collections.Counter()
     for sp in spaces_n:
-        assert tl._space_discrepancies(sp) == oracle_discrepancies(sp)
+        assert tl._space_discrepancies(sp.cls) == oracle_discrepancies(sp)
         opens[is_open_operation(sp)] += 1
         for cid in ("C-T3.9-FWD", "C-T3.9-CONV"):
-            verdict = tl.check_claim(sp, cid)
-            if verdict.status != "hypotheses_not_met":
-                assert verdict.notes == oracle_cl_idempotence_notes(sp), cid
+            status, _, notes = tl.check_claim(sp.cls, cid)
+            if status != "hypotheses_not_met":
+                assert notes == oracle_cl_idempotence_notes(sp), cid
                 noted[cid] += 1
     # both branches of the idempotence statistic, and both claims, are met
     assert opens[True] and opens[False]
     assert noted["C-T3.9-FWD"] and noted["C-T3.9-CONV"]
     # cl_g is idempotent on exactly the open table spaces
-    assert sum(tl._space_discrepancies(sp)[1]["holds"] for sp in table3) == 5672
+    assert sum(tl._space_discrepancies(sp.cls)[1]["holds"] for sp in table3) == 5672
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,7 +21,7 @@ from gamma_top.finspace import (
     validate_topology,
 )
 from gamma_top.gamma_core import GammaOperation, Space, gamma_closure, gamma_interior
-from gamma_top.gamma_sets import gamma_theta_closure, principal_verdicts
+from gamma_top.gamma_sets import gamma_theta_closure
 
 from literal_convergence import Oracle
 
@@ -35,7 +35,7 @@ def assert_tables_match(sp, masks=None):
         assert sp.cl_g[a] == gamma_closure(sp, a) == oracle.cl_g(a), a
         assert gamma_theta_closure(sp, a) == oracle.theta(a), a
     for family in ("regular_open", "gamma_open_cl"):
-        table = principal_verdicts(sp, family)
+        table = sp.cls.principal_verdicts[family]
         for x in range(sp.ground.n):
             tests = oracle.test_sets(x, family)
             for m in masks:

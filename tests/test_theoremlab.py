@@ -35,7 +35,7 @@ def test_catalog_shape():
 
 def test_unknown_claim(example3_2):
     with pytest.raises(tl.UnknownClaim):
-        tl.check_claim(example3_2, "C-T9.9")
+        tl.check_claim(example3_2.cls, "C-T9.9")
 
 
 def test_run_suite_3_2(example3_2):
@@ -81,10 +81,10 @@ def test_run_suite_indiscrete_identity():
 def test_verdicts_recompute_bit_exactly(example3_2, example3_5):
     for sp in (example3_2, example3_5):
         for cid in tl.CLAIM_IDS:
-            verdict = tl.check_claim(sp, cid)
-            again = tl.check_claim(tl.rebuild_space(verdict.space), cid)
-            assert again.status == verdict.status
-            assert again.witness == verdict.witness
+            status, witness, _ = tl.check_claim(sp.cls, cid)
+            again = tl.check_claim(tl.rebuild_space(sp.key).cls, cid)
+            assert again[0] == status
+            assert again[1] == witness
 
 
 def test_space_key_roundtrip(example3_2):
@@ -154,16 +154,16 @@ def test_a_bridge_report_counts_what_a_per_space_recount_finds(n, modes):
     assert any(entry["witnesses"] for props in recount.values() for entry in props.values())
 
 
-def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example3_2, monkeypatch):
+def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example3_2):
     # every real table is monotone: force a break at {a,b}, whose value
-    # {a} no longer contains the value {b} of its subset {b}.  Results are
-    # memoised per operator class, so the patched table is read only on a
-    # space with a memo of its own, not the shared fixture.
-    sp = tl.rebuild_space(example3_2.key)
-    ground = sp.ground
-    table = tuple(ground.mask_of("a") if a == ground.mask_of("ab") else a for a in ground.subsets())
-    monkeypatch.setattr(tl, "theta_closure_table", lambda sp: table)
-    monotone = [v for v in tl.check_invariants(sp) if v["invariant"] == "thetacl_monotone"]
+    # {a} no longer contains the value {b} of its subset {b}.  The table is
+    # a value of the operator class, so it is set on a space with a class
+    # of its own, not the shared fixture's.
+    cls = tl.rebuild_space(example3_2.key).cls
+    ground = cls.ground
+    cls.theta_closure = tuple(ground.mask_of("a") if a == ground.mask_of("ab") else a
+                              for a in ground.subsets())
+    monotone = [v for v in tl.check_invariants(cls) if v["invariant"] == "thetacl_monotone"]
     assert monotone == [{"invariant": "thetacl_monotone",
                          "witness": {"subset": ["b"], "superset": ["a", "b"]}}]
 
