@@ -11,15 +11,16 @@ two-space indent, ASCII escapes) plus one trailing newline.
 ``jsonout.dump`` writes the payload to stdout in batches, so the text is
 never held whole.  The rows of ``mine`` and of ``analyze`` are an
 iterator in the payload: each record or classification row is made as it
-is written and let go once written, and ``mine`` lets each hit go with
-it.  Text ``analyze`` writes each line as it makes it.  Every space a
-payload carries is framed: the spaces of one slice, or the one space of
-a document's verdicts, share a frame, whose text is
-written once around each space's value at the empty set; and the records
-``mine`` reports on one witness and one group of more than one row (a
-table slice) share a frame, written once around each record's operation
-index and value at the empty set.  Tier-1 pins these bytes against
-``json.dumps``.
+is written and let go once written.  ``mine`` reports one hit per row,
+and makes the hit's records, one per witness, when it is written, then
+lets the hit go with them.  Text ``analyze`` writes each line as it
+makes it.  Every space a payload carries is framed: the spaces of one
+slice, or the one space of a document's verdicts, share a frame, whose
+text is written once around each space's value at the empty set; and the
+records ``mine`` reports on one witness and one group of more than one
+row (a table slice) share a frame, written once around each record's
+operation index and value at the empty set.  Tier-1 pins these bytes
+against ``json.dumps``.
 
 Exit codes: 0 success / all safe claims pass, 1 a safe claim failed,
 2 input error, 3 out of memory, 70 internal error (a bug; the traceback
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -206,16 +208,17 @@ def cmd_verify(args) -> int:
 
 # -- mine ----------------------------------------------------------------------
 
-def _mine_text(args, modes, found) -> str:
-    lines = [f"predicate {args.predicate}: {len(found)} witnesses "
+def _mine_text(args, modes, found, count) -> str:
+    lines = [f"predicate {args.predicate}: {count} witnesses "
              f"(n={args.n}, modes={','.join(modes)})"]
-    for w in found[:20]:
+    records = ((hit, witness) for hit in found for witness in hit.witnesses)
+    for hit, witness in itertools.islice(records, 20):
         lines.append(
-            f"topology {w.topology_index:>4} operation {w.operation_index:>4} "
-            f"witness {json.dumps(w.witness, sort_keys=True)}"
+            f"topology {hit.topology_index:>4} operation {hit.operation_index:>4} "
+            f"witness {json.dumps(witness, sort_keys=True)}"
         )
-    if len(found) > 20:
-        lines.append(f"... {len(found) - 20} more")
+    if count > 20:
+        lines.append(f"... {count - 20} more")
     return "\n".join(lines) + "\n"
 
 
@@ -230,18 +233,21 @@ def _taken(items: list):
 def cmd_mine(args) -> int:
     modes = theoremlab.parse_modes(args.ops)
     found = theoremlab.mine(args.n, modes, args.predicate)
+    # one hit per row, with one record per witness
+    count = sum(len(hit.witnesses) for hit in found)
     # each format builds only what it prints: text its lines from the hits,
-    # machine the records, each made as it is written; the hit, with its
-    # key and the payload cached on that key, is let go once written
+    # machine the records, each row's made as they are written; the hit and
+    # its records are let go once written
     if args.format == "text":
-        _emit(None, _mine_text(args, modes, found), "text")
+        _emit(None, _mine_text(args, modes, found, count), "text")
         return EXIT_OK
     payload = {
         "predicate": args.predicate,
         "n": args.n,
         "modes": list(modes),
-        "count": len(found),
-        "witnesses": map(theoremlab.MinedWitness.to_dict, _taken(found)),
+        "count": count,
+        "witnesses": itertools.chain.from_iterable(
+            map(theoremlab.MinedWitness.to_dict, _taken(found))),
     }
     _emit(payload, None, "machine")
     return EXIT_OK

@@ -43,7 +43,7 @@ set, the opens and the two operator tables, so it is a function of the
 space's operator class (topology, int_g, cl_g).  ``OperatorClass`` holds
 those four, one object per class on a ``Topology`` object, shared by
 every space of the class (``Space.cls``), and keeps each shared derived
-value as a ``functools.cached_property``.  The one value
+value as a ``finspace.memo_property``.  The one value
 that reads the operation's own values is the space's key, ``Space.key``.
 The functions here and in ``gamma_sets`` that take a space read its
 class.
@@ -68,6 +68,7 @@ from .finspace import (
     inside_table,
     interior,
     meeting_table,
+    memo_property,
     submasks,
     unpack_lanes,
 )
@@ -224,13 +225,7 @@ class SpaceKey:
         if payload is None:
             frame = self.frame or self.slice_frame(
                 self.points, self.opens, self.gamma_kind, self.gamma_values)
-            fill = _ground(self.points).label_list(self.gamma_values[0])
-            # a copy is allocated to size, unlike [fill, *tail]
-            values = frame["gamma"]["values"].copy()
-            values[0] = fill
-            payload = Framed(points=frame["points"], opens=frame["opens"],
-                             gamma={"kind": self.gamma_kind, "values": values})
-            payload.frame, payload.fill, payload.scope = frame, (fill,), frame["opens"]
+            payload = framed_space(frame, _ground(self.points).label_list(self.gamma_values[0]))
             # a frozen dataclass: set the cache past its __setattr__
             object.__setattr__(self, "_payload", payload)
         return payload
@@ -249,6 +244,21 @@ class SpaceKey:
         values[0] = Framed.HOLE
         return {"gamma": {"kind": gamma_kind, "values": values},
                 "opens": opens_list, "points": points_list}
+
+
+def framed_space(frame: dict, fill: list) -> Framed:
+    """The space payload on the group frame *frame* (``SpaceKey.slice_frame``)
+    whose value at the empty set has the label list *fill*: a
+    ``jsonout.Framed`` scoped by the topology's ``opens`` list, which shares
+    every list but its ``values`` with the frame."""
+    gamma = frame["gamma"]
+    # a copy is allocated to size, unlike [fill, *tail]
+    values = gamma["values"].copy()
+    values[0] = fill
+    payload = Framed(points=frame["points"], opens=frame["opens"],
+                     gamma={"kind": gamma["kind"], "values": values})
+    payload.frame, payload.fill, payload.scope = frame, (fill,), frame["opens"]
+    return payload
 
 
 def label_lists(points: tuple[str, ...], masks) -> list:
@@ -348,7 +358,7 @@ class Space:
         object.__setattr__(self, "int_g", cls.int_g)
         object.__setattr__(self, "cl_g", cls.cl_g)
 
-    @functools.cached_property
+    @memo_property
     def key(self) -> SpaceKey:
         """The space's key: it reads the operation's values, which two
         spaces of one operator class can give differently, so it is kept
@@ -381,7 +391,7 @@ class OperatorClass:
     equal operator tables: the ground set, the opens, and the tables
     ``int_g`` and ``cl_g``.  The values derived from them that callers
     share (families, flags, the theta and filterbase tables, the bridge
-    pairings) are ``cached_property`` here, computed by the first space of
+    pairings) are ``memo_property`` here, computed by the first space of
     the class that asks and read by the others; claim checkers, invariants
     and statistics take the class as their argument.
 
@@ -399,18 +409,18 @@ class OperatorClass:
         self.int_g = int_g
         self.cl_g = cl_g
 
-    @functools.cached_property
+    @memo_property
     def gamma_open(self) -> tuple[int, ...]:
         """All fixed points of gamma_interior, ascending."""
         return tuple(m for m, gi in enumerate(self.int_g) if gi == m)
 
-    @functools.cached_property
+    @memo_property
     def regular_open(self) -> tuple[int, ...]:
         """The sets A with int_g(cl_g(A)) = A, ascending."""
         ig = self.int_g
         return tuple(m for m, c in enumerate(self.cl_g) if ig[c] == m)
 
-    @functools.cached_property
+    @memo_property
     def regular_operation(self) -> bool:
         """True iff any two neighbourhood values are refined by a third:
         for every x and opens U, V at x there is an open W at x with
@@ -432,7 +442,7 @@ class OperatorClass:
                 return False
         return True
 
-    @functools.cached_property
+    @memo_property
     def open_operation(self) -> bool:
         """True iff every neighbourhood value holds a gamma-open
         neighbourhood of the point: for every x and open U at x, a gamma-open
@@ -447,26 +457,26 @@ class OperatorClass:
         ig = self.int_g
         return all(ig[g] == g for g in ig)
 
-    @functools.cached_property
+    @memo_property
     def extremally_disconnected(self) -> bool:
         """True iff the gamma-closure of every gamma-open set is gamma-open."""
         ig, cg = self.int_g, self.cl_g
         return all(ig[cg[u]] == cg[u] for u in self.gamma_open)
 
-    @functools.cached_property
+    @memo_property
     def theta_env(self) -> tuple:
         """Per point, the gamma-closures of its gamma-open neighbourhoods."""
         family, cg = self.gamma_open, self.cl_g
         return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(self.ground.n))
 
-    @functools.cached_property
+    @memo_property
     def theta_closure(self) -> tuple[int, ...]:
         """The theta closure over every subset, indexed by mask: the points
         x such that the gamma-closure of every gamma-open set at x meets
         the subset (a ``meeting_table``)."""
         return meeting_table(self.ground.n, self.theta_env)
 
-    @functools.cached_property
+    @memo_property
     def theta_families(self) -> tuple:
         """(theta_closed, theta_open): fixed points of the theta closure and
         their complements, both ascending."""
@@ -475,7 +485,7 @@ class OperatorClass:
         # complements of an ascending family, ascending
         return closed, tuple(full ^ m for m in reversed(closed))
 
-    @functools.cached_property
+    @memo_property
     def principal_verdicts(self) -> dict:
         """Per test family, the ``PrincipalVerdicts`` of every one-member
         filterbase {M}: against regular-open neighbourhoods
@@ -503,7 +513,7 @@ class OperatorClass:
             verdicts[family] = PrincipalVerdicts(inside_table(n, outside)[::-1], accumulates)
         return verdicts
 
-    @functools.cached_property
+    @memo_property
     def bridge_pairings(self) -> dict:
         """First mismatch witness per (test family, accumulation reading)
         pairing, for the net/tail-filterbase bridge and for the

@@ -29,20 +29,20 @@ a topology, kept in a dict for that topology alone: a sweep's statuses
 (``check_claim``) with its invariants and statistics, the bridge
 verdicts, or a mine's witnesses (``check_claim`` or ``_separations``).
 They look a row up once per slice and add the slice's row count to
-their tallies, and the loop visits a row, to build its key, only where
-they report it.  The audits
+their tallies, and the loop visits a row only where they report it.  It
+builds no key: a sweep or the bridge report builds one for each row it
+keeps, and a mine's hit (``MinedWitness``), one per row, writes its
+records without one.  The audits
 rebuild the four bundled example spaces and diff their published
 families against recomputation.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 
 from . import documents
@@ -56,6 +56,7 @@ from .gamma_core import (
     Space,
     SpaceKey,
     check_table_points,
+    framed_space,
     operations_for,
 )
 from .jsonout import Framed
@@ -595,11 +596,13 @@ def run_suite(sp: Space, claim_ids=None) -> VerificationReport:
 # -- enumeration sweeps ----------------------------------------------------
 
 def parse_modes(modes) -> tuple[str, ...]:
-    """Operation modes from a comma list or a sequence; an unknown mode or
-    an empty list raises UnknownMode."""
+    """Operation modes from a comma list or a sequence, each once, in the
+    order of its first occurrence: a repeated mode adds no operation, as
+    the walk keeps one operation per extension.  An unknown mode or an
+    empty list raises UnknownMode."""
     if isinstance(modes, str):
         modes = modes.split(",")
-    out = tuple(m.strip() for m in modes if m.strip())
+    out = tuple(dict.fromkeys(m.strip() for m in modes if m.strip()))
     if not out:
         raise UnknownMode("the operation mode list is empty")
     for m in out:
@@ -620,7 +623,8 @@ class TopologyRows:
     *space* is the first space on the topology with the group's slice.
     Every sweep, mine and bridge report reads the walk through
     ``report``, which visits the rows of the groups that it reports, in
-    operation index order, and no other row."""
+    operation index order, and no other row, and builds no key (``key``
+    builds one)."""
 
     index: int
     groups: list
@@ -654,12 +658,14 @@ class TopologyRows:
         """Call ``class_row(cls)`` once per operator class of the groups'
         spaces, keeping its value, the class's row, in a dict for this
         topology alone, and ``look(class's row, row count)`` once per group,
-        in group order; then yield ``(operation index, key, hit)`` for each
-        row of a group whose hit, the value of ``look``, is truthy, in
-        operation index order.  The keys of one group share its frame
-        (``SpaceKey.slice_frame``): by the lemma in ``Space`` they differ
-        only at the empty set, and a group has one kind, so machine output
-        writes the rest of their text once per group."""
+        in group order; then yield ``(operation index, extension, frame,
+        hit)`` for each row of a group whose hit, the value of ``look``, is
+        truthy, in operation index order.  *frame* is the group's slice
+        frame (``SpaceKey.slice_frame``), made once per group and shared by
+        its rows: by the lemma in ``Space`` they differ only at the empty
+        set, and a group has one kind, so machine output writes the rest of
+        their text once per group.  No row gets a key here: a caller makes
+        one (``key``) only for a row it keeps."""
         class_rows = {}
         hits = {}
         for g, (sp, count) in enumerate(self.groups):
@@ -669,15 +675,28 @@ class TopologyRows:
             hit = look(found, count)
             if hit:
                 hits[g] = hit
-        sp = self.groups[0][0]
-        points, opens = sp.ground.labels, sp.top.opens_sorted
+        points, opens = self.ground.labels, self.opens
         frames = {}
         for oi, extension, op, g in self.rows(hits):
-            kind = "table" if op is None else op.kind
             frame = frames.get(g)
             if frame is None:
+                kind = "table" if op is None else op.kind
                 frame = frames[g] = SpaceKey.slice_frame(points, opens, kind, extension)
-            yield oi, SpaceKey(points, opens, kind, extension, frame), hits[g]
+            yield oi, extension, frame, hits[g]
+
+    @property
+    def ground(self) -> PointSet:
+        return self.groups[0][0].ground
+
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """The topology's opens, ascending."""
+        return self.groups[0][0].top.opens_sorted
+
+    def key(self, extension, frame) -> SpaceKey:
+        """The key of a row that ``report`` yields with *extension* and
+        *frame*."""
+        return SpaceKey(self.ground.labels, self.opens, frame["gamma"]["kind"], extension, frame)
 
 
 def enumerate_slices(n: int, modes, topo_range=None):
@@ -883,7 +902,8 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     for walk in enumerate_slices(n, modes, topo_range):
         topologies += 1
         ti = walk.index
-        for oi, key, (failing, broken) in walk.report(class_row, look):
+        for oi, extension, frame, (failing, broken) in walk.report(class_row, look):
+            key = walk.key(extension, frame)
             for cid, status, witness, notes in failing:
                 failures.append(Verdict(cid, key, status, witness,
                                         dict(notes, topology_index=ti, operation_index=oi)))
@@ -931,7 +951,8 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     class's pairings (``OperatorClass.bridge_pairings``) once per slice,
     whose row count each failure count grows by.
     Only the rows of a slice that fails where fewer than three witnesses
-    are held get a key, in index order, shared by all their witnesses."""
+    are held are visited, in index order, and a row gets a key only when
+    it gives a witness, shared by all its witnesses."""
     modes = parse_modes(modes)
     pairings = {
         name: {
@@ -959,10 +980,13 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
         return wanted
 
     for walk in enumerate_slices(n, modes):
-        for oi, key, wanted in walk.report(attrgetter("bridge_pairings"), look):
+        for oi, extension, frame, wanted in walk.report(attrgetter("bridge_pairings"), look):
+            space = None
             for entry, witness in wanted:
                 if len(entry["witnesses"]) < 3:
-                    entry["witnesses"].append(dict(witness, space=key.to_dict(),
+                    if space is None:
+                        space = walk.key(extension, frame).to_dict()
+                    entry["witnesses"].append(dict(witness, space=space,
                                                    topology_index=walk.index,
                                                    operation_index=oi))
     satisfying = [
@@ -1005,67 +1029,99 @@ def _separations(cls: OperatorClass, predicate: str) -> tuple:
 PREDICATE_NAMES = tuple(sorted(SEPARATIONS)) + tuple(f"fails:{cid}" for cid in CLAIM_IDS)
 
 
+@dataclass(frozen=True, slots=True)
+class MinedGroup:
+    """What the hits of one walk group share: its topology's ground set and
+    opens, its slice frame (``SpaceKey.slice_frame``), its witnesses, made
+    once per operator class, and, for a group of more than one row, one
+    record frame per witness.  A record frame is the record with
+    ``Framed.HOLE`` for the operation index and the slice frame as its
+    space, so the group's records on one witness differ only at the
+    frame's two holes.  A group of one row has no record frames
+    (``records`` is None): its records are plain dicts."""
+
+    ground: PointSet
+    opens: tuple[int, ...]
+    frame: dict
+    witnesses: tuple
+    records: tuple | None
+
+
 @dataclass(slots=True)
 class MinedWitness:
-    """One hit of ``mine``; like ``Verdict`` it keeps the space's key, not
-    the ``Space``, so a long list of hits pins no operator tables.
-
-    ``frame`` is the record frame that the hits of one group and witness
-    share, if ``mine`` made one: the record with ``Framed.HOLE`` for the
-    operation index and the group's slice frame (``SpaceKey.slice_frame``)
-    as its space, so the record differs from the others of its frame only
-    at the frame's two holes."""
+    """One row that ``mine`` reports, with its values over the sorted opens
+    (``extension``) and its group's ``MinedGroup``; it has one record per
+    witness of the group.  Like ``Verdict`` it keeps no ``Space``, so a long
+    list of hits pins no operator tables, and it keeps no key either:
+    ``space`` builds one each time it is read."""
 
     topology_index: int
     operation_index: int
-    space: SpaceKey
-    witness: dict
-    frame: dict | None = field(default=None, compare=False, repr=False)
+    extension: tuple
+    group: MinedGroup
 
-    def to_dict(self) -> dict:
-        """The record as JSON values; a ``jsonout.Framed`` on ``frame``, if
-        there is one, filled with the operation index and the space's own
-        fills, its label list at the empty set."""
-        space = self.space.to_dict()
-        if self.frame is None:
-            return {
-                "topology_index": self.topology_index,
-                "operation_index": self.operation_index,
-                "space": space,
-                "witness": self.witness,
-            }
-        # a copy of the frame holds the right indices and witness already
-        record = Framed(self.frame)
-        record["operation_index"] = self.operation_index
-        record["space"] = space
-        record.frame, record.fill, record.scope = (
-            self.frame, (self.operation_index,) + space.fill, space.scope)
-        return record
+    @property
+    def witnesses(self) -> tuple:
+        return self.group.witnesses
+
+    @property
+    def space(self) -> SpaceKey:
+        """The row's key, built on each read; only tests and
+        ``rebuild_space`` ask for it."""
+        group = self.group
+        return SpaceKey(group.ground.labels, group.opens, group.frame["gamma"]["kind"],
+                        self.extension, group.frame)
+
+    def to_dict(self) -> list:
+        """The row's records as JSON values, one per witness, in order,
+        sharing one space payload (``gamma_core.framed_space``): a
+        ``jsonout.Framed`` on each record frame, if the group has them,
+        filled with the operation index and the label list of the row's
+        value at the empty set."""
+        group = self.group
+        fill = group.ground.label_list(self.extension[0])
+        space = framed_space(group.frame, fill)
+        ti, oi = self.topology_index, self.operation_index
+        if group.records is None:
+            return [{"topology_index": ti, "operation_index": oi, "space": space, "witness": w}
+                    for w in group.witnesses]
+        fills, scope = (oi, fill), space.scope
+        out = []
+        for frame in group.records:
+            # a copy of the frame holds the right index and witness already
+            record = Framed(frame)
+            record["operation_index"] = oi
+            record["space"] = space
+            record.frame, record.fill, record.scope = frame, fills, scope
+            out.append(record)
+        return out
 
 
 def mine(n: int, op_mode, predicate: str) -> list:
     """Search the (topology, operation) enumeration for a named separation
-    or for failures of one claim.  An empty result certifies absence over
-    the whole enumeration.
+    or for failures of one claim, and return one hit (``MinedWitness``) per
+    row that has a witness, in index order; the hits' records, one per
+    witness, are the findings.  An empty result certifies absence over the
+    whole enumeration.
 
     It reads the whole walk (``enumerate_slices``) once, one slice at a
-    time: a ``Space`` is built, and the hits looked up, once per slice;
-    the witnesses, dicts included, are made once per operator class of a
-    topology (``TopologyRows.report``), from ``_separations`` or
+    time: a ``Space`` is built, and the witnesses looked up, once per
+    slice; the witnesses, dicts included, are made once per operator class
+    of a topology (``TopologyRows.report``), from ``_separations`` or
     ``check_claim``, and shared, unmutated, by the hits of its spaces.
-    Only a slice with hits has its rows visited, in index order, and each
-    row gets one key, shared by all its hits.
+    Only a slice with witnesses has its rows visited, in index order, and
+    no row gets a key; its records are made when ``to_dict`` asks.
 
     A group of more than one row gets one record frame per witness
-    (``MinedWitness.frame``), shared by the group's hits on that witness,
-    so machine output writes the text of each record once per group and
-    witness, and each hit as that text around its operation index and
-    value at the empty set.  A group of one row, as every builtin and
-    pivot is, keeps plain records: a frame written once costs more than
-    it saves.  Framing them too took the CPU time of an in-process
-    ``mine --n 4 --ops builtins,pivots --format machine`` from about 211
-    to 261 ms on ``gamma_open_not_regular_open`` and from 184 to 218 ms
-    on ``regular_open_not_clopen`` (medians of 6, 2-core VM)."""
+    (``MinedGroup.records``), shared by the group's records on that
+    witness, so machine output writes the text of each record once per
+    group and witness, and each record as that text around its operation
+    index and value at the empty set.  A group of one row, as every
+    builtin and pivot is, keeps plain records: a frame written once costs
+    more than it saves.  Framing them too took the CPU time of an
+    in-process ``mine --n 4 --ops builtins,pivots --format machine`` from
+    about 211 to 261 ms on ``gamma_open_not_regular_open`` and from 184 to
+    218 ms on ``regular_open_not_clopen`` (medians of 6, 2-core VM)."""
     # the walk checks its sizes at the call, before the predicate is read
     walks = enumerate_slices(n, op_mode)
     claim_id = None
@@ -1092,20 +1148,19 @@ def mine(n: int, op_mode, predicate: str) -> list:
     out = []
     for walk in walks:
         ti = walk.index
-        # per group frame's id, the group's record frames, which hold it
-        records = {}
-        for oi, key, (witnesses, count) in walk.report(class_witnesses, look):
-            if count == 1:
-                out.extend(MinedWitness(ti, oi, key, witness) for witness in witnesses)
-                continue
-            frames = records.get(id(key.frame))
-            if frames is None:
-                frames = records[id(key.frame)] = [
-                    {"topology_index": ti, "operation_index": Framed.HOLE,
-                     "space": key.frame, "witness": witness}
-                    for witness in witnesses
-                ]
-            out.extend(map(partial(MinedWitness, ti, oi, key), witnesses, frames))
+        ground, opens = walk.ground, walk.opens
+        # per slice frame's id, the group's entry, which holds it
+        groups = {}
+        for oi, extension, frame, (witnesses, count) in walk.report(class_witnesses, look):
+            group = groups.get(id(frame))
+            if group is None:
+                records = None
+                if count > 1:
+                    records = tuple({"topology_index": ti, "operation_index": Framed.HOLE,
+                                     "space": frame, "witness": witness}
+                                    for witness in witnesses)
+                group = groups[id(frame)] = MinedGroup(ground, opens, frame, witnesses, records)
+            out.append(MinedWitness(ti, oi, extension, group))
     return out
 
 

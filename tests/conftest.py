@@ -58,6 +58,23 @@ def sweep4():
     )
 
 
+class MinedRecord(NamedTuple):
+    """One record of a mine: a row that ``mine`` reports, with one of its
+    witnesses."""
+
+    topology_index: int
+    operation_index: int
+    space: object  # the row's SpaceKey
+    witness: dict
+
+
+def mined_records(hits) -> list:
+    """The records of ``mine``'s hits, one per row and witness, in the
+    order machine output writes them."""
+    return [MinedRecord(hit.topology_index, hit.operation_index, hit.space, witness)
+            for hit in hits for witness in hit.witnesses]
+
+
 class Enumeration(NamedTuple):
     spaces: list  # every space, in enumeration order
     classes: list  # the first space of each operator class, in order

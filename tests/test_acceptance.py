@@ -10,7 +10,7 @@ the refuting witness in the message.
 import json
 import time
 
-from conftest import record_criterion
+from conftest import mined_records, record_criterion
 
 from gamma_top import cli, documents
 from gamma_top import theoremlab as tl
@@ -105,14 +105,15 @@ def test_criterion_3_audits_and_miner(capsys):
 
     witnesses = tl.mine(3, "all_tables", "theta_open_not_regular_open")
     again = tl.mine(3, "all_tables", "theta_open_not_regular_open")
-    if [w.to_dict() for w in witnesses] != [w.to_dict() for w in again]:
+    if ([r for w in witnesses for r in w.to_dict()]
+            != [r for w in again for r in w.to_dict()]):
         problems.append("miner verdict is not deterministic")
     # the in-space claim of 3.16 does not survive recomputation, so the
     # definitive verdict must come from the exhaustive search: it does,
     # with witnesses elsewhere
     if not witnesses:
         problems.append("miner returned no verdict data")
-    for w in witnesses[:5]:
+    for w in mined_records(witnesses)[:5]:
         sp = tl.rebuild_space(w.space)
         mask = sp.ground.mask_of(w.witness["subset"])
         if not (is_theta_open(sp, mask) and not is_gamma_regular_open(sp, mask)):

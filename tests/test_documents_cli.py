@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -13,8 +14,10 @@ import pytest
 import gamma_top
 from gamma_top import cli, documents, jsonout, theoremlab
 from gamma_top.finspace import MAX_POINTS, PointSet, validate_topology
-from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space
-from gamma_top.gamma_sets import gamma_open_family
+from gamma_top.gamma_core import GammaNotExpansive, GammaOperation, Space, SpaceKey
+from gamma_top.gamma_sets import (
+    gamma_open_family, is_gamma_clopen, is_gamma_open, is_gamma_regular_open, is_theta_open,
+)
 from gamma_top.theoremlab import CONDITIONED_CLAIMS, parse_claims
 from test_output_hashes import GOLDEN
 
@@ -278,6 +281,72 @@ def test_cli_mine(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_cli_mine_makes_one_hit_per_row_and_no_key(capsys, monkeypatch):
+    # a hit is a row, however many records it has; a written record needs
+    # no key, so machine mine builds none
+    made = collections.Counter()
+    for cls in (SpaceKey, theoremlab.MinedWitness):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            made[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, out, _ = run_cli(capsys, "mine", "--n", "3", "--ops", "all_tables",
+                           "--predicate", "gamma_open_not_regular_open", "--format", "machine")
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == len(payload["witnesses"]) == 12144
+    assert len({(w["topology_index"], w["operation_index"]) for w in payload["witnesses"]}) == 7440
+    assert made == {"MinedWitness": 7440}
+
+
+def _oracle_witnesses(sp, predicate):
+    """The witnesses of one space, from the per-subset definitions, or
+    from the claim's checker on the space for a claim failure."""
+    if predicate.startswith("fails:"):
+        status, witness, _ = theoremlab.check_claim(sp.cls, predicate[len("fails:"):])
+        return [witness] if status == "fails" else []
+    tests = {"gamma_open": is_gamma_open, "regular_open": is_gamma_regular_open,
+             "theta_open": is_theta_open, "clopen": is_gamma_clopen}
+    has, lacks = (tests[name] for name in theoremlab.SEPARATIONS[predicate])
+    return [{"subset": list(sp.ground.labels_of(a))} for a in sp.ground.subsets()
+            if has(sp, a) and not lacks(sp, a)]
+
+
+@pytest.mark.parametrize("modes", ["all_tables", "builtins,pivots"])
+def test_cli_mine_writes_each_record_of_a_per_space_oracle(capsys, modes):
+    # every written record, in order, as the row's own space makes it
+    rows = list(theoremlab.enumerate_spaces(3, theoremlab.parse_modes(modes)))
+    for predicate in (*sorted(theoremlab.SEPARATIONS), "fails:C-RO-INCL"):
+        oracle = [{"topology_index": ti, "operation_index": oi, "space": sp.key.to_dict(),
+                   "witness": witness}
+                  for ti, oi, sp in rows for witness in _oracle_witnesses(sp, predicate)]
+        code, out, _ = run_cli(capsys, "mine", "--n", "3", "--ops", modes,
+                               "--predicate", predicate, "--format", "machine")
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == len(oracle), (modes, predicate)
+        # theta_open_not_regular_open has no witness on builtins and pivots
+        assert oracle or (modes, predicate) == ("builtins,pivots", "theta_open_not_regular_open")
+        assert payload["witnesses"] == json.loads(json.dumps(oracle)), (modes, predicate)
+
+
+def test_cli_repeated_operation_mode_is_dropped(capsys):
+    # a repeated mode runs and prints as if named once
+    for argv in (("verify", "--enumerate", "3", "--ops", "{}"),
+                 ("verify", "--enumerate", "3", "--ops", "{}", "--format", "machine"),
+                 ("mine", "--n", "3", "--ops", "{}", "--predicate", "regular_open_not_clopen"),
+                 ("mine", "--n", "3", "--ops", "{}", "--predicate", "regular_open_not_clopen",
+                  "--format", "machine")):
+        once = run_cli(capsys, *(a.format("builtins") for a in argv))
+        assert run_cli(capsys, *(a.format("builtins,builtins") for a in argv)) == once, argv
+        assert run_cli(capsys, *(a.format("builtins, pivots,builtins") for a in argv)) == run_cli(
+            capsys, *(a.format("builtins,pivots") for a in argv)), argv
+    code, out, _ = run_cli(capsys, "verify", "--enumerate", "3", "--ops", "builtins,builtins")
+    assert out.startswith("enumeration: n=3 modes=builtins topologies=29 spaces=56\n")
+    code, out, _ = run_cli(capsys, "mine", "--n", "3", "--ops", "builtins,builtins",
+                           "--predicate", "regular_open_not_clopen", "--format", "machine")
+    assert json.loads(out)["modes"] == ["builtins"]
+
+
 def test_cli_mine_unknown_predicate(capsys):
     code, _, err = run_cli(capsys, "mine", "--n", "2", "--ops", "builtins", "--predicate", "nope")
     assert code == 2 and "unknown predicate" in err
@@ -368,9 +437,9 @@ def test_cli_internal_error_is_not_a_counterexample(capsys, monkeypatch):
 
 
 def test_cli_internal_error_after_output_began(capsys, monkeypatch):
-    # machine mine makes each record as it is written, so a bug met on the
-    # third record comes after stdout has begun: the exit code still says
-    # it, and what was written is a prefix of the pinned output
+    # machine mine makes each row's records as they are written, so a bug
+    # met on the third row comes after stdout has begun: the exit code
+    # still says it, and what was written is a prefix of the pinned output
     argv = ("mine", "--n", "3", "--ops", "builtins,pivots",
             "--predicate", "gamma_open_not_regular_open", "--format", "machine")
     code, pinned, _ = run_cli(capsys, *argv)
@@ -385,7 +454,8 @@ def test_cli_internal_error_after_output_began(capsys, monkeypatch):
         return to_dict(hit)
 
     monkeypatch.setattr(theoremlab.MinedWitness, "to_dict", third_fails)
-    # batches of a few chunks, so the first records reach stdout before the third is made
+    # batches of a few chunks, so the first records reach stdout before
+    # the third row's are made
     monkeypatch.setattr(jsonout, "BATCH_CHUNKS", 8)
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_SOFTWARE == 70
@@ -630,9 +700,10 @@ def test_discrete_sixteen_point_text_analyze_streams(discrete16):
 
 
 def test_table_mine_machine_streams():
-    # 15 MB of 12,144 records: each is made as it is written, and its hit
-    # is let go with it, about 22 MiB peak RSS; with every record built
-    # before the first byte it peaked at about 28 MiB
+    # 15 MB of 12,144 records: each row's records are made as they are
+    # written, and its hit is let go with them, about 21 MiB peak RSS;
+    # with every record built before the first byte it peaked at about
+    # 28 MiB
     argv = ("mine", "--n", "3", "--ops", "all_tables", "--predicate", "gamma_open_not_theta_open",
             "--format", "machine")
     sha, peak = _peak_rss(argv)

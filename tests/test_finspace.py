@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import pytest
 
 from gamma_top.finspace import (
@@ -11,6 +14,7 @@ from gamma_top.finspace import (
     closure,
     enumerate_topologies,
     interior,
+    memo_property,
     open_nbds,
     validate_topology,
 )
@@ -142,3 +146,40 @@ def test_enumerate_topologies_size_guard():
         list(enumerate_topologies(0))
     with pytest.raises(SizeTooLarge):
         list(enumerate_topologies(5))
+
+
+def test_memo_property_runs_once_per_instance_and_takes_no_lock():
+    runs = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        x: int
+
+        @memo_property
+        def double(self):
+            runs.append(self.x)
+            return 2 * self.x
+
+    first, second = Frozen(1), Frozen(2)
+    assert (first.double, first.double, second.double) == (2, 2, 4)
+    assert runs == [1, 2] and vars(first)["double"] == 2
+    # read on the class it is the descriptor, a cached_property to any
+    # code that looks for one
+    prop = vars(Frozen)["double"]
+    assert Frozen.double is prop and isinstance(prop, functools.cached_property)
+
+    class Unlocked:
+        @memo_property
+        def value(self):
+            return 1
+
+    # no lock is taken: a lock that refuses would raise on a first read
+    class Refusing:
+        def __enter__(self):
+            raise AssertionError("lock taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    vars(Unlocked)["value"].lock = Refusing()
+    assert Unlocked().value == 1

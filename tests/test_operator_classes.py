@@ -26,6 +26,7 @@ from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
 from gamma_top.finspace import FinSpaceError, enumerate_topologies, open_nbds, validate_topology
 from gamma_top.gamma_core import OperatorClass, Space, apply_gamma, operations_for
+from conftest import mined_records
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +214,7 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
     assert runs["lookup"] == 1131
     # and mine reads the same rows, and scans the families once per class
     runs.clear()
-    assert len(tl.mine(3, ("all_tables",), "fails:C-RO-INCL")) == 576
+    assert len(mined_records(tl.mine(3, ("all_tables",), "fails:C-RO-INCL"))) == 576
     assert runs["check_claim"] == 507
     assert runs["lookup"] == 1131
     for predicate in tl.SEPARATIONS:
@@ -406,10 +407,10 @@ def test_a_sweep_tallies_per_class_what_a_per_space_recount_finds(monkeypatch, w
         assert _listed(head) + _listed(tail) == failures
     # mine reads the same rows: the spaces where C-RO-INCL fails
     for modes in (("all_tables",), ("builtins", "all_tables")):
-        hits = tl.mine(3, modes, "fails:C-RO-INCL")
+        records = mined_records(tl.mine(3, modes, "fails:C-RO-INCL"))
         tallies, failures, _ = recounts[3, modes]
-        assert len(hits) == tallies["C-RO-INCL"]["fails"] == 576, modes
-        assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in hits] == [
+        assert len(records) == tallies["C-RO-INCL"]["fails"] == 576, modes
+        assert [(w.topology_index, w.operation_index, w.space, w.witness) for w in records] == [
             f[1:] for f in failures if f[0] == "C-RO-INCL"], modes
 
 
@@ -543,8 +544,8 @@ def test_a_mine_builds_each_class_witnesses_once(walked):
     rows = walked(3, ("all_tables",))[1]
     for predicate in sorted(tl.SEPARATIONS):
         mined = collections.defaultdict(list)
-        for hit in tl.mine(3, ("all_tables",), predicate):
-            mined[hit.topology_index, hit.operation_index].append(hit.witness)
+        for record in mined_records(tl.mine(3, ("all_tables",), predicate)):
+            mined[record.topology_index, record.operation_index].append(record.witness)
         first = {}
         shared = 0
         for ti, oi, sp in rows:

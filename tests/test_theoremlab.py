@@ -5,6 +5,7 @@ import pytest
 from gamma_top.finspace import PointSet, SizeTooLarge, validate_topology
 from gamma_top.gamma_core import GammaOperation, Space, TableModeTooLarge
 from gamma_top import jsonout, theoremlab as tl
+from conftest import mined_records
 
 ABC = PointSet(("a", "b", "c"))
 
@@ -169,7 +170,7 @@ def test_monotonicity_scans_report_a_covering_pair_that_breaks_the_table(example
 
 
 def test_mine_finds_the_pivot_space_witness():
-    found = tl.mine(3, "pivots", "gamma_open_not_regular_open")
+    found = mined_records(tl.mine(3, "pivots", "gamma_open_not_regular_open"))
     assert any(
         w.space.opens == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a", "b"]}
         for w in found
@@ -177,7 +178,7 @@ def test_mine_finds_the_pivot_space_witness():
 
 
 def test_mine_finds_the_int_closure_witness():
-    found = tl.mine(3, "builtins", "regular_open_not_clopen")
+    found = mined_records(tl.mine(3, "builtins", "regular_open_not_clopen"))
     assert any(
         w.space.opens == (0, 1, 2, 3, 7) and w.witness == {"subset": ["a"]}
         for w in found
@@ -186,7 +187,7 @@ def test_mine_finds_the_int_closure_witness():
 
 def test_mine_claim_failure_predicate():
     assert tl.mine(2, "builtins,pivots", "fails:C-T3.6") == []
-    found = tl.mine(3, "pivots", "fails:C-T3.9-FWD")
+    found = mined_records(tl.mine(3, "pivots", "fails:C-T3.9-FWD"))
     assert any(
         w.space.opens == (0, 1, 2, 3, 5, 7) and w.witness == {"subset": ["a"]}
         for w in found
@@ -194,8 +195,8 @@ def test_mine_claim_failure_predicate():
 
 
 def test_mine_is_superset_stable():
-    small = tl.mine(3, "builtins", "gamma_open_not_regular_open")
-    large = tl.mine(3, "builtins,pivots", "gamma_open_not_regular_open")
+    small = mined_records(tl.mine(3, "builtins", "gamma_open_not_regular_open"))
+    large = mined_records(tl.mine(3, "builtins,pivots", "gamma_open_not_regular_open"))
 
     def signature(w):
         return (w.space.opens, w.space.gamma_values, tuple(w.witness["subset"]))
@@ -205,23 +206,36 @@ def test_mine_is_superset_stable():
 
 def test_mine_frames_the_records_of_groups_of_more_than_one_row():
     # a table slice is a group of several rows: its records are framed,
-    # one frame per group and witness; a builtin is a group of one row
+    # one frame per group and witness; a builtin is a group of one row.
+    # A hit is one row: its records share one space payload
     found = tl.mine(3, "builtins,all_tables", "gamma_open_not_regular_open")
     kinds = {"table": 0, "builtin": 0}
     frames = {}
-    for w in found:
-        record = w.to_dict()
-        assert record == {"topology_index": w.topology_index, "operation_index": w.operation_index,
-                          "space": w.space.to_dict(), "witness": w.witness}
-        framed = type(record) is jsonout.Framed
-        assert framed == (w.space.gamma_kind == "table")
-        kinds["table" if framed else "builtin"] += 1
-        if framed:
-            assert record.fill == (w.operation_index, w.space.to_dict()["gamma"]["values"][0])
-            assert record.frame["space"] is w.space.frame
-            shared = frames.setdefault((id(w.space.frame), id(w.witness)), record.frame)
-            assert record.frame is shared
+    for hit in found:
+        records = hit.to_dict()
+        assert len(records) == len(hit.witnesses) > 0
+        assert len({id(record["space"]) for record in records}) == 1
+        for record, w in zip(records, mined_records([hit])):
+            assert record == {"topology_index": w.topology_index,
+                              "operation_index": w.operation_index,
+                              "space": w.space.to_dict(), "witness": w.witness}
+            framed = type(record) is jsonout.Framed
+            assert framed == (w.space.gamma_kind == "table")
+            kinds["table" if framed else "builtin"] += 1
+            if framed:
+                assert record.fill == (w.operation_index, w.space.to_dict()["gamma"]["values"][0])
+                assert record.frame["space"] is w.space.frame
+                shared = frames.setdefault((id(w.space.frame), id(w.witness)), record.frame)
+                assert record.frame is shared
     assert kinds["table"] > len(frames) > 0 and kinds["builtin"] > 0
+
+
+def test_parse_modes_keeps_each_mode_once():
+    # a repeated mode adds no operation: the walk keeps one per extension
+    assert tl.parse_modes("builtins,builtins") == ("builtins",)
+    assert tl.parse_modes(" pivots,builtins, pivots,all_tables,builtins") == (
+        "pivots", "builtins", "all_tables")
+    assert tl.parse_modes(("builtins", "builtins", "pivots")) == ("builtins", "pivots")
 
 
 def test_mine_guards():
