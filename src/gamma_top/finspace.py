@@ -161,37 +161,74 @@ def unpack_lanes(n: int, packed: int, flip: bool = False) -> tuple[int, ...]:
     return tuple(lanes)
 
 
-def inside_table(n: int, sets_at) -> tuple[int, ...]:
-    """Per subset A of an n-point ground set, the mask of the points x that
-    own a set of ``sets_at[x]`` inside A.
-
-    Each point is marked at its own sets, then every entry is ORed into its
-    supersets (``closed_lanes``)."""
-    marks = [0] * (1 << n)
-    for x, sets in enumerate(sets_at):
-        bit = 1 << x
-        for s in sets:
-            marks[s] |= bit
-    return unpack_lanes(n, closed_lanes(n, marks, True))
-
-
-def meeting_table(n: int, sets_at) -> tuple[int, ...]:
-    """Per subset A of an n-point ground set, the mask of the points x all
-    of whose sets in ``sets_at[x]`` meet A.
+def meeting_lanes(n: int, misses: list) -> int:
+    """The packed meeting table (``closed_lanes``): per subset A of an
+    n-point ground set, the points x all of whose sets meet A, where
+    *misses* marks each point at the complement of each of its sets.
 
     x misses A exactly when one of its sets lies inside the complement of
-    A, so each point is marked at the complements of its sets, every entry
-    is ORed into its subsets (``closed_lanes``), and the table is the
-    complement of what that gives.  This pass is kept apart from
-    ``inside_table`` so that the duality of the two tables stays something
-    to check, not a consequence of sharing a pass."""
+    A, that is when x is marked at a superset of A: so every entry is ORed
+    into its subsets, and the table is the complement of what that gives.
+    A meeting table is antitone in each point's sets and monotone in A."""
+    return closed_lanes(n, misses, False) ^ _layout(n)[2]
+
+
+@cache
+def _spreads(n: int) -> tuple[int, ...]:
+    """Per point p, the packed int with 1 in the lowest bit of each lane
+    whose index holds p, and 0 elsewhere: ``_layout``'s byte pattern for
+    the lanes with bit p."""
+    width = _layout(n)[0]
+    one = b"\x01" + bytes(width - 1)
+    size = 1 << n
+    return tuple(int.from_bytes((bytes(width << p) + one * (1 << p)) * (size >> p + 1), "little")
+                 for p in range(n))
+
+
+def meet_lanes(n: int, packed: int) -> int:
+    """The packed table whose entry M is the meet of the entries {p} of
+    the packed table *packed* over the points p of M, the full mask at the
+    empty set.  Its complement is the OR over p of the complement of entry
+    {p} in each lane that holds p: the spread of lane bits of ``_spreads``
+    times that complement, which puts it in each such lane without a
+    carry, as it fits one lane.  n multiplications, and no closure."""
+    width, _, full_lanes = _layout(n)
+    bits = width << 3
     full = (1 << n) - 1
-    misses = [0] * (1 << n)
-    for x, sets in enumerate(sets_at):
-        bit = 1 << x
-        for s in sets:
-            misses[full ^ s] |= bit
-    return unpack_lanes(n, closed_lanes(n, misses, False), flip=True)
+    missing = 0
+    for p, spread in enumerate(_spreads(n)):
+        missing |= spread * (full ^ packed >> (bits << p) & full)
+    return missing ^ full_lanes
+
+
+def lane_bits(n: int) -> int:
+    """The lane width of the packed tables over n points, in bits: lane m
+    of a packed table is its bits m * lane_bits(n) up."""
+    return _layout(n)[0] << 3
+
+
+def lowest_lane(n: int, packed: int) -> int:
+    """The lowest non-zero lane of a packed table above lane 0, or 0 if
+    every lane above it is zero: the lowest set bit above lane 0, over the
+    lane width."""
+    bits = _layout(n)[0] << 3
+    packed >>= bits
+    return ((packed & -packed).bit_length() - 1) // bits + 1 if packed else 0
+
+
+def step_lanes(n: int, packed: int) -> int:
+    """The packed table whose lane m is the OR, over the points p outside
+    m, of entry m | {p} XOR entry m: non-zero iff a one-point extension of
+    m changes the entry.  One shift by 2**p lanes, one XOR and one mask of
+    ``_layout``'s lanes without bit p per point, as in ``closed_lanes``;
+    lanes with bit p are masked off, so no entry is read past the table."""
+    width, low, _ = _layout(n)
+    shift = width << 3
+    steps = 0
+    for mask in low:
+        steps |= (packed >> shift ^ packed) & mask
+        shift <<= 1
+    return steps
 
 
 @dataclass(frozen=True)

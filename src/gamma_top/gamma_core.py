@@ -55,20 +55,21 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import and_
 
 from .finspace import (
     MAX_TABLE_POINTS,
     PointSet,
     SizeTooLarge,
     Topology,
-    bits_of,
     closed_lanes,
     closure,
-    inside_table,
     interior,
-    meeting_table,
+    lane_bits,
+    lowest_lane,
+    meet_lanes,
+    meeting_lanes,
     memo_property,
+    step_lanes,
     submasks,
     unpack_lanes,
 )
@@ -464,17 +465,23 @@ class OperatorClass:
         return all(ig[cg[u]] == cg[u] for u in self.gamma_open)
 
     @memo_property
-    def theta_env(self) -> tuple:
-        """Per point, the gamma-closures of its gamma-open neighbourhoods."""
-        family, cg = self.gamma_open, self.cl_g
-        return tuple(tuple(cg[u] for u in family if u >> i & 1) for i in range(self.ground.n))
+    def theta_lanes(self) -> int:
+        """The theta closure as a packed meeting table
+        (``finspace.meeting_lanes``): per subset, the points x such that
+        the gamma-closure of every gamma-open set at x meets it.  The
+        gamma-closure of a gamma-open U is a test set at exactly the points
+        of U, so each U marks the complement of cl_g(U) with its points."""
+        full, cg = self.ground.full_mask, self.cl_g
+        misses = [0] * (full + 1)
+        for u in self.gamma_open:
+            misses[full ^ cg[u]] |= u
+        return meeting_lanes(self.ground.n, misses)
 
     @memo_property
     def theta_closure(self) -> tuple[int, ...]:
-        """The theta closure over every subset, indexed by mask: the points
-        x such that the gamma-closure of every gamma-open set at x meets
-        the subset (a ``meeting_table``)."""
-        return meeting_table(self.ground.n, self.theta_env)
+        """The theta closure over every subset, indexed by mask
+        (``theta_lanes`` unpacked)."""
+        return unpack_lanes(self.ground.n, self.theta_lanes)
 
     @memo_property
     def theta_families(self) -> tuple:
@@ -490,63 +497,55 @@ class OperatorClass:
         """Per test family, the ``PrincipalVerdicts`` of every one-member
         filterbase {M}: against regular-open neighbourhoods
         (``regular_open``) and against gamma-closures of gamma-open ones
-        (``gamma_open_cl``).
+        (``gamma_open_cl``), each a pair of packed tables
+        (``finspace.closed_lanes``) indexed by M.
 
-        {M} converges at x iff M is inside K_x, the meet of x's test sets; it
-        accumulates at x iff M meets each of them.  Two tables indexed by M
-        hold the point masks of both verdicts.  M <= K_x iff the complement of
-        K_x lies inside the complement of M, so ``converges`` is one
-        ``inside_table`` pass over the complements of the K_x, read backwards.
-        Against the gamma-closures of x's gamma-open neighbourhoods,
-        accumulation is the definition of x in the theta closure of M, so the
-        ``gamma_open_cl`` accumulation table is ``theta_closure``, read
-        rather than built again."""
+        {M} accumulates at x iff M meets each test set at x: a meeting
+        table (``finspace.meeting_lanes``).  A regular-open A is a test
+        set at exactly the points of A, so it marks the complement of A
+        with A; against the gamma-closures the table is ``theta_lanes``,
+        read rather than built again.  {M} converges at x iff M is inside
+        K_x, the meet of x's test sets, so ``converges[M]`` is the meet of
+        ``converges[{p}]`` over the points p of M.  And p is in K_x iff
+        every test set at x holds p, iff {p} accumulates at x: so the
+        converges table is the ``finspace.meet_lanes`` of the n singleton
+        lanes of the accumulation table: n multiplications, with no
+        closure pass, complement or reversal of its own."""
         n, full = self.ground.n, self.ground.full_mask
-        ro = self.regular_open
-        ro_tests = tuple(tuple(a for a in ro if a >> x & 1) for x in range(n))
-        verdicts = {}
-        for family, tests, accumulates in (
-                ("regular_open", ro_tests, meeting_table(n, ro_tests)),
-                ("gamma_open_cl", self.theta_env, self.theta_closure)):
-            # M <= K_x iff full - K_x <= full - M: index full - M is index M reversed
-            outside = [(full ^ functools.reduce(and_, sets, full),) for sets in tests]
-            verdicts[family] = PrincipalVerdicts(inside_table(n, outside)[::-1], accumulates)
-        return verdicts
+        misses = [0] * (full + 1)
+        for a in self.regular_open:
+            misses[full ^ a] |= a
+        accumulates, theta = meeting_lanes(n, misses), self.theta_lanes
+        closures = PrincipalVerdicts(n, meet_lanes(n, theta), theta)
+        # equal accumulation tables give equal converges tables: one object
+        regular = closures if accumulates == theta else PrincipalVerdicts(
+            n, meet_lanes(n, accumulates), accumulates)
+        return {"regular_open": regular, "gamma_open_cl": closures}
 
     @memo_property
     def bridge_pairings(self) -> dict:
         """First mismatch witness per (test family, accumulation reading)
         pairing, for the net/tail-filterbase bridge and for the
-        filterbase/constructed-net bridge.  Verdicts are mask expressions over
-        the per-subset ``principal_verdicts`` tables.  The witnesses are the
-        first failing net of the oracle's ``enumerate_nets`` and the first
-        failing filterbase of its ``enumerate_filterbases``, in the orders of
-        ``tests/test_bridge_oracle.py``, found without enumerating either:
-        the first ``_first_nets`` row whose class fails, and
-        ``_filterbase_witness``."""
+        filterbase/constructed-net bridge.  The witnesses are the first
+        failing net of the oracle's ``enumerate_nets`` and the first
+        failing filterbase of its ``enumerate_filterbases``, in the orders
+        of ``tests/test_bridge_oracle.py``, found without enumerating
+        either, by the lane lemma below: the first failing kernel is the
+        lowest non-zero lane of one packed disagreement table per pairing,
+        and the first failing net the first ``_first_nets`` row whose lanes
+        disagree.  ``_class_mismatch`` reads each witness's point and part
+        at its class."""
         verdicts = self.principal_verdicts
-        net_tables = verdicts["gamma_open_cl"]
-        mismatch = {}
+        net = verdicts["gamma_open_cl"]
+        steps = step_lanes(self.ground.n, net.conv)
+        decided = {}
         result = {}
-        for pairing in PAIRINGS:
-            fam, reading = pairing.split("+")
-            mismatch[pairing] = functools.partial(_class_mismatch, verdicts[fam], net_tables, reading)
-            literal = net_tables.converges if reading == "literal" else None
-            witness = _filterbase_witness(self, mismatch[pairing], literal)
-            result[pairing] = {"C-P4.10": None, "C-P4.11": witness}
-
-        # a net class (T, R) is the class of the base {T, R}: a pairing with no
-        # failing filterbase has no failing net
-        pending = [p for p in PAIRINGS if result[p]["C-P4.11"] is not None]
-        if pending:
-            for row in _first_nets(self.ground.n):
-                for pairing in list(pending):
-                    hit = mismatch[pairing](row[0], row[1])
-                    if hit is not None:
-                        result[pairing]["C-P4.10"] = _first_net_witness(self, row, *hit)
-                        pending.remove(pairing)
-                if not pending:
-                    break
+        for pairing, fam, reading in _PAIRING_PARTS:
+            fb = verdicts[fam]
+            # one table object for both families decides both pairings of a reading
+            if (fb, reading) not in decided:
+                decided[fb, reading] = _pairing_witnesses(self, fb, net, reading, steps)
+            result[pairing] = decided[fb, reading]
         return result
 
 
@@ -565,13 +564,27 @@ def is_open_operation(sp: Space) -> bool:
     return sp.cls.open_operation
 
 
-@dataclass(frozen=True)
 class PrincipalVerdicts:
     """The verdicts of every one-member filterbase {M} against one test
-    family."""
+    family, as two packed tables over the n points
+    (``finspace.closed_lanes``), ``bits`` wide per lane: lane M of ``conv``
+    holds the points x with M <= K_x, and lane M of ``acc`` the points at
+    which {M} accumulates.  ``converges`` and ``accumulates`` are the same
+    tables as tuples, unpacked on first read."""
 
-    converges: tuple  # per subset M, the points x with M <= K_x
-    accumulates: tuple  # per subset M, the points at which {M} accumulates
+    def __init__(self, n: int, conv: int, acc: int):
+        self.n = n
+        self.bits = lane_bits(n)
+        self.conv = conv
+        self.acc = acc
+
+    @memo_property
+    def converges(self) -> tuple:
+        return unpack_lanes(self.n, self.conv)
+
+    @memo_property
+    def accumulates(self) -> tuple:
+        return unpack_lanes(self.n, self.acc)
 
 
 # -- the bridge pairings ---------------------------------------------------
@@ -584,6 +597,8 @@ PAIRINGS = (
     "gamma_open_cl+literal",
 )
 DEFAULT_PAIRING = "regular_open+standard"
+# each pairing with its test family and its accumulation reading
+_PAIRING_PARTS = tuple((pairing, *pairing.split("+")) for pairing in PAIRINGS)
 
 
 # Filterbase convergence and accumulation test against regular-open
@@ -628,23 +643,39 @@ DEFAULT_PAIRING = "regular_open+standard"
 # literal one; the first failing point is the lowest set bit.  Only the
 # literal reading depends on R.  G.converges[R] is the meet of
 # G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
-# one-point extension does: n * 2**n steps decide every T.  Net classes
-# are filterbase classes (the class of the base {T, R}), so when no
-# filterbase disagrees, no net does either.  Witnesses are built from
-# their classes too (``_first_nets``): nothing here enumerates nets,
-# directed sets or filterbases.  ``tests/test_bridge_oracle.py`` does,
-# over the literal objects of ``tests/literal_convergence.py``.
+# one-point extension does.  Net classes are filterbase classes (the class
+# of the base {T, R}), so when no filterbase disagrees, no net does either.
+#
+# Lemma (lanes, as in ``finspace.closed_lanes``).  The tables are packed,
+# lane M holding entry M, and XOR and OR act on each lane alone: no lane
+# carries into the next.  So (F.conv ^ G.conv) | (F.acc ^ N), with N the
+# table G.acc (cofinal) or G.conv (literal), holds in lane K the
+# disagreement of class (K, K), for every K at once: two XORs and an OR.
+# Under the literal reading ``finspace.step_lanes`` ORs in, in n shifts by
+# 2**p lanes, lane K non-zero iff a one-point extension K | {p} changes
+# G.converges.  A kernel is never empty, and lane 0 is the empty set, so
+# the first failing kernel is the lowest non-zero lane above lane 0
+# (``finspace.lowest_lane``): the lowest set bit above it, over the lane
+# width.  Every T is decided by O(n) operations on one int.  Witnesses are
+# built from their classes too (``_first_nets``): nothing here enumerates
+# nets, directed sets or filterbases.  ``tests/test_bridge_oracle.py``
+# does, over the literal objects of ``tests/literal_convergence.py``, and
+# keeps the entry-by-entry scan this replaces.
 
 
 def _class_mismatch(fb, net, reading: str, t: int, r: int):
     """The first point ``(x, part)`` at which the filterbase verdicts
     (kernel T, tables *fb*) and the net verdicts (tail T, range R, tables
     *net* of gamma-closures) disagree, or None.  By the tail/range lemma
-    this decides every net and filterbase of the class."""
-    conv = fb.converges[t] ^ net.converges[t]
+    this decides every net and filterbase of the class.  It reads lanes T
+    and R of the packed tables, so no table is unpacked."""
+    bits = fb.bits
+    ones = (1 << bits) - 1
+    at = t * bits
+    conv = (fb.conv ^ net.conv) >> at & ones
     # every index lands in each closure iff {R} converges
-    net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
-    bad = conv | (fb.accumulates[t] ^ net_acc)
+    net_acc = net.acc >> at if reading == "standard" else net.conv >> r * bits
+    bad = conv | (fb.acc >> at ^ net_acc) & ones
     if not bad:
         return None
     x = (bad & -bad).bit_length() - 1
@@ -690,50 +721,87 @@ def _first_nets(n: int) -> tuple:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _directed_set(size: int, top: int) -> dict:
+    """The directed set S(size, top) of a ``_first_nets`` row as witness
+    JSON: i <= j iff i == j or j is in the top class 0..top-1.  One dict
+    per shape, shared by every witness on it, which no caller mutates."""
+    return {"size": size, "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top]}
+
+
+@functools.lru_cache(maxsize=None)
+def _net_lanes(n: int, reading: str) -> tuple:
+    """Per ``_first_nets`` row (T, R, ...), the bit offset of lane T, that
+    of the lane of the net's accumulation that *reading* compares (T
+    cofinal, R literal), and the row."""
+    bits = lane_bits(n)
+    return tuple((row[0] * bits, row[0 if reading == "standard" else 1] * bits, row)
+                 for row in _first_nets(n))
+
+
 def _first_net_witness(cls: OperatorClass, row, x: int, part: str) -> dict:
-    """The witness of a ``_first_nets`` row: its net on S(size, top), where
-    i <= j iff i == j or j is in the top class 0..top-1."""
+    """The witness of a ``_first_nets`` row: its net on S(size, top)."""
     _, _, size, top, values = row
+    labels = cls.ground.labels
     return {
-        "directed_set": {
-            "size": size,
-            "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top],
-        },
-        "values": [cls.ground.labels[p] for p in values],
-        "point": cls.ground.labels[x],
+        "directed_set": _directed_set(size, top),
+        "values": [labels[p] for p in values],
+        "point": labels[x],
         "part": part,
     }
 
 
-def _filterbase_witness(cls: OperatorClass, mismatch, net_converges) -> dict | None:
-    """The first failing filterbase in the order of the oracle's
-    ``enumerate_filterbases`` (``tests/test_bridge_oracle.py``), in closed
-    form.  Bases come kernel-first, and for one kernel K the base
-    {K} (class (K, K)) precedes the bases {K, U}, U a proper superset of K
-    in ascending order (class (K, U)); larger bases only repeat those
-    classes.  When (K, K) holds, (K, U) fails only under the literal
-    reading, and exactly when the net's ``converges[U]`` differs from
-    ``converges[K]``: the first such U is K plus the lowest point whose
-    one-point extension changes it (*net_converges* is None under the
-    cofinal reading, where U never matters)."""
-    full = cls.ground.full_mask
-    for k in range(1, full + 1):
-        members = (k,)
-        hit = mismatch(k, k)
-        if hit is None and net_converges is not None:
-            u = next((k | 1 << p for p in bits_of(full ^ k)
-                      if net_converges[k | 1 << p] != net_converges[k]), None)
-            if u is not None:
-                members = (k, u)
-                hit = mismatch(k, u)
-        if hit is not None:
-            x, part = hit
-            return {
-                "part": part,
-                "filterbase": [cls.ground.label_list(m) for m in members],
-                "point": cls.ground.labels[x],
-            }
-    return None
+def _pairing_witnesses(cls: OperatorClass, fb, net, reading: str, steps: int) -> dict:
+    """The first failing net and filterbase of one pairing, by the lane
+    lemma, or None for each that does not fail.  Lane K of ``same`` is the
+    disagreement of class (K, K); under the literal reading *steps*
+    (``finspace.step_lanes`` of the net's converges table) is ORed in, and
+    the first failing kernel is the lowest non-zero lane.
+
+    The first failing filterbase, in the order of the oracle's
+    ``enumerate_filterbases`` (``tests/test_bridge_oracle.py``): bases come
+    kernel-first, and for one kernel K the base {K} (class (K, K))
+    precedes the bases {K, U}, U a proper superset of K in ascending order
+    (class (K, U)); larger bases only repeat those classes.  When (K, K)
+    holds, (K, U) fails only under the literal reading, and exactly when
+    the net's ``converges[U]`` differs from ``converges[K]``: the first
+    such U is K plus the lowest point whose one-point extension changes
+    it, and lane K | {p} is 2**p lanes above lane K.
+
+    The first failing net is that of the first ``_first_nets`` row whose
+    class (T, R) disagrees: lane T of F.conv ^ G.conv, or lane T of F.acc
+    against lane T of G.acc (cofinal) or lane R of G.conv (literal),
+    tested in place, as ``_class_mismatch`` defines it.  A net class is
+    the class of the base {T, R}, so only a pairing with a failing
+    filterbase can have one.  ``_class_mismatch`` gives each witness its
+    point and part."""
+    n, bits = cls.ground.n, fb.bits
+    ones = (1 << bits) - 1
+    conv = fb.conv ^ net.conv
+    other = net.acc if reading == "standard" else net.conv
+    same = conv | fb.acc ^ other
+    kernel = lowest_lane(n, same if reading == "standard" else same | steps)
+    if not kernel:
+        return {"C-P4.10": None, "C-P4.11": None}
+    members = (kernel,)
+    if not same >> kernel * bits & ones:
+        above = net.conv >> kernel * bits
+        for p in range(n):
+            if not kernel >> p & 1 and above >> (bits << p) & ones != above & ones:
+                members = (kernel, kernel | 1 << p)
+                break
+    x, part = _class_mismatch(fb, net, reading, kernel, members[-1])
+    found = {"C-P4.10": None, "C-P4.11": {
+        "part": part,
+        "filterbase": list(map(cls.ground.label_list, members)),
+        "point": cls.ground.labels[x],
+    }}
+    acc = fb.acc
+    for t, r, row in _net_lanes(n, reading):
+        if (conv >> t | acc >> t ^ other >> r) & ones:
+            found["C-P4.10"] = _first_net_witness(cls, row, *_class_mismatch(fb, net, reading, row[0], row[1]))
+            break
+    return found
 
 
 def check_table_points(n: int) -> None:

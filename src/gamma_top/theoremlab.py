@@ -9,8 +9,9 @@ returns holds / fails-with-witness; ``check_claim`` reports instead that
 the class does not meet the claim's hypotheses.  Ten claims
 are theorems of every finite space.  Each follows from the laws that
 ``check_invariants`` checks (cl_g extensive, int_g contractive, the two
-dual) or from a ``meeting_table`` being monotone, by the lemma in its
-checker's docstring, and that checker returns "holds" without a scan.
+dual) or from a meeting table (``finspace.meeting_lanes``) being
+monotone, by the lemma in its checker's docstring, and that checker
+returns "holds" without a scan.
 Five more (C-T3.9-CONV, C-T3.14, C-T3.15-A/B/C) hold on every space
 that meets their hypotheses, an open operation on an extremally
 disconnected (ED) space, by the open + ED lemma at the head of the claim
@@ -338,8 +339,9 @@ def _check_c310(cls: OperatorClass):
 
 @_claim("C-P3.13-1", "safe", (), "the theta closure is monotone")
 def _check_p313_1(cls: OperatorClass):
-    """Holds on every space: the theta closure is a ``meeting_table``, and
-    a set that meets A meets every superset of A."""
+    """Holds on every space: the theta closure is a meeting table
+    (``finspace.meeting_lanes``), and a set that meets A meets every
+    superset of A."""
     return "holds", None, {}
 
 
@@ -421,7 +423,8 @@ def _check_t43(cls: OperatorClass):
 def _check_t44(cls: OperatorClass):
     """Holds on every space.  A filterbase accumulates where its kernel
     does, and a subordinate base has its kernel inside the coarse one's.
-    The accumulation table is a ``meeting_table``, so it is monotone."""
+    The accumulation table is a meeting table (``finspace.meeting_lanes``),
+    so it is monotone."""
     return "holds", None, {}
 
 
@@ -490,8 +493,8 @@ def _check_t413(cls: OperatorClass):
     """Holds on every space.  The cover condition is C-P4.7-EQ's (1).  By
     the tail/range lemma a net accumulates at x iff its tail T
     does as a kernel, and nets within the cap realise every |T| <= cap.
-    The accumulation table, the theta closure, is a ``meeting_table``,
-    monotone in T, so some such net accumulates nowhere iff some
+    The accumulation table, the theta closure, is a meeting table
+    (``finspace.meeting_lanes``), monotone in T, so some such net accumulates nowhere iff some
     one-point tail does.  But thetacl({p}) holds p, since p lies in every
     gamma-closure of a gamma-open set at p: every net accumulates.  A
     universal net has a one-point tail, which is inside a test set

@@ -7,8 +7,11 @@ test sets computed point by point, so no verdict reads the
 ``principal_verdicts`` tables that ``OperatorClass.bridge_pairings`` reads.
 Its orders fix the witnesses: the first failing net of ``enumerate_nets``
 within ``NET_SIZE_CAP`` and the first failing filterbase of
-``enumerate_filterbases``."""
+``enumerate_filterbases``.  The kernel-by-kernel and row-by-row scan of
+the tables, which the packed lanes of ``bridge_pairings`` replaced, is
+kept here as a second oracle (``scan_bridge_pairings``)."""
 
+import collections
 import functools
 import itertools
 import operator
@@ -18,7 +21,8 @@ import pytest
 
 from gamma_top import documents, gamma_core
 from gamma_top import theoremlab as tl
-from gamma_top.finspace import PointSet, _directed_preorders, bits_of, submasks
+from gamma_top.finspace import PointSet, _directed_preorders, bits_of, submasks, validate_topology
+from gamma_top.gamma_core import GammaOperation, Space
 
 from literal_convergence import (
     DirectedSet,
@@ -251,6 +255,104 @@ def test_four_point_builtin_and_pivot_sample_matches_oracle(enumeration):
     # a base {K, U} is only reported through the one-point-extension path
     assert two_member_literal
 
+
+
+# -- the scan that the lanes replaced ------------------------------------------
+
+def scan_mismatch(fb, net, reading, t, r):
+    """``gamma_core._class_mismatch`` on the unpacked tuple views of the
+    tables, entry by entry."""
+    conv = fb.converges[t] ^ net.converges[t]
+    net_acc = net.accumulates[t] if reading == "standard" else net.converges[r]
+    bad = conv | (fb.accumulates[t] ^ net_acc)
+    if not bad:
+        return None
+    x = (bad & -bad).bit_length() - 1
+    return x, "convergence" if conv >> x & 1 else "accumulation"
+
+
+def scan_filterbase_witness(cls, mismatch, net_converges):
+    """The first failing filterbase, kernel by kernel in ascending order:
+    the base {K}, then under the literal reading (*net_converges* given)
+    {K, K | {p}} for the lowest p whose one-point extension changes the
+    net's converges entry."""
+    full = cls.ground.full_mask
+    for k in range(1, full + 1):
+        members = (k,)
+        hit = mismatch(k, k)
+        if hit is None and net_converges is not None:
+            u = next((k | 1 << p for p in bits_of(full ^ k)
+                      if net_converges[k | 1 << p] != net_converges[k]), None)
+            if u is not None:
+                members = (k, u)
+                hit = mismatch(k, u)
+        if hit is not None:
+            x, part = hit
+            return {"part": part, "filterbase": [cls.ground.label_list(m) for m in members],
+                    "point": cls.ground.labels[x]}
+    return None
+
+
+def scan_bridge_pairings(cls):
+    """``OperatorClass.bridge_pairings`` as it was computed before the
+    lanes: the filterbase witness kernel by kernel, then the net witness
+    row by row over ``_first_nets``, both through ``scan_mismatch``."""
+    verdicts = cls.principal_verdicts
+    net_tables = verdicts["gamma_open_cl"]
+    mismatch = {}
+    result = {}
+    for pairing in tl.PAIRINGS:
+        fam, reading = pairing.split("+")
+        mismatch[pairing] = partial(scan_mismatch, verdicts[fam], net_tables, reading)
+        literal = net_tables.converges if reading == "literal" else None
+        result[pairing] = {"C-P4.10": None,
+                           "C-P4.11": scan_filterbase_witness(cls, mismatch[pairing], literal)}
+    pending = [p for p in tl.PAIRINGS if result[p]["C-P4.11"] is not None]
+    for row in gamma_core._first_nets(cls.ground.n):
+        for pairing in list(pending):
+            hit = mismatch[pairing](row[0], row[1])
+            if hit is not None:
+                result[pairing]["C-P4.10"] = gamma_core._first_net_witness(cls, row, *hit)
+                pending.remove(pairing)
+        if not pending:
+            break
+    return result
+
+
+def test_lanes_match_the_scan_on_every_small_operator_class(enumeration):
+    small = enumeration(3, "all_tables").classes
+    four = enumeration(4, "builtins,pivots").classes
+    assert (len(small), len(four)) == (507, 2321)
+    shapes = collections.Counter()
+    for sp in small + four:
+        found = tl.bridge_pairings(sp)
+        assert found == scan_bridge_pairings(sp.cls), (sp.key, found)
+        for pairing, witnesses in found.items():
+            if witnesses["C-P4.11"] is not None:
+                shapes[pairing.split("+")[1], len(witnesses["C-P4.11"]["filterbase"])] += 1
+    # both witness shapes of the literal reading are compared: {K} and {K, U}
+    assert set(shapes) == {("standard", 1), ("literal", 1), ("literal", 2)}
+
+
+@pytest.mark.parametrize("name", sorted(documents.BUNDLED))
+def test_lanes_match_the_scan_on_bundled_examples(name):
+    sp = documents.load_bundled(name)
+    assert tl.bridge_pairings(sp) == scan_bridge_pairings(sp.cls)
+
+
+@pytest.mark.parametrize("opens, kind", [
+    pytest.param(range(1 << 16), "identity", id="discrete"),
+    pytest.param([(1 << k) - 1 for k in range(17)], "closure", id="chain"),
+])
+def test_lanes_match_the_scan_on_sixteen_points(opens, kind):
+    # 16-bit lanes; the scan walks all 65,535 kernels where nothing fails
+    ground = PointSet(tuple(f"p{i}" for i in range(16)))
+    sp = Space(ground, validate_topology(ground, opens), GammaOperation(kind))
+    found = tl.bridge_pairings(sp)
+    # the packed path unpacks no principal table
+    for tables in sp.cls.principal_verdicts.values():
+        assert "converges" not in vars(tables) and "accumulates" not in vars(tables)
+    assert found == scan_bridge_pairings(sp.cls)
 
 
 # -- the enumerations themselves -----------------------------------------------

@@ -190,9 +190,10 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
-    # each slice space packs both tables; a class unpacks them once
+    # each slice space packs both tables; a class unpacks them once, and
+    # its packed theta closure (``OperatorClass.theta_lanes``) once
     assert runs["closed_lanes"] == 2 * 1131
-    assert runs["unpack_lanes"] == 2 * 507
+    assert runs["unpack_lanes"] == 3 * 507
     # one lookup per slice, not one per row
     assert runs["lookup"] == 1131
     assert runs["check_claim"] == 507 * len(tl.CLAIM_IDS)

@@ -1,10 +1,12 @@
 """The operator, theta-closure and principal-filterbase tables against the
 literal point-by-point definitions of ``literal_convergence.Oracle``, and
-the packed subset-closure kernel behind ``inside_table`` and
-``meeting_table`` against the literal definitions and the loops it
-replaced."""
+the packed subset-closure kernel (``closed_lanes``, ``meeting_lanes``),
+through ``inside_table`` and ``meeting_table`` below, against the literal
+definitions and the loops it replaced."""
 
+import functools
 import random
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,16 @@ from test_properties import spaces
 from gamma_top import theoremlab as tl
 from gamma_top.finspace import (
     PointSet,
+    closed_lanes,
     closure,
-    inside_table,
     interior,
-    meeting_table,
+    lane_bits,
+    meeting_lanes,
     submasks,
+    unpack_lanes,
     validate_topology,
 )
-from gamma_top.gamma_core import GammaOperation, Space, gamma_closure, gamma_interior
+from gamma_top.gamma_core import BRANCHES, GammaOperation, Space, gamma_closure, gamma_interior
 from gamma_top.gamma_sets import gamma_theta_closure
 
 from literal_convergence import Oracle
@@ -58,6 +62,31 @@ def test_tables_match_oracle_on_small_table_spaces():
             assert_tables_match(sp)
             count += 1
     assert count == 38
+
+
+def inside_table(n, sets_at):
+    """Per subset A of an n-point ground set, the mask of the points x that
+    own a set of ``sets_at[x]`` inside A: each point marked at its own
+    sets, then every entry ORed into its supersets (``closed_lanes``)."""
+    marks = [0] * (1 << n)
+    for x, sets in enumerate(sets_at):
+        for s in sets:
+            marks[s] |= 1 << x
+    return unpack_lanes(n, closed_lanes(n, marks, True))
+
+
+def meeting_table(n, sets_at):
+    """Per subset A of an n-point ground set, the mask of the points x all
+    of whose sets in ``sets_at[x]`` meet A: each point marked at the
+    complements of its sets (``meeting_lanes``).  This pass is kept apart
+    from ``inside_table``, so the duality of the two tables is checked,
+    not shared."""
+    full = (1 << n) - 1
+    misses = [0] * (1 << n)
+    for x, sets in enumerate(sets_at):
+        for s in sets:
+            misses[full ^ s] |= 1 << x
+    return unpack_lanes(n, meeting_lanes(n, misses))
 
 
 def _loop_inside_table(n, sets_at):
@@ -156,3 +185,85 @@ def test_tables_match_oracle_on_a_sixteen_point_chain():
     pairs = list(zip(discrete.top.opens_sorted, discrete.extension))
     sets_at = [[value for u, value in pairs if u >> x & 1] for x in range(16)]
     assert_kernel_matches(16, sets_at, masks, discrete.int_g, discrete.cl_g)
+
+
+# -- the packed principal tables ------------------------------------------------
+
+def _drawn_space(n, rng):
+    """A space on n points: the topology generated, under union and
+    intersection, by three drawn sets, and a drawn table, builtin or
+    pivot."""
+    ground = PointSet(tuple(f"p{i}" for i in range(n)))
+    opens = {0, ground.full_mask} | {rng.getrandbits(n) for _ in range(3)}
+    while True:
+        grown = opens | {a | b for a in opens for b in opens} | {a & b for a in opens for b in opens}
+        if grown == opens:
+            break
+        opens = grown
+    top = validate_topology(ground, opens)
+    kind = rng.choice(("table", "closure", "int_closure", "pivot"))
+    if kind == "table":
+        extra = [rng.getrandbits(n) & rng.getrandbits(n) for _ in top.opens_sorted]
+        gamma = GammaOperation("table", values=tuple(v | e for v, e in zip(top.opens_sorted, extra)))
+    elif kind == "pivot":
+        gamma = GammaOperation("pivot", pivot=rng.choice(ground.labels),
+                               in_branch=rng.choice(BRANCHES), out_branch=rng.choice(BRANCHES))
+    else:
+        gamma = GammaOperation(kind)
+    return Space(ground, top, gamma)
+
+
+def _scan_principal_tables(cls, tests_at):
+    """The (converges, accumulates) tuples as the per-point passes built
+    them before the tables were packed: one ``inside_table`` over the
+    complements of the kernels K_x, read backwards, and one
+    ``meeting_table`` of the test sets."""
+    n, full = cls.ground.n, cls.ground.full_mask
+    outside = [(full ^ functools.reduce(and_, sets, full),) for sets in tests_at]
+    return inside_table(n, outside)[::-1], meeting_table(n, tests_at)
+
+
+def assert_principal_tables_match(sp, masks):
+    """Each packed principal table at *masks*, lane by lane, against the
+    definitions: {M} converges at x iff M lies inside every test set at x
+    (inside K_x), and accumulates at x iff M meets every one; and each
+    table's tuple views against the tables of the passes they replaced."""
+    cls = sp.cls
+    n = cls.ground.n
+    bits = lane_bits(n)
+    ones = (1 << bits) - 1
+    tests = {
+        "regular_open": [[a for a in cls.regular_open if a >> x & 1] for x in range(n)],
+        "gamma_open_cl": [[cls.cl_g[u] for u in cls.gamma_open if u >> x & 1] for x in range(n)],
+    }
+    for family, tests_at in tests.items():
+        table = cls.principal_verdicts[family]
+        # every entry sits in its own lane, and no lane lies past 2**n
+        assert table.conv >> (bits << n) == table.acc >> (bits << n) == 0
+        for m in masks:
+            converges = sum(1 << x for x, sets in enumerate(tests_at) if all(m & ~t == 0 for t in sets))
+            accumulates = sum(1 << x for x, sets in enumerate(tests_at) if all(m & t for t in sets))
+            assert table.conv >> m * bits & ones == converges, (family, m)
+            assert table.acc >> m * bits & ones == accumulates, (family, m)
+        assert (table.converges, table.accumulates) == _scan_principal_tables(cls, tests_at), family
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_principal_tables_match_the_definitions_on_drawn_classes(n):
+    # n = 8 and 9 are the last one-byte and the first two-byte lanes, and
+    # n = 16 fills the widest lane
+    rng = random.Random(n)
+    # the first draw, and the first whose regular-open tables are packed
+    # apart from the closures' (equal tables are one object)
+    sample = [_drawn_space(n, rng)]
+    for _ in range(20):
+        sp = _drawn_space(n, rng)
+        verdicts = sp.cls.principal_verdicts
+        if verdicts["regular_open"] is not verdicts["gamma_open_cl"]:
+            sample.append(sp)
+            break
+    assert len(sample) == (1 if n < 3 else 2)
+    for sp in sample:
+        masks = range(1 << n) if n <= 10 else [0, sp.ground.full_mask, *(1 << p for p in range(n)),
+                                                *rng.sample(range(1 << n), 200)]
+        assert_principal_tables_match(sp, masks)
