@@ -173,31 +173,22 @@ def meeting_lanes(n: int, misses: list) -> int:
     return closed_lanes(n, misses, False) ^ _layout(n)[2]
 
 
-@cache
-def _spreads(n: int) -> tuple[int, ...]:
-    """Per point p, the packed int with 1 in the lowest bit of each lane
-    whose index holds p, and 0 elsewhere: ``_layout``'s byte pattern for
-    the lanes with bit p."""
-    width = _layout(n)[0]
-    one = b"\x01" + bytes(width - 1)
-    size = 1 << n
-    return tuple(int.from_bytes((bytes(width << p) + one * (1 << p)) * (size >> p + 1), "little")
-                 for p in range(n))
-
-
 def meet_lanes(n: int, packed: int) -> int:
     """The packed table whose entry M is the meet of the entries {p} of
     the packed table *packed* over the points p of M, the full mask at the
     empty set.  Its complement is the OR over p of the complement of entry
-    {p} in each lane that holds p: the spread of lane bits of ``_spreads``
-    times that complement, which puts it in each such lane without a
-    carry, as it fits one lane.  n multiplications, and no closure."""
-    width, _, full_lanes = _layout(n)
+    {p} in each lane that holds p.  That complement times the int with 1
+    in the lowest bit of each lane sits in every lane, without a carry as
+    it fits one; clearing ``_layout``'s lanes without bit p keeps the
+    lanes with it.  n multiplications, and no closure."""
+    width, low, full_lanes = _layout(n)
     bits = width << 3
     full = (1 << n) - 1
+    ones = full_lanes // full
     missing = 0
-    for p, spread in enumerate(_spreads(n)):
-        missing |= spread * (full ^ packed >> (bits << p) & full)
+    for p, without in enumerate(low):
+        every = ones * (full ^ packed >> (bits << p) & full)
+        missing |= every ^ every & without
     return missing ^ full_lanes
 
 

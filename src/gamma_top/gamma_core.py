@@ -729,16 +729,6 @@ def _directed_set(size: int, top: int) -> dict:
     return {"size": size, "leq": [(i, j) for i in range(size) for j in range(size) if i == j or j < top]}
 
 
-@functools.lru_cache(maxsize=None)
-def _net_lanes(n: int, reading: str) -> tuple:
-    """Per ``_first_nets`` row (T, R, ...), the bit offset of lane T, that
-    of the lane of the net's accumulation that *reading* compares (T
-    cofinal, R literal), and the row."""
-    bits = lane_bits(n)
-    return tuple((row[0] * bits, row[0 if reading == "standard" else 1] * bits, row)
-                 for row in _first_nets(n))
-
-
 def _first_net_witness(cls: OperatorClass, row, x: int, part: str) -> dict:
     """The witness of a ``_first_nets`` row: its net on S(size, top)."""
     _, _, size, top, values = row
@@ -797,8 +787,10 @@ def _pairing_witnesses(cls: OperatorClass, fb, net, reading: str, steps: int) ->
         "point": cls.ground.labels[x],
     }}
     acc = fb.acc
-    for t, r, row in _net_lanes(n, reading):
-        if (conv >> t | acc >> t ^ other >> r) & ones:
+    literal = reading != "standard"
+    for row in _first_nets(n):
+        t = row[0] * bits
+        if (conv >> t | acc >> t ^ other >> (row[1] * bits if literal else t)) & ones:
             found["C-P4.10"] = _first_net_witness(cls, row, *_class_mismatch(fb, net, reading, row[0], row[1]))
             break
     return found
