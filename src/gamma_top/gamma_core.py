@@ -509,15 +509,15 @@ class OperatorClass:
         ``converges[{p}]`` over the points p of M.  And p is in K_x iff
         every test set at x holds p, iff {p} accumulates at x: so the
         converges table is the ``finspace.meet_lanes`` of the n singleton
-        lanes of the accumulation table: n multiplications, with no
-        closure pass, complement or reversal of its own."""
+        lanes of the accumulation table.  Equal accumulation tables give
+        equal converges tables, so the two families then share one
+        object."""
         n, full = self.ground.n, self.ground.full_mask
         misses = [0] * (full + 1)
         for a in self.regular_open:
             misses[full ^ a] |= a
         accumulates, theta = meeting_lanes(n, misses), self.theta_lanes
         closures = PrincipalVerdicts(n, meet_lanes(n, theta), theta)
-        # equal accumulation tables give equal converges tables: one object
         regular = closures if accumulates == theta else PrincipalVerdicts(
             n, meet_lanes(n, accumulates), accumulates)
         return {"regular_open": regular, "gamma_open_cl": closures}
