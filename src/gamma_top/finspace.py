@@ -127,7 +127,12 @@ def closed_lanes(n: int, marks: list, supersets: bool) -> int:
     a lane; a shift by 2**b lanes moves lane m onto lane m + 2**b, and the
     mask keeps whole lanes.  So each step does to every entry at once
     what the entry-by-entry closure does to each: the closure commutes
-    with packing."""
+    with packing.
+
+    Lemma (OR): each step, ``x | ((x & m) << s)`` or ``x | ((x >> s) &
+    m)``, distributes over OR, and packing turns an entrywise OR of marks
+    into an OR of ints.  So the closure of a list of marks is the OR of
+    the closures of its entries, each taken alone."""
     width, low, _ = _layout(n)
     if width == 1:
         packed = int.from_bytes(bytes(marks), "little")
@@ -297,9 +302,10 @@ class Topology:
 
     Two memo dicts live and die with the object: an equal but distinct
     topology shares nothing.  ``operator_memos`` maps the two packed
-    operator tables (``closed_lanes``) of the spaces on this object to
-    their ``gamma_core.OperatorClass``, which holds the unpacked tables
-    and every value derived from them, shared by every space of the
+    operator tables (``closed_lanes``) of the operations on this object,
+    a space's or a walk slice's, to their ``gamma_core.OperatorClass``
+    (``gamma_core.operator_class``), which holds the unpacked tables and
+    every value derived from them, shared by every operation of the
     class: one entry is one class, and its tables are unpacked once.  A
     class holds no reference back to the topology.  ``extensions`` maps
     each pivot branch, and each builtin or pivot operation that a space on

@@ -21,21 +21,28 @@ packed kernel ``finspace.closed_lanes``, run once per table and per
 space.  The duality between the two operators is therefore a checked
 property, not an implementation shortcut.
 
-The two packed tables are the key of the space's operator class
-(``OperatorClass``) in its topology's ``operator_memos``, so the tuples
-``int_g`` and ``cl_g`` are unpacked once per class, not once per space:
-the 9,048 3-point table spaces fall into 507 classes.  Two operations
-that differ only at the empty set have equal tables, as the empty set is
-in no point's neighbourhood, and share one slice ``extension[1:]``: the
-9,048 table spaces give 1,131 slices.  A sweep works per slice.
-``operations_for`` lists each distinct extension once, in blocks
-(``OperationBlock``) that list the slices and the values at the empty
-set apart: a builtin or pivot is a block of one row with its operation,
-and the tables are one block without one (a table operation is its
-values over the sorted opens, so a row's values give it).
-``theoremlab``'s walk builds one ``Space`` per slice and reads every
-later operation of the slice through that space, checking only its
-value at the empty set.
+The two packed tables are the key of the operation's operator class
+(``OperatorClass``) in its topology's ``operator_memos``
+(``operator_class``), so the tuples ``int_g`` and ``cl_g`` are unpacked
+once per class, not once per space: the 9,048 3-point table spaces fall
+into 507 classes.  Two operations that differ only at the empty set have
+equal tables, as the empty set is in no point's neighbourhood, and share
+one slice ``extension[1:]``: the 9,048 table spaces give 1,131 slices.
+A sweep works per slice.  ``operations_for`` lists each distinct
+extension once, in blocks (``OperationBlock``) that list the slices and
+the values at the empty set apart: a builtin or pivot is a block of one
+row with its operation, and the tables are one block without one (a
+table operation is its values over the sorted opens, so a row's values
+give it).  ``theoremlab``'s walk builds no ``Space``.  The closure of a
+list of marks is the OR of the closures of its entries (the OR lemma in
+``closed_lanes``), and an open's marks are its value's alone, so a
+slice's key is the OR over its opens of the key of each open at its
+value (``open_closures``): the walk makes that pair once per topology,
+when it first meets it, checked as ``Space`` checks a value, and checks
+a block's values at the empty set, which mark nothing, against the
+ground set alone.  The 1,131 slices of the 3-point tables meet 245
+pairs.  A ``Space``, built for a document, packs its full marks: one
+pair per open would cost it two kernel calls per open.
 
 Every value derived from a space but its key, the open/regular
 operation flags and the bridge pairings included, reads only the ground
@@ -296,9 +303,9 @@ class Space:
     Each value is checked for this space, against the ground set and for
     expansiveness, and marks the two tables (module docstring).  Then the
     two packed tables (``finspace.closed_lanes``) are the key of the
-    topology's ``operator_memos`` entry, the class, made by the first
-    space of the class: of the 9,048 3-point table spaces, all pack their
-    tables, and only the 507 that open a class unpack them.
+    topology's ``operator_memos`` entry, the class (``operator_class``),
+    made by the first space or walk slice of the class, which unpacks the
+    tables.
 
     Lemma: on one topology, two operations have equal slices
     ``extension[1:]`` iff they have equal per-point neighbourhood values.
@@ -310,16 +317,17 @@ class Space:
     operations of one slice are of one class; the class needs no slice,
     and the lemma serves the walk's check at the empty set alone.
 
-    So a sweep builds one space per slice (``theoremlab.enumerate_slices``)
-    and checks a later operation of the slice at its one new value, the
-    empty set's, against the ground set alone.  Its other values are the
-    first space's, already checked on the same topology; and every value
-    contains the empty set, so that value is expansive.  Each block of
-    ``operations_for`` lists its slices apart from its values at the
-    empty set: a builtin or pivot has one of each, and in the table
-    block, as the empty set is the first open, ``itertools.product``
-    puts its value outermost, so the table with value e there and slice s
-    elsewhere is row rank(e) * (number of slices) + rank(s) of the block.
+    So a sweep keys each slice once (``theoremlab.enumerate_slices``,
+    which builds no space) and checks a later operation of the slice at
+    its one new value, the empty set's, against the ground set alone.  Its
+    other values are the slice's, already checked on the same topology;
+    and every value contains the empty set, so that value is expansive.
+    Each block of ``operations_for`` lists its slices apart from its
+    values at the empty set: a builtin or pivot has one of each, and in
+    the table block, as the empty set is the first open,
+    ``itertools.product`` puts its value outermost, so the table with
+    value e there and slice s elsewhere is row rank(e) * (number of
+    slices) + rank(s) of the block.
     The walk reads each slice once, with every value at the empty set
     checked once per block, and gives a row its index by that
     arithmetic, so it visits only the rows that a caller reports.
@@ -332,29 +340,22 @@ class Space:
     def __post_init__(self):
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
-        opens = self.top.opens_sorted
+        ground, opens = self.ground, self.top.opens_sorted
         extension = _extension(self.top, self.gamma)
-        full = self.ground.full_mask
+        full = ground.full_mask
         # each open U marks its value for int_g, and the complement of its
         # value for the misses of cl_g, with every point of U at once; a
         # value is checked before it marks anything
         inside = [0] * (full + 1)
         misses = [0] * (full + 1)
         for v, value in zip(opens, extension):
-            if not 0 <= value <= full:
-                self.ground.check_mask(value)  # raises
-            if v & ~value:
-                raise GammaNotExpansive(self.ground, v, value)
+            if v & ~value or not 0 <= value <= full:
+                check_value(ground, v, value)  # raises
             inside[value] |= v
             misses[full ^ value] |= v
         object.__setattr__(self, "extension", extension)
-        n = self.ground.n
-        key = (closed_lanes(n, inside, True), closed_lanes(n, misses, False))
-        cls = self.top.operator_memos.get(key)
-        if cls is None:
-            # expansiveness puts each point inside its values, so int_g(A) <= A
-            cls = self.top.operator_memos[key] = OperatorClass(
-                self.ground, self.top.opens, unpack_lanes(n, key[0]), unpack_lanes(n, key[1], flip=True))
+        n = ground.n
+        cls = operator_class(self.top, (closed_lanes(n, inside, True), closed_lanes(n, misses, False)))
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "int_g", cls.int_g)
         object.__setattr__(self, "cl_g", cls.cl_g)
@@ -365,6 +366,47 @@ class Space:
         spaces of one operator class can give differently, so it is kept
         per space."""
         return SpaceKey(self.ground.labels, self.top.opens_sorted, self.gamma.kind, self.extension)
+
+
+def check_value(ground: PointSet, v: int, value: int) -> None:
+    """Raise unless *value* fits the ground set and contains the open *v*:
+    the checks on an operation's value at an open."""
+    if not 0 <= value <= ground.full_mask:
+        ground.check_mask(value)  # raises
+    if v & ~value:
+        raise GammaNotExpansive(ground, v, value)
+
+
+def operator_class(top: Topology, key: tuple[int, int]) -> OperatorClass:
+    """The class on *top* whose packed tables (``finspace.closed_lanes``)
+    are *key*: the int_g table and the misses of cl_g, the one key of
+    ``top.operator_memos``.  The first key of a class makes it, and only
+    then are the tables unpacked.  ``Space`` and ``theoremlab``'s walk
+    both find a class here."""
+    cls = top.operator_memos.get(key)
+    if cls is None:
+        n = top.ground.n
+        # expansiveness puts each point inside its values, so int_g(A) <= A
+        cls = top.operator_memos[key] = OperatorClass(
+            top.ground, top.opens, unpack_lanes(n, key[0]), unpack_lanes(n, key[1], flip=True))
+    return cls
+
+
+def open_closures(ground: PointSet, v: int, value: int) -> tuple[int, int]:
+    """The key (``operator_class``) of the marks of the open *v* alone at
+    *value*: value marked with v and closed upwards, for int_g, and its
+    complement marked with v and closed downwards, for the misses of
+    cl_g.  *value* is checked first, as ``Space`` checks it
+    (``check_value``).
+
+    By the OR lemma in ``closed_lanes``, a space's key is the OR, over its
+    opens, of these pairs at its values; the empty set marks nothing."""
+    check_value(ground, v, value)
+    n, full = ground.n, ground.full_mask
+    inside = [0] * (full + 1)
+    misses = [0] * (full + 1)
+    inside[value] = misses[full ^ value] = v
+    return closed_lanes(n, inside, True), closed_lanes(n, misses, False)
 
 
 def apply_gamma(sp: Space, v: int) -> int:

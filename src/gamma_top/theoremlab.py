@@ -23,19 +23,20 @@ set that is not gamma-open: the four read that set from one scan
 enumerations of (topology, operation) pairs; the miner searches the same
 enumerations for named separations or claim failures.  Both, and the
 bridge report, read the enumeration through one walk
-(``enumerate_slices``), which builds one ``Space`` per slice of operation
-values and groups the rows by slice, and through its one report loop
-(``TopologyRows.report``).  The loop makes one row per operator class of
-a topology, kept in a dict for that topology alone: a sweep's statuses
-(``check_claim``) with its invariants and statistics, the bridge
-verdicts, or a mine's witnesses (``check_claim`` or ``_separations``).
+(``enumerate_slices``), which finds the operator class of each slice of
+operation values without building a ``Space``, from the OR of its opens'
+cached closures (``gamma_core.open_closures``), and groups the rows by
+slice, and through its one report loop (``TopologyRows.report``).  The
+loop makes one row per operator class of a topology, kept in a dict for
+that topology alone: a sweep's statuses (``check_claim``) with its
+invariants and statistics, the bridge verdicts, or a mine's witnesses
+(``check_claim`` or ``_separations``).
 They look a row up once per slice and add the slice's row count to
 their tallies, and the loop visits a row only where they report it.  It
 builds no key: a sweep or the bridge report builds one for each row it
 keeps, and a mine's hit (``MinedWitness``), one per row, writes its
-records without one.  The audits
-rebuild the four bundled example spaces and diff their published
-families against recomputation.
+records without one.  The audits rebuild the four bundled example
+spaces and diff their published families against recomputation.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import documents
-from .finspace import PointSet, enumerate_topologies, validate_topology
+from .finspace import PointSet, Topology, enumerate_topologies, validate_topology
 from .gamma_core import (
     DEFAULT_PAIRING,
     NET_SIZE_CAP,
@@ -58,7 +59,9 @@ from .gamma_core import (
     SpaceKey,
     check_table_points,
     framed_space,
+    open_closures,
     operations_for,
+    operator_class,
 )
 from .jsonout import Framed
 
@@ -616,20 +619,22 @@ def parse_modes(modes) -> tuple[str, ...]:
 
 @dataclass
 class TopologyRows:
-    """One topology of the walk (``enumerate_slices``): its rows, in
-    groups with one slice each, and one ``Space`` per group.
+    """One topology of the walk (``enumerate_slices``): the topology, its
+    rows, in groups with one slice each, and the operator class of each
+    group.
 
     Each slice of an ``OperationBlock`` is a group: the block's rows with
     that slice and each listed value at the empty set, but the dropped
     ones.  A builtin or pivot is a group of one row.  ``groups`` holds
-    ``(space, row count)`` per group, in the order of their first rows;
-    *space* is the first space on the topology with the group's slice.
-    Every sweep, mine and bridge report reads the walk through
+    ``(class, row count)`` per group, in the order of their first rows;
+    *class* is the ``OperatorClass`` of every row of the group, on
+    ``top``.  Every sweep, mine and bridge report reads the walk through
     ``report``, which visits the rows of the groups that it reports, in
     operation index order, and no other row, and builds no key (``key``
     builds one)."""
 
     index: int
+    top: Topology
     groups: list
     blocks: list  # operations_for(top, modes)
 
@@ -658,8 +663,8 @@ class TopologyRows:
             g += m
 
     def report(self, class_row, look):
-        """Call ``class_row(cls)`` once per operator class of the groups'
-        spaces, keeping its value, the class's row, in a dict for this
+        """Call ``class_row(cls)`` once per operator class of the groups,
+        keeping its value, the class's row, in a dict for this
         topology alone, and ``look(class's row, row count)`` once per group,
         in group order; then yield ``(operation index, extension, frame,
         hit)`` for each row of a group whose hit, the value of ``look``, is
@@ -671,10 +676,10 @@ class TopologyRows:
         one (``key``) only for a row it keeps."""
         class_rows = {}
         hits = {}
-        for g, (sp, count) in enumerate(self.groups):
-            found = class_rows.get(sp.cls)
+        for g, (cls, count) in enumerate(self.groups):
+            found = class_rows.get(cls)
             if found is None:
-                found = class_rows[sp.cls] = class_row(sp.cls)
+                found = class_rows[cls] = class_row(cls)
             hit = look(found, count)
             if hit:
                 hits[g] = hit
@@ -689,12 +694,12 @@ class TopologyRows:
 
     @property
     def ground(self) -> PointSet:
-        return self.groups[0][0].ground
+        return self.top.ground
 
     @property
     def opens(self) -> tuple[int, ...]:
         """The topology's opens, ascending."""
-        return self.groups[0][0].top.opens_sorted
+        return self.top.opens_sorted
 
     def key(self, extension, frame) -> SpaceKey:
         """The key of a row that ``report`` yields with *extension* and
@@ -707,12 +712,15 @@ def enumerate_slices(n: int, modes, topo_range=None):
     *topo_range*, if given), operations deduplicated by extension within
     each topology (``operations_for``).
 
-    It builds one ``Space`` per slice, for the first row of the slice,
-    and reads every later row of the slice through it, by the lemma in
-    ``Space``: such a row differs from it at most at the empty set.  So a
-    block's values at the empty set are range-checked once per block.
-    A slice's space takes the block's operation, or for the table block
-    the table of the slice's first row.  ``full_sweep``, ``mine`` and
+    It builds no ``Space``.  Per topology it keeps the key
+    (``gamma_core.open_closures``) of each (open index, value) pair it
+    meets, made and checked when first met, and keys each slice's class
+    by the OR of its opens' pairs (``gamma_core.operator_class``); this
+    is the key a space of the slice packs (the OR lemma in
+    ``finspace.closed_lanes``).  By the lemma in ``Space`` every row of
+    the slice is of that class, as it differs from the slice at most at
+    the empty set, which marks nothing: so a block's values at the empty
+    set are range-checked once per block.  ``full_sweep``, ``mine`` and
     ``bridge_report`` read each topology through ``TopologyRows.report``.
 
     The modes, *n* and the table limit are checked at the call, before
@@ -730,43 +738,43 @@ def _walk(tops, modes, topo_range):
         if topo_range is not None and not topo_range[0] <= ti < topo_range[1]:
             continue
         ground = top.ground
+        opens = top.opens_sorted
         blocks = operations_for(top, modes)
-        firsts = {}
+        # per (open index, value) met on this topology, its key
+        # (``open_closures``)
+        closures = {}
         groups = []
         for block in blocks:
-            empties, slices, op = block.empties, block.slices, block.op
+            empties, slices = block.empties, block.slices
             for e in empties:
                 ground.check_mask(e)
-            # a slice's first row is at the first empty-set value: a
-            # dropped one has an earlier operation's slice
-            first = empties[0]
             counts = [len(empties)] * len(slices)
             for p in block.dropped:
                 counts[p % len(slices)] -= 1
             for s, count in zip(slices, counts):
-                sp = firsts.get(s)
-                if sp is None:
-                    gamma = op or GammaOperation("table", values=(first,) + s)
-                    sp = firsts[s] = Space(ground, top, gamma)
-                groups.append((sp, count))
-        yield TopologyRows(ti, groups, blocks)
+                inside = misses = 0
+                for i, value in enumerate(s, 1):
+                    pair = closures.get((i, value))
+                    if pair is None:
+                        pair = closures[i, value] = open_closures(ground, opens[i], value)
+                    inside |= pair[0]
+                    misses |= pair[1]
+                groups.append((operator_class(top, (inside, misses)), count))
+        yield TopologyRows(ti, top, groups, blocks)
 
 
 def enumerate_spaces(n: int, modes):
     """Yield ``(topology_index, operation_index, space)`` per row of the
-    walk (``enumerate_slices``), in index order, one ``Space`` per row:
-    the row's group space where its extension is the row's, and otherwise
-    a new space.  The new space differs from the group's at most at the
-    empty set, so it packs equal tables and finds the group's class in
-    ``operator_memos``: it shares its class, and unpacks nothing.  No command reads it; it stays here because the benchmark's
-    verify workload draws its documents from it, and the tests use it as
-    the per-space oracle of the walk."""
+    walk (``enumerate_slices``), in index order, one ``Space`` per row,
+    with the row's operation, or for a table row the table of its values.
+    The space finds its group's class in ``operator_memos``, as the walk
+    put it there, and unpacks nothing.  No command reads it; it stays
+    here because the benchmark's verify workload draws its documents from
+    it, and the tests use it as the per-space oracle of the walk."""
     for walk in enumerate_slices(n, modes):
-        for oi, extension, op, g in walk.rows():
-            sp = walk.groups[g][0]
-            if sp.extension != extension:
-                sp = Space(sp.ground, sp.top, op or GammaOperation("table", values=extension))
-            yield walk.index, oi, sp
+        top = walk.top
+        for oi, extension, op, _ in walk.rows():
+            yield walk.index, oi, Space(top.ground, top, op or GammaOperation("table", values=extension))
 
 
 def check_invariants(cls: OperatorClass) -> list:
@@ -857,9 +865,9 @@ def full_sweep(n: int, modes, claim_ids, invariants: bool = True, topo_range=Non
     Statuses and statistics are per operator class, so the pass counts
     the spaces per status tuple and per triple of statistics, and adds
     the counts to the tallies at the end.  It reads the walk
-    (``enumerate_slices``) one slice at a time: a ``Space`` is built, and
-    the class's row looked up, once per slice, and the counts grow by the
-    slice's number of rows.  A class's row, made once per topology
+    (``enumerate_slices``) one slice at a time, and builds no ``Space``:
+    the class's row is looked up once per slice, and the counts grow by
+    the slice's number of rows.  A class's row, made once per topology
     (``TopologyRows.report``), holds its statuses from ``check_claim``,
     its failing rows ``(claim id, status, witness, notes)``, and with
     *invariants* its violations and statistics; witnesses and notes are
@@ -950,9 +958,10 @@ def bridge_report(n: int, modes=("builtins", "pivots")) -> BridgeReport:
     pairings over the enumeration, collecting failure counts and the first
     three witnesses of each.
 
-    It reads the walk (``enumerate_slices``) like ``full_sweep``: the
-    class's pairings (``OperatorClass.bridge_pairings``) once per slice,
-    whose row count each failure count grows by.
+    It reads the walk (``enumerate_slices``) like ``full_sweep``, and
+    builds no ``Space``: the class's pairings
+    (``OperatorClass.bridge_pairings``) once per slice, whose row count
+    each failure count grows by.
     Only the rows of a slice that fails where fewer than three witnesses
     are held are visited, in index order, and a row gets a key only when
     it gives a witness, shared by all its witnesses."""
@@ -1108,10 +1117,10 @@ def mine(n: int, op_mode, predicate: str) -> list:
     whole enumeration.
 
     It reads the whole walk (``enumerate_slices``) once, one slice at a
-    time: a ``Space`` is built, and the witnesses looked up, once per
-    slice; the witnesses, dicts included, are made once per operator class
-    of a topology (``TopologyRows.report``), from ``_separations`` or
-    ``check_claim``, and shared, unmutated, by the hits of its spaces.
+    time, and builds no ``Space``: it looks the witnesses up once per
+    slice, and they are made, dicts included, once per operator class of
+    a topology (``TopologyRows.report``), from ``_separations`` or
+    ``check_claim``, and shared, unmutated, by the hits of its rows.
     Only a slice with witnesses has its rows visited, in index order, and
     no row gets a key; its records are made when ``to_dict`` asks.
 

@@ -25,12 +25,13 @@ def _load(name):
 workloads = _load("workloads")
 spans = _load("spans")
 
-# the layer spans each workload's warm-up passes through once instrumented
+# the layer spans each workload's warm-up passes through once instrumented;
+# a sweep's walk builds no ``Space``, so the sweep's traced ``Space`` calls
+# and the operators and families it fills there record no span
 EXPECTED_LAYERS = {
     "sweep3-tables": {
-        "finspace.enumerate_topologies", "gamma_core.operations_for", "gamma_core.Space",
-        "gamma_core.operators", "gamma_sets.families", "theoremlab.check_invariants",
-        "theoremlab.run_suite",
+        "finspace.enumerate_topologies", "gamma_core.operations_for",
+        "theoremlab.check_invariants", "theoremlab.run_suite",
     },
     "verify4-docs": {
         "documents.parse_space", "gamma_core.operators", "gamma_sets.families",

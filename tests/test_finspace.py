@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from gamma_top.finspace import (
     PointSet,
     SizeTooLarge,
     UnknownPoint,
+    closed_lanes,
     closure,
     enumerate_topologies,
     interior,
@@ -183,3 +185,23 @@ def test_memo_property_runs_once_per_instance_and_takes_no_lock():
 
     vars(Unlocked)["value"].lock = Refusing()
     assert Unlocked().value == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10])
+def test_closed_lanes_is_the_or_of_its_single_entry_closures(n):
+    """The lemma the walk keys its classes by: each step of the kernel
+    distributes over OR, so the packed closure of a list of marks is the
+    OR of the closures of each mark alone, upwards and downwards.  n = 8
+    and 9 sit on the two sides of the lane width."""
+    rng = random.Random(n)
+    size = 1 << n
+    for density in (0.1, 0.5, 1.0):
+        marks = [rng.randrange(size) if rng.random() < density else 0 for _ in range(size)]
+        for supersets in (True, False):
+            ored = 0
+            for m, mark in enumerate(marks):
+                if mark:
+                    alone = [0] * size
+                    alone[m] = mark
+                    ored |= closed_lanes(n, alone, supersets)
+            assert closed_lanes(n, marks, supersets) == ored, (density, supersets)

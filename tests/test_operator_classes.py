@@ -5,13 +5,15 @@ share one class, and with it every value.  Claims, invariants,
 discrepancy statistics and separations take the class, and a sweep or a
 mine makes each class's row once per topology.  Every space packs its
 two tables (``finspace.closed_lanes``), and the packed pair is the key of
-its class, whose tables are unpacked once.  These tests check that
-sharing changes no result, that the per-class code reads nothing of the
-operation but its two operators, that the slice ``extension[1:]`` (the
-operation's values at the non-empty opens) and the per-point
-neighbourhood values determine each other, how often the per-class code
-runs, that no class outlives its spaces, and that a sweep's per-class
-tallies equal a per-space recount."""
+its class, whose tables are unpacked once; the walk, which builds no
+space, finds the same key as the OR of per-open closures.  These tests
+check that sharing changes no result, that the per-class code reads
+nothing of the operation but its two operators, that the slice
+``extension[1:]`` (the operation's values at the non-empty opens) and the
+per-point neighbourhood values determine each other, that the walk finds
+the class a space finds, how often the per-class code runs, that no class
+outlives its spaces, and that a sweep's per-class tallies equal a
+per-space recount."""
 
 import collections
 import dataclasses
@@ -190,9 +192,10 @@ def test_a_sweep_runs_each_claim_body_once_per_operator_class(monkeypatch, walke
 
     claims, _ = tl.full_sweep(3, ("all_tables",), tl.CLAIM_IDS, invariants=True)
     assert claims.spaces == 9048
-    # each slice space packs both tables; a class unpacks them once, and
-    # its packed theta closure (``OperatorClass.theta_lanes``) once
-    assert runs["closed_lanes"] == 2 * 1131
+    # the walk closes both tables of each (open, value) pair it meets once
+    # per topology, 245 pairs in all; a class unpacks them once, and its
+    # packed theta closure (``OperatorClass.theta_lanes``) once
+    assert runs["closed_lanes"] == 2 * 245
     assert runs["unpack_lanes"] == 3 * 507
     # one lookup per slice, not one per row
     assert runs["lookup"] == 1131
@@ -292,8 +295,8 @@ def test_a_class_row_is_never_mutated(monkeypatch):
     assert len(keys) < len(first.failures)
     # the notes every claim gives on every group's class, failing or not
     for walk in walks:
-        for sp, _ in walk.groups:
-            notes = [tl.check_claim(sp.cls, cid)[2] for cid in ids]
+        for cls, _ in walk.groups:
+            notes = [tl.check_claim(cls, cid)[2] for cid in ids]
             for note in notes:
                 assert "topology_index" not in note and "operation_index" not in note
 
@@ -440,19 +443,21 @@ def _oracle_rows(n, modes):
 ])
 def test_the_walk_lists_the_per_operation_enumeration(n, modes):
     oracle = list(_oracle_rows(n, modes))
-    # per row: its indices, extension and operation, and its group's space
+    # per row: its indices, extension and operation, and its group's class
     walk = [(w.index, oi, ext, op, w.groups[g][0])
             for w in tl.enumerate_slices(n, modes) for oi, ext, op, g in w.rows()]
     assert [(ti, oi, "table" if op is None else op.kind, ext)
             for ti, oi, ext, op, _ in walk] == [row[:4] for row in oracle]
-    # each row's space is the first oracle space of its slice on its topology
-    firsts = {}
-    for (ti, _, ext, _, sp), (*_, want) in zip(walk, oracle):
-        first = firsts.setdefault((ti, ext[1:]), want)
-        assert sp == first and sp.extension == first.extension
-        assert (sp.int_g, sp.cl_g) == (want.int_g, want.cl_g)
-    joined = sum(op is None and sp.gamma.kind != "table" for _, _, _, op, sp in walk)
-    assert (joined > 0) == (modes == ("builtins", "all_tables"))
+    # each row's class has the opens and tables of the row's oracle space
+    for (*_, cls), (*_, want) in zip(walk, oracle):
+        assert cls.opens == want.top.opens
+        assert (cls.int_g, cls.cl_g) == (want.int_g, want.cl_g)
+    # a table row with a builtin's slice shares the builtin's class
+    builtin = {(ti, ext[1:]): cls for ti, _, ext, op, cls in walk if op is not None}
+    joined = [(cls, builtin[ti, ext[1:]]) for ti, _, ext, op, cls in walk
+              if op is None and (ti, ext[1:]) in builtin]
+    assert all(cls is first for cls, first in joined)
+    assert (len(joined) > 0) == (modes == ("builtins", "all_tables"))
     if modes == ("all_tables", "builtins"):
         assert all(op is None for _, _, _, op, _ in walk)
     # and the spaces they materialise are the oracle's
@@ -465,10 +470,10 @@ def test_the_walk_lists_the_per_operation_enumeration(n, modes):
 
 def _walk_summary(walks):
     """Per walked topology, its index, its rows and per group the row
-    count and the extension of the group's space: what two walks over
+    count and the tables of the group's class: what two walks over
     distinct topology objects share."""
     return [(w.index, [(oi, ext, op) for oi, ext, op, _ in w.rows()],
-             [(count, sp.extension) for sp, count in w.groups]) for w in walks]
+             [(count, cls.int_g, cls.cl_g) for cls, count in w.groups]) for w in walks]
 
 
 def test_two_topology_ranges_joined_give_the_whole_walk():
@@ -479,7 +484,7 @@ def test_two_topology_ranges_joined_give_the_whole_walk():
     tail = _walk_summary(tl.enumerate_slices(3, modes, (13, 29)))
     assert (len(head), len(tail)) == (13, 16)
     assert head + tail == whole
-    assert sum(count for *_, groups in whole for count, _ in groups) == 9048
+    assert sum(count for *_, groups in whole for count, _, _ in groups) == 9048
 
 
 def test_a_mixed_mode_sweep_tallies_what_a_per_operation_recount_finds():
@@ -494,24 +499,40 @@ def test_a_mixed_mode_sweep_tallies_what_a_per_operation_recount_finds():
     assert invariants.stats == stats
 
 
-@pytest.mark.parametrize("n, modes, spaces, builds", [
-    (3, ("all_tables",), 9048, 1131),
-    # every pivot and builtin maps the empty set to itself: one slice each
-    (4, ("builtins", "pivots"), 2775, 2775),
+@pytest.mark.parametrize("n, modes", [
+    (3, ("all_tables",)),
+    (3, ("builtins", "all_tables")),
+    (4, ("builtins", "pivots")),
 ])
-def test_a_sweep_and_a_mine_build_one_space_per_slice(monkeypatch, n, modes, spaces, builds):
-    built = collections.Counter()
+def test_the_walk_finds_each_rows_class_where_its_own_space_does(n, modes):
+    # the walk keys a slice's class by the OR of its opens' closures; a
+    # space of each row, on the walk's topology object, packs its full
+    # marks and finds the very class the walk made, so the two keys agree
+    rows = 0
+    for walk in tl.enumerate_slices(n, modes):
+        top = walk.top
+        for _, extension, op, g in walk.rows():
+            sp = Space(top.ground, top, op or gamma_core.GammaOperation("table", values=extension))
+            assert sp.cls is walk.groups[g][0]
+            rows += 1
+        assert len(top.operator_memos) == len({id(cls) for cls, _ in walk.groups})
+    assert rows == {3: 9048, 4: 2775}[n]
 
-    def counted(*args):
-        built["Space"] += 1
-        return Space(*args)
 
-    monkeypatch.setattr(tl, "Space", counted)
-    claims, _ = tl.full_sweep(n, modes, ("C-RO-INCL",), invariants=False)
-    assert (claims.spaces, built["Space"]) == (spaces, builds)
-    built.clear()
-    tl.mine(n, modes, "gamma_open_not_regular_open")
-    assert built["Space"] == builds
+@pytest.mark.parametrize("n, modes, spaces", [
+    (3, ("all_tables",), 9048),
+    (4, ("builtins", "pivots"), 2775),
+])
+def test_a_sweep_a_mine_and_a_bridge_report_build_no_space(monkeypatch, n, modes, spaces):
+    def refused(*args):
+        raise AssertionError("a walk built a Space")
+
+    monkeypatch.setattr(tl, "Space", refused)
+    claims, _ = tl.full_sweep(n, modes, ("C-RO-INCL",), invariants=True)
+    assert claims.spaces == spaces
+    assert tl.mine(n, modes, "gamma_open_not_regular_open")
+    assert tl.mine(n, modes, "fails:C-RO-INCL")
+    assert tl.bridge_report(n, modes).spaces == spaces
 
 
 def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
@@ -537,6 +558,33 @@ def test_a_later_operation_of_a_slice_is_checked_at_the_empty_set(monkeypatch):
     monkeypatch.setattr(tl, "operations_for", with_a_bad_builtin)
     with pytest.raises(FinSpaceError, match="0x8"):
         tl.mine(3, ("builtins",), "gamma_open_not_regular_open")
+
+
+@pytest.mark.parametrize("bad", ["not_expansive", "outside"])
+def test_a_new_pair_of_a_slice_is_checked_as_its_space_checks_it(monkeypatch, bad):
+    operations_for = tl.operations_for
+    refused = []
+
+    def with_a_bad_slice(top, modes):
+        # the table block gets one more slice, whose value at the last open
+        # but the whole set is the empty set, or outside the ground set
+        (block,) = operations_for(top, modes)
+        if len(top.opens) < 3:
+            return [block]
+        value = 0 if bad == "not_expansive" else 8
+        s = block.slices[0][:-2] + (value, block.slices[0][-1])
+        with pytest.raises((FinSpaceError, gamma_core.GammaError)) as err:
+            Space(top.ground, top, gamma_core.GammaOperation("table", values=(0,) + s))
+        refused.append(err)
+        return [dataclasses.replace(block, slices=block.slices + (s,))]
+
+    monkeypatch.setattr(tl, "operations_for", with_a_bad_slice)
+    with pytest.raises((FinSpaceError, gamma_core.GammaError)) as err:
+        tl.full_sweep(3, ("all_tables",), ("C-RO-INCL",), invariants=False)
+    # the walk raises what the slice's space raises
+    want = refused[-1]
+    assert (type(err.value), str(err.value)) == (want.type, str(want.value))
+    assert isinstance(err.value, gamma_core.GammaNotExpansive) == (bad == "not_expansive")
 
 
 def test_a_mine_builds_each_class_witnesses_once(walked):
