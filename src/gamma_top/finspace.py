@@ -12,7 +12,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 MAX_POINTS = 16
 
@@ -97,20 +97,29 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-@cache
-def _layout(n: int) -> tuple[int, tuple[int, ...], int]:
-    """For the tables over n points: the lane width in bytes (one for
-    n <= 8, two up to 16 points), per point b the packed mask of the
-    lanes whose index lacks bit b, and the packed int with every lane the
-    full mask.  Each mask is built from a byte pattern, not summed from
-    shifted lanes."""
-    width = 1 if n <= 8 else 2
-    size = 1 << n
-    lane = b"\xff" * width
-    low = tuple(int.from_bytes((lane * (1 << b) + bytes(width << b)) * (size >> b + 1), "little")
-                for b in range(n))
-    full = int.from_bytes(((1 << n) - 1).to_bytes(width, "little") * size, "little")
-    return width, low, full
+class _Layouts(dict):
+    """n -> the layout of the tables over n points (``_layout``): the lane
+    width in bytes (one for n <= 8, two up to 16 points), per point b the
+    packed mask of the lanes whose index lacks bit b, and the packed int
+    with every lane the full mask.  Each mask is built from a byte
+    pattern, not summed from shifted lanes.  An 8-bit layout is made once
+    and kept; a 16-bit one, whose masks take 2 MiB at n = 16, is made on
+    each call and so lives no longer than its caller."""
+
+    def __missing__(self, n: int) -> tuple[int, tuple[int, ...], int]:
+        width = lane_bits(n) >> 3
+        size = 1 << n
+        lane = b"\xff" * width
+        low = tuple(int.from_bytes((lane * (1 << b) + bytes(width << b)) * (size >> b + 1), "little")
+                    for b in range(n))
+        full = int.from_bytes(((1 << n) - 1).to_bytes(width, "little") * size, "little")
+        if width == 1:
+            self[n] = width, low, full
+        return width, low, full
+
+
+# a hit is one C call, with no Python frame
+_layout = _Layouts().__getitem__
 
 
 def closed_lanes(n: int, marks: list, supersets: bool) -> int:
@@ -200,14 +209,14 @@ def meet_lanes(n: int, packed: int) -> int:
 def lane_bits(n: int) -> int:
     """The lane width of the packed tables over n points, in bits: lane m
     of a packed table is its bits m * lane_bits(n) up."""
-    return _layout(n)[0] << 3
+    return 8 if n <= 8 else 16
 
 
 def lowest_lane(n: int, packed: int) -> int:
     """The lowest non-zero lane of a packed table above lane 0, or 0 if
     every lane above it is zero: the lowest set bit above lane 0, over the
     lane width."""
-    bits = _layout(n)[0] << 3
+    bits = lane_bits(n)
     packed >>= bits
     return ((packed & -packed).bit_length() - 1) // bits + 1 if packed else 0
 
@@ -308,9 +317,9 @@ class Topology:
     every value derived from them, shared by every operation of the
     class: one entry is one class, and its tables are unpacked once.  A
     class holds no reference back to the topology.  ``extensions`` maps
-    each pivot branch, and each builtin or pivot operation that a space on
-    this object uses, to its values over ``opens_sorted``
-    (``gamma_core``), so each is computed once per topology."""
+    each pivot branch (id, cl, intcl) to its values over ``opens_sorted``
+    (``gamma_core._branch_values``), so each is computed once per
+    topology; it holds no operation's values."""
 
     ground: PointSet
     opens: frozenset[int]

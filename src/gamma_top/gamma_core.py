@@ -119,7 +119,8 @@ _BUILTIN_BRANCH = {"identity": "id", "closure": "cl", "int_closure": "intcl"}
 def _branch_values(top: Topology, branch: str) -> tuple[int, ...]:
     """The values of a pivot branch over ``top.opens_sorted``: the opens
     themselves (id), their closures (cl), or the interiors of those
-    closures (intcl).  Computed once per topology (``top.extensions``)."""
+    closures (intcl).  Computed once per topology and branch, and kept in
+    ``top.extensions``, which holds these three tables and nothing else."""
     values = top.extensions.get(branch)
     if values is None:
         if branch == "id":
@@ -151,8 +152,8 @@ class GammaOperation:
     values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        """Each kind takes its own fields and refuses the others', so two
-        equal maps of one kind are one key of ``top.extensions``."""
+        """Each kind takes its own fields and refuses the others'; a
+        table's values become a tuple."""
         if self.kind not in KINDS:
             raise InvalidOperation(f"unknown operation kind {self.kind!r}")
         pivot_fields = (self.pivot, self.in_branch, self.out_branch)
@@ -186,19 +187,6 @@ class GammaOperation:
         inside = _branch_values(top, self.in_branch)
         outside = _branch_values(top, self.out_branch)
         return tuple(i if v & bit else o for v, i, o in zip(opens, inside, outside))
-
-
-def _extension(top: Topology, op: GammaOperation) -> tuple[int, ...]:
-    """``op.extension(top)``, computed once per topology for a builtin or
-    pivot that a space uses (``top.extensions``; ``operations_for`` puts
-    in the ones it keeps); a table's extension is its own values, its
-    length checked against the opens on every call."""
-    if op.kind == "table":
-        return op.extension(top)
-    ext = top.extensions.get(op)
-    if ext is None:
-        ext = top.extensions[op] = op.extension(top)
-    return ext
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +329,7 @@ class Space:
         if self.top.ground != self.ground:
             raise GammaError("topology is defined over a different ground set")
         ground, opens = self.ground, self.top.opens_sorted
-        extension = _extension(self.top, self.gamma)
+        extension = self.gamma.extension(self.top)
         full = ground.full_mask
         # each open U marks its value for int_g, and the complement of its
         # value for the misses of cl_g, with every point of U at once; a
@@ -547,13 +535,12 @@ class OperatorClass:
         set at exactly the points of A, so it marks the complement of A
         with A; against the gamma-closures the table is ``theta_lanes``,
         read rather than built again.  {M} converges at x iff M is inside
-        K_x, the meet of x's test sets, so ``converges[M]`` is the meet of
-        ``converges[{p}]`` over the points p of M.  And p is in K_x iff
-        every test set at x holds p, iff {p} accumulates at x: so the
-        converges table is the ``finspace.meet_lanes`` of the n singleton
-        lanes of the accumulation table.  Equal accumulation tables give
-        equal converges tables, so the two families then share one
-        object."""
+        K_x, the meet of x's test sets, so lane M of ``conv`` is the meet
+        of its lanes {p} over the points p of M.  And p is in K_x iff
+        every test set at x holds p, iff {p} accumulates at x: so ``conv``
+        is the ``finspace.meet_lanes`` of the n singleton lanes of
+        ``acc``.  Equal ``acc`` tables give equal ``conv`` tables, so the
+        two families then share one object."""
         n, full = self.ground.n, self.ground.full_mask
         misses = [0] * (full + 1)
         for a in self.regular_open:
@@ -611,22 +598,13 @@ class PrincipalVerdicts:
     family, as two packed tables over the n points
     (``finspace.closed_lanes``), ``bits`` wide per lane: lane M of ``conv``
     holds the points x with M <= K_x, and lane M of ``acc`` the points at
-    which {M} accumulates.  ``converges`` and ``accumulates`` are the same
-    tables as tuples, unpacked on first read."""
+    which {M} accumulates.  ``finspace.unpack_lanes`` gives either as a
+    tuple."""
 
     def __init__(self, n: int, conv: int, acc: int):
-        self.n = n
         self.bits = lane_bits(n)
         self.conv = conv
         self.acc = acc
-
-    @memo_property
-    def converges(self) -> tuple:
-        return unpack_lanes(self.n, self.conv)
-
-    @memo_property
-    def accumulates(self) -> tuple:
-        return unpack_lanes(self.n, self.acc)
 
 
 # -- the bridge pairings ---------------------------------------------------
@@ -679,12 +657,12 @@ _PAIRING_PARTS = tuple((pairing, *pairing.split("+")) for pairing in PAIRINGS)
 #
 # So each bridge verdict is a mask expression over the per-subset
 # ``principal_verdicts`` tables of one-member bases.  With F the test
-# family and G the gamma-closures, a class (T, R) disagrees at
-# F.converges[T] ^ G.converges[T], or at F.accumulates[T] ^ N, where N is
-# G.accumulates[T] under the cofinal reading and G.converges[R] under the
+# family and G the gamma-closures, and F.conv[T] lane T of F's ``conv``,
+# a class (T, R) disagrees at F.conv[T] ^ G.conv[T], or at F.acc[T] ^ N,
+# where N is G.acc[T] under the cofinal reading and G.conv[R] under the
 # literal one; the first failing point is the lowest set bit.  Only the
-# literal reading depends on R.  G.converges[R] is the meet of
-# G.converges[T | {p}] over p in R - T, so some R above T changes it iff a
+# literal reading depends on R.  G.conv[R] is the meet of
+# G.conv[T | {p}] over p in R - T, so some R above T changes it iff a
 # one-point extension does.  Net classes are filterbase classes (the class
 # of the base {T, R}), so when no filterbase disagrees, no net does either.
 #
@@ -695,7 +673,7 @@ _PAIRING_PARTS = tuple((pairing, *pairing.split("+")) for pairing in PAIRINGS)
 # disagreement of class (K, K), for every K at once: two XORs and an OR.
 # Under the literal reading ``finspace.step_lanes`` ORs in, in n shifts by
 # 2**p lanes, lane K non-zero iff a one-point extension K | {p} changes
-# G.converges.  A kernel is never empty, and lane 0 is the empty set, so
+# G.conv.  A kernel is never empty, and lane 0 is the empty set, so
 # the first failing kernel is the lowest non-zero lane above lane 0
 # (``finspace.lowest_lane``): the lowest set bit above it, over the lane
 # width.  Every T is decided by O(n) operations on one int.  Witnesses are
@@ -941,9 +919,6 @@ def operations_for(top: Topology, modes) -> list:
                 ext = op.extension(top)
                 if ext not in seen and (options is None or _product_rank(options, ext) is None):
                     seen.add(ext)
-                    # its space reads it back (``_extension``); a dropped
-                    # operation's is not kept
-                    top.extensions[op] = ext
                     blocks.append(OperationBlock((ext[0],), (ext[1:],), op=op))
         elif options is None:
             options = _table_options(top)

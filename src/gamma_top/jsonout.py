@@ -7,14 +7,17 @@ C ``encode_basestring_ascii`` that json itself uses.  ``dump`` is the one
 encoder: it hands its ``write`` callable the text in batches, each the join
 of about ``BATCH_CHUNKS`` chunks and cut between items, so a large value is
 written without ever being held whole as text.  ``dumps`` joins those
-batches.  Tier-1 checks the bytes against ``json.dumps`` on generated values.
+batches.
+
+It writes the types its payloads hold, each exactly: ``str``, ``int``,
+``float``, ``bool``, ``None``, ``list``, ``tuple``, ``dict`` with string
+keys, ``Framed`` and iterators; anything else raises ``TypeError``, a
+subclass too unless it is a later item of a label list.  Tier-1 checks
+the bytes against ``json.dumps`` on generated values of those types.
 
 An iterator, such as a ``map`` or a generator, is written as the array of
-its items.  It is consumed once, as it is written, so a payload whose rows
-are an iterator makes each row when it is written and need not hold it
-afterwards.  An empty one is written ``[]``.  Lists and tuples are the
-arrays json knows; an iterator is looked for after every type json
-writes.
+its items, taken once as they are written: a payload whose rows are an
+iterator makes each row when it is written and need not hold it after.
 
 A label list is a list or tuple of strings, such as a space's points or
 one of its opens.  Output holds few distinct label lists many times over
@@ -110,23 +113,6 @@ def _float(v: float) -> str:
     return float.__repr__(v)
 
 
-def _key(k) -> str:
-    """A dict key as json writes it: strings escaped, scalars as text."""
-    if isinstance(k, str):
-        return _string(k)
-    if isinstance(k, float):
-        return _string(_float(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return '"' + int.__repr__(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
 def dumps(obj) -> str:
     """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it."""
     parts = []
@@ -138,11 +124,11 @@ def dump(obj, write) -> None:
     """Pass ``obj`` to ``write`` as ``json.dumps(obj, sort_keys=True,
     indent=2)`` writes it, in non-empty ``str`` batches cut between items.
 
-    Supports what json supports by default: dict, list, tuple, str, int,
-    float (NaN and infinities as ``NaN``/``Infinity``), True, False and
-    None, and any iterator as the list of its items; anything else raises
-    TypeError after the batches before it have been written, and an error
-    an iterator raises comes out the same way."""
+    Writes exactly the types ``str``, ``int``, ``float`` (NaN and
+    infinities as ``NaN``/``Infinity``), ``bool``, ``None``, ``list``,
+    ``tuple``, ``dict`` with string keys and ``Framed``, and iterators;
+    anything else raises TypeError as the module docstring says, after the
+    batches before it have been written, as does an iterator's error."""
     chunks = []
     emit = chunks.append
     # per indent, the text of each label list met so far, by the list's id;
@@ -215,17 +201,6 @@ def dump(obj, write) -> None:
         elif v is _HOLE and framing:
             # outside a frame a hole is no JSON value, and raises below
             holes.append((len(chunks), nl))
-        # subclasses, in the order json tests them
-        elif isinstance(v, str):
-            emit(_string(v))
-        elif isinstance(v, int):
-            emit(int.__repr__(v))
-        elif isinstance(v, float):
-            emit(_float(v))
-        elif isinstance(v, (list, tuple)):
-            array(v, nl)
-        elif isinstance(v, dict):
-            obj_(v, nl)
         elif isinstance(v, Iterator):
             items(v, nl)
         else:
@@ -259,7 +234,7 @@ def dump(obj, write) -> None:
         sep = "," + inner
         lead = "{" + inner
         for k in sorted(d):
-            emit(lead + (_string(k) if type(k) is str else _key(k)) + ": ")
+            emit(lead + _string(k) + ": ")
             value(d[k], inner)
             lead = sep
             if len(chunks) >= BATCH_CHUNKS:

@@ -253,8 +253,8 @@ def _fails_at_r0(cls: OperatorClass, **fields):
 # (c) At each point x, the theta test sets cl_g(U), U gamma-open at x, are
 #     the regular-open sets at x: each is one by (a) and holds x, as cl_g
 #     is extensive; a regular-open R at x is gamma-open, with cl_g(R) = R.
-#     So ``cls.theta_closure`` is
-#     ``cls.principal_verdicts["regular_open"].accumulates``.
+#     So ``cls.theta_closure`` is the table ``acc`` of
+#     ``cls.principal_verdicts["regular_open"]``, unpacked.
 
 
 @_claim("C-RO-INCL", "safe", (), "regular-open sets are gamma-open; gamma-open sets are open")

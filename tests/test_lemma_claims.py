@@ -23,7 +23,7 @@ from hypothesis import given, settings
 
 from gamma_top import documents
 from gamma_top import theoremlab as tl
-from gamma_top.finspace import MAX_POINTS
+from gamma_top.finspace import MAX_POINTS, unpack_lanes
 from gamma_top.gamma_core import is_open_operation
 from gamma_top.gamma_sets import (
     gamma_open_family,
@@ -209,7 +209,7 @@ def open_ed_lemma_failures(sp):
         tests = {cg[u] for u in gamma_open_family(sp) if u >> x & 1}
         if tests != {r for r in regular if r >> x & 1}:
             failed.add("c")
-    if sp.cls.theta_closure != sp.cls.principal_verdicts["regular_open"].accumulates:
+    if sp.cls.theta_closure != unpack_lanes(sp.ground.n, sp.cls.principal_verdicts["regular_open"].acc):
         failed.add("c")
     return failed
 

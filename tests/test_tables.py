@@ -40,13 +40,14 @@ def assert_tables_match(sp, masks=None):
         assert gamma_theta_closure(sp, a) == oracle.theta(a), a
     for family in ("regular_open", "gamma_open_cl"):
         table = sp.cls.principal_verdicts[family]
+        conv, acc = unpack_lanes(sp.ground.n, table.conv), unpack_lanes(sp.ground.n, table.acc)
         for x in range(sp.ground.n):
             tests = oracle.test_sets(x, family)
             for m in masks:
                 converges = all(m & ~t == 0 for t in tests)
                 accumulates = all(m & t for t in tests)
-                assert bool(table.converges[m] >> x & 1) is converges, (family, x, m)
-                assert bool(table.accumulates[m] >> x & 1) is accumulates, (family, x, m)
+                assert bool(conv[m] >> x & 1) is converges, (family, x, m)
+                assert bool(acc[m] >> x & 1) is accumulates, (family, x, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +228,7 @@ def assert_principal_tables_match(sp, masks):
     """Each packed principal table at *masks*, lane by lane, against the
     definitions: {M} converges at x iff M lies inside every test set at x
     (inside K_x), and accumulates at x iff M meets every one; and each
-    table's tuple views against the tables of the passes they replaced."""
+    table, unpacked, against the tables of the passes it replaced."""
     cls = sp.cls
     n = cls.ground.n
     bits = lane_bits(n)
@@ -245,7 +246,8 @@ def assert_principal_tables_match(sp, masks):
             accumulates = sum(1 << x for x, sets in enumerate(tests_at) if all(m & t for t in sets))
             assert table.conv >> m * bits & ones == converges, (family, m)
             assert table.acc >> m * bits & ones == accumulates, (family, m)
-        assert (table.converges, table.accumulates) == _scan_principal_tables(cls, tests_at), family
+        unpacked = unpack_lanes(n, table.conv), unpack_lanes(n, table.acc)
+        assert unpacked == _scan_principal_tables(cls, tests_at), family
 
 
 @pytest.mark.parametrize("n", range(1, 17))
