@@ -123,6 +123,14 @@ def test_matches_json_dumps(obj, data):
         [[], ["a", 2]],
         [LABELS, ("a",), LABELS, {"k": LABELS}],
         {"k": ["a", 1], "l": ["a", ["b"]]},
+        # the exact-type forms of what test_subclasses_and_keys_that_are_no_strings_raise
+        # holds: keys as strings, which sort as strings, and base-type values
+        {"1": "x", "10": "y", "2": "z"},
+        {"3.5": 1, "0.25": 2},
+        {"true": 1, "false": 2},
+        {"null": 1},
+        [int(Small.ONE), str(Label("x"))],
+        dict([("b", [1]), ("a", {})]),  # made out of sorted order
         "plain",
         [],
         {},
